@@ -2,7 +2,7 @@
 # `make check` is the single gate CI runs (scripts/ci.sh wraps it and adds
 # the targeted race pass).
 
-.PHONY: all build vet lint lint-baseline check ci test race faults faults-wal bench bench-shards bench-all benchgate profile experiments cover
+.PHONY: all build vet lint lint-baseline check ci test race faults faults-wal fuzz bench bench-shards bench-all benchgate profile experiments cover
 
 all: build vet test
 
@@ -56,6 +56,14 @@ faults:
 faults-wal:
 	go test -run 'WAL|Wal|Torn|Replay|Segment|GroupCommit' \
 		./internal/wal/... ./internal/ppdb/... ./cmd/ppdbserver/...
+
+# fuzz explores the enforced query path (internal/query's FuzzQuery:
+# arbitrary SQL through Engine.Query must never panic and every answer must
+# keep rows returned <= matched <= scanned) for FUZZTIME (default 30s).
+# Crashers land in internal/query/testdata/fuzz/FuzzQuery; commit them as
+# seeds once fixed — `make test` replays every seed there.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/query
 
 # bench runs the certification benches and records BENCH_certify.json
 # (cold vs incremental ledger certification, the per-shard-count sharding

@@ -460,38 +460,6 @@ func BenchmarkEstimatePW(b *testing.B) {
 	}
 }
 
-// BenchmarkSQLSelect measures the relational engine's filtered scan.
-func BenchmarkSQLSelect(b *testing.B) {
-	db := relational.NewDatabase()
-	db.MustExec("CREATE TABLE t (id INT PRIMARY KEY, grp INT, val FLOAT)")
-	gen, err := population.NewGenerator(population.Config{
-		Attributes: []population.AttributeSpec{{Name: "x", Sensitivity: 1, Purposes: []privacy.Purpose{"p"}}},
-	}, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = gen
-	tab, _ := db.Table("t")
-	for i := 0; i < 10000; i++ {
-		if _, err := tab.Insert(relational.Row{
-			relational.Int(int64(i)), relational.Int(int64(i % 100)), relational.Float(float64(i) * 1.5),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Query("SELECT grp, COUNT(*) AS n, AVG(val) AS m FROM t WHERE val > 100 GROUP BY grp ORDER BY n DESC LIMIT 10")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 10 {
-			b.Fatal("wrong result")
-		}
-	}
-}
-
 // BenchmarkKAnonSearch measures the full-domain lattice search baseline.
 func BenchmarkKAnonSearch(b *testing.B) {
 	schema, err := population.MicrodataSchema()

@@ -2,8 +2,9 @@
 // Violations" (Banerjee, Karimi Adl, Wu & Barker, Secure Data Management
 // workshop at VLDB 2011, LNCS 6933): the four-dimensional privacy taxonomy,
 // the violation / severity / default model (Defs. 1-5, Eqs. 12-16, 25-31),
-// an α-PPDB prototype over a from-scratch relational engine, and the full
-// experiment suite.
+// an α-PPDB prototype over a from-scratch relational store whose only read
+// path enforces every answered cell per datum, and the full experiment
+// suite.
 //
 // Commands: cmd/experiments regenerates every table and figure,
 // cmd/ppdbaudit audits a policy/preference corpus, cmd/ppdbsim runs the

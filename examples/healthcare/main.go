@@ -1,6 +1,7 @@
 // Healthcare example: a clinic runs a PPDB over patient records with
 // purposes care / research / billing. It demonstrates purpose-bound access
-// with visibility gating, granularity degradation on research reads,
+// enforced per datum — visibility gating, withholding of providers who never
+// consented to a purpose, granularity degradation on research reads —
 // retention sweeping on a simulated clock, the audit trail, and α-PPDB
 // certification — the full Sec. 10 prototype on the paper's motivating
 // domain (Westin ranks health data most sensitive).
@@ -131,19 +132,20 @@ func main() {
 	mustInsert(db, "omar", relational.Row{relational.Text("omar"), relational.Text("diabetes"), relational.Float(92), relational.Float(450)})
 
 	// 1. A clinician (house class) reads exact data for care.
-	show(db, "clinician reads for care (exact)", ppdb.AccessRequest{
+	show(db, "clinician reads for care (exact)", ppdb.EnforcedQuery{
 		Requester: "dr-chen", Purpose: "care", Visibility: 2,
 		SQL: "SELECT patient, condition, weight FROM records ORDER BY patient",
 	})
 
-	// 2. A research partner (third-party class) gets degraded granularity.
-	show(db, "research partner reads (degraded to 'partial')", ppdb.AccessRequest{
+	// 2. A research partner (third-party class) gets degraded granularity,
+	//    and omar, who never consented to research, is withheld entirely.
+	show(db, "research partner reads (omar withheld; maria degraded to 'partial')", ppdb.EnforcedQuery{
 		Requester: "uni-lab", Purpose: "research", Visibility: 3,
 		SQL: "SELECT patient, condition, weight FROM records ORDER BY patient",
 	})
 
 	// 3. Research cannot see billing balances at all.
-	_, err = db.Query(ppdb.AccessRequest{
+	_, err = db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "uni-lab", Purpose: "research", Visibility: 3,
 		SQL: "SELECT balance FROM records",
 	})
@@ -189,9 +191,9 @@ func mustInsert(db *ppdb.DB, provider string, row relational.Row) {
 	}
 }
 
-func show(db *ppdb.DB, title string, req ppdb.AccessRequest) {
+func show(db *ppdb.DB, title string, req ppdb.EnforcedQuery) {
 	fmt.Printf("\n%s:\n", title)
-	res, err := db.Query(req)
+	res, err := db.QueryEnforced(req)
 	if err != nil {
 		fmt.Printf("  error: %v\n", err)
 		return
@@ -204,4 +206,5 @@ func show(db *ppdb.DB, title string, req ppdb.AccessRequest) {
 		}
 		fmt.Printf("  %v\n", cells)
 	}
+	fmt.Printf("  (%d returned, %d withheld)\n", res.Stats.RowsReturned, res.Stats.RowsSuppressed)
 }

@@ -91,7 +91,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	// Care query at house class sees exact data. The corpus policy does not
 	// cover the provider-identity column, so the query touches only the
 	// governed attributes.
-	res, err := db.Query(ppdb.AccessRequest{
+	res, err := db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "dr", Purpose: "care", Visibility: 2,
 		SQL: "SELECT condition, weight FROM records ORDER BY weight",
 	})
@@ -105,7 +105,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Errorf("care weight = %v", res.Rows[0][1])
 	}
 	// Identity reads are refused: the policy does not cover "provider".
-	if _, err := db.Query(ppdb.AccessRequest{
+	if _, err := db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "dr", Purpose: "care", Visibility: 2,
 		SQL: "SELECT provider FROM records",
 	}); err == nil {
@@ -113,7 +113,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 
 	// Research on weight is not in the corpus policy → denied.
-	if _, err := db.Query(ppdb.AccessRequest{
+	if _, err := db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "lab", Purpose: "research", Visibility: 3,
 		SQL: "SELECT weight FROM records",
 	}); err == nil {

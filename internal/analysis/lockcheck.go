@@ -10,7 +10,7 @@ import (
 
 // lockcheckChecker enforces the lock discipline of structs that guard
 // shared state with a sync.Mutex/sync.RWMutex field (ppdb.DB,
-// relational.Database, relational.Table, ppdb.Audit are the hot paths):
+// relational.Table, ppdb.Audit are the hot paths):
 //
 //  1. an exported pointer-receiver method that reads or writes a mutated
 //     sibling field without acquiring the struct's lock is flagged

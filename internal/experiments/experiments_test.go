@@ -83,11 +83,16 @@ func TestFigure2(t *testing.T) {
 			t.Errorf("Figure 2 output missing %q", want)
 		}
 	}
-	// t2's strict preferences must register a violation against the wider
-	// house policy, and the partial-granularity degradation must show a
-	// range for weight.
-	if !strings.Contains(out, "[") {
-		t.Error("expected generalized weight ranges in the research view")
+	// T lists both providers' own tuples; the research read of it is
+	// enforced per datum, and neither provider states a preference on the
+	// provider column, so the implicit zero suppresses both rows.
+	for _, want := range []string{"\nt1 ", "\nt2 "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("T is missing the row starting %q", strings.TrimSpace(want))
+		}
+	}
+	if !strings.Contains(out, "0 rows returned, 2 suppressed") {
+		t.Error("expected the enforced research read to suppress both rows")
 	}
 }
 

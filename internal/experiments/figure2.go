@@ -101,26 +101,41 @@ provider "t2" threshold 5 {
 	fmt.Fprintln(w, "Figure 2 — notation walk-through on a live PPDB")
 	fmt.Fprintln(w)
 
-	// The data table T.
-	res, err := db.Query(ppdb.AccessRequest{
+	// The data table T: t_i is provider i's own tuple, read through the
+	// Sec. 1 right of access (ProviderView), so T appears exactly as stored.
+	var cols []string
+	var rows [][]string
+	for _, name := range []string{"t1", "t2"} {
+		own, err := db.ProviderView(name)
+		if err != nil {
+			return err
+		}
+		for _, r := range own {
+			cols = r.Columns
+			cells := make([]string, len(r.Values))
+			for i, v := range r.Values {
+				cells[i] = v.Display()
+			}
+			rows = append(rows, cells)
+		}
+	}
+	fmt.Fprintln(w, "T (each t_i read by its own provider through the Sec. 1 right of access):")
+	if err := WriteTable(w, cols, rows); err != nil {
+		return err
+	}
+
+	// The same table as a house-class requester sees it for research,
+	// enforced per datum: neither provider states a preference on the
+	// provider column, so the Sec. 5 implicit zero withholds both rows.
+	res, err := db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "figure2", Purpose: "research", Visibility: 2,
 		SQL: "SELECT provider, age, weight FROM t ORDER BY provider",
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "T (as seen for purpose=research by a house-class requester; weight degraded to 'partial'):")
-	rows := make([][]string, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		cells := make([]string, len(r))
-		for i, v := range r {
-			cells[i] = v.Display()
-		}
-		rows = append(rows, cells)
-	}
-	if err := WriteTable(w, res.Columns, rows); err != nil {
-		return err
-	}
+	fmt.Fprintf(w, "\nenforced read of T for purpose=research by a house-class requester: %d rows returned, %d suppressed\n",
+		res.Stats.RowsReturned, res.Stats.RowsSuppressed)
 
 	// HP and HP^weight (Eq. 4).
 	fmt.Fprintf(w, "\nHP: %s\n", db.Policy())

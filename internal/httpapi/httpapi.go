@@ -613,16 +613,11 @@ func (s *Server) operator(r *http.Request) bool {
 }
 
 // queryVerdict classifies a QueryEnforced error into the access-log
-// verdict and HTTP status. Catalog faults are the server's own invariant
-// breaks, not request errors: they map to 500/internal so a
-// misconfigured table is never mistaken for a bad query.
+// verdict and HTTP status.
 func queryVerdict(err error) (verdict string, status int) {
 	var denied *query.DeniedError
 	var unenf *query.UnenforceableError
-	var cat *ppdb.CatalogError
 	switch {
-	case errors.As(err, &cat):
-		return "internal", http.StatusInternalServerError
 	case errors.As(err, &denied):
 		return "denied", http.StatusForbidden
 	case errors.As(err, &unenf):

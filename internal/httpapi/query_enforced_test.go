@@ -7,8 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/ppdb"
 	"repro/internal/privacy"
 	"repro/internal/query"
 	"repro/internal/relational"
@@ -193,8 +193,8 @@ func TestQueryIndexScanStatsWithheld(t *testing.T) {
 	}
 }
 
-// TestQueryVerdictMapping checks the error classification, including the
-// catalog invariant break that must surface as a 500, not a client 400.
+// TestQueryVerdictMapping checks the error classification: purpose/class
+// refusals are 403, everything else a request can get wrong is a 400.
 func TestQueryVerdictMapping(t *testing.T) {
 	cases := []struct {
 		err     error
@@ -203,7 +203,6 @@ func TestQueryVerdictMapping(t *testing.T) {
 	}{
 		{&query.DeniedError{Attribute: "weight", Reason: "x"}, "denied", http.StatusForbidden},
 		{&query.UnenforceableError{Construct: "JOIN", Reason: "x"}, "unenforceable", http.StatusBadRequest},
-		{&ppdb.CatalogError{Err: errors.New("table has no provider column")}, "internal", http.StatusInternalServerError},
 		{errors.New("parse error"), "invalid", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -235,5 +234,43 @@ func TestQueryEnforcedErrorMapping(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "not enforceable per datum") {
 		t.Fatalf("body = %s", rec.Body)
+	}
+}
+
+// TestQueryLimitOverflowKeepsStoreWritable is a regression test: a LIMIT
+// near the int maximum once overflowed offset+limit inside the engine,
+// which panicked while the store's read lock was held — the recovered 500
+// left the lock taken and every later writer blocked forever. The query
+// must answer every row past the offset, and a policy swap right after it
+// must complete.
+func TestQueryLimitOverflowKeepsStoreWritable(t *testing.T) {
+	srv := enforcedServer(t)
+	rec := do(t, srv, http.MethodPost, "/v1/query",
+		`{"requester":"dr","purpose":"care","visibility":2,"sql":"SELECT provider FROM t LIMIT 9223372036854775807 OFFSET 1"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+	}
+	var out QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Rows) != 1 || out.Rows[0][0] != "nora" {
+		t.Fatalf("rows = %v, want [[nora]] (every row past the offset)", out.Rows)
+	}
+
+	done := make(chan int, 1)
+	go func() {
+		done <- do(t, srv, http.MethodPut, "/v1/policy", `policy "v2" {
+		  attr provider { tuple purpose=care visibility=house granularity=specific retention=year }
+		  attr weight { tuple purpose=care visibility=house granularity=specific retention=year }
+		}`).Code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Fatalf("PUT /v1/policy after the query = %d", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("PUT /v1/policy blocked: the query left the store lock held")
 	}
 }

@@ -31,7 +31,7 @@ type Audit struct {
 
 func newAudit() *Audit { return &Audit{} }
 
-func (a *Audit) record(at time.Time, req AccessRequest, allowed bool, reason string) {
+func (a *Audit) record(at time.Time, req EnforcedQuery, allowed bool, reason string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.records = append(a.records, AccessRecord{

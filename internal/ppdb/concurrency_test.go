@@ -58,7 +58,7 @@ func TestConcurrentQueriesAndInserts(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
-			if _, err := db.Query(AccessRequest{
+			if _, err := db.QueryEnforced(EnforcedQuery{
 				Requester: "reader", Purpose: "care", Visibility: 2,
 				SQL: "SELECT provider, weight FROM t",
 			}); err != nil {

@@ -1,18 +1,20 @@
 package ppdb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/privacy"
+	"repro/internal/query"
 	"repro/internal/relational"
 )
 
 func TestAuditByPurpose(t *testing.T) {
 	db := clinicDB(t)
-	db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT weight FROM patients"})
-	db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT age FROM patients"})
-	db.Query(AccessRequest{Purpose: "marketing", Visibility: 2, SQL: "SELECT weight FROM patients"})
+	db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT weight FROM patients"})
+	db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT age FROM patients"})
+	db.QueryEnforced(EnforcedQuery{Purpose: "marketing", Visibility: 2, SQL: "SELECT weight FROM patients"})
 	byP := db.Audit().ByPurpose()
 	if byP["care"] != 2 || byP["marketing"] != 1 {
 		t.Errorf("ByPurpose = %v", byP)
@@ -51,11 +53,15 @@ func TestSuppressOnlyFallback(t *testing.T) {
 	if err := db.RegisterTable("t", schema, "provider"); err != nil {
 		t.Fatal(err)
 	}
+	// "a" consents to the care read at full granularity, so the policy's
+	// G1 grant alone degrades the note; with no preference the Sec. 5
+	// implicit zero would suppress the row instead.
 	p := privacy.NewPrefs("a", 10)
+	p.Add("note", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
 	db.RegisterProvider(p)
 	db.Insert("t", "a", relational.Row{relational.Text("a"), relational.Text("secret details")})
 
-	res, err := db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT note FROM t"})
+	res, err := db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT note FROM t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func TestSuppressOnlyFallback(t *testing.T) {
 	db2.RegisterTable("t", schema, "provider")
 	db2.RegisterProvider(p.Clone(""))
 	db2.Insert("t", "a", relational.Row{relational.Text("a"), relational.Null()})
-	res, err = db2.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT note FROM t"})
+	res, err = db2.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT note FROM t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,32 +105,37 @@ func TestHierarchyLevelMapping(t *testing.T) {
 	}
 }
 
-// TestQueryGroupedAggregatesGated verifies that aggregates over gated
-// attributes are policy-checked (the Agg walk of referencedAttributes).
+// TestQueryGroupedAggregatesGated verifies that aggregates and grouping
+// never reach the store: their answers mix cells across providers, so the
+// per-datum planner refuses them even where the policy covers every
+// referenced attribute, and ORDER BY references are policy-gated like any
+// other.
 func TestQueryGroupedAggregatesGated(t *testing.T) {
 	db := clinicDB(t)
-	// AVG(weight) for research is allowed (weight has a research tuple)…
-	if _, err := db.Query(AccessRequest{
+	// AVG(weight) for research is refused although weight has a research
+	// tuple…
+	var unenf *query.UnenforceableError
+	if _, err := db.QueryEnforced(EnforcedQuery{
 		Purpose: "research", Visibility: 3,
 		SQL: "SELECT AVG(weight) FROM patients",
-	}); err != nil {
-		t.Errorf("research aggregate should pass: %v", err)
+	}); !errors.As(err, &unenf) {
+		t.Errorf("research aggregate must be unenforceable, got %v", err)
 	}
-	// …but AVG(age) is not (no research tuple on age).
-	if _, err := db.Query(AccessRequest{
+	// …and so is AVG(age) (no research tuple on age).
+	if _, err := db.QueryEnforced(EnforcedQuery{
 		Purpose: "research", Visibility: 3,
 		SQL: "SELECT AVG(age) FROM patients",
 	}); err == nil {
 		t.Error("aggregate over ungoverned attribute must be denied")
 	}
 	// ORDER BY and GROUP BY references are gated too.
-	if _, err := db.Query(AccessRequest{
+	if _, err := db.QueryEnforced(EnforcedQuery{
 		Purpose: "research", Visibility: 3,
 		SQL: "SELECT weight FROM patients ORDER BY age",
 	}); err == nil {
 		t.Error("ORDER BY attribute must be gated")
 	}
-	if _, err := db.Query(AccessRequest{
+	if _, err := db.QueryEnforced(EnforcedQuery{
 		Purpose: "research", Visibility: 3,
 		SQL: "SELECT COUNT(*) FROM patients GROUP BY age",
 	}); err == nil {
@@ -132,9 +143,16 @@ func TestQueryGroupedAggregatesGated(t *testing.T) {
 	}
 }
 
+// TestDeniedErrorMessage pins that a refusal surfaced by QueryEnforced
+// names both the attribute and the reason.
 func TestDeniedErrorMessage(t *testing.T) {
-	err := &DeniedError{Attribute: "weight", Reason: "because"}
-	if !strings.Contains(err.Error(), "weight") || !strings.Contains(err.Error(), "because") {
+	db := clinicDB(t)
+	_, err := db.QueryEnforced(EnforcedQuery{Purpose: "marketing", Visibility: 2, SQL: "SELECT weight FROM patients"})
+	var denied *query.DeniedError
+	if !errors.As(err, &denied) {
+		t.Fatalf("want *query.DeniedError, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "weight") || !strings.Contains(err.Error(), `no policy tuple for purpose "marketing"`) {
 		t.Errorf("message = %q", err.Error())
 	}
 }

@@ -32,14 +32,14 @@ func Example() {
 	_ = db.RegisterProvider(maria)
 	_, _ = db.Insert("t", "maria", relational.Row{relational.Text("maria"), relational.Float(61.5)})
 
-	res, err := db.Query(ppdb.AccessRequest{
+	res, err := db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "dr", Purpose: "care", Visibility: 2,
 		SQL: "SELECT weight FROM t",
 	})
 	fmt.Println("care query error:", err)
 	fmt.Println("care weight:", res.Rows[0][0].Display())
 
-	_, err = db.Query(ppdb.AccessRequest{
+	_, err = db.QueryEnforced(ppdb.EnforcedQuery{
 		Requester: "ads", Purpose: "marketing", Visibility: 2,
 		SQL: "SELECT weight FROM t",
 	})

@@ -190,20 +190,19 @@ func (d *DB) renderLocked() (map[string][]byte, time.Time, error) {
 		}
 		// Rows in scan (insertion) order so meta lines align.
 		var scanErr error
-		rowsOut := &relational.Result{}
+		var rowsOut []relational.Row
 		schema := tm.table.Schema()
 		cols := make([]string, schema.Len())
 		for j := range cols {
 			cols[j] = schema.Column(j).Name
 		}
-		rowsOut.Columns = cols
 		tm.table.Scan(func(id relational.RowID, row relational.Row) bool {
 			meta, ok := tm.rows[id]
 			if !ok {
 				scanErr = fmt.Errorf("ppdb: row %d of %s has no provenance", id, name)
 				return false
 			}
-			rowsOut.Rows = append(rowsOut.Rows, row)
+			rowsOut = append(rowsOut, row)
 			if err := metaWriter.Write([]string{meta.provider, meta.inserted.Format(time.RFC3339Nano)}); err != nil {
 				scanErr = err
 				return false
@@ -219,7 +218,7 @@ func (d *DB) renderLocked() (map[string][]byte, time.Time, error) {
 			renders[i].err = err
 			return
 		}
-		if err := relational.ExportCSV(rowsOut, &dataBuf); err != nil {
+		if err := relational.ExportCSV(&dataBuf, cols, rowsOut); err != nil {
 			renders[i].err = fmt.Errorf("ppdb: save rows %s: %w", name, err)
 			return
 		}

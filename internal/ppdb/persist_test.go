@@ -75,7 +75,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("certification mismatch: %+v vs %+v", c1.Report, c2.Report)
 	}
 	// Queries behave the same, including granularity degradation.
-	res, err := db2.Query(AccessRequest{
+	res, err := db2.QueryEnforced(EnforcedQuery{
 		Purpose: "research", Visibility: 3,
 		SQL: "SELECT weight FROM patients ORDER BY weight",
 	})

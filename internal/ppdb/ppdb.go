@@ -1,14 +1,17 @@
 // Package ppdb is the privacy-preserving database prototype the paper calls
 // for in Sec. 10: a relational store whose reads are bound to a purpose and
-// a requester visibility class, whose answers are degraded to the
-// granularity the house policy grants, whose cells expire per the policy's
+// a requester visibility class, whose cells expire per the policy's
 // retention levels, and whose conformance to provider preferences is
 // continuously auditable (α-PPDB certification, Def. 3).
 //
 // The paper's model is audit-oriented — it quantifies the mismatch between
-// policy and preferences. The PPDB adds the enforcement half: the policy is
-// also a ceiling on what queries can return, so the stated policy and the
-// practiced policy coincide (the transparency requirement of Sec. 1).
+// policy and preferences. The PPDB adds the enforcement half: QueryEnforced
+// is the only way data leaves the store, and it checks every answered cell
+// against both the policy tuple for the request purpose and the contributing
+// provider's own preference (Def. 1, per datum), suppressing, generalizing
+// or expiring whatever either would not disclose. The stated policy, the
+// stated preferences and the practiced disclosure therefore coincide (the
+// transparency requirement of Sec. 1).
 //
 // Concurrency (DESIGN.md §11): provider state is sharded by FNV-1a hash of
 // the canonical provider key (core.ShardIndex) into Config.Shards shards,
@@ -35,6 +38,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policydsl"
 	"repro/internal/privacy"
+	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/wal"
 )
@@ -133,7 +137,6 @@ type DB struct {
 	// exclusively. Lock order: mu before any dbShard.mu.
 	mu sync.RWMutex
 
-	rdb    *relational.Database
 	scales privacy.Scales
 
 	policy   *privacy.HousePolicy
@@ -147,6 +150,9 @@ type DB struct {
 	nProviders atomic.Int64
 
 	tables map[string]*tableMeta
+	// catalog binds every registered table for the query planner; it is
+	// extended by RegisterTable and read by QueryEnforced, both under mu.
+	catalog *query.Catalog
 
 	hierarchies map[string]generalize.Hierarchy
 	retention   RetentionSchedule
@@ -277,13 +283,13 @@ func New(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	d := &DB{
-		rdb:           relational.NewDatabase(),
 		scales:        scales,
 		policy:        cfg.Policy,
 		attrSens:      cfg.AttrSens,
 		opts:          cfg.Options,
 		shards:        make([]*dbShard, nShards),
 		tables:        make(map[string]*tableMeta),
+		catalog:       query.NewCatalog(),
 		hierarchies:   hier,
 		retention:     ret,
 		now:           start,
@@ -369,21 +375,24 @@ func (d *DB) Audit() *Audit { return d.audit }
 // RegisterTable creates a table whose rows each belong to one data provider,
 // identified by providerCol (paper assumption 5: one tuple per provider per
 // table; the PPDB enforces provider existence, not uniqueness, so the
-// one-to-many extension the paper mentions also works).
+// one-to-many extension the paper mentions also works). The table is bound
+// into the query catalog here, once, so reads never rebuild it.
 func (d *DB) RegisterTable(name string, schema *relational.Schema, providerCol string) error {
-	providerCol = strings.ToLower(strings.TrimSpace(providerCol))
-	if _, ok := schema.ColumnIndex(providerCol); !ok {
-		return fmt.Errorf("ppdb: schema for %q has no provider column %q", name, providerCol)
-	}
-	tab, err := d.rdb.CreateTable(name, schema)
+	tab, err := relational.NewTable(name, schema)
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if _, dup := d.tables[tab.Name()]; dup {
+		return fmt.Errorf("ppdb: table %q already exists", tab.Name())
+	}
+	if err := d.catalog.Bind(tab, providerCol); err != nil {
+		return err
+	}
 	d.tables[tab.Name()] = &tableMeta{
 		table:       tab,
-		providerCol: providerCol,
+		providerCol: privacy.CanonAttr(providerCol),
 		rows:        make(map[relational.RowID]*rowMeta),
 	}
 	d.mutSeq.Add(1)

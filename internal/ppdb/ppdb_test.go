@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/generalize"
 	"repro/internal/privacy"
+	"repro/internal/query"
 	"repro/internal/relational"
 )
 
@@ -131,7 +132,7 @@ func TestRegistrationErrors(t *testing.T) {
 
 func TestQueryAllowedCareFullGranularity(t *testing.T) {
 	db := clinicDB(t)
-	res, err := db.Query(AccessRequest{
+	res, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "dr-jones",
 		Visibility: 2, // house
 		Purpose:    "care",
@@ -151,7 +152,7 @@ func TestQueryAllowedCareFullGranularity(t *testing.T) {
 
 func TestQueryGeneralizesForResearch(t *testing.T) {
 	db := clinicDB(t)
-	res, err := db.Query(AccessRequest{
+	res, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "analyst",
 		Visibility: 3, // third-party
 		Purpose:    "research",
@@ -170,13 +171,13 @@ func TestQueryGeneralizesForResearch(t *testing.T) {
 
 func TestQueryDeniedWrongPurpose(t *testing.T) {
 	db := clinicDB(t)
-	_, err := db.Query(AccessRequest{
+	_, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "marketer",
 		Visibility: 2,
 		Purpose:    "marketing",
 		SQL:        "SELECT weight FROM patients",
 	})
-	var denied *DeniedError
+	var denied *query.DeniedError
 	if !errors.As(err, &denied) {
 		t.Fatalf("want DeniedError, got %v", err)
 	}
@@ -193,13 +194,13 @@ func TestQueryDeniedVisibility(t *testing.T) {
 	db := clinicDB(t)
 	// age for care is visible only up to house (2); a third-party (3) is
 	// refused.
-	_, err := db.Query(AccessRequest{
+	_, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "outsider",
 		Visibility: 3,
 		Purpose:    "care",
 		SQL:        "SELECT age FROM patients",
 	})
-	var denied *DeniedError
+	var denied *query.DeniedError
 	if !errors.As(err, &denied) {
 		t.Fatalf("want DeniedError, got %v", err)
 	}
@@ -212,13 +213,13 @@ func TestQueryWherePredicateGated(t *testing.T) {
 	db := clinicDB(t)
 	// Research policy does not cover age at all — even filtering on it must
 	// be denied (use of the attribute for an unstated purpose).
-	_, err := db.Query(AccessRequest{
+	_, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "analyst",
 		Visibility: 3,
 		Purpose:    "research",
 		SQL:        "SELECT weight FROM patients WHERE age > 40",
 	})
-	var denied *DeniedError
+	var denied *query.DeniedError
 	if !errors.As(err, &denied) || denied.Attribute != "age" {
 		t.Fatalf("WHERE attribute must be gated, got %v", err)
 	}
@@ -227,13 +228,13 @@ func TestQueryWherePredicateGated(t *testing.T) {
 func TestQueryStarExpandsGate(t *testing.T) {
 	db := clinicDB(t)
 	// SELECT * touches age, which research does not cover.
-	_, err := db.Query(AccessRequest{
+	_, err := db.QueryEnforced(EnforcedQuery{
 		Requester:  "analyst",
 		Visibility: 3,
 		Purpose:    "research",
 		SQL:        "SELECT * FROM patients",
 	})
-	var denied *DeniedError
+	var denied *query.DeniedError
 	if !errors.As(err, &denied) {
 		t.Fatalf("star must be expanded and gated, got %v", err)
 	}
@@ -241,10 +242,10 @@ func TestQueryStarExpandsGate(t *testing.T) {
 
 func TestQueryNonSelectRejected(t *testing.T) {
 	db := clinicDB(t)
-	if _, err := db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "DELETE FROM patients"}); err == nil {
+	if _, err := db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "DELETE FROM patients"}); err == nil {
 		t.Error("non-SELECT must be rejected")
 	}
-	if _, err := db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "not sql"}); err == nil {
+	if _, err := db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "not sql"}); err == nil {
 		t.Error("parse errors must surface")
 	}
 	if got := len(db.Audit().Denied()); got != 2 {
@@ -389,7 +390,10 @@ func TestSweepCellwiseExpiry(t *testing.T) {
 	if err := db.RegisterTable("t", schema, "patient"); err != nil {
 		t.Fatal(err)
 	}
+	// p1 consents to the care read below; with no preference the Sec. 5
+	// implicit zero would suppress the row before its expired cell shows.
 	p := privacy.NewPrefs("p1", 10)
+	p.Add("weight", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 2})
 	if err := db.RegisterProvider(p); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +408,7 @@ func TestSweepCellwiseExpiry(t *testing.T) {
 	if rep.CellsExpired != 1 || rep.RowsDeleted != 0 {
 		t.Fatalf("sweep = %+v, want 1 cell expired", rep)
 	}
-	res, err := db.Query(AccessRequest{Purpose: "care", Visibility: 2, SQL: "SELECT weight FROM t"})
+	res, err := db.QueryEnforced(EnforcedQuery{Purpose: "care", Visibility: 2, SQL: "SELECT weight FROM t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,14 +479,20 @@ func TestLatticePurposeEnforcement(t *testing.T) {
 	if err := db.RegisterTable("contacts", schema, "email"); err != nil {
 		t.Fatal(err)
 	}
+	// The provider consents to marketing, so the lattice-covered read
+	// discloses the row rather than falling to the Sec. 5 implicit zero.
 	p := privacy.NewPrefs("a@b.c", 10)
+	p.Add("email", privacy.Tuple{Purpose: "marketing", Visibility: 2, Granularity: 3, Retention: 4})
 	db.RegisterProvider(p)
 	db.Insert("contacts", "a@b.c", relational.Row{relational.Text("a@b.c")})
 
-	if _, err := db.Query(AccessRequest{Purpose: "email-marketing", Visibility: 2, SQL: "SELECT email FROM contacts"}); err != nil {
+	res, err := db.QueryEnforced(EnforcedQuery{Purpose: "email-marketing", Visibility: 2, SQL: "SELECT email FROM contacts"})
+	if err != nil {
 		t.Errorf("lattice-covered purpose should be allowed: %v", err)
+	} else if len(res.Rows) != 1 {
+		t.Errorf("lattice-covered read returned %d rows, want 1", len(res.Rows))
 	}
-	if _, err := db.Query(AccessRequest{Purpose: "telemetry", Visibility: 2, SQL: "SELECT email FROM contacts"}); err == nil {
+	if _, err := db.QueryEnforced(EnforcedQuery{Purpose: "telemetry", Visibility: 2, SQL: "SELECT email FROM contacts"}); err == nil {
 		t.Error("uncovered purpose must be denied")
 	}
 }

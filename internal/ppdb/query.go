@@ -1,14 +1,11 @@
 // Per-datum query enforcement (DESIGN.md §15): QueryEnforced runs a SELECT
 // through internal/query, which checks every answered cell against the
-// contributing provider's live preferences — where the legacy Query path
-// (enforce.go) only applies the house policy as a ceiling. Both paths
-// coexist: Query remains the policy-ceiling view; QueryEnforced is what
-// POST /v1/query serves.
+// contributing provider's live preferences. It is the only read path out
+// of the store; POST /v1/query serves it.
 package ppdb
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"time"
 
@@ -30,14 +27,14 @@ var (
 		"enforced queries by verdict", "verdict", "unenforceable")
 	mQueryInvalid = metrics.Default.Counter("ppdb_query_total",
 		"enforced queries by verdict", "verdict", "invalid")
-	mQueryInternal = metrics.Default.Counter("ppdb_query_total",
-		"enforced queries by verdict", "verdict", "internal")
 	mQuerySeconds = metrics.Default.Histogram("ppdb_query_enforce_seconds",
 		"wall time of per-datum query enforcement", nil)
 )
 
-// EnforcedQuery is one per-datum-enforced read: requester class, purpose,
-// the SELECT, and whether to return the EXPLAIN trace.
+// EnforcedQuery is one per-datum-enforced read: who asks (a visibility
+// class on the taxonomy's visibility scale, e.g. house = 2, third-party = 3
+// on the default scale), why (a purpose), what (a SELECT), and whether to
+// return the EXPLAIN trace.
 type EnforcedQuery struct {
 	Requester  string
 	Purpose    privacy.Purpose
@@ -100,22 +97,57 @@ func (s enforceSource) HasHierarchy(attr string) bool {
 	return ok
 }
 
-// CatalogError reports a server-side invariant break discovered while
-// binding the live tables into the query catalog — e.g. a registered
-// table whose provider column no longer exists in its schema. It is a
-// fault of the store's configuration, never of the request, so httpapi
-// maps it to 500 rather than the 400 the request-shaped errors get.
-type CatalogError struct {
-	Err error
+// hierarchyFor returns the attribute's hierarchy, defaulting to plain
+// suppression.
+func (d *DB) hierarchyFor(attr string) hierarchy {
+	if h, ok := d.hierarchies[strings.ToLower(attr)]; ok {
+		return h
+	}
+	return suppressOnly{}
 }
 
-// Error implements error.
-func (e *CatalogError) Error() string {
-	return fmt.Sprintf("ppdb: query catalog: %v", e.Err)
+// hierarchy is the subset of generalize.Hierarchy the PPDB needs; declared
+// locally to keep the import surface explicit.
+type hierarchy interface {
+	Levels() int
+	Generalize(v relational.Value, level int) relational.Value
 }
 
-// Unwrap exposes the underlying bind failure.
-func (e *CatalogError) Unwrap() error { return e.Err }
+// suppressOnly degrades any value to "*" at any level above 0.
+type suppressOnly struct{}
+
+func (suppressOnly) Levels() int { return 2 }
+func (suppressOnly) Generalize(v relational.Value, level int) relational.Value {
+	if level <= 0 || v.IsNull() {
+		return v
+	}
+	return relational.Text("*")
+}
+
+// hierarchyLevel converts a granted granularity level (0 = reveal nothing …
+// scale max = fully specific) into the attribute hierarchy's generalization
+// level (0 = exact … Levels-1 = suppressed), scaling proportionally.
+func (d *DB) hierarchyLevel(attr string, g privacy.Level) int {
+	gmax := int(d.scales.Granularity.Max())
+	if gmax <= 0 {
+		return 0
+	}
+	if g >= privacy.Level(gmax) {
+		return 0
+	}
+	if g <= 0 {
+		return d.hierarchyFor(attr).Levels() - 1
+	}
+	hmax := d.hierarchyFor(attr).Levels() - 1
+	// Fraction of granularity withheld, mapped onto hierarchy levels,
+	// rounding toward more privacy.
+	withheld := float64(gmax-int(g)) / float64(gmax)
+	lv := int(withheld*float64(hmax) + 0.999999)
+	if lv > hmax {
+		lv = hmax
+	}
+	return lv
+}
 
 // QueryEnforced answers a SELECT with per-datum enforcement: rows whose
 // providers would be violated on visibility are suppressed, cells are
@@ -126,41 +158,12 @@ func (e *CatalogError) Unwrap() error { return e.Err }
 // attempt — allowed or refused — lands in the audit log.
 func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 	start := time.Now()
-	d.mu.RLock()
-	cat := query.NewCatalog()
-	var bindErr error
-	for _, tm := range d.tables {
-		if err := cat.Bind(tm.table, tm.providerCol, nil); err != nil {
-			bindErr = &CatalogError{Err: err}
-			break
-		}
-	}
-	var res *query.Result
-	var err error
-	if bindErr != nil {
-		err = bindErr
-	} else {
-		eng := query.New(cat, d.assessor, enforceSource{d: d})
-		res, err = eng.Query(query.Request{
-			Requester:  q.Requester,
-			Purpose:    q.Purpose,
-			Visibility: q.Visibility,
-			SQL:        q.SQL,
-			Explain:    q.Explain,
-		})
-	}
-	at := d.now
-	d.mu.RUnlock()
+	res, at, err := d.queryShared(q)
 	mQuerySeconds.Observe(time.Since(start).Seconds())
-
-	req := AccessRequest{Requester: q.Requester, Purpose: q.Purpose, Visibility: q.Visibility, SQL: q.SQL}
 	if err != nil {
 		var denied *query.DeniedError
 		var unenf *query.UnenforceableError
-		var cat *CatalogError
 		switch {
-		case errors.As(err, &cat):
-			mQueryInternal.Inc()
 		case errors.As(err, &denied):
 			mQueryDenied.Inc()
 		case errors.As(err, &unenf):
@@ -168,10 +171,26 @@ func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 		default:
 			mQueryInvalid.Inc()
 		}
-		d.audit.record(at, req, false, err.Error())
+		d.audit.record(at, q, false, err.Error())
 		return nil, err
 	}
 	mQueryAllowed.Inc()
-	d.audit.record(at, req, true, "")
+	d.audit.record(at, q, true, "")
 	return res, nil
+}
+
+// queryShared runs the engine under d.mu held shared and returns the
+// clock the answer was read at. The deferred unlock releases the lock even
+// if the engine panics, so a bad query can never wedge later writers.
+func (d *DB) queryShared(q EnforcedQuery) (*query.Result, time.Time, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	res, err := query.New(d.catalog, d.assessor, enforceSource{d: d}).Query(query.Request{
+		Requester:  q.Requester,
+		Purpose:    q.Purpose,
+		Visibility: q.Visibility,
+		SQL:        q.SQL,
+		Explain:    q.Explain,
+	})
+	return res, d.now, err
 }

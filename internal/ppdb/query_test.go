@@ -637,21 +637,37 @@ func TestShardedEnforcedQueryUnderMutation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQueryEnforcedCatalogError pins the server-fault path: a registered
-// table whose provider column no longer resolves is a store invariant
-// break, surfaced as *CatalogError (→ HTTP 500), never as a request error.
+// TestQueryEnforcedCatalogError pins where catalog faults surface: the
+// query catalog is bound once, when RegisterTable admits a table, so a
+// table whose provider column does not resolve (or whose name is taken) is
+// refused there and never reaches the catalog — a read of it is a plain
+// invalid request, and the tables already bound keep answering.
 func TestQueryEnforcedCatalogError(t *testing.T) {
 	db, _ := enforcedDB(t)
-	db.tables["patients"].providerCol = "vanished"
-	_, err := db.QueryEnforced(EnforcedQuery{
+	schema, err := relational.NewSchema([]relational.Column{{Name: "patient", Type: relational.TypeText}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterTable("orphans", schema, "vanished"); err == nil || !strings.Contains(err.Error(), "vanished") {
+		t.Fatalf("registration error should name the missing column: %v", err)
+	}
+	if err := db.RegisterTable("Patients", schema, "patient"); err == nil {
+		t.Fatal("a duplicate table name must be refused")
+	}
+	var denied *query.DeniedError
+	var unenf *query.UnenforceableError
+	_, err = db.QueryEnforced(EnforcedQuery{
+		Requester: "nurse", Purpose: "care", Visibility: 2,
+		SQL: "SELECT patient FROM orphans",
+	})
+	if err == nil || errors.As(err, &denied) || errors.As(err, &unenf) {
+		t.Fatalf("read of a refused table = %v, want a plain invalid error", err)
+	}
+	res, err := db.QueryEnforced(EnforcedQuery{
 		Requester: "nurse", Purpose: "care", Visibility: 2,
 		SQL: "SELECT patient FROM patients",
 	})
-	var cat *CatalogError
-	if !errors.As(err, &cat) {
-		t.Fatalf("err = %T %v, want *CatalogError", err, err)
-	}
-	if !strings.Contains(err.Error(), "vanished") {
-		t.Fatalf("error should name the missing column: %v", err)
+	if err != nil || res.Stats.RowsScanned != 4 {
+		t.Fatalf("bound table after refused registrations: %v, %+v", err, res)
 	}
 }

@@ -11,27 +11,16 @@ import (
 )
 
 // TableBinding maps one stored table onto the privacy model: the column
-// holding the provider key (row provenance) and the attribute each column
-// discloses. Columns without an explicit mapping disclose the attribute of
-// their own name — the convention the rest of the system already follows.
+// holding the provider key (row provenance). Every other column discloses
+// the attribute of its own (canonical) name.
 type TableBinding struct {
 	Table       *relational.Table
 	ProviderCol string
-	attrs       map[string]string // canonical column → canonical attribute
-}
-
-// Attribute returns the canonical attribute a column discloses.
-func (b *TableBinding) Attribute(col string) string {
-	col = privacy.CanonAttr(col)
-	if a, ok := b.attrs[col]; ok {
-		return a
-	}
-	return col
 }
 
 // Catalog is the set of table bindings the planner resolves FROM clauses
-// against. It is built per query snapshot by the owning store and read-only
-// afterwards.
+// against. The owning store binds each table once, when it registers it,
+// and serializes Bind against reads.
 type Catalog struct {
 	tables map[string]*TableBinding
 }
@@ -41,22 +30,14 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: make(map[string]*TableBinding)}
 }
 
-// Bind registers a table with its provider-key column and optional
-// column→attribute overrides. The provider column must exist in the schema.
-func (c *Catalog) Bind(t *relational.Table, providerCol string, attrs map[string]string) error {
+// Bind registers a table with its provider-key column, which must exist in
+// the schema.
+func (c *Catalog) Bind(t *relational.Table, providerCol string) error {
 	providerCol = privacy.CanonAttr(providerCol)
 	if _, ok := t.Schema().ColumnIndex(providerCol); !ok {
 		return fmt.Errorf("query: table %q has no provider column %q", t.Name(), providerCol)
 	}
-	canon := make(map[string]string, len(attrs))
-	for col, attr := range attrs {
-		canon[privacy.CanonAttr(col)] = privacy.CanonAttr(attr)
-	}
-	c.tables[strings.ToLower(t.Name())] = &TableBinding{
-		Table:       t,
-		ProviderCol: providerCol,
-		attrs:       canon,
-	}
+	c.tables[strings.ToLower(t.Name())] = &TableBinding{Table: t, ProviderCol: providerCol}
 	return nil
 }
 

@@ -1,14 +1,15 @@
 // Package query is the policy-aware query layer over internal/relational
-// (DESIGN.md §15): every SELECT carries a purpose and a requester
-// visibility class, and the executor enforces the paper's four dimensions
-// per datum against the live preference state — not just against the house
-// policy ceiling the legacy ppdb.Query path applies.
+// (DESIGN.md §15) and the only SQL executor in the system: every SELECT
+// carries a purpose and a requester visibility class, and the executor
+// enforces the paper's four dimensions per datum against the live
+// preference state, not merely against the house policy.
 //
 // The pieces:
 //
 //   - Catalog binds stored tables to the privacy model: which column
-//     carries the provider key, and which attribute each column discloses
-//     (the column name itself by default).
+//     carries the provider key (every column discloses the attribute of
+//     its own name). The owning store binds each table once, at
+//     registration.
 //   - The planner (plan.go) parses the SELECT, refuses constructs whose
 //     cells cannot be attributed to a single (provider, attribute) pair
 //     (joins, aggregates, DISTINCT, grouping, subqueries, computed

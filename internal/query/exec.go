@@ -102,7 +102,9 @@ func (e *Engine) run(p *plan) (*Result, error) {
 		lo = len(rows)
 	}
 	hi := len(rows)
-	if p.limit >= 0 && lo+p.limit < hi {
+	// Compare the limit with the rows left rather than computing
+	// offset+limit, which overflows for LIMITs near the int maximum.
+	if p.limit >= 0 && p.limit < hi-lo {
 		hi = lo + p.limit
 	}
 	res.Rows = make([][]relational.Value, 0, hi-lo)
@@ -143,7 +145,7 @@ func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, bi
 			suppressed = true
 			pref := b.VPref // copy: b aliases the per-query scratch slice
 			res.Explain.violation(Trace{
-				Row: id, Provider: provider, Column: u.col, Attribute: u.attr,
+				Row: id, Provider: provider, Column: u.col, Attribute: u.col,
 				Action: ActionSuppress, Dimension: "visibility", Granted: b.V,
 				Pref: &pref, PrefImplicit: b.VImplicit, Policy: &u.ref.Tuple,
 			})
@@ -173,7 +175,7 @@ func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, bi
 			if u.projected {
 				expired++
 				t := Trace{
-					Row: id, Provider: provider, Column: u.col, Attribute: u.attr,
+					Row: id, Provider: provider, Column: u.col, Attribute: u.col,
 					Action: ActionExpire, Dimension: "retention", Granted: grantedR,
 					Policy: &u.ref.Tuple,
 				}
@@ -191,12 +193,12 @@ func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, bi
 		if b.Found && b.G < grantedG {
 			grantedG = b.G
 		}
-		out := e.src.Generalize(u.attr, cell, grantedG)
+		out := e.src.Generalize(u.col, cell, grantedG)
 		disc[u.idx] = out
 		if u.projected && !sameValue(cell, out) {
 			generalized++
 			t := Trace{
-				Row: id, Provider: provider, Column: u.col, Attribute: u.attr,
+				Row: id, Provider: provider, Column: u.col, Attribute: u.col,
 				Action: ActionGeneralize, Dimension: "granularity", Granted: grantedG,
 				Policy: &u.ref.Tuple,
 			}

@@ -11,13 +11,12 @@ import (
 )
 
 // colUse is one referenced column resolved against the catalog: its schema
-// position, the attribute it discloses, and the policy tuple governing that
-// attribute for the request purpose (resolved once here, so the per-row
-// loop does no purpose matching).
+// position and the policy tuple governing the attribute it discloses — the
+// attribute of its own canonical name — for the request purpose (resolved
+// once here, so the per-row loop does no purpose matching).
 type colUse struct {
-	col       string // canonical column name
+	col       string // canonical column name, which is also the attribute
 	idx       int    // schema column index
-	attr      string // canonical attribute
 	ref       core.PolicyTupleRef
 	projected bool
 }
@@ -112,7 +111,7 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 		if !seen {
 			ui = len(p.uses)
 			useIdx[col] = ui
-			p.uses = append(p.uses, colUse{col: col, idx: idx, attr: b.Attribute(col)})
+			p.uses = append(p.uses, colUse{col: col, idx: idx})
 			p.env[col] = idx
 			p.env[tname+"."+col] = idx
 			if alias != "" {
@@ -176,17 +175,17 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool { return p.uses[order[i]].attr < p.uses[order[j]].attr })
+	sort.Slice(order, func(i, j int) bool { return p.uses[order[i]].col < p.uses[order[j]].col })
 	pr := req.Purpose.Normalize()
 	for _, i := range order {
 		u := &p.uses[i]
-		ref, found := e.asr.FindPolicyTuple(u.attr, pr)
+		ref, found := e.asr.FindPolicyTuple(u.col, pr)
 		if !found {
-			return nil, &DeniedError{Attribute: u.attr, Reason: fmt.Sprintf("no policy tuple for purpose %q", pr)}
+			return nil, &DeniedError{Attribute: u.col, Reason: fmt.Sprintf("no policy tuple for purpose %q", pr)}
 		}
 		if ref.Tuple.Visibility < req.Visibility {
 			return nil, &DeniedError{
-				Attribute: u.attr,
+				Attribute: u.col,
 				Reason: fmt.Sprintf("policy visibility %d does not admit requester class %d",
 					ref.Tuple.Visibility, req.Visibility),
 			}
@@ -260,7 +259,7 @@ func (p *plan) pickIndex(hasHierarchy func(attr string) bool) {
 		if !p.binding.Table.HasIndex(name) {
 			continue
 		}
-		if hasHierarchy(p.binding.Attribute(name)) {
+		if hasHierarchy(name) {
 			continue
 		}
 		p.idxCol, p.idxVal, p.useIdx = name, val, true

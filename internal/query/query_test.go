@@ -91,7 +91,7 @@ func fullPrefs(name string) *privacy.Prefs {
 	return p
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	schema, err := relational.NewSchema([]relational.Column{
 		{Name: "id", Type: relational.TypeInt, PrimaryKey: true},
@@ -193,7 +193,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 
 	cat := NewCatalog()
-	if err := cat.Bind(table, "provider", nil); err != nil {
+	if err := cat.Bind(table, "provider"); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{eng: New(cat, asr, src), src: src, table: table}
@@ -560,6 +560,7 @@ func TestPlannerGates(t *testing.T) {
 		{"join", "SELECT p.email FROM people p JOIN people q ON p.id = q.id"},
 		{"distinct", "SELECT DISTINCT city FROM people"},
 		{"group by", "SELECT city FROM people GROUP BY city"},
+		{"having without group by", "SELECT city FROM people HAVING COUNT(*) > 1"},
 		{"aggregate projection", "SELECT COUNT(*) FROM people"},
 		{"expression projection", "SELECT income + 1 FROM people"},
 		{"subquery predicate", "SELECT email FROM people WHERE city IN (SELECT city FROM people)"},
@@ -585,6 +586,9 @@ func TestPlannerGates(t *testing.T) {
 		{"unknown column", "SELECT ssn FROM people"},
 		{"unknown qualifier", "SELECT other.email FROM people"},
 		{"not a select", "DELETE FROM people"},
+		{"insert", "INSERT INTO people (id, provider) VALUES (9, 'mallory')"},
+		{"update", "UPDATE people SET income = 0 WHERE provider = 'alice'"},
+		{"drop table", "DROP TABLE people"},
 		{"parse error", "SELEC email people"},
 	}
 	for _, tc := range invalid {

@@ -5,93 +5,62 @@ import (
 	"testing"
 )
 
-// Additional edge-case coverage: expression tree walks, grouped evaluation
-// of complex items, lexer corners and statement marker types.
+// Additional edge-case coverage: aggregate nesting, lexer corners, parser
+// backtracking and statement marker types.
 
 func TestGroupedCompositeExpressions(t *testing.T) {
-	db := fixtureDB(t)
-	// Aggregates inside arithmetic, NOT, IS NULL, IN — all walked by
-	// containsAgg / collectAggs / evalGrouped.
-	res, err := db.Query(`
+	// Aggregates nest inside arithmetic, IS NULL, IN and unary minus.
+	sel := parseSelect(t, `
 		SELECT city,
 		       SUM(age) / COUNT(*) AS mean_age,
 		       MAX(weight) IS NULL AS no_weights,
 		       COUNT(*) IN (2, 3) AS small
 		FROM patients GROUP BY city ORDER BY city`)
-	if err != nil {
-		t.Fatal(err)
+	want := "city, (SUM(age) / COUNT(*)) AS mean_age, (MAX(weight) IS NULL) AS no_weights, (COUNT(*) IN (2, 3)) AS small"
+	if got := joined(itemStrings(sel)); got != want {
+		t.Errorf("items = %q\nwant    %q", got, want)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	calgary := res.Rows[0]
-	if mean, _ := calgary[1].AsInt(); mean != 43 { // (34+51+45)/3 integer division
-		t.Errorf("mean_age = %v", calgary[1])
-	}
-	if b, _ := calgary[2].AsBool(); b {
-		t.Errorf("no_weights = %v", calgary[2])
-	}
-	if b, _ := calgary[3].AsBool(); !b {
-		t.Errorf("small = %v", calgary[3])
-	}
-	// Unary minus over an aggregate.
-	res, err = db.Query("SELECT -COUNT(*) AS neg FROM patients")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := res.Rows[0][0].AsInt(); n != -5 {
-		t.Errorf("neg count = %v", res.Rows[0][0])
+	sel = parseSelect(t, "SELECT -COUNT(*) AS neg FROM patients")
+	if got := joined(itemStrings(sel)); got != "(-COUNT(*)) AS neg" {
+		t.Errorf("neg count = %q", got)
 	}
 }
 
 func TestGroupedHavingWithAggExpression(t *testing.T) {
-	db := fixtureDB(t)
-	res, err := db.Query(`
+	sel := parseSelect(t, `
 		SELECT city FROM patients
 		GROUP BY city
 		HAVING NOT (COUNT(*) < 3)
 		ORDER BY city`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Display() != "calgary" {
-		t.Errorf("rows = %v", res.Rows)
+	if sel.Having == nil || sel.Having.String() != "(NOT (COUNT(*) < 3))" {
+		t.Errorf("having = %v", sel.Having)
 	}
 }
 
 func TestOrderByNullsPlacement(t *testing.T) {
-	db := fixtureDB(t)
-	// dave has NULL weight: first ascending, last descending.
-	asc, err := db.Query("SELECT name FROM patients ORDER BY weight, name")
-	if err != nil {
-		t.Fatal(err)
+	// Sort direction is per key; where NULLs land is the executor's total
+	// order (internal/query), not the grammar's.
+	asc := parseSelect(t, "SELECT name FROM patients ORDER BY weight, name")
+	if got := joined(orderStrings(asc)); got != "weight, name" {
+		t.Errorf("ascending keys = %q", got)
 	}
-	if asc.Rows[0][0].Display() != "dave" {
-		t.Errorf("ascending first = %v", asc.Rows[0][0])
-	}
-	desc, err := db.Query("SELECT name FROM patients ORDER BY weight DESC, name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if desc.Rows[len(desc.Rows)-1][0].Display() != "dave" {
-		t.Errorf("descending last = %v", desc.Rows)
+	desc := parseSelect(t, "SELECT name FROM patients ORDER BY weight DESC, name ASC")
+	if got := joined(orderStrings(desc)); got != "weight DESC, name" {
+		t.Errorf("descending keys = %q", got)
 	}
 }
 
 func TestLexerNumberForms(t *testing.T) {
-	db := fixtureDB(t)
-	res, err := db.Query("SELECT 1e3, 2.5E2, 1.5e+2, 12e-1 FROM patients LIMIT 1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := parseSelect(t, "SELECT 1e3, 2.5E2, 1.5e+2, 12e-1 FROM patients LIMIT 1")
 	want := []float64{1000, 250, 150, 1.2}
 	for i, w := range want {
-		if f, _ := res.Rows[0][i].AsFloat(); f != w {
-			t.Errorf("col %d = %v, want %g", i, res.Rows[0][i], w)
+		lit, ok := sel.Items[i].Expr.(Literal)
+		if f, _ := lit.Val.AsFloat(); !ok || f != w {
+			t.Errorf("col %d = %v, want %g", i, sel.Items[i].Expr, w)
 		}
 	}
 	// Malformed number.
-	if _, err := db.Query("SELECT 12abc FROM patients"); err == nil {
+	if _, err := Parse("SELECT 12abc FROM patients"); err == nil {
 		t.Error("malformed number should fail")
 	}
 }
@@ -99,10 +68,7 @@ func TestLexerNumberForms(t *testing.T) {
 func TestStatementMarkers(t *testing.T) {
 	// The stmt() marker methods exist to seal the Statement interface; call
 	// them for completeness.
-	for _, st := range []Statement{
-		CreateTableStmt{}, DropTableStmt{}, InsertStmt{},
-		SelectStmt{}, UpdateStmt{}, DeleteStmt{},
-	} {
+	for _, st := range []Statement{CreateTableStmt{}, SelectStmt{}} {
 		st.stmt()
 	}
 }
@@ -140,45 +106,45 @@ func TestAggAndSubqueryStringForms(t *testing.T) {
 }
 
 func TestInnerWithoutJoinBacktracks(t *testing.T) {
-	db := fixtureDB(t)
 	// INNER not followed by JOIN: the parser backtracks and the statement
 	// fails cleanly ("inner" is reserved and cannot be an alias).
-	if _, err := db.Query("SELECT name FROM patients INNER WHERE id = 1"); err == nil {
+	if _, err := Parse("SELECT name FROM patients INNER WHERE id = 1"); err == nil {
 		t.Error("INNER without JOIN should fail to parse")
 	}
 	// The full INNER JOIN spelling still works.
-	res, err := db.Query("SELECT p.name FROM patients p INNER JOIN visits v ON p.id = v.patient_id WHERE v.id = 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].Display() != "alice" {
-		t.Errorf("rows = %v", res.Rows)
+	sel := parseSelect(t, "SELECT p.name FROM patients p INNER JOIN visits v ON p.id = v.patient_id WHERE v.id = 10")
+	if len(sel.Joins) != 1 || sel.Where.String() != "(v.id = 10)" {
+		t.Errorf("joins = %+v, where = %s", sel.Joins, sel.Where)
 	}
 }
 
 func TestParseExprTrailingInput(t *testing.T) {
-	if _, err := ParseExpr("1 + 2 extra"); err == nil {
+	if _, err := whereOf("1 + 2 extra"); err == nil {
 		t.Error("trailing input should fail")
 	}
-	if _, err := ParseExpr("1 +"); err == nil {
+	if _, err := whereOf("1 +"); err == nil {
 		t.Error("dangling operator should fail")
 	}
 }
 
 func TestSubqueryInsideInListAndNesting(t *testing.T) {
-	db := fixtureDB(t)
 	// Nested IN subquery inside another subquery's WHERE.
-	res, err := db.Query(`
+	sel := parseSelect(t, `
 		SELECT name FROM patients
 		WHERE id IN (
 			SELECT patient_id FROM visits
 			WHERE patient_id IN (SELECT id FROM patients WHERE city = 'calgary')
 		)
 		ORDER BY name`)
-	if err != nil {
-		t.Fatal(err)
+	outer, ok := sel.Where.(InSubquery)
+	if !ok || outer.X != (ColRef{Name: "id"}) || outer.Query.From.Table != "visits" {
+		t.Fatalf("outer = %#v", sel.Where)
 	}
-	if len(res.Rows) != 2 { // alice, bob visited and live in calgary
-		t.Errorf("rows = %v", res.Rows)
+	inner, ok := outer.Query.Where.(InSubquery)
+	if !ok || inner.Query.From.Table != "patients" || inner.Query.Where.String() != "(city = 'calgary')" {
+		t.Fatalf("inner = %#v", outer.Query.Where)
+	}
+	if joined(orderStrings(sel)) != "name" {
+		t.Errorf("outer order by = %v", orderStrings(sel))
 	}
 }

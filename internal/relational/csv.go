@@ -57,21 +57,6 @@ func ReadCSV(schema *Schema, r io.Reader) ([]Row, error) {
 	return rows, nil
 }
 
-// ImportCSV loads CSV data (with a header row) into an existing table via
-// ReadCSV. It returns the number of rows inserted.
-func ImportCSV(t *Table, r io.Reader) (int, error) {
-	rows, err := ReadCSV(t.Schema(), r)
-	if err != nil {
-		return 0, err
-	}
-	for i, row := range rows {
-		if _, err := t.Insert(row); err != nil {
-			return i, fmt.Errorf("relational: csv row %d: %w", i+1, err)
-		}
-	}
-	return len(rows), nil
-}
-
 // parseCell converts CSV text to a typed value; empty text is NULL.
 func parseCell(cell string, ct ColType) (Value, error) {
 	cell = strings.TrimSpace(cell)
@@ -105,14 +90,15 @@ func parseCell(cell string, ct ColType) (Value, error) {
 	}
 }
 
-// ExportCSV writes a query Result as CSV with a header row.
-func ExportCSV(res *Result, w io.Writer) error {
+// ExportCSV writes rows as CSV under a header row of column names; NULL
+// cells are written empty, the form ReadCSV reads back as NULL.
+func ExportCSV(w io.Writer, columns []string, rows []Row) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(res.Columns); err != nil {
+	if err := cw.Write(columns); err != nil {
 		return fmt.Errorf("relational: csv export: %w", err)
 	}
-	record := make([]string, len(res.Columns))
-	for _, row := range res.Rows {
+	record := make([]string, len(columns))
+	for _, row := range rows {
 		for i, v := range row {
 			if v.IsNull() {
 				record[i] = ""
@@ -126,19 +112,4 @@ func ExportCSV(res *Result, w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ExportTableCSV writes an entire table as CSV in insertion order.
-func ExportTableCSV(t *Table, w io.Writer) error {
-	schema := t.Schema()
-	cols := make([]string, schema.Len())
-	for i := range cols {
-		cols[i] = schema.Column(i).Name
-	}
-	res := &Result{Columns: cols}
-	t.Scan(func(_ RowID, row Row) bool {
-		res.Rows = append(res.Rows, row)
-		return true
-	})
-	return ExportCSV(res, w)
 }

@@ -5,150 +5,144 @@ import (
 )
 
 func TestSelectDistinct(t *testing.T) {
-	db := fixtureDB(t)
-	res, err := db.Query("SELECT DISTINCT city FROM patients ORDER BY city")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	if res.Rows[0][0].Display() != "calgary" || res.Rows[1][0].Display() != "edmonton" {
-		t.Errorf("rows = %v", res.Rows)
+	sel := parseSelect(t, "SELECT DISTINCT city FROM patients ORDER BY city")
+	if !sel.Distinct || joined(itemStrings(sel)) != "city" {
+		t.Errorf("distinct = %v, items = %v", sel.Distinct, itemStrings(sel))
 	}
 	// Multi-column distinct.
-	res, err = db.Query("SELECT DISTINCT city, age FROM patients ORDER BY city, age")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 5 { // all (city, age) pairs are unique here
-		t.Errorf("rows = %v", res.Rows)
+	sel = parseSelect(t, "SELECT DISTINCT city, age FROM patients ORDER BY city, age")
+	if !sel.Distinct || joined(itemStrings(sel)) != "city, age" {
+		t.Errorf("distinct = %v, items = %v", sel.Distinct, itemStrings(sel))
 	}
 	// Non-distinct comparison.
-	res, err = db.Query("SELECT city FROM patients")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 5 {
-		t.Errorf("non-distinct rows = %v", res.Rows)
+	if sel = parseSelect(t, "SELECT city FROM patients"); sel.Distinct {
+		t.Error("plain SELECT parsed as DISTINCT")
 	}
 }
 
 func TestSelectDistinctWithAggregation(t *testing.T) {
-	db := fixtureDB(t)
-	// DISTINCT over already-grouped output is a no-op here but must parse
-	// and execute.
-	res, err := db.Query("SELECT DISTINCT city, COUNT(*) AS n FROM patients GROUP BY city ORDER BY city")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Errorf("rows = %v", res.Rows)
+	sel := parseSelect(t, "SELECT DISTINCT city, COUNT(*) AS n FROM patients GROUP BY city ORDER BY city")
+	if !sel.Distinct || len(sel.GroupBy) != 1 || joined(itemStrings(sel)) != "city, COUNT(*) AS n" {
+		t.Errorf("parsed = distinct %v, group by %v, items %v", sel.Distinct, sel.GroupBy, itemStrings(sel))
 	}
 }
 
+// patientsTable builds the clinic fixture as a stored table, for the
+// equality-lookup tests the planner's index shortcut relies on.
+func patientsTable(t *testing.T) *Table {
+	t.Helper()
+	schema, err := NewSchema([]Column{
+		{Name: "id", Type: TypeInt, PrimaryKey: true},
+		{Name: "name", Type: TypeText, NotNull: true},
+		{Name: "age", Type: TypeInt},
+		{Name: "weight", Type: TypeFloat},
+		{Name: "city", Type: TypeText},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewTable("patients", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Row{
+		{Int(1), Text("alice"), Int(34), Float(61.5), Text("calgary")},
+		{Int(2), Text("bob"), Int(51), Float(92), Text("calgary")},
+		{Int(3), Text("carol"), Int(28), Float(55), Text("edmonton")},
+		{Int(4), Text("dave"), Int(45), Null(), Text("calgary")},
+		{Int(5), Text("erin"), Int(34), Float(70.5), Text("edmonton")},
+	} {
+		if _, err := tab.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab
+}
+
 func TestIndexAssistedEquality(t *testing.T) {
-	db := fixtureDB(t)
-	tab, _ := db.Table("patients")
+	tab := patientsTable(t)
+	scan, err := tab.Lookup("city", Text("calgary"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tab.CreateIndex("city"); err != nil {
 		t.Fatal(err)
 	}
 	// The index path and the scan path must agree.
-	indexed, err := db.Query("SELECT id FROM patients WHERE city = 'calgary' AND age > 30 ORDER BY id")
+	indexed, err := tab.Lookup("city", Text("calgary"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(indexed.Rows) != 3 {
-		t.Fatalf("indexed rows = %v", indexed.Rows)
+	if len(indexed) != 3 || len(scan) != 3 {
+		t.Fatalf("indexed %v, scanned %v", indexed, scan)
 	}
-	// Reversed operand order also uses (or at least matches) the path.
-	rev, err := db.Query("SELECT id FROM patients WHERE 'calgary' = city AND age > 30 ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
+	for i := range indexed {
+		if indexed[i] != scan[i] {
+			t.Errorf("indexed %v != scanned %v", indexed, scan)
+		}
 	}
-	if len(rev.Rows) != len(indexed.Rows) {
-		t.Errorf("reversed-operand mismatch: %v vs %v", rev.Rows, indexed.Rows)
-	}
-	// Qualified column name.
-	q, err := db.Query("SELECT p.id FROM patients p WHERE p.city = 'edmonton' ORDER BY p.id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Rows) != 2 {
-		t.Errorf("qualified rows = %v", q.Rows)
+	// Column names resolve case-insensitively.
+	if ids, _ := tab.Lookup("CITY", Text("edmonton")); len(ids) != 2 {
+		t.Errorf("edmonton ids = %v", ids)
 	}
 	// Primary-key equality uses the pk index.
-	pk, err := db.Query("SELECT name FROM patients WHERE id = 4")
-	if err != nil {
-		t.Fatal(err)
+	ids, err := tab.Lookup("id", Int(4))
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("pk ids = %v (%v)", ids, err)
 	}
-	if len(pk.Rows) != 1 || pk.Rows[0][0].Display() != "dave" {
-		t.Errorf("pk rows = %v", pk.Rows)
+	if row, _ := tab.Get(ids[0]); row[1].Display() != "dave" {
+		t.Errorf("pk row = %v", row)
 	}
 	// No match via index.
-	none, err := db.Query("SELECT id FROM patients WHERE city = 'nowhere'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none.Rows) != 0 {
-		t.Errorf("rows = %v", none.Rows)
+	if ids, _ := tab.Lookup("city", Text("nowhere")); len(ids) != 0 {
+		t.Errorf("ids = %v", ids)
 	}
 }
 
 func TestIndexPathSkippedWithJoins(t *testing.T) {
-	db := fixtureDB(t)
-	tab, _ := db.Table("patients")
+	// Without an index the lookup falls back to a scan and still answers;
+	// HasIndex tells the planner which columns the shortcut may use.
+	tab := patientsTable(t)
 	if err := tab.CreateIndex("city"); err != nil {
 		t.Fatal(err)
 	}
-	// Joins must still produce correct results (index path disabled).
-	res, err := db.Query(`SELECT p.name FROM patients p JOIN visits v ON p.id = v.patient_id
-		WHERE p.city = 'calgary' ORDER BY v.id`)
-	if err != nil {
-		t.Fatal(err)
+	if !tab.HasIndex("city") || !tab.HasIndex("id") || tab.HasIndex("age") || tab.HasIndex("nope") {
+		t.Errorf("HasIndex city/id/age/nope = %v/%v/%v/%v",
+			tab.HasIndex("city"), tab.HasIndex("id"), tab.HasIndex("age"), tab.HasIndex("nope"))
 	}
-	if len(res.Rows) != 3 {
-		t.Errorf("rows = %v", res.Rows)
+	if ids, err := tab.Lookup("age", Int(34)); err != nil || len(ids) != 2 {
+		t.Errorf("unindexed age=34 = %v (%v)", ids, err)
+	}
+	if _, err := tab.Lookup("nope", Int(1)); err == nil {
+		t.Error("lookup on a missing column should fail")
 	}
 }
 
 func TestEqIndexLookupHelper(t *testing.T) {
-	db := fixtureDB(t)
-	tab, _ := db.Table("patients")
+	tab := patientsTable(t)
 	if err := tab.CreateIndex("city"); err != nil {
 		t.Fatal(err)
 	}
-	src := sourceInfo{item: FromItem{Table: "patients", Alias: "patients"}, schema: tab.Schema()}
-
-	parse := func(s string) Expr {
-		t.Helper()
-		e, err := ParseExpr(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
+	// Equality is kind-aware: a text probe never matches an int column, and
+	// under SQL semantics a NULL probe matches nothing, not even dave's
+	// NULL weight.
+	if ids, _ := tab.Lookup("age", Text("34")); len(ids) != 0 {
+		t.Errorf("text probe on int column = %v", ids)
 	}
-	if col, v, ok := eqIndexLookup(parse("city = 'calgary' AND age > 3"), src, tab); !ok || col != "city" || v.Display() != "calgary" {
-		t.Errorf("lookup = %q %v %v", col, v, ok)
+	if ids, _ := tab.Lookup("weight", Null()); len(ids) != 0 {
+		t.Errorf("NULL probe ids = %v, want none", ids)
 	}
-	// Unindexed column: no path.
-	if _, _, ok := eqIndexLookup(parse("age = 30"), src, tab); ok {
-		t.Error("unindexed column must not use index path")
+	// Index maintenance: an updated cell moves between index buckets.
+	ids, _ := tab.Lookup("city", Text("edmonton"))
+	row, _ := tab.Get(ids[0])
+	row[4] = Text("calgary")
+	if err := tab.Update(ids[0], row); err != nil {
+		t.Fatal(err)
 	}
-	// OR at top level: conjunct extraction must not fire.
-	if _, _, ok := eqIndexLookup(parse("city = 'calgary' OR age > 3"), src, tab); ok {
-		t.Error("disjunction must not use index path")
+	if got, _ := tab.Lookup("city", Text("calgary")); len(got) != 4 {
+		t.Errorf("calgary after update = %v", got)
 	}
-	// Wrong qualifier.
-	if _, _, ok := eqIndexLookup(parse("other.city = 'calgary'"), src, tab); ok {
-		t.Error("foreign qualifier must not use index path")
-	}
-	// NULL literal.
-	if _, _, ok := eqIndexLookup(parse("city = NULL"), src, tab); ok {
-		t.Error("NULL literal must not use index path")
-	}
-	// Nil where.
-	if _, _, ok := eqIndexLookup(nil, src, tab); ok {
-		t.Error("nil where must not use index path")
+	if got, _ := tab.Lookup("city", Text("edmonton")); len(got) != 1 {
+		t.Errorf("edmonton after update = %v", got)
 	}
 }

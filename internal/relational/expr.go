@@ -11,17 +11,6 @@ type Env interface {
 	Col(name string) (Value, error)
 }
 
-// MapEnv is a simple Env over a map; keys should be lower-case.
-type MapEnv map[string]Value
-
-// Col implements Env.
-func (m MapEnv) Col(name string) (Value, error) {
-	if v, ok := m[strings.ToLower(name)]; ok {
-		return v, nil
-	}
-	return Null(), fmt.Errorf("relational: unknown column %q", name)
-}
-
 // Expr is a node of the expression AST.
 type Expr interface {
 	// Eval computes the expression's value in env.

@@ -1,19 +1,27 @@
 package relational
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// MapEnv is a simple Env over a map; keys should be lower-case.
+type MapEnv map[string]Value
+
+// Col implements Env.
+func (m MapEnv) Col(name string) (Value, error) {
+	if v, ok := m[strings.ToLower(name)]; ok {
+		return v, nil
+	}
+	return Null(), fmt.Errorf("relational: unknown column %q", name)
+}
 
 // evalStr parses and evaluates an expression against env, failing the test
 // on error.
 func evalStr(t *testing.T, src string, env Env) Value {
 	t.Helper()
-	e, err := ParseExpr(src)
-	if err != nil {
-		t.Fatalf("ParseExpr(%q): %v", src, err)
-	}
-	v, err := e.Eval(env)
+	v, err := parseExpr(t, src).Eval(env)
 	if err != nil {
 		t.Fatalf("Eval(%q): %v", src, err)
 	}
@@ -44,10 +52,7 @@ func TestArithmetic(t *testing.T) {
 
 func TestArithmeticErrors(t *testing.T) {
 	for _, src := range []string{"1 / 0", "1 % 0", "1.5 % 2", "'a' + 1", "-'x'"} {
-		e, err := ParseExpr(src)
-		if err != nil {
-			t.Fatalf("ParseExpr(%q): %v", src, err)
-		}
+		e := parseExpr(t, src)
 		if _, err := e.Eval(MapEnv{}); err == nil {
 			t.Errorf("%q should fail to evaluate", src)
 		}
@@ -111,8 +116,7 @@ func TestNullSemantics(t *testing.T) {
 		t.Errorf("NULL OR FALSE = %s, want NULL", v)
 	}
 	// Truthy treats NULL as false.
-	e, _ := ParseExpr("x = 1")
-	ok, err := Truthy(e, env)
+	ok, err := Truthy(parseExpr(t, "x = 1"), env)
 	if err != nil || ok {
 		t.Errorf("Truthy(NULL) = %v, %v", ok, err)
 	}
@@ -143,8 +147,7 @@ func TestLikeMatch(t *testing.T) {
 }
 
 func TestUnknownColumn(t *testing.T) {
-	e, _ := ParseExpr("missing = 1")
-	if _, err := e.Eval(MapEnv{}); err == nil {
+	if _, err := parseExpr(t, "missing = 1").Eval(MapEnv{}); err == nil {
 		t.Error("unknown column should error")
 	}
 }
@@ -153,10 +156,7 @@ func TestLogicTypeErrors(t *testing.T) {
 	env := MapEnv{"x": Int(1)}
 	// Note TRUE OR x short-circuits without typing x, so it is not an error.
 	for _, src := range []string{"x AND TRUE", "FALSE OR x", "NOT x"} {
-		e, err := ParseExpr(src)
-		if err != nil {
-			t.Fatalf("ParseExpr(%q): %v", src, err)
-		}
+		e := parseExpr(t, src)
 		if _, err := e.Eval(env); err == nil {
 			t.Errorf("%q should fail: int is not boolean", src)
 		}
@@ -171,16 +171,13 @@ func TestExprStrings(t *testing.T) {
 		"NOT c LIKE 'x%'",
 	}
 	for _, src := range srcs {
-		e, err := ParseExpr(src)
-		if err != nil {
-			t.Fatalf("ParseExpr(%q): %v", src, err)
-		}
+		e := parseExpr(t, src)
 		s := e.String()
 		if s == "" || !strings.Contains(s, "(") {
 			t.Errorf("String() of %q = %q", src, s)
 		}
 		// Round-trip: rendering must re-parse.
-		if _, err := ParseExpr(s); err != nil {
+		if _, err := whereOf(s); err != nil {
 			t.Errorf("re-parse of %q (from %q): %v", s, src, err)
 		}
 	}

@@ -9,24 +9,11 @@ import (
 // Statement is a parsed SQL statement.
 type Statement interface{ stmt() }
 
-// CreateTableStmt creates a table.
+// CreateTableStmt creates a table. Persisted snapshots store each table's
+// schema in this form.
 type CreateTableStmt struct {
-	Name        string
-	Cols        []Column
-	IfNotExists bool
-}
-
-// DropTableStmt drops a table.
-type DropTableStmt struct {
-	Name     string
-	IfExists bool
-}
-
-// InsertStmt inserts one or more rows.
-type InsertStmt struct {
-	Table string
-	Cols  []string // empty = schema order
-	Rows  [][]Expr
+	Name string
+	Cols []Column
 }
 
 // SelectItem is one projection: an expression with an optional alias, or *.
@@ -68,31 +55,8 @@ type SelectStmt struct {
 	Offset   int
 }
 
-// UpdateStmt updates rows.
-type UpdateStmt struct {
-	Table string
-	Sets  []SetClause
-	Where Expr
-}
-
-// SetClause is one column assignment in UPDATE.
-type SetClause struct {
-	Col  string
-	Expr Expr
-}
-
-// DeleteStmt deletes rows.
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
 func (CreateTableStmt) stmt() {}
-func (DropTableStmt) stmt()   {}
-func (InsertStmt) stmt()      {}
 func (SelectStmt) stmt()      {}
-func (UpdateStmt) stmt()      {}
-func (DeleteStmt) stmt()      {}
 
 // AggFn enumerates aggregate functions.
 type AggFn int
@@ -124,18 +88,18 @@ func (f AggFn) String() string {
 	}
 }
 
-// InSubquery is `x [NOT] IN (SELECT …)` with an uncorrelated subquery. The
-// executor resolves the subquery into a literal list before row evaluation;
-// evaluating the raw node is an error.
+// InSubquery is `x [NOT] IN (SELECT …)` with an uncorrelated subquery. It is
+// parsed so the enforcing planner can name and refuse it; evaluating the
+// node is an error.
 type InSubquery struct {
 	Not   bool
 	X     Expr
 	Query SelectStmt
 }
 
-// Eval implements Expr; unresolved subqueries cannot evaluate row-wise.
+// Eval implements Expr; subqueries cannot evaluate row-wise.
 func (q InSubquery) Eval(Env) (Value, error) {
-	return Null(), fmt.Errorf("relational: unresolved IN (SELECT …) subquery")
+	return Null(), fmt.Errorf("relational: IN (SELECT …) subquery cannot be evaluated")
 }
 
 // String implements Expr.
@@ -147,8 +111,8 @@ func (q InSubquery) String() string {
 	return fmt.Sprintf("(%s %s (SELECT …))", q.X, op)
 }
 
-// Agg is an aggregate call inside a SELECT item. It only evaluates inside
-// the executor's grouping machinery; Eval outside grouping is an error.
+// Agg is an aggregate call. It is parsed so the enforcing planner can name
+// and refuse it; evaluating the node is an error.
 type Agg struct {
 	Fn   AggFn
 	Star bool // COUNT(*)
@@ -157,7 +121,7 @@ type Agg struct {
 
 // Eval implements Expr; aggregates cannot evaluate row-wise.
 func (a Agg) Eval(Env) (Value, error) {
-	return Null(), fmt.Errorf("relational: aggregate %s used outside grouping context", a)
+	return Null(), fmt.Errorf("relational: aggregate %s cannot be evaluated per row", a)
 }
 
 // String implements Expr.
@@ -168,7 +132,8 @@ func (a Agg) String() string {
 	return fmt.Sprintf("%s(%s)", a.Fn, a.Arg)
 }
 
-// Parse parses a single SQL statement (a trailing semicolon is allowed).
+// Parse parses a single SELECT or CREATE TABLE statement (a trailing
+// semicolon is allowed).
 func Parse(sql string) (Statement, error) {
 	toks, err := lexSQL(sql)
 	if err != nil {
@@ -255,18 +220,10 @@ func (p *parser) parseStatement() (Statement, error) {
 	switch {
 	case p.at(tokIdent, "create"):
 		return p.parseCreate()
-	case p.at(tokIdent, "drop"):
-		return p.parseDrop()
-	case p.at(tokIdent, "insert"):
-		return p.parseInsert()
 	case p.at(tokIdent, "select"):
 		return p.parseSelect()
-	case p.at(tokIdent, "update"):
-		return p.parseUpdate()
-	case p.at(tokIdent, "delete"):
-		return p.parseDelete()
 	default:
-		return nil, p.errorf("expected a statement, found %q", p.peek().text)
+		return nil, p.errorf("expected SELECT or CREATE TABLE, found %q", p.peek().text)
 	}
 }
 
@@ -276,15 +233,6 @@ func (p *parser) parseCreate() (Statement, error) {
 		return nil, err
 	}
 	st := CreateTableStmt{}
-	if p.accept(tokIdent, "if") {
-		if err := p.keyword("not"); err != nil {
-			return nil, err
-		}
-		if err := p.keyword("exists"); err != nil {
-			return nil, err
-		}
-		st.IfNotExists = true
-	}
 	name, err := p.expect(tokIdent, "")
 	if err != nil {
 		return nil, err
@@ -332,82 +280,6 @@ func (p *parser) parseCreate() (Statement, error) {
 			return nil, err
 		}
 		break
-	}
-	return st, nil
-}
-
-func (p *parser) parseDrop() (Statement, error) {
-	p.next() // DROP
-	if err := p.keyword("table"); err != nil {
-		return nil, err
-	}
-	st := DropTableStmt{}
-	if p.accept(tokIdent, "if") {
-		if err := p.keyword("exists"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
-	}
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	st.Name = name.text
-	return st, nil
-}
-
-func (p *parser) parseInsert() (Statement, error) {
-	p.next() // INSERT
-	if err := p.keyword("into"); err != nil {
-		return nil, err
-	}
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	st := InsertStmt{Table: name.text}
-	if p.accept(tokPunct, "(") {
-		for {
-			col, err := p.expect(tokIdent, "")
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, col.text)
-			if p.accept(tokPunct, ",") {
-				continue
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			break
-		}
-	}
-	if err := p.keyword("values"); err != nil {
-		return nil, err
-	}
-	for {
-		if _, err := p.expect(tokPunct, "("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.accept(tokPunct, ",") {
-				continue
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			break
-		}
-		st.Rows = append(st.Rows, row)
-		if !p.accept(tokPunct, ",") {
-			break
-		}
 	}
 	return st, nil
 }
@@ -576,69 +448,12 @@ func (p *parser) parseFromItem() (FromItem, error) {
 // atReserved reports whether the current identifier is a clause keyword that
 // must not be eaten as a table alias.
 func (p *parser) atReserved() bool {
-	for _, kw := range []string{"join", "inner", "on", "where", "group", "having", "order", "limit", "offset", "set", "values", "as"} {
+	for _, kw := range []string{"join", "inner", "on", "where", "group", "having", "order", "limit", "offset", "as"} {
 		if p.at(tokIdent, kw) {
 			return true
 		}
 	}
 	return false
-}
-
-func (p *parser) parseUpdate() (Statement, error) {
-	p.next() // UPDATE
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	st := UpdateStmt{Table: strings.ToLower(name.text)}
-	if err := p.keyword("set"); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.expect(tokIdent, "")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokPunct, "="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Sets = append(st.Sets, SetClause{Col: strings.ToLower(col.text), Expr: e})
-		if !p.accept(tokPunct, ",") {
-			break
-		}
-	}
-	if p.accept(tokIdent, "where") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	return st, nil
-}
-
-func (p *parser) parseDelete() (Statement, error) {
-	p.next() // DELETE
-	if err := p.keyword("from"); err != nil {
-		return nil, err
-	}
-	name, err := p.expect(tokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	st := DeleteStmt{Table: strings.ToLower(name.text)}
-	if p.accept(tokIdent, "where") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	return st, nil
 }
 
 // Expression grammar (highest binding last):
@@ -651,24 +466,6 @@ func (p *parser) parseDelete() (Statement, error) {
 //   term     := unary ((*|/|%) unary)*
 //   unary    := - unary | primary
 //   primary  := literal | colref | agg | ( expr )
-
-// ParseExpr parses a standalone expression (for WHERE-style predicates
-// supplied programmatically).
-func ParseExpr(src string) (Expr, error) {
-	toks, err := lexSQL(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, src: src}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(tokEOF, "") {
-		return nil, p.errorf("trailing input starting with %q", p.peek().text)
-	}
-	return e, nil
-}
 
 func (p *parser) parseExpr() (Expr, error) {
 	l, err := p.parseAnd()

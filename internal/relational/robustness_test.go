@@ -77,7 +77,7 @@ func TestExprEvalNeverPanics(t *testing.T) {
 			}
 		}()
 		for _, src := range exprs {
-			e, err := ParseExpr(src)
+			e, err := whereOf(src)
 			if err != nil {
 				t.Fatalf("fixture %q failed to parse: %v", src, err)
 			}

@@ -1,106 +1,82 @@
 package relational
 
 import (
-	"strings"
 	"testing"
 )
 
+// inSubquery parses src and returns its WHERE clause as an IN (SELECT …).
+func inSubquery(t *testing.T, src string) InSubquery {
+	t.Helper()
+	sel := parseSelect(t, src)
+	in, ok := sel.Where.(InSubquery)
+	if !ok {
+		t.Fatalf("where = %#v, want an IN (SELECT …)", sel.Where)
+	}
+	return in
+}
+
 func TestInSubquerySelect(t *testing.T) {
-	db := fixtureDB(t)
-	res, err := db.Query(`
+	in := inSubquery(t, `
 		SELECT name FROM patients
 		WHERE id IN (SELECT patient_id FROM visits WHERE reason = 'checkup')
 		ORDER BY name`)
-	if err != nil {
-		t.Fatal(err)
+	if in.Not || in.X != (ColRef{Name: "id"}) {
+		t.Errorf("in = %#v", in)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	if res.Rows[0][0].Display() != "alice" || res.Rows[1][0].Display() != "bob" {
-		t.Errorf("rows = %v", res.Rows)
+	if joined(itemStrings(in.Query)) != "patient_id" || in.Query.From.Table != "visits" ||
+		in.Query.Where.String() != "(reason = 'checkup')" {
+		t.Errorf("subquery = %+v", in.Query)
 	}
 }
 
 func TestNotInSubquery(t *testing.T) {
-	db := fixtureDB(t)
-	res, err := db.Query(`
+	in := inSubquery(t, `
 		SELECT name FROM patients
 		WHERE id NOT IN (SELECT patient_id FROM visits)
 		ORDER BY name`)
-	if err != nil {
-		t.Fatal(err)
+	if !in.Not || in.Query.Where != nil {
+		t.Errorf("in = %#v", in)
 	}
-	// dave and erin never visited.
-	if len(res.Rows) != 2 || res.Rows[0][0].Display() != "dave" || res.Rows[1][0].Display() != "erin" {
-		t.Errorf("rows = %v", res.Rows)
+	if in.String() != "(id NOT IN (SELECT …))" {
+		t.Errorf("rendered = %q", in.String())
 	}
 }
 
 func TestInSubqueryEmptyResult(t *testing.T) {
-	db := fixtureDB(t)
-	res, err := db.Query(`SELECT name FROM patients WHERE id IN (SELECT patient_id FROM visits WHERE reason = 'nothing')`)
-	if err != nil {
-		t.Fatal(err)
+	// A subquery never evaluates row-wise, whatever it would match.
+	in := inSubquery(t, `SELECT name FROM patients WHERE id IN (SELECT patient_id FROM visits WHERE reason = 'nothing')`)
+	if _, err := in.Eval(MapEnv{"id": Int(1)}); err == nil {
+		t.Error("IN (SELECT …) evaluated per row")
 	}
-	if len(res.Rows) != 0 {
-		t.Errorf("rows = %v", res.Rows)
-	}
-}
-
-func TestInSubqueryInUpdateAndDelete(t *testing.T) {
-	db := fixtureDB(t)
-	res, err := db.Exec(`UPDATE patients SET age = age + 100 WHERE id IN (SELECT patient_id FROM visits WHERE reason = 'flu')`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Affected != 1 {
-		t.Fatalf("updated %d", res.Affected)
-	}
-	q, _ := db.Query("SELECT age FROM patients WHERE id = 1")
-	if a, _ := q.Rows[0][0].AsInt(); a != 134 {
-		t.Errorf("age = %d", a)
-	}
-
-	res, err = db.Exec(`DELETE FROM patients WHERE id NOT IN (SELECT patient_id FROM visits)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Affected != 2 {
-		t.Errorf("deleted %d", res.Affected)
+	if ok, err := Truthy(in, MapEnv{"id": Int(1)}); ok || err == nil {
+		t.Errorf("Truthy = %v, %v; want false with an error", ok, err)
 	}
 }
 
 func TestInSubqueryNestedAndAggregated(t *testing.T) {
-	db := fixtureDB(t)
-	// Subquery with its own aggregation: patients from the busiest city.
-	res, err := db.Query(`
+	// Subquery with its own grouping, ordering and limit.
+	in := inSubquery(t, `
 		SELECT name FROM patients
 		WHERE city IN (
 			SELECT city FROM patients GROUP BY city ORDER BY COUNT(*) DESC LIMIT 1
 		)
 		ORDER BY name`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 { // calgary has 3 patients
-		t.Errorf("rows = %v", res.Rows)
+	q := in.Query
+	if len(q.GroupBy) != 1 || joined(orderStrings(q)) != "COUNT(*) DESC" || q.Limit != 1 {
+		t.Errorf("subquery = %+v", q)
 	}
 }
 
 func TestInSubqueryErrors(t *testing.T) {
-	db := fixtureDB(t)
-	// Multi-column subquery.
-	if _, err := db.Query(`SELECT name FROM patients WHERE id IN (SELECT id, name FROM patients)`); err == nil ||
-		!strings.Contains(err.Error(), "exactly one column") {
-		t.Errorf("multi-column subquery error = %v", err)
+	// Multi-column subqueries and unknown tables parse — the planner
+	// refuses every subquery — but an unterminated one does not.
+	if in := inSubquery(t, `SELECT name FROM patients WHERE id IN (SELECT id, name FROM patients)`); len(in.Query.Items) != 2 {
+		t.Errorf("multi-column subquery items = %v", itemStrings(in.Query))
 	}
-	// Subquery against a missing table.
-	if _, err := db.Query(`SELECT name FROM patients WHERE id IN (SELECT x FROM nope)`); err == nil {
-		t.Error("missing subquery table should fail")
+	if in := inSubquery(t, `SELECT name FROM patients WHERE id IN (SELECT x FROM nope)`); in.Query.From.Table != "nope" {
+		t.Errorf("subquery table = %q", in.Query.From.Table)
 	}
-	// Unterminated subquery.
-	if _, err := db.Query(`SELECT name FROM patients WHERE id IN (SELECT id FROM visits`); err == nil {
+	if _, err := Parse(`SELECT name FROM patients WHERE id IN (SELECT id FROM visits`); err == nil {
 		t.Error("unterminated subquery should fail")
 	}
 }

@@ -1,9 +1,13 @@
-// Package relational is a small in-memory relational database engine: typed
-// values, schemas, tables with hash indexes, an expression language and a
-// SQL dialect (CREATE TABLE / INSERT / SELECT with joins, grouping and
-// ordering / UPDATE / DELETE). It is the storage substrate the paper's model
-// operates over — "the data table of private information T = {t_1 … t_n}"
-// of Sec. 4 — built from scratch on the standard library.
+// Package relational is the storage substrate the paper's model operates
+// over — "the data table of private information T = {t_1 … t_n}" of Sec. 4 —
+// built from scratch on the standard library: typed values, schemas, tables
+// with hash indexes, CSV import/export, an expression language and a SQL
+// parser. The parser reads SELECT in full (joins, DISTINCT, grouping,
+// HAVING, aggregates, IN subqueries, ORDER BY, LIMIT/OFFSET) so the
+// enforcing planner in internal/query can name every construct it refuses,
+// and CREATE TABLE, the form snapshots store schemas in. There is no
+// executor here and no DML: internal/query is the only reader of tables
+// through SQL, and the store mutates rows through Table's methods.
 package relational
 
 import (

@@ -1,7 +1,10 @@
 #!/bin/sh
 # CI gate: the full `make check` chain (gofmt, go vet, ppdblint, build,
 # tests), the fault-injection/crash-matrix suite, the WAL durability suite,
-# and a race pass over the concurrency-bearing packages — the PPDB
+# a short fuzz pass over the enforced query path, a build-and-test of the
+# benchmark harness (perfbench/ is its own module, so `go build ./...`
+# never compiles it), and a race pass over the concurrency-bearing
+# packages — the PPDB
 # prototype, the relational engine, the ledger, the write-ahead log (group
 # commit runs a background flusher against concurrent appenders), the fault
 # registry (global armed-site state hit from request goroutines), the
@@ -15,6 +18,8 @@ cd "$(dirname "$0")/.."
 make check
 make faults
 make faults-wal
+FUZZTIME=10s make fuzz
+(cd perfbench && go vet ./... && go test ./...)
 
 # The race package list is derived from `go list`, not hand-maintained:
 # a rename or deletion of any gated package fails here loudly instead of
