@@ -57,13 +57,16 @@ faults-wal:
 	go test -run 'WAL|Wal|Torn|Replay|Segment|GroupCommit' \
 		./internal/wal/... ./internal/ppdb/... ./cmd/ppdbserver/...
 
-# fuzz explores the enforced query path (internal/query's FuzzQuery:
-# arbitrary SQL through Engine.Query must never panic and every answer must
-# keep rows returned <= matched <= scanned) for FUZZTIME (default 30s).
-# Crashers land in internal/query/testdata/fuzz/FuzzQuery; commit them as
-# seeds once fixed — `make test` replays every seed there.
+# fuzz runs each fuzz target for FUZZTIME (default 30s): internal/query's
+# FuzzQuery (arbitrary SQL through Engine.Query must never panic and every
+# answer must keep rows returned <= matched <= scanned) and
+# internal/policydsl's FuzzPolicyDSL (parse -> render -> parse must succeed,
+# render identically and keep every policy and provider name byte for
+# byte). Crashers land in the package's testdata/fuzz/<target>; commit them
+# as seeds once fixed — `make test` replays every seed there.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/query
+	go test -run '^$$' -fuzz '^FuzzPolicyDSL$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/policydsl
 
 # bench runs the certification benches and records BENCH_certify.json
 # (cold vs incremental ledger certification, the per-shard-count sharding

@@ -29,13 +29,13 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit the population report as JSON")
 	flag.Parse()
 
-	if err := runAudit(*in, *alpha, *top, *asJSON); err != nil {
+	if err := runAudit(os.Stdout, *in, *alpha, *top, *asJSON); err != nil {
 		fmt.Fprintf(os.Stderr, "ppdbaudit: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func runAudit(in string, alpha float64, top int, asJSON bool) error {
+func runAudit(w io.Writer, in string, alpha float64, top int, asJSON bool) error {
 	var src []byte
 	var err error
 	if in == "" {
@@ -60,8 +60,8 @@ func runAudit(in string, alpha float64, top int, asJSON bool) error {
 	if err != nil {
 		return err
 	}
-	// Build the violation ledger across the worker pool and assemble the
-	// report from its materialized rows (sorted by provider key, so the
+	// Build the provider table across the worker pool and assemble the
+	// report from its rows (sorted by provider key, so the
 	// output is stable across runs). Duplicate provider blocks collapse,
 	// last one wins — the same semantics as registering against a PPDB.
 	led, err := ledger.New(assessor, 1)
@@ -76,23 +76,25 @@ func runAudit(in string, alpha float64, top int, asJSON bool) error {
 	rep := led.Snapshot()
 
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
 
-	fmt.Printf("policy %q: %d tuples over %v\n", doc.Policy.Name, doc.Policy.Len(), doc.Policy.Attributes())
-	fmt.Printf("providers: %d\n\n", rep.N)
-	fmt.Printf("P(W)        = %.4f  (%d violated)\n", rep.PW, rep.ViolatedCount)
-	fmt.Printf("P(Default)  = %.4f  (%d would default)\n", rep.PDefault, rep.DefaultCount)
-	fmt.Printf("Violations  = %g (Eq. 16)\n", rep.TotalViolations)
+	fmt.Fprintf(w, "policy %q: %d tuples over %v\n", doc.Policy.Name, doc.Policy.Len(), doc.Policy.Attributes())
+	fmt.Fprintf(w, "providers: %d\n\n", rep.N)
+	fmt.Fprintf(w, "P(W)        = %.4f  (%d violated)\n", rep.PW, rep.ViolatedCount)
+	fmt.Fprintf(w, "P(Default)  = %.4f  (%d would default)\n", rep.PDefault, rep.DefaultCount)
+	fmt.Fprintf(w, "Violations  = %g (Eq. 16)\n", rep.TotalViolations)
 	verdict := "FAIL"
 	if core.IsAlphaPPDB(rep.PW, alpha) {
 		verdict = "ok"
 	}
-	fmt.Printf("α-PPDB      = %s (α = %g, min feasible α = %.4f)\n\n", verdict, alpha, rep.PW)
+	fmt.Fprintf(w, "α-PPDB      = %s (α = %g, min feasible α = %.4f)\n\n", verdict, alpha, rep.PW)
 
-	worst := assessor.TopViolated(doc.Providers, top)
+	// Rank the snapshot's rows, not the raw blocks, so a superseded
+	// duplicate never reaches the table.
+	worst := core.TopViolated(rep.Providers, top)
 	rows := make([][]string, 0, len(worst))
 	for _, pr := range worst {
 		rows = append(rows, []string{
@@ -104,6 +106,6 @@ func runAudit(in string, alpha float64, top int, asJSON bool) error {
 			fmt.Sprintf("%d", len(pr.Pairs)),
 		})
 	}
-	return experiments.WriteTable(os.Stdout,
+	return experiments.WriteTable(w,
 		[]string{"provider", "w_i", "Violation_i", "v_i", "default_i", "conflict pairs"}, rows)
 }

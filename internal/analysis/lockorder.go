@@ -12,7 +12,7 @@ import (
 // against the observed inter-procedural lock graph. The order is declared
 // in source with
 //
-//	//lint:lockorder ppdb.DB < ppdb.dbShard < ledger.Ledger < ledger.shard
+//	//lint:lockorder ppdb.DB < ppdb.dbShard < wal.Log
 //
 // where each class is pkgname.TypeName for a struct carrying a mutex field
 // (or pkgname.varname for a package-level mutex). Directives compose: the

@@ -132,9 +132,8 @@ type CompiledPrefs struct {
 	Provider  string
 	Threshold float64
 	// PrefsVersion is the registration counter the columns were compiled
-	// from, stamped by the owning store (internal/ppdb) under its shard
-	// lock; with the policy identity below it versions the compiled row the
-	// same way the ledger keys its memoized reports.
+	// from, stamped by the ledger shard that stores them (internal/ledger);
+	// with the policy identity below it versions the compiled row.
 	PrefsVersion uint64
 
 	policy *CompiledPolicy // compile-time policy identity

@@ -317,13 +317,11 @@ func (a *Assessor) ViolatedDimensionsHistogram(pop []*privacy.Prefs) map[privacy
 	return hist
 }
 
-// TopViolated returns the k providers with the largest Violation_i, ordered
-// descending (ties by provider name for determinism). Useful in audits.
-func (a *Assessor) TopViolated(pop []*privacy.Prefs, k int) []ProviderReport {
-	reps := make([]ProviderReport, 0, len(pop))
-	for _, p := range pop {
-		reps = append(reps, a.AssessProvider(p))
-	}
+// TopViolated returns the k reports with the largest Violation_i, ordered
+// descending (ties by provider name for determinism) — the audit ranking of
+// an already-assessed population. reps is not reordered.
+func TopViolated(reps []ProviderReport, k int) []ProviderReport {
+	reps = append([]ProviderReport(nil), reps...)
 	sort.Slice(reps, func(i, j int) bool {
 		//lint:ignore floatcmp a sort comparator needs a strict weak order; a tolerance would make "equal" intransitive
 		if reps[i].Violation != reps[j].Violation {

@@ -271,13 +271,17 @@ func TestViolatedDimensionsHistogram(t *testing.T) {
 func TestTopViolated(t *testing.T) {
 	a, provs := table1Fixture()
 	pop := []*privacy.Prefs{provs["alice"], provs["ted"], provs["bob"]}
-	top := a.TopViolated(pop, 2)
+	reps := a.AssessPopulation(pop).Providers
+	top := TopViolated(reps, 2)
 	if len(top) != 2 || top[0].Provider != "bob" || top[1].Provider != "ted" {
 		t.Errorf("TopViolated = %+v", top)
 	}
-	all := a.TopViolated(pop, 10)
+	all := TopViolated(reps, 10)
 	if len(all) != 3 || all[2].Provider != "alice" {
 		t.Errorf("TopViolated overflow = %+v", all)
+	}
+	if reps[0].Provider != "alice" || reps[2].Provider != "bob" {
+		t.Errorf("TopViolated reordered its input: %+v", reps)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-
-	"repro/internal/privacy"
 )
 
 // Partial is the aggregate contribution of one subset of the population —
@@ -135,15 +133,28 @@ func FanOut(n, workers int, f func(i int)) {
 	wg.Wait()
 }
 
-// AssessPopulationParallel evaluates every provider across at most workers
-// goroutines and aggregates. The rows land in input order and the float
-// total is summed in that order, so the result is bit-identical to the
-// serial AssessPopulation over the same slice — parallelism changes where
-// the work runs, never what it sums to.
-func (a *Assessor) AssessPopulationParallel(pop []*privacy.Prefs, workers int) PopulationReport {
-	rows := make([]ProviderReport, len(pop))
-	FanOut(len(pop), workers, func(i int) {
-		rows[i] = a.AssessOne(pop[i])
-	})
-	return AssemblePopulation(rows)
+// MergeSorted walks P sorted key runs in global ascending order, calling
+// emit(run, i) once for each runs[run][i]. Equal keys in different runs
+// are emitted lowest run first. It is the one merge every sharded
+// population path shares: the per-shard runs come out of their shards
+// already sorted, so global sorted order costs O(N·P) comparisons and no
+// re-sort — and sorted order is what makes float sums and artifacts
+// identical for every shard count.
+//
+//lint:deterministic the merge order is the canonical provider order of every report and artifact
+func MergeSorted(runs [][]string, emit func(run, i int)) {
+	cursors := make([]int, len(runs))
+	for {
+		best := -1
+		for r, keys := range runs {
+			if cursors[r] < len(keys) && (best < 0 || keys[cursors[r]] < runs[best][cursors[best]]) {
+				best = r
+			}
+		}
+		if best < 0 {
+			return
+		}
+		emit(best, cursors[best])
+		cursors[best]++
+	}
 }

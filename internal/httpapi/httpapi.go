@@ -4,7 +4,7 @@
 //
 //	POST /v1/query            {requester, purpose, visibility, sql} → {columns, rows}
 //	GET  /v1/certify?alpha=0.1                                      → certification
-//	GET  /v1/certify/summary?alpha=0.1                              → aggregate-only certification (O(1) from the ledger)
+//	GET  /v1/certify/summary?alpha=0.1                              → aggregate-only certification (O(P) from the shards)
 //	GET  /v1/policy                                                 → current policy (DSL text)
 //	PUT  /v1/policy           DSL document with one policy block    → policy change
 //	POST /v1/whatif           {diff, u, t, detail}                  → shadow evaluation of a candidate policy diff
@@ -720,7 +720,7 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 
 // handleCertifySummary serves GET /v1/certify/summary?alpha=: the aggregate
 // certification (N, P(W), P(Default), counts, verdict) without per-provider
-// rows, answered from the violation ledger's running aggregates in O(P).
+// rows, answered from the provider shards' running aggregates in O(P).
 func (s *Server) handleCertifySummary(w http.ResponseWriter, r *http.Request) {
 	alpha, err := alphaParam(r)
 	if err != nil {
@@ -902,7 +902,7 @@ func (s *Server) registerFromDSL(w http.ResponseWriter, r *http.Request) (int, e
 		return 0, err
 	}
 	// Bulk registration: validates the whole batch before storing any of
-	// it, then stores prefs and builds ledger rows one goroutine per shard.
+	// it, then stores and assesses the rows one goroutine per shard.
 	if err := s.db.RegisterProviders(doc.Providers); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return 0, err

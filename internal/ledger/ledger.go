@@ -1,43 +1,39 @@
-// Package ledger maintains a materialized view of a population's violation
-// state: one memoized core.ProviderReport per provider, keyed on
-// (policy version, provider prefs version), plus running aggregates
-// (Σ w_i, Σ default_i, Σ Violation_i). The paper's population quantities —
-// P(W) = Σ w_i / N (Def. 2), P(Default) (Def. 5) and the house total
-// Violations (Eq. 16) — are sums of independent per-provider terms, so they
-// admit classic incremental view maintenance: applying a preference edit
-// costs one re-assessment (O(changed)), and the population answer is read
-// from the aggregates in O(1) instead of recomputed over all N providers.
+// Package ledger is the provider table certification reads: one immutable
+// row per provider — its preferences, their compiled columns (DESIGN.md
+// §13), a prefs version and the memoized core.ProviderReport — plus a
+// running core.Partial (N, Σ w_i, Σ default_i, Σ Violation_i) per shard.
+// The paper's population quantities — P(W) = Σ w_i / N (Def. 2),
+// P(Default) (Def. 5) and the house total Violations (Eq. 16) — are sums of
+// independent per-provider terms, so a preference edit costs one
+// re-assessment and one delta to its shard's partial, and the population
+// answer is read from the partials in O(P) instead of recomputed over N.
 //
-// Sharding (DESIGN.md §11): the same independence makes the view
-// embarrassingly parallel, so the ledger is carved into P shards by FNV-1a
-// hash of the canonical provider key (core.ShardIndex). Each shard owns its
-// lock, its memo table, its sorted key list and its running core.Partial,
-// so point upserts on different shards never contend, and the bulk paths —
-// UpsertBatch (cold loads) and Rebuild (policy swaps) — run one goroutine
-// per shard.
+// A Shard is one partition of the table: the providers whose canonical key
+// hashes to its index (core.ShardIndex, DESIGN.md §11). It has no lock of
+// its own; its owner serializes access. internal/ppdb embeds one Shard in
+// each store shard, under that shard's lock, so the store and the table are
+// the same thing. Ledger wraps P Shards behind one lock for callers that
+// have no store (cmd/ppdbaudit and the benchmark's twin).
 //
-// Invalidation rules:
+// Rows are current by construction. An upsert assesses the row it
+// installs, and a policy swap (RebuildShards) re-assesses every row while
+// the owner excludes all readers, so no row carries a policy version. A row
+// is immutable once installed: readers may keep the pointers Rows returns
+// after the owner's lock is released.
 //
-//   - a provider's row is recomputed when its prefs version changes
-//     (self-service edit, re-registration) — O(1) per edit, one shard lock;
-//   - a policy swap bumps the policy version and invalidates every row —
-//     Rebuild re-assesses the whole population, one goroutine per shard
-//     (a cold rebuild, also used for load-from-disk);
-//   - a removal subtracts the provider's contribution from its shard.
-//
-// Exactness: the integer aggregates (N, violated, defaulted — and hence
-// P(W) and P(Default), which are ratios of integers) are always exact and
-// independent of the shard layout. The running float totals drift from a
-// fresh sum by at most accumulated rounding (adds and subtracts in edit
-// order, merged in fixed shard-index order), so Summary is O(P) but
-// last-ulp approximate in TotalViolations; Snapshot merges the shards'
-// sorted rows into global sorted provider order and re-sums in that order,
-// so it is bit-identical to a full recompute over the same sorted
-// population — for every shard count.
+// Exactness: the integer aggregates (and hence P(W) and P(Default), ratios
+// of integers) are exact and independent of the shard layout. The running
+// float totals drift from a fresh sum by accumulated rounding (adds and
+// subtracts in edit order, merged in shard-index order), so a summary built
+// from the partials is last-ulp approximate in TotalViolations. Assemble
+// re-sums the rows in global sorted key order, so a snapshot is
+// bit-identical to a full recompute over the same sorted population, for
+// every shard count.
 package ledger
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,67 +43,37 @@ import (
 	"repro/internal/privacy"
 )
 
-// Instrumentation (DESIGN.md §10). Counters aggregate across every ledger
-// in the process; the rows gauge is set by whichever ledger mutated last
-// (one server process holds one live ledger). Hoisted once so the hot
-// paths pay a single atomic op, not a registry lookup.
+// Instrumentation (DESIGN.md §10). Counters aggregate across every table
+// in the process; the rows gauge is set by whichever table mutated last
+// (one server process holds one live table). Hoisted once so the hot paths
+// pay a single atomic op, not a registry lookup.
 var (
 	mMemoHits = metrics.Default.Counter("ledger_memo_hits_total",
-		"Upsert calls answered by a current memoized row (no re-assessment)")
+		"upserts answered by a row already at the requested prefs version (no re-assessment)")
 	mMemoMisses = metrics.Default.Counter("ledger_memo_misses_total",
-		"Upsert calls that had to re-assess the provider")
+		"upserts that had to re-assess the provider")
 	mDeltaApplies = metrics.Default.Counter("ledger_delta_applies_total",
-		"incremental row installs with O(1) aggregate maintenance")
+		"row installs with O(1) aggregate maintenance")
 	mRebuilds = metrics.Default.Counter("ledger_rebuilds_total",
-		"full-population rebuilds (policy swaps and cold loads)")
+		"full-table rebuilds (policy swaps)")
 	mRows = metrics.Default.Gauge("ledger_rows",
-		"provider rows currently memoized by the live ledger")
+		"provider rows held by the live provider table")
 )
 
-// entry is one provider's materialized row.
-type entry struct {
-	prefs *privacy.Prefs
-	// prefsVersion is the registration counter value the report was
-	// computed from; policyVersion the policy counter. Together they key
-	// the memoization: a matching pair means the report is current.
-	prefsVersion  uint64
-	policyVersion uint64
-	report        core.ProviderReport
+// Row is one provider's materialized state. Immutable once installed.
+type Row struct {
+	Prefs *privacy.Prefs
+	// Compiled is Prefs flattened against the policy the row was assessed
+	// under; nil when that policy is not maskable (the reference path).
+	Compiled *core.CompiledPrefs
+	// Version is the owner's registration counter at this row's latest
+	// upsert.
+	Version uint64
+	Report  core.ProviderReport
 }
 
-// shard is one lock domain of the materialized view: the providers whose
-// canonical key hashes to this index, with their own running aggregates.
-type shard struct {
-	mu      sync.RWMutex
-	entries map[string]*entry
-	keys    []string // sorted; kept in lockstep with entries
-	agg     core.Partial
-	// scratch is the shard's columnar-kernel arena, used only while mu is
-	// held exclusively (the only times the shard assesses), so it needs no
-	// lock of its own and re-assessments on this shard never allocate it.
-	scratch core.Scratch
-}
-
-// Ledger is the sharded materialized violation view. Safe for concurrent
-// use: point operations lock one shard, structural operations (Rebuild)
-// take the top-level lock exclusively.
-type Ledger struct {
-	// mu guards assessor and policyVersion. Point operations hold it
-	// shared (so the policy cannot swap mid-upsert); Rebuild holds it
-	// exclusively. Lock order is always mu before shard.mu.
-	mu sync.RWMutex
-
-	assessor      *core.Assessor
-	policyVersion uint64
-
-	shards []*shard
-	rows   atomic.Int64 // total live entries across shards (gauge feed)
-}
-
-// Item is one (key, prefs, version) triple for batch application. Compiled
-// optionally carries the provider's columnar tuple columns (compiled by the
-// caller against the ledger's current assessor); when present and current,
-// re-assessments run the columnar kernel instead of the reference walk.
+// Item is one upsert: a provider's canonical key, preferences, optional
+// compiled columns (nil takes the reference assessment) and prefs version.
 type Item struct {
 	Key      string
 	Prefs    *privacy.Prefs
@@ -115,27 +81,190 @@ type Item struct {
 	Version  uint64
 }
 
-// Summary is the O(P) population answer merged from the shards' running
-// partials in fixed shard-index order.
-type Summary struct {
-	N               int
-	ViolatedCount   int     // Σ_i w_i, exact
-	DefaultCount    int     // Σ_i default_i, exact
-	TotalViolations float64 // Eq. 16, running (last-ulp approximate)
-	PW              float64 // Def. 2, exact ratio of integers
-	PDefault        float64 // Def. 5, exact ratio of integers
-	PolicyVersion   uint64
+// Shard is one partition of the provider table. It is not safe for
+// concurrent use: readers need the owner's lock shared, and every mutation
+// needs it exclusively.
+type Shard struct {
+	byKey map[string]*Row
+	keys  []string // sorted; kept in lockstep with byKey
+	agg   core.Partial
+	// scratch is the columnar-kernel arena, used only by mutations (which
+	// hold the owner's lock exclusively), so re-assessments never allocate
+	// it.
+	scratch core.Scratch
+	// total counts rows across every shard of one table: the table's N, and
+	// the ledger_rows gauge feed.
+	total *atomic.Int64
+}
+
+// NewShard returns an empty shard that counts its rows into total, the
+// counter every shard of one table shares.
+func NewShard(total *atomic.Int64) Shard {
+	return Shard{byKey: make(map[string]*Row), total: total}
+}
+
+// Get returns key's row.
+func (s *Shard) Get(key string) (*Row, bool) {
+	r, ok := s.byKey[key]
+	return r, ok
+}
+
+// Partial returns the shard's running aggregate.
+func (s *Shard) Partial() core.Partial { return s.agg }
+
+// Rows copies the shard's sorted keys and their rows. The rows are
+// immutable, so the caller may read them after releasing the owner's lock.
+func (s *Shard) Rows() ([]string, []*Row) {
+	keys := slices.Clone(s.keys)
+	rows := make([]*Row, len(keys))
+	for i, k := range keys {
+		rows[i] = s.byKey[k]
+	}
+	return keys, rows
+}
+
+// Upsert installs one registration or preference edit and returns the
+// provider's report. A row already at it.Version is returned untouched (a
+// memo hit); otherwise the provider is assessed with a — the columnar
+// kernel when it.Compiled is current for a, the reference walk otherwise —
+// and the shard's partial moves by the delta.
+func (s *Shard) Upsert(a *core.Assessor, it Item) core.ProviderReport {
+	if r, ok := s.byKey[it.Key]; ok && r.Version == it.Version {
+		mMemoHits.Inc()
+		return r.Report
+	}
+	mMemoMisses.Inc()
+	r, fresh := s.put(a, it)
+	if fresh {
+		i, _ := slices.BinarySearch(s.keys, it.Key)
+		s.keys = slices.Insert(s.keys, i, it.Key)
+	}
+	return r.Report
+}
+
+// UpsertBatch installs many items at once, the cold-load path. Every item
+// is assessed (a batch carries fresh versions). New keys are sorted once
+// and merged into the key list, not shifted in one at a time; a key listed
+// twice keeps its last item.
+func (s *Shard) UpsertBatch(a *core.Assessor, items []Item) {
+	mMemoMisses.Add(uint64(len(items)))
+	var fresh []string
+	for _, it := range items {
+		if _, isNew := s.put(a, it); isNew {
+			fresh = append(fresh, it.Key)
+		}
+	}
+	if len(fresh) == 0 {
+		return
+	}
+	sort.Strings(fresh)
+	runs := [][]string{s.keys, fresh}
+	merged := make([]string, 0, len(s.keys)+len(fresh))
+	core.MergeSorted(runs, func(r, i int) { merged = append(merged, runs[r][i]) })
+	s.keys = merged
+}
+
+// put assesses it and installs the row, moving the partial by the delta
+// (subtract the old row, add the new). It reports whether the key is new;
+// the caller then places it in the key list.
+func (s *Shard) put(a *core.Assessor, it Item) (*Row, bool) {
+	if it.Compiled != nil {
+		it.Compiled.PrefsVersion = it.Version
+	}
+	r := &Row{Prefs: it.Prefs, Compiled: it.Compiled, Version: it.Version,
+		Report: a.AssessRow(it.Prefs, it.Compiled, &s.scratch)}
+	old, existed := s.byKey[it.Key]
+	if existed {
+		s.agg.Sub(&old.Report)
+	} else {
+		s.total.Add(1)
+	}
+	s.byKey[it.Key] = r
+	s.agg.Add(&r.Report)
+	mDeltaApplies.Inc()
+	mRows.Set(float64(s.total.Load()))
+	return r, !existed
+}
+
+// Remove drops key's row and subtracts its contribution from the partial.
+// It reports whether the key was present.
+func (s *Shard) Remove(key string) bool {
+	r, ok := s.byKey[key]
+	if !ok {
+		return false
+	}
+	s.agg.Sub(&r.Report)
+	delete(s.byKey, key)
+	i, _ := slices.BinarySearch(s.keys, key)
+	s.keys = slices.Delete(s.keys, i, i+1)
+	mRows.Set(float64(s.total.Add(-1)))
+	return true
+}
+
+// rebuild recompiles and re-assesses every row against a, installing fresh
+// rows and re-summing the partial from scratch in sorted key order.
+func (s *Shard) rebuild(a *core.Assessor) {
+	s.agg = core.Partial{}
+	for _, k := range s.keys {
+		old := s.byKey[k]
+		c := a.Compile(old.Prefs)
+		if c != nil {
+			c.PrefsVersion = old.Version
+		}
+		r := &Row{Prefs: old.Prefs, Compiled: c, Version: old.Version,
+			Report: a.AssessRow(old.Prefs, c, &s.scratch)}
+		s.byKey[k] = r
+		s.agg.Add(&r.Report)
+	}
+}
+
+// RebuildShards re-assesses every row of a table against a new assessor —
+// the policy swap, one goroutine per shard, counted as one rebuild. The
+// caller holds every shard exclusively.
+//
+//lint:deterministic rebuilt aggregates must match a from-scratch assessment bit-for-bit
+func RebuildShards(shards []*Shard, a *core.Assessor) {
+	mRebuilds.Inc()
+	core.FanOut(len(shards), len(shards), func(i int) { shards[i].rebuild(a) })
+}
+
+// Assemble merges per-shard row runs (keys[i] sorted, rows[i][j] the row
+// of keys[i][j]) into global sorted key order and assembles the population
+// report — O(N·P) merging, zero re-assessment. The float total is summed
+// in that global order, so the result is bit-identical to a full recompute
+// over the same sorted population, for every shard count.
+//
+//lint:deterministic snapshot reports feed certifications and must not depend on shard count
+func Assemble(keys [][]string, rows [][]*Row) core.PopulationReport {
+	n := 0
+	for _, run := range keys {
+		n += len(run)
+	}
+	reps := make([]core.ProviderReport, 0, n)
+	core.MergeSorted(keys, func(r, i int) { reps = append(reps, rows[r][i].Report) })
+	return core.AssemblePopulation(reps)
+}
+
+// Ledger is a provider table of P shards behind one lock, for callers
+// without a store of their own: writers hold the lock exclusively, and
+// Snapshot holds it shared.
+type Ledger struct {
+	mu       sync.RWMutex
+	assessor *core.Assessor
+	shards   []*Shard
+	rows     atomic.Int64
 }
 
 // New builds an empty ledger assessing against a, with one shard per
-// schedulable CPU.
+// schedulable CPU. The policy version is not stored (rows need none; see
+// the package comment) and is accepted for callers that number policies.
 func New(a *core.Assessor, policyVersion uint64) (*Ledger, error) {
 	return NewSharded(a, policyVersion, 0)
 }
 
 // NewSharded builds an empty ledger with an explicit shard count; 0 means
-// core.DefaultShards(). A 1-shard ledger is the serial pre-sharding layout.
-func NewSharded(a *core.Assessor, policyVersion uint64, shards int) (*Ledger, error) {
+// core.DefaultShards().
+func NewSharded(a *core.Assessor, _ uint64, shards int) (*Ledger, error) {
 	if a == nil {
 		return nil, fmt.Errorf("ledger: nil assessor")
 	}
@@ -145,302 +274,59 @@ func NewSharded(a *core.Assessor, policyVersion uint64, shards int) (*Ledger, er
 	if shards == 0 {
 		shards = core.DefaultShards()
 	}
-	l := &Ledger{
-		assessor:      a,
-		policyVersion: policyVersion,
-		shards:        make([]*shard, shards),
-	}
+	l := &Ledger{assessor: a, shards: make([]*Shard, shards)}
 	for i := range l.shards {
-		l.shards[i] = &shard{entries: make(map[string]*entry)}
+		s := NewShard(&l.rows)
+		l.shards[i] = &s
 	}
 	return l, nil
 }
 
-// ShardCount returns the number of shards the view is carved into.
-func (l *Ledger) ShardCount() int { return len(l.shards) }
-
-// shardOf routes a canonical key to its shard.
-func (l *Ledger) shardOf(key string) *shard {
-	return l.shards[core.ShardIndex(key, len(l.shards))]
-}
-
-// PolicyVersion returns the policy counter the rows are keyed on.
-func (l *Ledger) PolicyVersion() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.policyVersion
-}
-
-// Len returns the number of materialized providers.
-func (l *Ledger) Len() int {
-	return int(l.rows.Load())
-}
-
-// Upsert applies one provider registration or preference edit: if the
-// memoized row already matches (policy version, prefs version) it is
-// returned untouched; otherwise the provider is re-assessed — O(1), the
-// delta apply — and the shard's aggregates are adjusted. Only the
-// provider's shard is locked, so edits on different shards run in
-// parallel.
-func (l *Ledger) Upsert(key string, prefs *privacy.Prefs, prefsVersion uint64) core.ProviderReport {
-	return l.UpsertCompiled(key, prefs, nil, prefsVersion)
-}
-
-// UpsertCompiled is Upsert with the provider's columnar tuple columns
-// supplied by the caller (internal/ppdb compiles them once per registration
-// and shares them with its own store). A memo miss then runs the columnar
-// kernel in the shard's scratch arena; a nil or stale compiled value falls
-// back to the reference assessment, so the result is identical either way.
+// UpsertCompiled applies one registration or preference edit with the
+// provider's compiled columns (nil takes the reference assessment); see
+// Shard.Upsert.
 func (l *Ledger) UpsertCompiled(key string, prefs *privacy.Prefs, compiled *core.CompiledPrefs, prefsVersion uint64) core.ProviderReport {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	s := l.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok && e.prefsVersion == prefsVersion && e.policyVersion == l.policyVersion {
-		mMemoHits.Inc()
-		return e.report
-	}
-	mMemoMisses.Inc()
-	rep := l.assessor.AssessRow(prefs, compiled, &s.scratch)
-	l.applyLocked(s, key, prefs, prefsVersion, rep)
-	return rep
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.shards[core.ShardIndex(key, len(l.shards))]
+	return s.Upsert(l.assessor, Item{Key: key, Prefs: prefs, Compiled: compiled, Version: prefsVersion})
 }
 
 // UpsertBatch applies many registrations at once, one goroutine per shard
-// with items — the cold-build path for bulk loads. Assessment and map
-// installation both run inside the owning shard's goroutine, so the whole
-// batch parallelizes, not just the assessment.
+// with items.
 func (l *Ledger) UpsertBatch(items []Item) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	mMemoMisses.Add(uint64(len(items)))
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	buckets := make([][]Item, len(l.shards))
 	for _, it := range items {
 		i := core.ShardIndex(it.Key, len(l.shards))
 		buckets[i] = append(buckets[i], it)
 	}
 	core.FanOut(len(l.shards), len(l.shards), func(i int) {
-		if len(buckets[i]) == 0 {
-			return
-		}
-		s := l.shards[i]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, it := range buckets[i] {
-			rep := l.assessor.AssessRow(it.Prefs, it.Compiled, &s.scratch)
-			l.applyLocked(s, it.Key, it.Prefs, it.Version, rep)
+		if len(buckets[i]) > 0 {
+			l.shards[i].UpsertBatch(l.assessor, buckets[i])
 		}
 	})
 }
 
-// Remove drops a provider's row and subtracts its contribution from its
-// shard. It reports whether the provider was present.
-func (l *Ledger) Remove(key string) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	s := l.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return false
-	}
-	s.agg.Sub(&e.report)
-	delete(s.entries, key)
-	i := sort.SearchStrings(s.keys, key)
-	s.keys = append(s.keys[:i], s.keys[i+1:]...)
-	mRows.Set(float64(l.rows.Add(-1)))
-	return true
-}
-
-// Rebuild invalidates every row against a new assessor (policy swap) and
-// re-assesses the whole population, one goroutine per shard. Each shard's
-// aggregates are re-summed from scratch in its sorted key order.
-//
-//lint:deterministic rebuilt aggregates must match a from-scratch assessment bit-for-bit
-func (l *Ledger) Rebuild(a *core.Assessor, policyVersion uint64) {
-	l.RebuildCompiled(a, policyVersion, nil)
-}
-
-// RebuildCompiled is Rebuild with provider tuple columns recompiled against
-// the new assessor supplied by the caller (internal/ppdb recompiles its
-// store during SetPolicy and hands the same columns here, so the population
-// is compiled once, not twice). Keys missing from compiled — or a nil map —
-// fall back to the reference assessment per row; results are identical.
-//
-//lint:deterministic rebuilt aggregates must match a from-scratch assessment bit-for-bit
-func (l *Ledger) RebuildCompiled(a *core.Assessor, policyVersion uint64, compiled map[string]*core.CompiledPrefs) {
+// Rebuild swaps in a new assessor and re-assesses every row (see
+// RebuildShards). The policy version is not stored.
+func (l *Ledger) Rebuild(a *core.Assessor, _ uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	mRebuilds.Inc()
 	l.assessor = a
-	l.policyVersion = policyVersion
-	core.FanOut(len(l.shards), len(l.shards), func(i int) {
-		s := l.shards[i]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.agg = core.Partial{}
-		for _, k := range s.keys {
-			e := s.entries[k]
-			e.report = a.AssessRow(e.prefs, compiled[k], &s.scratch)
-			e.policyVersion = policyVersion
-			s.agg.Add(&e.report)
-		}
-	})
+	RebuildShards(l.shards, a)
 }
 
-// Report returns the memoized row for one provider — the O(1) per-provider
-// violation read (self-service audits).
-func (l *Ledger) Report(key string) (core.ProviderReport, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	s := l.shardOf(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return core.ProviderReport{}, false
-	}
-	return e.report, true
-}
-
-// ReportIfCurrent returns the memoized row for one provider only when it
-// was computed at exactly (policyVersion, prefsVersion) — the read-side
-// memo check the what-if engine (internal/whatif) uses to reuse live
-// reports without risking a stale row racing a concurrent edit. Unlike
-// Report it never returns a row keyed on different versions.
-func (l *Ledger) ReportIfCurrent(key string, policyVersion, prefsVersion uint64) (core.ProviderReport, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.policyVersion != policyVersion {
-		return core.ProviderReport{}, false
-	}
-	s := l.shardOf(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.entries[key]
-	if !ok || e.policyVersion != policyVersion || e.prefsVersion != prefsVersion {
-		return core.ProviderReport{}, false
-	}
-	return e.report, true
-}
-
-// Summary answers P(W), P(Default) and the counts by merging the shards'
-// running partials in fixed shard-index order — O(P), no row is touched.
-func (l *Ledger) Summary() Summary {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	parts := make([]core.Partial, len(l.shards))
-	for i, s := range l.shards {
-		s.mu.RLock()
-		parts[i] = s.agg
-		s.mu.RUnlock()
-	}
-	m := core.MergePartials(parts)
-	return Summary{
-		N:               m.N,
-		ViolatedCount:   m.ViolatedCount,
-		DefaultCount:    m.DefaultCount,
-		TotalViolations: m.TotalViolations,
-		PW:              m.PW(),
-		PDefault:        m.PDefault(),
-		PolicyVersion:   l.policyVersion,
-	}
-}
-
-// Snapshot assembles the full population report from the memoized rows in
-// global sorted provider order — a P-way merge of the shards' sorted key
-// lists, O(N log P) copying, zero re-assessment. The float total is
-// re-summed in that global order, so the result is bit-identical to a full
-// recompute over the same sorted population, for every shard count.
-//
-//lint:deterministic snapshot reports feed certifications and must not depend on shard count
+// Snapshot assembles the full population report from the rows in global
+// sorted provider order (see Assemble).
 func (l *Ledger) Snapshot() core.PopulationReport {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	keys, rows := l.mergedRowsLocked()
-	_ = keys
-	return core.AssemblePopulation(rows)
-}
-
-// WouldDefault lists the providers whose Violation_i exceeds their
-// threshold, in global sorted key order.
-func (l *Ledger) WouldDefault() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	_, rows := l.mergedRowsLocked()
-	var out []string
-	for i := range rows {
-		if rows[i].Defaults {
-			out = append(out, rows[i].Provider)
-		}
-	}
-	return out
-}
-
-// mergedRowsLocked snapshots every shard (RLock per shard) and merges the
-// per-shard sorted key lists into one globally sorted sequence of keys and
-// reports. Holding l.mu shared keeps the policy stable; per-shard locks
-// make each shard internally consistent.
-func (l *Ledger) mergedRowsLocked() ([]string, []core.ProviderReport) {
-	type part struct {
-		keys []string
-		rows []core.ProviderReport
-	}
-	parts := make([]part, len(l.shards))
-	total := 0
+	keys := make([][]string, len(l.shards))
+	rows := make([][]*Row, len(l.shards))
 	for i, s := range l.shards {
-		s.mu.RLock()
-		p := part{
-			keys: append([]string(nil), s.keys...),
-			rows: make([]core.ProviderReport, len(s.keys)),
-		}
-		for j, k := range s.keys {
-			p.rows[j] = s.entries[k].report
-		}
-		s.mu.RUnlock()
-		parts[i] = p
-		total += len(p.keys)
+		keys[i], rows[i] = s.Rows()
 	}
-	keys := make([]string, 0, total)
-	rows := make([]core.ProviderReport, 0, total)
-	cursors := make([]int, len(parts))
-	for len(keys) < total {
-		best := -1
-		for i := range parts {
-			if cursors[i] >= len(parts[i].keys) {
-				continue
-			}
-			if best < 0 || parts[i].keys[cursors[i]] < parts[best].keys[cursors[best]] {
-				best = i
-			}
-		}
-		keys = append(keys, parts[best].keys[cursors[best]])
-		rows = append(rows, parts[best].rows[cursors[best]])
-		cursors[best]++
-	}
-	return keys, rows
-}
-
-// applyLocked installs a freshly computed report for key into shard s
-// (whose lock the caller holds), adjusting the shard's aggregates by the
-// delta (subtract the old row, add the new).
-func (l *Ledger) applyLocked(s *shard, key string, prefs *privacy.Prefs, prefsVersion uint64, rep core.ProviderReport) {
-	mDeltaApplies.Inc()
-	if e, ok := s.entries[key]; ok {
-		s.agg.Sub(&e.report)
-		e.prefs, e.prefsVersion, e.policyVersion, e.report = prefs, prefsVersion, l.policyVersion, rep
-		s.agg.Add(&e.report)
-		mRows.Set(float64(l.rows.Load()))
-		return
-	}
-	e := &entry{prefs: prefs, prefsVersion: prefsVersion, policyVersion: l.policyVersion, report: rep}
-	s.entries[key] = e
-	i := sort.SearchStrings(s.keys, key)
-	s.keys = append(s.keys, "")
-	copy(s.keys[i+1:], s.keys[i:])
-	s.keys[i] = key
-	s.agg.Add(&e.report)
-	mRows.Set(float64(l.rows.Add(1)))
+	return Assemble(keys, rows)
 }

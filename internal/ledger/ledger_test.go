@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis/floatutil"
@@ -35,7 +36,47 @@ func testAssessor(t testing.TB, seed uint64, level privacy.Level) (*core.Assesso
 	return a, gen
 }
 
-// sortedPop returns the population sorted the way the ledger keys it.
+// table is P shards routed by core.ShardIndex — the layout internal/ppdb
+// keeps, minus its per-shard locks (these tests run on one goroutine).
+type table struct {
+	a      *core.Assessor
+	total  atomic.Int64
+	shards []*Shard
+}
+
+func newTable(a *core.Assessor, n int) *table {
+	t := &table{a: a, shards: make([]*Shard, n)}
+	for i := range t.shards {
+		s := NewShard(&t.total)
+		t.shards[i] = &s
+	}
+	return t
+}
+
+func (t *table) shard(key string) *Shard { return t.shards[core.ShardIndex(key, len(t.shards))] }
+
+func (t *table) upsert(p *privacy.Prefs, version uint64) core.ProviderReport {
+	return t.shard(p.Provider).Upsert(t.a, Item{Key: p.Provider, Prefs: p, Compiled: t.a.Compile(p), Version: version})
+}
+
+func (t *table) snapshot() core.PopulationReport {
+	keys := make([][]string, len(t.shards))
+	rows := make([][]*Row, len(t.shards))
+	for i, s := range t.shards {
+		keys[i], rows[i] = s.Rows()
+	}
+	return Assemble(keys, rows)
+}
+
+func (t *table) summary() core.Partial {
+	parts := make([]core.Partial, len(t.shards))
+	for i, s := range t.shards {
+		parts[i] = s.Partial()
+	}
+	return core.MergePartials(parts)
+}
+
+// sortedPop returns the population sorted the way the table keys it.
 func sortedPop(pop []*privacy.Prefs) []*privacy.Prefs {
 	out := append([]*privacy.Prefs(nil), pop...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Provider < out[j].Provider })
@@ -46,35 +87,40 @@ func TestNewNilAssessor(t *testing.T) {
 	if _, err := New(nil, 1); err == nil {
 		t.Fatal("nil assessor should be rejected")
 	}
+	a, _ := testAssessor(t, 1, 2)
+	if _, err := NewSharded(a, 1, -1); err == nil {
+		t.Fatal("negative shard count should be rejected")
+	}
 }
 
-// TestSnapshotMatchesFullAssessment pins the materialized view to the
-// direct AssessPopulation result over the same sorted population,
-// including the bit-exact float total.
+// TestSnapshotMatchesFullAssessment pins the assembled table to the direct
+// AssessPopulation result over the same sorted population, including the
+// bit-exact float total, at several shard counts.
 func TestSnapshotMatchesFullAssessment(t *testing.T) {
 	a, gen := testAssessor(t, 7, 2)
 	pop := population.PrefsOf(gen.Generate(137))
-	l, err := New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range pop {
-		l.Upsert(p.Provider, p, uint64(i+1))
-	}
 	want := a.AssessPopulation(sortedPop(pop))
-	got := l.Snapshot()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("snapshot diverges from full assessment:\ngot  %+v\nwant %+v", got, want)
-	}
-	sum := l.Summary()
-	if sum.N != want.N || sum.ViolatedCount != want.ViolatedCount || sum.DefaultCount != want.DefaultCount {
-		t.Errorf("summary counts = %+v, want %+v", sum, want)
-	}
-	if !floatutil.Eq(sum.PW, want.PW) || !floatutil.Eq(sum.PDefault, want.PDefault) {
-		t.Errorf("summary probabilities = %g/%g, want %g/%g", sum.PW, sum.PDefault, want.PW, want.PDefault)
-	}
-	if !floatutil.Eq(sum.TotalViolations, want.TotalViolations) {
-		t.Errorf("summary total = %g, want %g", sum.TotalViolations, want.TotalViolations)
+	for _, n := range []int{1, 3, 8} {
+		tab := newTable(a, n)
+		for i, p := range pop {
+			tab.upsert(p, uint64(i+1))
+		}
+		if got := tab.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: snapshot diverges from full assessment:\ngot  %+v\nwant %+v", n, got, want)
+		}
+		sum := tab.summary()
+		if sum.N != want.N || sum.ViolatedCount != want.ViolatedCount || sum.DefaultCount != want.DefaultCount {
+			t.Errorf("shards=%d: summary counts = %+v, want %+v", n, sum, want)
+		}
+		if !floatutil.Eq(sum.PW(), want.PW) || !floatutil.Eq(sum.PDefault(), want.PDefault) {
+			t.Errorf("shards=%d: summary probabilities = %g/%g, want %g/%g", n, sum.PW(), sum.PDefault(), want.PW, want.PDefault)
+		}
+		if !floatutil.Eq(sum.TotalViolations, want.TotalViolations) {
+			t.Errorf("shards=%d: summary total = %g, want %g", n, sum.TotalViolations, want.TotalViolations)
+		}
+		if got := int(tab.total.Load()); got != len(pop) {
+			t.Errorf("shards=%d: row count = %d, want %d", n, got, len(pop))
+		}
 	}
 }
 
@@ -83,14 +129,11 @@ func TestSnapshotMatchesFullAssessment(t *testing.T) {
 func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 	a, gen := testAssessor(t, 11, 2)
 	pop := population.PrefsOf(gen.Generate(60))
-	l, err := New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := newTable(a, 4)
 	version := uint64(0)
 	for _, p := range pop {
 		version++
-		l.Upsert(p.Provider, p, version)
+		tab.upsert(p, version)
 	}
 
 	// Edit a third of the population with fresh tuples (new generator seed,
@@ -104,19 +147,19 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 	for i, p := range edited {
 		if i%3 == 0 {
 			version++
-			l.Upsert(p.Provider, p, version)
+			tab.upsert(p, version)
 			live[p.Provider] = p
 		}
 	}
 	for i, p := range pop {
 		if i%10 == 0 {
-			if !l.Remove(p.Provider) {
+			if !tab.shard(p.Provider).Remove(p.Provider) {
 				t.Fatalf("remove %q reported absent", p.Provider)
 			}
 			delete(live, p.Provider)
 		}
 	}
-	if l.Remove("no-such-provider") {
+	if tab.shard("nobody").Remove("nobody") {
 		t.Error("removing an absent provider should report false")
 	}
 
@@ -125,29 +168,30 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 		rest = append(rest, p)
 	}
 	want := a.AssessPopulation(sortedPop(rest))
-	got := l.Snapshot()
+	got := tab.snapshot()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("after edits+removals snapshot diverges:\ngot  N=%d PW=%g total=%g\nwant N=%d PW=%g total=%g",
 			got.N, got.PW, got.TotalViolations, want.N, want.PW, want.TotalViolations)
 	}
-	sum := l.Summary()
+	sum := tab.summary()
 	if sum.N != want.N || sum.ViolatedCount != want.ViolatedCount || sum.DefaultCount != want.DefaultCount {
 		t.Errorf("summary counts = %+v, want counts from %+v", sum, want)
 	}
 	if !floatutil.Eq(sum.TotalViolations, want.TotalViolations) {
 		t.Errorf("running total = %g, want ≈ %g", sum.TotalViolations, want.TotalViolations)
 	}
+	if got := int(tab.total.Load()); got != len(rest) {
+		t.Errorf("row count = %d, want %d", got, len(rest))
+	}
 }
 
-// TestUpsertMemoizes proves a matching (policy version, prefs version) pair
+// TestUpsertMemoizes proves a row already at the requested prefs version
 // short-circuits re-assessment: re-upserting different preferences under an
 // unchanged version returns the cached row.
 func TestUpsertMemoizes(t *testing.T) {
 	a, _ := testAssessor(t, 3, 2)
-	l, err := New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var total atomic.Int64
+	s := NewShard(&total)
 	loud := privacy.NewPrefs("ada", 0.5)
 	loud.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
 	loud.Add("income", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
@@ -155,48 +199,55 @@ func TestUpsertMemoizes(t *testing.T) {
 	quiet.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 4, Granularity: 4, Retention: 4})
 	quiet.Add("income", privacy.Tuple{Purpose: "service", Visibility: 4, Granularity: 4, Retention: 4})
 
-	first := l.Upsert("ada", loud, 1)
+	first := s.Upsert(a, Item{Key: "ada", Prefs: loud, Version: 1})
 	if !first.Violated {
 		t.Fatal("zero-tuple prefs under a level-2 policy must be violated")
 	}
-	cached := l.Upsert("ada", quiet, 1) // same version: must NOT re-assess
+	cached := s.Upsert(a, Item{Key: "ada", Prefs: quiet, Version: 1}) // same version: must NOT re-assess
 	if !reflect.DeepEqual(cached, first) {
 		t.Error("matching versions should return the memoized report")
 	}
-	fresh := l.Upsert("ada", quiet, 2) // bumped version: must re-assess
+	fresh := s.Upsert(a, Item{Key: "ada", Prefs: quiet, Compiled: a.Compile(quiet), Version: 2}) // bumped version: must re-assess
 	if fresh.Violated {
 		t.Error("version bump should have recomputed against the new prefs")
 	}
-	if l.Len() != 1 {
-		t.Errorf("Len = %d, want 1", l.Len())
+	r, ok := s.Get("ada")
+	if !ok || r.Prefs != quiet || r.Version != 2 || r.Compiled.PrefsVersion != 2 {
+		t.Errorf("row after re-assessment = %+v", r)
+	}
+	if total.Load() != 1 {
+		t.Errorf("row count = %d, want 1", total.Load())
 	}
 }
 
-// TestRebuildSwapsPolicy cold-rebuilds against a wider policy and checks
-// the rows and aggregates all moved to the new assessment.
+// TestRebuildSwapsPolicy rebuilds against a wider policy and checks the
+// rows, their compiled columns and the aggregates all moved to the new
+// assessment.
 func TestRebuildSwapsPolicy(t *testing.T) {
 	a1, gen := testAssessor(t, 19, 1)
 	pop := population.PrefsOf(gen.Generate(80))
-	l, err := New(a1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := newTable(a1, 3)
 	for i, p := range pop {
-		l.Upsert(p.Provider, p, uint64(i+1))
+		tab.upsert(p, uint64(i+1))
 	}
 	a2, _ := testAssessor(t, 19, 4) // maximally wide: strictly more violations
-	l.Rebuild(a2, 2)
-	if l.PolicyVersion() != 2 {
-		t.Errorf("policy version = %d, want 2", l.PolicyVersion())
-	}
+	RebuildShards(tab.shards, a2)
 	want := a2.AssessPopulation(sortedPop(pop))
-	got := l.Snapshot()
+	got := tab.snapshot()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("rebuild diverges: got PW=%g total=%g, want PW=%g total=%g",
 			got.PW, got.TotalViolations, want.PW, want.TotalViolations)
 	}
-	if rep, ok := l.Report(pop[0].Provider); !ok || !reflect.DeepEqual(rep, want.Providers[indexOf(want, pop[0].Provider)]) {
+	r, ok := tab.shard(pop[0].Provider).Get(pop[0].Provider)
+	if !ok || !reflect.DeepEqual(r.Report, want.Providers[indexOf(want, pop[0].Provider)]) {
 		t.Error("per-provider row not rebuilt")
+	}
+	if !r.Compiled.CurrentFor(a2) || r.Version != 1 || r.Compiled.PrefsVersion != 1 {
+		t.Errorf("rebuilt row: compiled current=%v version=%d", r.Compiled.CurrentFor(a2), r.Version)
+	}
+	sum := tab.summary()
+	if sum.N != want.N || sum.ViolatedCount != want.ViolatedCount || !floatutil.Eq(sum.TotalViolations, want.TotalViolations) {
+		t.Errorf("rebuilt partials %+v disagree with %+v", sum, want)
 	}
 }
 
@@ -209,61 +260,66 @@ func indexOf(rep core.PopulationReport, provider string) int {
 	return -1
 }
 
-// TestUpsertBatchMatchesSequential pins the worker-pool batch path to the
-// serial path.
+// TestUpsertBatchMatchesSequential pins the batch path (sorted merge of
+// new keys, last item wins for a repeated key) to the serial path.
 func TestUpsertBatchMatchesSequential(t *testing.T) {
 	a, gen := testAssessor(t, 23, 2)
 	pop := population.PrefsOf(gen.Generate(150))
-	serial, err := New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := make([]Item, len(pop))
+	n := len(pop)
+	// The batch repeats its last key, which must win as in serial order.
+	pop = append(pop, privacy.NewPrefs(pop[n-1].Provider, 0.5))
+	serial, batch := newTable(a, 1), newTable(a, 1)
+	var items []Item
 	for i, p := range pop {
-		serial.Upsert(p.Provider, p, uint64(i+1))
-		items[i] = Item{Key: p.Provider, Prefs: p, Version: uint64(i + 1)}
+		serial.upsert(p, uint64(i+1))
+		if i < 20 { // seeded one by one, so the batch merges into a non-empty key list
+			batch.upsert(p, uint64(i+1))
+		} else {
+			items = append(items, Item{Key: p.Provider, Prefs: p, Compiled: a.Compile(p), Version: uint64(i + 1)})
+		}
 	}
-	batch.UpsertBatch(items)
-	if !reflect.DeepEqual(batch.Snapshot(), serial.Snapshot()) {
+	batch.shards[0].UpsertBatch(a, items)
+	if !reflect.DeepEqual(batch.snapshot(), serial.snapshot()) || batch.summary() != serial.summary() {
 		t.Error("batch and serial upserts disagree")
+	}
+	if keys, _ := batch.shards[0].Rows(); !sort.StringsAreSorted(keys) || len(keys) != n || batch.total.Load() != int64(n) {
+		t.Errorf("batch key list: sorted=%v len=%d count=%d, want %d", sort.StringsAreSorted(keys), len(keys), batch.total.Load(), n)
 	}
 }
 
-// TestWouldDefaultSorted checks the defaulting set is emitted in sorted
-// key order.
+// TestWouldDefaultSorted checks the defaulting rows come out of a
+// multi-shard snapshot in sorted key order.
 func TestWouldDefaultSorted(t *testing.T) {
 	a, _ := testAssessor(t, 5, 4)
-	l, err := New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := newTable(a, 3)
 	for _, name := range []string{"zoe", "ada", "mel"} {
 		p := privacy.NewPrefs(name, 0) // any positive violation defaults
 		p.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
-		l.Upsert(name, p, 1)
+		tab.upsert(p, 1)
 	}
-	got := l.WouldDefault()
+	var got []string
+	for _, r := range tab.snapshot().Providers {
+		if r.Defaults {
+			got = append(got, r.Provider)
+		}
+	}
 	want := []string{"ada", "mel", "zoe"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("WouldDefault = %v, want %v", got, want)
+		t.Errorf("defaulting rows = %v, want %v", got, want)
 	}
 }
 
-// TestReportMiss covers the absent-provider read.
+// TestReportMiss covers the absent-provider read and the empty table.
 func TestReportMiss(t *testing.T) {
 	a, _ := testAssessor(t, 2, 2)
-	l, err := New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := l.Report("ghost"); ok {
+	tab := newTable(a, 2)
+	if _, ok := tab.shard("ghost").Get("ghost"); ok {
 		t.Error("absent provider should miss")
 	}
-	if s := l.Summary(); s.N != 0 || !floatutil.Zero(s.PW) {
+	if s := tab.summary(); s.N != 0 || !floatutil.Zero(s.PW()) {
 		t.Errorf("empty summary = %+v", s)
+	}
+	if rep := tab.snapshot(); rep.N != 0 || len(rep.Providers) != 0 {
+		t.Errorf("empty snapshot = %+v", rep)
 	}
 }

@@ -7,22 +7,20 @@ import (
 )
 
 // TestMetricsCounters pins the instrumentation to the memoization
-// semantics: a repeated Upsert with an unchanged version is a hit, a
+// semantics: a repeated upsert with an unchanged version is a hit, a
 // version bump is a miss plus a delta apply, a batch counts one miss per
-// item, and a policy swap counts one rebuild. Counters live in the shared
-// default registry, so the test asserts deltas, not absolutes.
+// item, and a table rebuild counts once however many shards it has.
+// Counters live in the shared default registry, so the test asserts
+// deltas, not absolutes.
 func TestMetricsCounters(t *testing.T) {
 	a, gen := testAssessor(t, 11, 2)
 	pop := population.PrefsOf(gen.Generate(10))
-	l, err := New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := newTable(a, 3)
 	hits0, misses0 := mMemoHits.Value(), mMemoMisses.Value()
 	applies0, rebuilds0 := mDeltaApplies.Value(), mRebuilds.Value()
 
 	for i, p := range pop {
-		l.Upsert(p.Provider, p, uint64(i+1))
+		tab.upsert(p, uint64(i+1))
 	}
 	if got := mMemoMisses.Value() - misses0; got != 10 {
 		t.Errorf("first-time upserts: misses moved %d, want 10", got)
@@ -33,7 +31,7 @@ func TestMetricsCounters(t *testing.T) {
 
 	// Same versions again: pure memo hits, no new applies.
 	for i, p := range pop {
-		l.Upsert(p.Provider, p, uint64(i+1))
+		tab.upsert(p, uint64(i+1))
 	}
 	if got := mMemoHits.Value() - hits0; got != 10 {
 		t.Errorf("repeat upserts: hits moved %d, want 10", got)
@@ -43,7 +41,7 @@ func TestMetricsCounters(t *testing.T) {
 	}
 
 	// A version bump is a miss + apply.
-	l.Upsert(pop[0].Provider, pop[0], 99)
+	tab.upsert(pop[0], 99)
 	if got := mMemoMisses.Value() - misses0; got != 11 {
 		t.Errorf("version bump: misses moved %d, want 11", got)
 	}
@@ -53,22 +51,22 @@ func TestMetricsCounters(t *testing.T) {
 	for i, p := range pop {
 		batch = append(batch, Item{Key: p.Provider, Prefs: p, Version: uint64(100 + i)})
 	}
-	l.UpsertBatch(batch)
+	tab.shards[0].UpsertBatch(a, batch)
 	if got := mMemoMisses.Value() - misses0; got != 21 {
 		t.Errorf("batch: misses moved %d, want 21", got)
 	}
 	a2, _ := testAssessor(t, 11, 1)
-	l.Rebuild(a2, 2)
+	RebuildShards(tab.shards, a2)
 	if got := mRebuilds.Value() - rebuilds0; got != 1 {
 		t.Errorf("rebuilds moved %d, want 1", got)
 	}
 
-	// The rows gauge tracks this ledger (last mutator wins process-wide).
-	if got := int(mRows.Value()); got != l.Len() {
-		t.Errorf("rows gauge = %d, want %d", got, l.Len())
+	// The rows gauge tracks this table (last mutator wins process-wide).
+	if got := mRows.Value(); int64(got) != tab.total.Load() {
+		t.Errorf("rows gauge = %g, want %d", got, tab.total.Load())
 	}
-	l.Remove(pop[0].Provider)
-	if got := int(mRows.Value()); got != l.Len() {
-		t.Errorf("rows gauge after remove = %d, want %d", got, l.Len())
+	tab.shard(pop[0].Provider).Remove(pop[0].Provider)
+	if got := mRows.Value(); int64(got) != tab.total.Load() {
+		t.Errorf("rows gauge after remove = %g, want %d", got, tab.total.Load())
 	}
 }

@@ -1,18 +1,18 @@
 package ledger
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/population"
 	"repro/internal/privacy"
 )
 
-// TestConcurrentLedger hammers the ledger with parallel upserts, removals,
-// rebuilds and reads; run under -race (scripts/ci.sh does). After the dust
-// settles the materialized view must equal a fresh full assessment.
+// TestConcurrentLedger hammers the Ledger wrapper with parallel upserts,
+// batches, rebuilds and snapshots; run under -race (scripts/ci.sh does).
+// After the dust settles the table must equal a fresh full assessment.
 func TestConcurrentLedger(t *testing.T) {
 	a1, gen := testAssessor(t, 31, 2)
 	a2, _ := testAssessor(t, 31, 3)
@@ -20,7 +20,7 @@ func TestConcurrentLedger(t *testing.T) {
 	_, gen2 := testAssessor(t, 77, 2)
 	edits := population.PrefsOf(gen2.Generate(120))
 
-	l, err := New(a1, 1)
+	l, err := NewSharded(a1, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,18 +39,17 @@ func TestConcurrentLedger(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				p := edits[(w*rounds+i)%len(edits)]
-				l.Upsert(p.Provider, p, uint64(1000+w*rounds+i))
+				l.UpsertCompiled(p.Provider, p, nil, uint64(1000+w*rounds+i))
 			}
 		}(w)
 	}
-	// Remover + re-adder.
+	// Batch re-loader.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			p := pop[i%7]
-			l.Remove(p.Provider)
-			l.Upsert(p.Provider, p, uint64(5000+i))
+			l.UpsertBatch([]Item{{Key: p.Provider, Prefs: p, Version: uint64(5000 + i)}})
 		}
 	}()
 	// Rebuilder: swap policy back and forth.
@@ -68,34 +67,30 @@ func TestConcurrentLedger(t *testing.T) {
 	// Readers.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				_ = l.Summary()
-				_ = l.Snapshot()
-				_, _ = l.Report(fmt.Sprintf("provider-%04d", i%len(pop)))
-				_ = l.WouldDefault()
-				_ = l.Len()
+				if rep := l.Snapshot(); rep.N != len(pop) {
+					t.Errorf("snapshot N = %d, want %d", rep.N, len(pop))
+					return
+				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	// Quiesced: one final rebuild pins every row to a1, and the view must
-	// match assessing whatever population survived (white-box: read the
-	// surviving prefs straight out of the entries, in key order).
+	// Quiesced: one final rebuild pins every row to a1, and the table must
+	// match assessing whatever preferences survived (white-box: read them
+	// straight out of the shards, in global key order).
 	l.Rebuild(a1, 100)
 	snap := l.Snapshot()
-	l.mu.RLock()
-	keys, _ := l.mergedRowsLocked()
-	survivors := make([]*privacy.Prefs, 0, len(keys))
-	for _, k := range keys {
-		s := l.shardOf(k)
-		s.mu.RLock()
-		survivors = append(survivors, s.entries[k].prefs)
-		s.mu.RUnlock()
+	keys := make([][]string, len(l.shards))
+	rows := make([][]*Row, len(l.shards))
+	for i, s := range l.shards {
+		keys[i], rows[i] = s.Rows()
 	}
-	l.mu.RUnlock()
+	survivors := make([]*privacy.Prefs, 0, len(pop))
+	core.MergeSorted(keys, func(r, i int) { survivors = append(survivors, rows[r][i].Prefs) })
 	want := a1.AssessPopulation(survivors)
 	if !reflect.DeepEqual(snap, want) {
 		t.Errorf("post-stress snapshot inconsistent: N=%d PW=%g total=%g vs recompute PW=%g total=%g",

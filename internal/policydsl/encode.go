@@ -10,7 +10,10 @@ import (
 )
 
 // Render produces DSL text for a document; Parse(Render(doc)) is equivalent
-// to doc (levels render as scale names where possible).
+// to doc (levels render as scale names where possible). Policy and provider
+// names are written between quotes byte for byte, the way the lexer reads
+// them back; attribute names and purposes are written bare when they lex as
+// one identifier and quoted otherwise.
 func Render(doc *Document) string {
 	var b strings.Builder
 	sc := doc.Scales
@@ -26,16 +29,16 @@ func Render(doc *Document) string {
 	}
 	writeTuple := func(indent string, t privacy.Tuple) {
 		fmt.Fprintf(&b, "%stuple purpose=%s visibility=%s granularity=%s retention=%s\n",
-			indent, t.Purpose,
+			indent, word(string(t.Purpose)),
 			levelName(privacy.DimVisibility, t.Visibility),
 			levelName(privacy.DimGranularity, t.Granularity),
 			levelName(privacy.DimRetention, t.Retention))
 	}
 
 	if doc.Policy != nil {
-		fmt.Fprintf(&b, "policy %q {\n", doc.Policy.Name)
+		fmt.Fprintf(&b, "policy \"%s\" {\n", doc.Policy.Name)
 		for _, attr := range doc.Policy.Attributes() {
-			fmt.Fprintf(&b, "  attr %s {\n", attr)
+			fmt.Fprintf(&b, "  attr %s {\n", word(attr))
 			for _, e := range doc.Policy.ForAttribute(attr) {
 				writeTuple("    ", e.Tuple)
 			}
@@ -47,15 +50,15 @@ func Render(doc *Document) string {
 		}
 		sort.Strings(attrs)
 		for _, a := range attrs {
-			fmt.Fprintf(&b, "  sensitivity %s %g\n", a, doc.AttrSens[a])
+			fmt.Fprintf(&b, "  sensitivity %s %g\n", word(a), doc.AttrSens[a])
 		}
 		b.WriteString("}\n")
 	}
 
 	for _, prov := range doc.Providers {
-		fmt.Fprintf(&b, "\nprovider %q threshold %g {\n", prov.Provider, prov.Threshold)
+		fmt.Fprintf(&b, "\nprovider \"%s\" threshold %g {\n", prov.Provider, prov.Threshold)
 		for _, attr := range providerAttrs(prov) {
-			fmt.Fprintf(&b, "  attr %s {\n", attr)
+			fmt.Fprintf(&b, "  attr %s {\n", word(attr))
 			// Render the per-attribute default sensitivity when it is not
 			// the unit default.
 			purposes := map[privacy.Purpose]bool{}
@@ -81,7 +84,7 @@ func Render(doc *Document) string {
 			for _, pr := range prs {
 				if s := prov.Sensitivity(attr, privacy.Purpose(pr)); s != def {
 					fmt.Fprintf(&b, "    sens purpose=%s value=%g v=%g g=%g r=%g\n",
-						pr, s.Value, s.Visibility, s.Granularity, s.Retention)
+						word(pr), s.Value, s.Visibility, s.Granularity, s.Retention)
 				}
 			}
 			for _, e := range prov.ForAttribute(attr) {
@@ -92,6 +95,15 @@ func Render(doc *Document) string {
 		b.WriteString("}\n")
 	}
 	return b.String()
+}
+
+// word renders an attribute name or purpose: bare when it lexes as one
+// identifier, quoted otherwise (a parsed name never holds '"' or a newline).
+func word(s string) string {
+	if isIdent(s) {
+		return s
+	}
+	return `"` + s + `"`
 }
 
 // providerAttrs returns the sorted union of a provider's tuple-bearing and

@@ -20,13 +20,17 @@
 //	}
 //
 // Level values may be scale names (on the document's scales, default
-// taxonomy scales) or bare integers.
+// taxonomy scales) or bare integers. Identifiers are UTF-8 letters, digits,
+// '_' and '-'. Quoted strings carry their bytes verbatim up to the next '"'
+// — there are no escapes — so a name holding '"' or a newline cannot be
+// written, and privacy validation refuses such names.
 package policydsl
 
 import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind int
@@ -109,15 +113,24 @@ func lex(src string) ([]tok, error) {
 			}
 			toks = append(toks, tok{tNumber, src[i:j], line})
 			i = j
-		case isIdentRune(rune(c)):
+		default:
 			j := i
-			for j < len(src) && isIdentRune(rune(src[j])) {
-				j++
+			for j < len(src) {
+				r, size := utf8.DecodeRuneInString(src[j:])
+				if !isIdentRune(r) { // utf8.RuneError included
+					break
+				}
+				j += size
+			}
+			if j == i {
+				r, size := utf8.DecodeRuneInString(src[i:])
+				if r == utf8.RuneError && size == 1 {
+					return nil, fmt.Errorf("policydsl: line %d: invalid UTF-8 byte %#x", line, src[i])
+				}
+				return nil, fmt.Errorf("policydsl: line %d: unexpected character %q", line, r)
 			}
 			toks = append(toks, tok{tIdent, src[i:j], line})
 			i = j
-		default:
-			return nil, fmt.Errorf("policydsl: line %d: unexpected character %q", line, string(c))
 		}
 	}
 	toks = append(toks, tok{kind: tEOF, line: line})
@@ -131,4 +144,17 @@ func isNumStart(c byte) bool { return isDigit(c) || c == '-' || c == '+' }
 // like "third-party" and "email-marketing" are single identifiers).
 func isIdentRune(r rune) bool {
 	return r == '_' || r == '-' || unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// isIdent reports whether s lexes back as exactly one identifier token.
+func isIdent(s string) bool {
+	if s == "" || isNumStart(s[0]) {
+		return false
+	}
+	for _, r := range s {
+		if !isIdentRune(r) {
+			return false
+		}
+	}
+	return true
 }

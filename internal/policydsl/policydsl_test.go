@@ -121,7 +121,8 @@ func TestParseErrors(t *testing.T) {
 		`policy "p" { attr x { tuple purpose=q visibility=-1 granularity=0 retention=0 } }`,
 		`wat`,
 		`policy "unterminated string`,
-		"policy \"p\" { attr x { tuple purpose=q visibility=99 granularity=0 retention=0 } }", // off scale
+		"policy \"p\" { attr x { tuple purpose=q visibility=99 granularity=0 retention=0 } }",   // off scale
+		"policy \"p\" { attr \xc1 { tuple purpose=q visibility=0 granularity=0 retention=0 } }", // invalid UTF-8 identifier
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -246,5 +247,29 @@ func TestParseWithCustomScales(t *testing.T) {
 	// Invalid scales rejected.
 	if _, err := ParseWithScales("", privacy.Scales{}); err == nil {
 		t.Error("invalid scales should fail")
+	}
+}
+
+// TestUTF8IdentifiersAndVerbatimNames pins the lexing and rendering rules
+// the round trip depends on (FuzzPolicyDSL checks the round trip itself):
+// identifiers are UTF-8 words, quoted names are byte strings with no
+// escapes, and words that are not identifiers render quoted.
+func TestUTF8IdentifiersAndVerbatimNames(t *testing.T) {
+	src := "policy \"clinic\\v1 \xfd\" { attr größe { tuple purpose=poids_é visibility=0 granularity=0 retention=0 } " +
+		"attr \"blood type\" { tuple purpose=\"3\" visibility=0 granularity=0 retention=0 } }\n" +
+		"provider \"ann\\bee\" threshold 1 { }"
+	doc, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Policy.Name != "clinic\\v1 \xfd" || doc.Providers[0].Provider != `ann\bee` {
+		t.Errorf("names = %q, %q", doc.Policy.Name, doc.Providers[0].Provider)
+	}
+	out := Render(doc)
+	for _, want := range []string{"policy \"clinic\\v1 \xfd\" {", "provider \"ann\\bee\"", "attr größe {",
+		"attr \"blood type\" {", "purpose=poids_é", "purpose=\"3\""} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/metrics"
 )
 
 // Certification call counters by answer path (DESIGN.md §10): incremental
-// (ledger snapshot), full (the O(N) recompute — also the fallback the
-// ledgerless paths of Certify/CertifySummary land on), and summary (the
-// O(1) aggregate read).
+// (assembled from the memoized rows), full (the O(N) recompute of
+// CertifyFull), and summary (the O(P) aggregate read).
 var (
 	mCertifyIncremental = metrics.Default.Counter("ppdb_certify_total",
 		"certifications by answer path", "path", "incremental")
@@ -43,10 +43,9 @@ type Certification struct {
 }
 
 // CertificationSummary is the aggregate-only certification: the population
-// quantities without per-provider rows. With the ledger enabled it is
-// answered from the running aggregates in O(1); TotalViolations is then
-// the running float total (last-ulp approximate — see internal/ledger),
-// while every other field is exact.
+// quantities without per-provider rows, answered from the shards' running
+// aggregates in O(P). TotalViolations is the running float total (last-ulp
+// approximate — see internal/ledger); every other field is exact.
 type CertificationSummary struct {
 	At              time.Time
 	PolicyName      string
@@ -63,35 +62,31 @@ type CertificationSummary struct {
 }
 
 // Certify assesses the current policy against every registered provider and
-// issues the α verdict. With the ledger enabled the report is assembled
-// from the memoized per-provider rows — O(N) copying, zero re-assessment
-// after an O(changed) delta apply; otherwise it falls back to the full
-// recompute of CertifyFull. Both paths produce identical results.
+// issues the α verdict. The report is assembled from the memoized
+// per-provider rows — O(N) copying, zero re-assessment — and is
+// byte-identical to CertifyFull.
 func (d *DB) Certify(alpha float64) (*Certification, error) {
 	if err := checkAlpha(alpha); err != nil {
 		return nil, err
-	}
-	if d.ledger == nil {
-		return d.CertifyFull(alpha)
 	}
 	mCertifyIncremental.Inc()
 	d.mu.RLock()
 	policy := d.policy
 	now := d.now
-	rep := d.ledger.Snapshot()
+	keys, rows := d.snapshotShared()
 	d.mu.RUnlock()
-	return certification(now, policy.Name, alpha, rep), nil
+	return certification(now, policy.Name, alpha, ledger.Assemble(keys, rows)), nil
 }
 
 // CertifyFull recomputes the certification from scratch over the whole
-// population — the O(N) cold path, kept as the ledger's fallback and as the
-// oracle the equivalence tests compare against. It runs the columnar kernel
-// (DESIGN.md §13) over each shard's compiled tuple columns, one worker and
-// one scratch arena per shard, then merges the per-shard sorted rows into
-// global sorted provider order before assembling — the same enumeration and
-// float-sum order as the serial row-oriented recompute, so the result is
-// bit-identical to it (providers without compiled columns fall back to the
-// reference assessment per row).
+// population — the O(N) cold path, kept as the oracle the equivalence tests
+// compare Certify against. It runs the columnar kernel (DESIGN.md §13) over
+// each shard's compiled tuple columns, one worker and one scratch arena per
+// shard, then merges the per-shard sorted rows into global sorted provider
+// order before assembling — the same enumeration and float-sum order as the
+// serial row-oriented recompute, so the result is bit-identical to it
+// (providers without compiled columns fall back to the reference
+// assessment per row).
 //
 //lint:deterministic certification bytes are the paper's auditable artifact (Eq. 12-16)
 func (d *DB) CertifyFull(alpha float64) (*Certification, error) {
@@ -103,98 +98,51 @@ func (d *DB) CertifyFull(alpha float64) (*Certification, error) {
 	policy := d.policy
 	assessor := d.assessor
 	now := d.now
-	snaps := d.snapshotShardsShared()
+	keys, rows := d.snapshotShared()
 	d.mu.RUnlock()
 
-	// Assess shard-by-shard: the states are immutable snapshots, so no lock
-	// is needed; each worker reuses one scratch arena across its whole run.
-	rowsByShard := make([][]core.ProviderReport, len(snaps))
-	core.FanOut(len(snaps), len(snaps), func(i int) {
-		sn := snaps[i]
-		if len(sn.keys) == 0 {
-			return
-		}
-		rows := make([]core.ProviderReport, len(sn.states))
+	// Assess shard-by-shard: the rows are immutable, so no lock is needed;
+	// each worker reuses one scratch arena across its whole run.
+	reps := make([][]core.ProviderReport, len(rows))
+	core.FanOut(len(rows), len(rows), func(i int) {
+		out := make([]core.ProviderReport, len(rows[i]))
 		var sc core.Scratch
-		for j, st := range sn.states {
-			rows[j] = assessor.AssessRow(st.prefs, st.compiled, &sc)
+		for j, r := range rows[i] {
+			out[j] = assessor.AssessRow(r.Prefs, r.Compiled, &sc)
 		}
-		rowsByShard[i] = rows
+		reps[i] = out
 	})
-
-	// P-way merge of the per-shard sorted runs into global sorted provider
-	// order — the canonical float-sum order of AssemblePopulation.
-	total := 0
-	for i := range snaps {
-		total += len(snaps[i].keys)
-	}
-	rows := make([]core.ProviderReport, 0, total)
-	cursors := make([]int, len(snaps))
-	for len(rows) < total {
-		best := -1
-		for i := range snaps {
-			if cursors[i] >= len(snaps[i].keys) {
-				continue
-			}
-			if best < 0 || snaps[i].keys[cursors[i]] < snaps[best].keys[cursors[best]] {
-				best = i
-			}
-		}
-		rows = append(rows, rowsByShard[best][cursors[best]])
-		cursors[best]++
-	}
-	rep := core.AssemblePopulation(rows)
-	return certification(now, policy.Name, alpha, rep), nil
+	merged := make([]core.ProviderReport, 0, d.NumProviders())
+	core.MergeSorted(keys, func(r, i int) { merged = append(merged, reps[r][i]) })
+	return certification(now, policy.Name, alpha, core.AssemblePopulation(merged)), nil
 }
 
 // CertifySummary answers the population-level certification without
-// materializing per-provider rows. With the ledger enabled this is O(1).
+// materializing per-provider rows, in O(P).
 func (d *DB) CertifySummary(alpha float64) (*CertificationSummary, error) {
 	if err := checkAlpha(alpha); err != nil {
 		return nil, err
-	}
-	if d.ledger == nil {
-		cert, err := d.CertifyFull(alpha)
-		if err != nil {
-			return nil, err
-		}
-		d.mu.RLock()
-		version := d.policyVersion
-		d.mu.RUnlock()
-		return &CertificationSummary{
-			At:              cert.At,
-			PolicyName:      cert.PolicyName,
-			PolicyVersion:   version,
-			Alpha:           alpha,
-			N:               cert.Report.N,
-			ViolatedCount:   cert.Report.ViolatedCount,
-			DefaultCount:    cert.Report.DefaultCount,
-			TotalViolations: cert.Report.TotalViolations,
-			PW:              cert.Report.PW,
-			PDefault:        cert.Report.PDefault,
-			IsAlphaPPDB:     cert.IsAlphaPPDB,
-			MinAlpha:        cert.Report.PW,
-		}, nil
 	}
 	mCertifySummary.Inc()
 	d.mu.RLock()
 	policy := d.policy
 	now := d.now
-	sum := d.ledger.Summary()
+	version := d.policyVersion
+	sum := d.summaryShared()
 	d.mu.RUnlock()
 	return &CertificationSummary{
 		At:              now,
 		PolicyName:      policy.Name,
-		PolicyVersion:   sum.PolicyVersion,
+		PolicyVersion:   version,
 		Alpha:           alpha,
 		N:               sum.N,
 		ViolatedCount:   sum.ViolatedCount,
 		DefaultCount:    sum.DefaultCount,
 		TotalViolations: sum.TotalViolations,
-		PW:              sum.PW,
-		PDefault:        sum.PDefault,
-		IsAlphaPPDB:     core.IsAlphaPPDB(sum.PW, alpha),
-		MinAlpha:        sum.PW,
+		PW:              sum.PW(),
+		PDefault:        sum.PDefault(),
+		IsAlphaPPDB:     core.IsAlphaPPDB(sum.PW(), alpha),
+		MinAlpha:        sum.PW(),
 	}, nil
 }
 

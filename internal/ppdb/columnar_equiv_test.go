@@ -55,20 +55,20 @@ func TestColumnarKernelMatchesReferenceAcrossShards(t *testing.T) {
 				// walk field-for-field.
 				db.mu.RLock()
 				assessor := db.assessor
-				snaps := db.snapshotShardsShared()
+				keys, rows := db.snapshotShared()
 				db.mu.RUnlock()
 				var sc core.Scratch
 				checked := 0
-				for _, sn := range snaps {
-					for j, st := range sn.states {
-						if !st.compiled.CurrentFor(assessor) {
-							t.Fatalf("shards=%d: provider %s has stale or missing compiled columns", shards, sn.keys[j])
+				for i := range rows {
+					for j, r := range rows[i] {
+						if !r.Compiled.CurrentFor(assessor) {
+							t.Fatalf("shards=%d: provider %s has stale or missing compiled columns", shards, keys[i][j])
 						}
-						want := assessor.AssessProvider(st.prefs)
-						got := assessor.AssessCompiled(st.compiled, &sc)
+						want := assessor.AssessProvider(r.Prefs)
+						got := assessor.AssessCompiled(r.Compiled, &sc)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("shards=%d: kernel report for %s differs\n got: %+v\nwant: %+v",
-								shards, sn.keys[j], got, want)
+								shards, keys[i][j], got, want)
 						}
 						checked++
 					}

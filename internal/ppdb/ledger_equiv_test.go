@@ -45,8 +45,8 @@ func mustJSON(t testing.TB, v any) []byte {
 	return b
 }
 
-// requireCertEquiv asserts the ledger-backed Certify and the seed
-// full-recompute CertifyFull produce byte-identical output — PW, PDefault,
+// requireCertEquiv asserts the memoized-row Certify and the full-recompute
+// CertifyFull produce byte-identical output — PW, PDefault,
 // per-provider Violation_i rows and WouldDefault all included.
 func requireCertEquiv(t *testing.T, db *DB, alpha float64, stage string) {
 	t.Helper()
@@ -149,48 +149,39 @@ func TestLedgerCertifyEquivalence(t *testing.T) {
 	}
 }
 
-// TestLedgerPolicyDeltaMatchesFallback pins SetPolicy's what-if deltas on
-// the ledger path to the full-recompute path of a ledger-disabled twin.
-func TestLedgerPolicyDeltaMatchesFallback(t *testing.T) {
+// TestPolicyDeltaMatchesCertifyFull pins SetPolicy's what-if deltas, read
+// from the shards' running aggregates around the rebuild, to full
+// recomputes before and after the swap.
+func TestPolicyDeltaMatchesCertifyFull(t *testing.T) {
 	gen := equivGenerator(t, 99)
 	pop := population.PrefsOf(gen.Generate(120))
-	mk := func(disable bool) *DB {
-		db, err := New(Config{
-			Policy:             equivPolicy("v1", 2),
-			AttrSens:           gen.AttributeSensitivities(),
-			DisableIncremental: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.RegisterProviders(pop); err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	ledgered, fallback := mk(false), mk(true)
-	c1, err := ledgered.SetPolicy(equivPolicy("v2", 3))
+	db, err := New(Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := fallback.SetPolicy(equivPolicy("v2", 3))
+	if err := db.RegisterProviders(pop); err != nil {
+		t.Fatal(err)
+	}
+	before, err := db.CertifyFull(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !floatutil.Eq(c1.DeltaPW, c2.DeltaPW) || !floatutil.Eq(c1.DeltaPDefault, c2.DeltaPDefault) {
-		t.Errorf("policy-change deltas disagree: ledger %+v vs fallback %+v", c1, c2)
-	}
-	// And the disabled-ledger DB must still certify correctly via the
-	// fallback (Certify == CertifyFull trivially).
-	inc, err := fallback.Certify(0.5)
+	change, err := db.SetPolicy(equivPolicy("v2", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := fallback.CertifyFull(0.5)
+	after, err := db.CertifyFull(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mustJSON(t, inc), mustJSON(t, full)) {
-		t.Error("disabled-ledger Certify must equal CertifyFull")
+	wantPW := after.Report.PW - before.Report.PW
+	wantPDefault := after.Report.PDefault - before.Report.PDefault
+	if !floatutil.Eq(change.DeltaPW, wantPW) || !floatutil.Eq(change.DeltaPDefault, wantPDefault) {
+		t.Errorf("policy-change deltas (%g, %g) disagree with full recomputes (%g, %g)",
+			change.DeltaPW, change.DeltaPDefault, wantPW, wantPDefault)
 	}
+	if floatutil.Zero(wantPW) {
+		t.Error("fixture swap moved no provider; the delta check is vacuous")
+	}
+	requireCertEquiv(t, db, 0.5, "after policy swap")
 }

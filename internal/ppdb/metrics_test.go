@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/analysis/floatutil"
+	"repro/internal/metrics"
+	"repro/internal/privacy"
 )
 
 // TestCertifyPathCounters pins the per-path certification counters:
-// ledger-backed DBs answer Certify incrementally and CertifySummary from
-// the aggregates; a DisableIncremental DB routes everything through the
-// full recompute. Shared default registry → delta assertions.
+// Certify answers from the memoized rows, CertifySummary from the
+// aggregates, and only the explicit CertifyFull oracle counts as full.
+// Shared default registry → delta assertions.
 func TestCertifyPathCounters(t *testing.T) {
 	db := clinicDB(t)
 	inc0, full0, sum0 := mCertifyIncremental.Value(), mCertifyFull.Value(), mCertifySummary.Value()
@@ -29,7 +31,7 @@ func TestCertifyPathCounters(t *testing.T) {
 		t.Errorf("summary moved %d, want 1", got)
 	}
 	if got := mCertifyFull.Value() - full0; got != 0 {
-		t.Errorf("full moved %d, want 0 on the ledger paths", got)
+		t.Errorf("full moved %d, want 0 on the memoized paths", got)
 	}
 
 	// An invalid α is rejected before any path is counted.
@@ -40,19 +42,54 @@ func TestCertifyPathCounters(t *testing.T) {
 		t.Errorf("rejected alpha still counted: %d", got)
 	}
 
-	// The explicit oracle and the ledgerless fallback count as full.
+	// The explicit oracle counts as full.
 	if _, err := db.CertifyFull(0.5); err != nil {
 		t.Fatal(err)
 	}
-	flat, err := New(Config{Policy: db.Policy(), DisableIncremental: true})
+	if got := mCertifyFull.Value() - full0; got != 1 {
+		t.Errorf("full moved %d, want 1", got)
+	}
+}
+
+// TestLedgerSeriesCountTheStore pins the ledger_* series to the served
+// DB's provider table: one SetPolicy is exactly one rebuild however many
+// shards there are, and ledger_rows follows NumProviders through a
+// registration, a batch and a removal.
+func TestLedgerSeriesCountTheStore(t *testing.T) {
+	rebuilds := metrics.Default.Counter("ledger_rebuilds_total", "")
+	rows := metrics.Default.Gauge("ledger_rows", "")
+	db, err := New(Config{Policy: clinicDB(t).Policy(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flat.Certify(0.5); err != nil {
+	checkRows := func(stage string) {
+		t.Helper()
+		if got := int(rows.Value()); got != db.NumProviders() {
+			t.Errorf("%s: ledger_rows = %d, NumProviders = %d", stage, got, db.NumProviders())
+		}
+	}
+	if err := db.RegisterProvider(privacy.NewPrefs("ann", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := mCertifyFull.Value() - full0; got != 2 {
-		t.Errorf("full moved %d, want 2", got)
+	checkRows("after register")
+	if err := db.RegisterProviders([]*privacy.Prefs{privacy.NewPrefs("bob", 1), privacy.NewPrefs("cy", 1), privacy.NewPrefs("ANN", 2)}); err != nil {
+		t.Fatal(err)
+	}
+	checkRows("after batch")
+	if db.NumProviders() != 3 {
+		t.Errorf("NumProviders = %d, want 3", db.NumProviders())
+	}
+	if _, err := db.RemoveProvider("bob"); err != nil {
+		t.Fatal(err)
+	}
+	checkRows("after remove")
+
+	r0 := rebuilds.Value()
+	if _, err := db.SetPolicy(db.Policy()); err != nil {
+		t.Fatal(err)
+	}
+	if got := rebuilds.Value() - r0; got != 1 {
+		t.Errorf("one SetPolicy moved ledger_rebuilds_total by %d, want 1", got)
 	}
 }
 

@@ -196,3 +196,44 @@ func TestSaveLoadWithNullsAndQuotes(t *testing.T) {
 		t.Errorf("NULL lost: %v", rows[0].Values[1])
 	}
 }
+
+// TestSaveLoadKeepsEscapableNames pins provider identity across a
+// checkpoint for names the DSL encoder once escaped: a backslash must come
+// back as one backslash, not two (which would be a different provider key,
+// its rows left under the old one). A name the DSL cannot carry at all
+// fails at registration, not at the next reload.
+func TestSaveLoadKeepsEscapableNames(t *testing.T) {
+	hp := privacy.NewHousePolicy(`clinic\v1`)
+	hp.Add("weight", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
+	db, err := New(Config{Policy: hp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = `ann\bee`
+	p := privacy.NewPrefs(name, 3)
+	p.Add("weight", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
+	if err := db.RegisterProvider(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterProvider(privacy.NewPrefs(`dr "who"`, 1)); err == nil {
+		t.Error(`provider "dr \"who\"" accepted`)
+	}
+	dir := t.TempDir()
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Load(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db2.Policy().Name != hp.Name {
+		t.Errorf("policy name %q reloaded as %q", hp.Name, db2.Policy().Name)
+	}
+	ps := db2.Providers()
+	if len(ps) != 1 || ps[0].Provider != name {
+		t.Fatalf("providers after reload = %v, want exactly %q", ps, name)
+	}
+	if _, ok := db2.Provider(name); !ok {
+		t.Errorf("provider %q not found under its own key after reload", name)
+	}
+}

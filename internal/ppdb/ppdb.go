@@ -13,15 +13,17 @@
 // stated preferences and the practiced disclosure therefore coincide (the
 // transparency requirement of Sec. 1).
 //
-// Concurrency (DESIGN.md §11): provider state is sharded by FNV-1a hash of
-// the canonical provider key (core.ShardIndex) into Config.Shards shards,
-// each with its own lock and a matching ledger partition. Point operations
-// on different providers therefore never contend, and the population-scale
-// paths — CertifyFull, bulk registration, policy rebuilds, sweeps, saves —
-// fan out one goroutine per shard. The top-level d.mu still guards the
-// cross-shard state (policy, tables, clock, logs): readers of any shard
-// hold it shared, structural changes hold it exclusively. Lock order is
-// always d.mu → dbShard.mu → ledger locks.
+// Concurrency (DESIGN.md §11): providers are sharded by FNV-1a hash of the
+// canonical provider key (core.ShardIndex) into Config.Shards shards. Each
+// shard is one lock around one partition of the provider table
+// (ledger.Shard: prefs, compiled columns and memoized report per provider,
+// plus the shard's running aggregate), so point operations on different
+// providers never contend, and the population-scale paths — CertifyFull,
+// bulk registration, policy rebuilds, sweeps, saves — fan out one goroutine
+// per shard. The top-level d.mu guards the cross-shard state (policy,
+// tables, clock, logs): readers of any shard hold it shared, structural
+// changes hold it exclusively. Lock order is always d.mu → dbShard.mu →
+// wal.Log.
 package ppdb
 
 import (
@@ -51,24 +53,18 @@ var (
 	mProviders = metrics.Default.Gauge("ppdb_providers",
 		"registered data providers (the population size N)")
 	mPW = metrics.Default.Gauge("ppdb_pw",
-		"current P(W), the fraction of providers with at least one violation (Def. 2); ledger-backed DBs only")
+		"current P(W), the fraction of providers with at least one violation (Def. 2)")
 	mPDefault = metrics.Default.Gauge("ppdb_pdefault",
-		"current P(Default), the fraction of providers whose severity exceeds their threshold (Def. 5); ledger-backed DBs only")
+		"current P(Default), the fraction of providers whose severity exceeds their threshold (Def. 5)")
 )
 
-// publishGauges refreshes the population gauges from the atomic provider
-// count and the ledger aggregates (O(P)). Without a ledger only the
-// provider count is published — recomputing P(W) per mutation would be the
-// O(N) cost DisableIncremental opted out of. Needs no DB lock: the count
-// is atomic and the ledger self-locking.
-func (d *DB) publishGauges() {
-	mProviders.Set(float64(d.nProviders.Load()))
-	if d.ledger == nil {
-		return
-	}
-	sum := d.ledger.Summary()
-	mPW.Set(sum.PW)
-	mPDefault.Set(sum.PDefault)
+// publishGaugesShared refreshes the population gauges from the shards'
+// running aggregates (O(P)). The caller holds d.mu at least shared.
+func (d *DB) publishGaugesShared() {
+	sum := d.summaryShared()
+	mProviders.Set(float64(sum.N))
+	mPW.Set(sum.PW())
+	mPDefault.Set(sum.PDefault())
 }
 
 // rowMeta tracks per-row provenance: who provided it and when.
@@ -86,36 +82,17 @@ type tableMeta struct {
 	rows        map[relational.RowID]*rowMeta
 }
 
-// providerState is one provider's stored state: the registered preferences
-// and their columnar compilation against the current policy (nil when the
-// policy is not maskable — the kernel's fallback case). A providerState is
-// immutable once installed; every registration and every policy recompile
-// installs a fresh value, so certification workers may keep reading a
-// snapshot of states after the shard lock is released.
-type providerState struct {
-	prefs    *privacy.Prefs
-	compiled *core.CompiledPrefs
-	// version is the shard prefsVersion stamped at this provider's latest
-	// registration — the same counter value the ledger row is keyed on, so
-	// a policy recompile can preserve it on the fresh columns.
-	version uint64
-}
-
-// dbShard owns the providers whose canonical key hashes to its index:
-// their preference pointers, their compiled tuple columns, the shard's
-// sorted key list and its monotonic registration counter. Provider keys
-// always land on the same shard index as their ledger partition (both use
-// core.ShardIndex with the same count), so a provider's store shard and
-// ledger shard coincide.
+// dbShard owns the providers whose canonical key hashes to its index: one
+// partition of the provider table (rows sorted by key, the running
+// aggregate) and its monotonic registration counter. mu guards both for
+// holders of d.mu shared; a holder of d.mu exclusive owns every shard
+// outright and takes no shard lock.
 type dbShard struct {
-	mu        sync.RWMutex
-	providers map[string]*providerState
-	// keys mirrors the providers map in sorted order, so population-scale
-	// reads merge per-shard sorted runs instead of re-sorting the world.
-	keys []string
+	mu sync.RWMutex
+	ledger.Shard
 	// prefsVersion counts registrations on this shard; stamped onto each
-	// provider's ledger row and compiled columns. Per-shard counters stay
-	// monotone per provider because a provider never changes shards.
+	// provider's row. Per-shard counters stay monotone per provider because
+	// a provider never changes shards.
 	prefsVersion uint64
 }
 
@@ -126,14 +103,12 @@ type dbShard struct {
 // innermost — mutations append while holding their serializing lock
 // (shard lock or d.mu), and the log acquires nothing:
 //
-//lint:lockorder ppdb.DB < ppdb.dbShard < ledger.Ledger < ledger.shard
-//lint:lockorder ppdb.dbShard < wal.Log
-//lint:lockorder ledger.shard < wal.Log
+//lint:lockorder ppdb.DB < ppdb.dbShard < wal.Log
 type DB struct {
 	// mu guards the cross-shard state below (policy, tables, clock,
-	// logs, assessor, ledger pointer, policyVersion). Shard-local provider
-	// operations hold it shared plus the owning shard's lock; structural
-	// operations (policy swap, table mutation, batch registration) hold it
+	// logs, assessor, policyVersion). Shard-local provider operations hold
+	// it shared plus the owning shard's lock; structural operations (policy
+	// swap, provider removal, table mutation, batch registration) hold it
 	// exclusively. Lock order: mu before any dbShard.mu.
 	mu sync.RWMutex
 
@@ -143,10 +118,10 @@ type DB struct {
 	attrSens privacy.AttributeSensitivities
 	opts     core.Options
 
-	// shards is the provider store, fixed at construction.
+	// shards is the provider table, fixed at construction.
 	shards []*dbShard
-	// nProviders counts registered providers across shards (gauge feed and
-	// O(1) Len without sweeping the shards).
+	// nProviders counts registered providers across shards (the shards
+	// maintain it), so NumProviders needs no shard sweep.
 	nProviders atomic.Int64
 
 	tables map[string]*tableMeta
@@ -162,17 +137,11 @@ type DB struct {
 
 	policyLog []PolicyChange
 
-	// assessor is the cached assessor for (policy, attrSens, opts); it is
-	// rebuilt only by SetPolicy, so the full-recompute fallback paths never
-	// re-validate and reconstruct one per call.
+	// assessor is the cached assessor for (policy, attrSens, opts); every
+	// row in the shards is assessed with it. Only SetPolicy replaces it.
 	assessor *core.Assessor
-	// ledger is the incremental violation view (nil when
-	// Config.DisableIncremental is set); it is constructed once and
-	// self-locking, and every provider/policy mutation keeps it current.
-	// Its shard count equals len(shards).
-	ledger *ledger.Ledger
-	// policyVersion counts SetPolicy transitions; together with the
-	// shards' prefsVersion counters it keys the ledger's memoized rows.
+	// policyVersion counts SetPolicy transitions (reported by
+	// CertifySummary and the what-if engine).
 	policyVersion uint64
 
 	// wal is the attached write-ahead log (nil until AttachWAL, and for
@@ -222,17 +191,11 @@ type Config struct {
 	Retention RetentionSchedule
 	// Start is the initial simulated time; zero means a fixed epoch.
 	Start time.Time
-	// Shards is the number of provider-store/ledger shards (and the width
-	// of every population fan-out); 0 means one per schedulable CPU
+	// Shards is the number of provider-table shards (and the width of
+	// every population fan-out); 0 means one per schedulable CPU
 	// (core.DefaultShards). 1 reproduces the serial pre-sharding behavior
 	// exactly. Certification results are byte-identical for every value.
 	Shards int
-	// DisableIncremental turns off the violation ledger: certification,
-	// self-audits and policy what-ifs fall back to full recomputation over
-	// all providers. Assessment results are identical either way; this
-	// exists for A/B verification and write-heavy workloads that never
-	// certify.
-	DisableIncremental bool
 }
 
 // New builds a PPDB.
@@ -298,21 +261,14 @@ func New(cfg Config) (*DB, error) {
 		policyVersion: 1,
 	}
 	for i := range d.shards {
-		d.shards[i] = &dbShard{providers: make(map[string]*providerState)}
+		d.shards[i] = &dbShard{Shard: ledger.NewShard(&d.nProviders)}
 	}
-	if !cfg.DisableIncremental {
-		led, err := ledger.NewSharded(assessor, d.policyVersion, nShards)
-		if err != nil {
-			return nil, err
-		}
-		d.ledger = led
-	}
-	d.publishGauges()
+	d.publishGaugesShared()
 	return d, nil
 }
 
-// ShardCount returns the number of provider-store shards (also the ledger
-// partition count and the width of population fan-outs).
+// ShardCount returns the number of provider-table shards (also the width
+// of population fan-outs).
 func (d *DB) ShardCount() int { return len(d.shards) }
 
 // NumProviders returns the number of registered providers, O(1) from the
@@ -401,9 +357,9 @@ func (d *DB) RegisterTable(name string, schema *relational.Schema, providerCol s
 
 // RegisterProvider records a provider's preferences. Re-registering replaces
 // the previous preferences (providers may revise them). Each registration
-// bumps the owning shard's prefs version and applies an O(1) delta to the
-// violation ledger, holding only d.mu shared plus that shard's lock — so
-// registrations on different shards proceed in parallel.
+// bumps the owning shard's prefs version and re-assesses that one row (an
+// O(1) delta to the shard's aggregate), holding only d.mu shared plus that
+// shard's lock — so registrations on different shards proceed in parallel.
 func (d *DB) RegisterProvider(p *privacy.Prefs) error {
 	if p == nil {
 		return fmt.Errorf("ppdb: nil preferences")
@@ -413,53 +369,36 @@ func (d *DB) RegisterProvider(p *privacy.Prefs) error {
 	}
 	d.mu.RLock()
 	lsn, err := d.registerShared(p)
+	if err == nil {
+		d.publishGaugesShared()
+	}
 	d.mu.RUnlock()
 	if err != nil {
 		return err
 	}
-	d.publishGauges()
 	return d.walWait(lsn)
 }
 
 // registerShared stores validated preferences under the owning shard's
-// lock, stamping a fresh prefs version and upserting the ledger row. The
-// preferences are compiled into columnar form once, outside the shard
-// lock, and the same columns are shared with the ledger so its delta
-// re-assessment runs the kernel too. The caller holds d.mu at least shared
-// (so the policy cannot swap mid-write). The WAL record is appended inside
-// the shard critical section — WAL order equals apply order — and the
-// returned LSN is handed back so the caller can commit-wait after the
-// locks release.
+// lock with a fresh prefs version, assessing the row with the columnar
+// kernel. The preferences are compiled once, outside the shard lock. The
+// caller holds d.mu at least shared (so the policy cannot swap
+// mid-write). The WAL record is appended inside the shard critical section
+// — WAL order equals apply order — and the returned LSN is handed back so
+// the caller can commit-wait after the locks release.
 func (d *DB) registerShared(p *privacy.Prefs) (uint64, error) {
 	key := strings.ToLower(p.Provider)
 	c := d.assessor.Compile(p)
 	rec := policydsl.ProviderToJSON(p)
 	s := d.shardOf(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	lsn, err := d.walAppendLocked(walRecUpsert, rec)
 	if err != nil {
-		s.mu.Unlock()
 		return 0, err
 	}
-	_, existed := s.providers[key]
 	s.prefsVersion++
-	if c != nil {
-		c.PrefsVersion = s.prefsVersion
-	}
-	s.providers[key] = &providerState{prefs: p, compiled: c, version: s.prefsVersion}
-	if !existed {
-		i := sort.SearchStrings(s.keys, key)
-		s.keys = append(s.keys, "")
-		copy(s.keys[i+1:], s.keys[i:])
-		s.keys[i] = key
-	}
-	if d.ledger != nil {
-		d.ledger.UpsertCompiled(key, p, c, s.prefsVersion)
-	}
-	s.mu.Unlock()
-	if !existed {
-		d.nProviders.Add(1)
-	}
+	s.Upsert(d.assessor, ledger.Item{Key: key, Prefs: p, Compiled: c, Version: s.prefsVersion})
 	d.mutSeq.Add(1)
 	return lsn, nil
 }
@@ -467,8 +406,8 @@ func (d *DB) registerShared(p *privacy.Prefs) (uint64, error) {
 // RegisterProviders records a batch of providers atomically: every
 // preference set is validated before any is stored, the batch holds d.mu
 // exclusively (no interleaved reads observe a half-applied batch), and the
-// store + ledger build fan out one goroutine per shard — the cold-build
-// path Load and the HTTP bulk upload use.
+// rows are built one goroutine per shard — the cold-build path Load and
+// the HTTP bulk upload use.
 func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 	for i, p := range ps {
 		if p == nil {
@@ -493,46 +432,22 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 		i := core.ShardIndex(strings.ToLower(p.Provider), len(d.shards))
 		buckets[i] = append(buckets[i], p)
 	}
-	shardItems := make([][]ledger.Item, len(d.shards))
 	core.FanOut(len(d.shards), len(d.shards), func(i int) {
 		if len(buckets[i]) == 0 {
 			return
 		}
 		s := d.shards[i]
-		s.mu.Lock()
-		items := make([]ledger.Item, 0, len(buckets[i]))
-		var fresh []string
-		for _, p := range buckets[i] {
-			key := strings.ToLower(p.Provider)
-			if _, existed := s.providers[key]; !existed {
-				d.nProviders.Add(1)
-				fresh = append(fresh, key)
-			}
-			c := d.assessor.Compile(p)
+		items := make([]ledger.Item, len(buckets[i]))
+		for j, p := range buckets[i] {
 			s.prefsVersion++
-			if c != nil {
-				c.PrefsVersion = s.prefsVersion
-			}
-			s.providers[key] = &providerState{prefs: p, compiled: c, version: s.prefsVersion}
-			items = append(items, ledger.Item{Key: key, Prefs: p, Compiled: c, Version: s.prefsVersion})
+			items[j] = ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p,
+				Compiled: d.assessor.Compile(p), Version: s.prefsVersion}
 		}
-		if len(fresh) > 0 {
-			sort.Strings(fresh)
-			s.keys = mergeSortedKeys(s.keys, fresh)
-		}
-		s.mu.Unlock()
-		shardItems[i] = items
+		s.UpsertBatch(d.assessor, items)
 	})
-	if d.ledger != nil {
-		all := make([]ledger.Item, 0, len(ps))
-		for _, items := range shardItems {
-			all = append(all, items...)
-		}
-		d.ledger.UpsertBatch(all)
-	}
+	d.publishGaugesShared()
 	d.mu.Unlock()
 	d.mutSeq.Add(1)
-	d.publishGauges()
 	return d.walWait(lsn)
 }
 
@@ -540,46 +455,20 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 func (d *DB) Provider(name string) (*privacy.Prefs, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.lookupShared(strings.ToLower(name))
-}
-
-// lookupShared reads one provider under its shard lock; the caller holds
-// d.mu at least shared.
-func (d *DB) lookupShared(key string) (*privacy.Prefs, bool) {
-	st, ok := d.stateShared(key)
+	r, ok := d.rowShared(strings.ToLower(name))
 	if !ok {
 		return nil, false
 	}
-	return st.prefs, true
+	return r.Prefs, true
 }
 
-// stateShared reads one provider's full stored state (preferences plus
-// compiled columns) under its shard lock; the caller holds d.mu at least
-// shared. The returned state is immutable.
-func (d *DB) stateShared(key string) (*providerState, bool) {
+// rowShared reads one provider's row under its shard lock; the caller holds
+// d.mu at least shared. The returned row is immutable.
+func (d *DB) rowShared(key string) (*ledger.Row, bool) {
 	s := d.shardOf(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st, ok := s.providers[key]
-	return st, ok
-}
-
-// mergeSortedKeys merges a sorted key list with a sorted batch of new keys
-// (disjoint from the existing list) into one sorted list.
-func mergeSortedKeys(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return s.Get(key)
 }
 
 // Providers returns all registered preferences, sorted by provider key so
@@ -588,7 +477,8 @@ func mergeSortedKeys(a, b []string) []string {
 func (d *DB) Providers() []*privacy.Prefs {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.populationShared()
+	_, prefs := d.sortedProvidersShared()
+	return prefs
 }
 
 // ProvidersPage returns the number of providers whose canonical key starts
@@ -626,71 +516,47 @@ func (d *DB) ProvidersPage(prefix string, offset, limit int) (int, []string) {
 	return total, append([]string(nil), keys[offset:end]...)
 }
 
-// sortedProvidersShared snapshots every shard under its lock and returns
-// the providers in global sorted key order — the one iteration order every
-// assessment and persistence path shares, so float sums and artifacts are
-// reproducible run to run and identical for every shard count. Each shard
-// already keeps its keys sorted, so this is a P-way merge of sorted runs
-// (no global re-sort and no map iteration). The caller holds d.mu at least
-// shared.
+// sortedProvidersShared returns the providers in global sorted key order —
+// the one iteration order every assessment and persistence path shares, so
+// float sums and artifacts are reproducible run to run and identical for
+// every shard count. The caller holds d.mu at least shared.
 func (d *DB) sortedProvidersShared() ([]string, []*privacy.Prefs) {
-	snaps := d.snapshotShardsShared()
-	total := 0
-	for i := range snaps {
-		total += len(snaps[i].keys)
-	}
-	keys := make([]string, 0, total)
-	prefs := make([]*privacy.Prefs, 0, total)
-	cursors := make([]int, len(snaps))
-	for len(keys) < total {
-		best := -1
-		for i := range snaps {
-			if cursors[i] >= len(snaps[i].keys) {
-				continue
-			}
-			if best < 0 || snaps[i].keys[cursors[i]] < snaps[best].keys[cursors[best]] {
-				best = i
-			}
-		}
-		keys = append(keys, snaps[best].keys[cursors[best]])
-		prefs = append(prefs, snaps[best].states[cursors[best]].prefs)
-		cursors[best]++
-	}
-	return keys, prefs
+	keys, rows := d.snapshotShared()
+	outKeys := make([]string, 0, d.NumProviders())
+	prefs := make([]*privacy.Prefs, 0, d.NumProviders())
+	core.MergeSorted(keys, func(r, i int) {
+		outKeys = append(outKeys, keys[r][i])
+		prefs = append(prefs, rows[r][i].Prefs)
+	})
+	return outKeys, prefs
 }
 
-// shardSnap is one shard's consistent (keys, states) snapshot: keys in
-// sorted order, states[i] the immutable stored state of keys[i].
-type shardSnap struct {
-	keys   []string
-	states []*providerState
-}
-
-// snapshotShardsShared copies every shard's sorted key list and state
-// pointers under that shard's read lock — the consistent per-shard view the
-// population-scale paths (certification, persistence, listings) fan out
-// over after releasing the locks. The caller holds d.mu at least shared.
-func (d *DB) snapshotShardsShared() []shardSnap {
-	snaps := make([]shardSnap, len(d.shards))
+// snapshotShared copies every shard's sorted keys and row pointers under
+// that shard's read lock — the consistent per-shard runs the
+// population-scale paths (certification, what-if, persistence, listings)
+// read after releasing the locks; rows are immutable. The caller holds d.mu
+// at least shared.
+func (d *DB) snapshotShared() ([][]string, [][]*ledger.Row) {
+	keys := make([][]string, len(d.shards))
+	rows := make([][]*ledger.Row, len(d.shards))
 	for i, s := range d.shards {
 		s.mu.RLock()
-		sn := shardSnap{
-			keys:   append([]string(nil), s.keys...),
-			states: make([]*providerState, len(s.keys)),
-		}
-		for j, k := range s.keys {
-			sn.states[j] = s.providers[k]
-		}
+		keys[i], rows[i] = s.Rows()
 		s.mu.RUnlock()
-		snaps[i] = sn
 	}
-	return snaps
+	return keys, rows
 }
 
-// populationShared is sortedProvidersShared without the keys.
-func (d *DB) populationShared() []*privacy.Prefs {
-	_, prefs := d.sortedProvidersShared()
-	return prefs
+// summaryShared merges the shards' running aggregates in fixed shard-index
+// order — O(P), no row is touched. The caller holds d.mu at least shared.
+func (d *DB) summaryShared() core.Partial {
+	parts := make([]core.Partial, len(d.shards))
+	for i, s := range d.shards {
+		s.mu.RLock()
+		parts[i] = s.Partial()
+		s.mu.RUnlock()
+	}
+	return core.MergePartials(parts)
 }
 
 // RemoveProvider deletes a provider's preferences and all of their rows —
@@ -707,21 +573,7 @@ func (d *DB) RemoveProvider(name string) (int, error) {
 		d.mu.Unlock()
 		return 0, err
 	}
-	s := d.shardOf(key)
-	s.mu.Lock()
-	_, existed := s.providers[key]
-	delete(s.providers, key)
-	if existed {
-		i := sort.SearchStrings(s.keys, key)
-		s.keys = append(s.keys[:i], s.keys[i+1:]...)
-	}
-	s.mu.Unlock()
-	if existed {
-		d.nProviders.Add(-1)
-	}
-	if d.ledger != nil {
-		d.ledger.Remove(key)
-	}
+	d.shardOf(key).Remove(key)
 	removed := 0
 	tableNames := make([]string, 0, len(d.tables))
 	for n := range d.tables {
@@ -743,9 +595,9 @@ func (d *DB) RemoveProvider(name string) (int, error) {
 			removed++
 		}
 	}
+	d.publishGaugesShared()
 	d.mu.Unlock()
 	d.mutSeq.Add(1)
-	d.publishGauges()
 	return removed, d.walWait(lsn)
 }
 
@@ -756,7 +608,7 @@ func (d *DB) Insert(table, provider string, row relational.Row) (relational.RowI
 	key := strings.ToLower(provider)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.lookupShared(key); !ok {
+	if _, ok := d.rowShared(key); !ok {
 		return 0, fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
 	tm, ok := d.tables[strings.ToLower(table)]
@@ -793,10 +645,9 @@ func (d *DB) TableLen(table string) int {
 
 // SetPolicy swaps the house policy, measuring the before/after population
 // impact and appending to the policy log. The returned what-if deltas let
-// callers decide whether to notify providers. With the ledger enabled the
-// "before" numbers are read from the running aggregates in O(P) and the
-// swap triggers one cold rebuild, one goroutine per shard; the fallback
-// path recomputes both sides over the sorted population in parallel.
+// callers decide whether to notify providers. Both sides are read from the
+// shards' running aggregates in O(P); between them every row is recompiled
+// and re-assessed, one goroutine per shard.
 func (d *DB) SetPolicy(next *privacy.HousePolicy) (PolicyChange, error) {
 	change, lsn, err := d.setPolicyExclusive(next)
 	if err != nil {
@@ -830,64 +681,20 @@ func (d *DB) setPolicyExclusive(next *privacy.HousePolicy) (PolicyChange, uint64
 		From: d.policy.Name,
 		To:   next.Name,
 	}
-	if d.ledger != nil {
-		before := d.ledger.Summary()
-		d.policyVersion++
-		compiled := d.recompileShardsLocked(after)
-		d.ledger.RebuildCompiled(after, d.policyVersion, compiled)
-		afterSum := d.ledger.Summary()
-		change.DeltaPW = afterSum.PW - before.PW
-		change.DeltaPDefault = afterSum.PDefault - before.PDefault
-	} else {
-		d.policyVersion++
-		pop := d.populationShared()
-		bRep := d.assessor.AssessPopulationParallel(pop, len(d.shards))
-		aRep := after.AssessPopulationParallel(pop, len(d.shards))
-		d.recompileShardsLocked(after)
-		change.DeltaPW = aRep.PW - bRep.PW
-		change.DeltaPDefault = aRep.PDefault - bRep.PDefault
+	before := d.summaryShared()
+	d.policyVersion++
+	tables := make([]*ledger.Shard, len(d.shards))
+	for i, s := range d.shards {
+		tables[i] = &s.Shard
 	}
+	ledger.RebuildShards(tables, after)
+	afterSum := d.summaryShared()
+	change.DeltaPW = afterSum.PW() - before.PW()
+	change.DeltaPDefault = afterSum.PDefault() - before.PDefault()
 	d.assessor = after
 	d.policy = next
 	d.policyLog = append(d.policyLog, change)
 	d.mutSeq.Add(1)
-	d.publishGauges()
+	d.publishGaugesShared()
 	return change, lsn, nil
-}
-
-// recompileShardsLocked recompiles every provider's tuple columns against
-// a new assessor, one goroutine per shard, installing fresh immutable
-// providerStates and returning the compiled rows keyed by canonical
-// provider key (for handing to the ledger rebuild, so the population is
-// compiled exactly once per policy swap). The caller holds d.mu
-// exclusively.
-func (d *DB) recompileShardsLocked(after *core.Assessor) map[string]*core.CompiledPrefs {
-	shardMaps := make([]map[string]*core.CompiledPrefs, len(d.shards))
-	core.FanOut(len(d.shards), len(d.shards), func(i int) {
-		s := d.shards[i]
-		s.mu.Lock()
-		m := make(map[string]*core.CompiledPrefs, len(s.providers))
-		for _, k := range s.keys {
-			st := s.providers[k]
-			c := after.Compile(st.prefs)
-			if c != nil {
-				c.PrefsVersion = st.version
-			}
-			s.providers[k] = &providerState{prefs: st.prefs, compiled: c, version: st.version}
-			m[k] = c
-		}
-		s.mu.Unlock()
-		shardMaps[i] = m
-	})
-	total := 0
-	for _, m := range shardMaps {
-		total += len(m)
-	}
-	compiled := make(map[string]*core.CompiledPrefs, total)
-	for _, m := range shardMaps {
-		for k, c := range m {
-			compiled[k] = c
-		}
-	}
-	return compiled
 }

@@ -67,11 +67,11 @@ func (s enforceSource) Origin(table string, id relational.RowID) (string, time.T
 
 // Provider implements query.Source.
 func (s enforceSource) Provider(key string) (*privacy.Prefs, *core.CompiledPrefs, bool) {
-	st, ok := s.d.stateShared(key)
+	r, ok := s.d.rowShared(key)
 	if !ok {
 		return nil, nil, false
 	}
-	return st.prefs, st.compiled, true
+	return r.Prefs, r.Compiled, true
 }
 
 // Expired implements query.Source.

@@ -32,7 +32,7 @@ func (d *DB) ProviderView(provider string) ([]OwnRow, error) {
 	key := strings.ToLower(provider)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if _, ok := d.lookupShared(key); !ok {
+	if _, ok := d.rowShared(key); !ok {
 		return nil, fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
 	var out []OwnRow
@@ -89,25 +89,15 @@ func (d *DB) UpdateOwnRow(provider, table string, id relational.RowID, row relat
 // SelfAudit returns the provider's personal violation report against the
 // current policy — w_i, Violation_i, default_i and every conflicting tuple
 // pair — the "continuously monitor the state of their privacy" capability.
-// With the ledger enabled the memoized row is returned in O(1); the
-// fallback re-assesses with the cached assessor.
+// The memoized row is returned in O(1).
 func (d *DB) SelfAudit(provider string) (core.ProviderReport, error) {
-	key := strings.ToLower(provider)
 	d.mu.RLock()
-	st, ok := d.stateShared(key)
-	assessor := d.assessor
-	if ok && d.ledger != nil {
-		if rep, hit := d.ledger.Report(key); hit {
-			d.mu.RUnlock()
-			return rep, nil
-		}
-	}
+	r, ok := d.rowShared(strings.ToLower(provider))
 	d.mu.RUnlock()
 	if !ok {
 		return core.ProviderReport{}, fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
-	var sc core.Scratch
-	return assessor.AssessRow(st.prefs, st.compiled, &sc), nil
+	return r.Report, nil
 }
 
 // UpdatePreferences lets a provider revise their preference tuples (and
@@ -123,7 +113,7 @@ func (d *DB) UpdatePreferences(provider string, prefs *privacy.Prefs) error {
 	}
 	key := strings.ToLower(provider)
 	d.mu.RLock()
-	_, registered := d.lookupShared(key)
+	_, registered := d.rowShared(key)
 	d.mu.RUnlock()
 	if !registered {
 		return fmt.Errorf("ppdb: provider %q is not registered", provider)

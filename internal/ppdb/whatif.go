@@ -30,18 +30,17 @@ var (
 )
 
 // WhatIf evaluates a candidate policy diff against the live population
-// without mutating anything: no store write, no ledger write, no WAL
-// record, no policy-log entry. It captures an immutable snapshot under
-// shared locks (d.mu plus each shard's read lock — the certification read
-// path), releases them, and evaluates the shadow policy against the
-// snapshot; concurrent registrations and policy swaps proceed untouched
-// and simply miss this evaluation's cut.
+// without mutating anything: no store write, no WAL record, no policy-log
+// entry. It captures an immutable snapshot of the rows under shared locks
+// (d.mu plus each shard's read lock — the certification read path),
+// releases them, and evaluates the shadow policy against the snapshot;
+// concurrent registrations and policy swaps proceed untouched and simply
+// miss this evaluation's cut.
 //
-// Providers the diff cannot affect reuse their live reports; when the
-// incremental ledger is attached, a row memoized at exactly this
-// (policy, prefs) version is reused without any assessment at all, so a
-// narrow diff costs O(affected), not O(N). Shadow reports are keyed on a
-// shadow policy version (high bit set) no ledger row can ever carry.
+// Every row in the snapshot carries its report under the live policy (a
+// policy swap re-assesses every row under d.mu exclusive), so providers the
+// diff cannot affect reuse that report without any assessment, and a
+// narrow diff costs O(affected), not O(N).
 func (d *DB) WhatIf(req *whatif.Request) (*whatif.Response, error) {
 	start := time.Now()
 	d.mu.RLock()
@@ -49,8 +48,7 @@ func (d *DB) WhatIf(req *whatif.Request) (*whatif.Response, error) {
 	attrSens := d.attrSens
 	opts := d.opts
 	policyVersion := d.policyVersion
-	led := d.ledger
-	snaps := d.snapshotShardsShared()
+	keys, rows := d.snapshotShared()
 	d.mu.RUnlock()
 
 	// d.scales is immutable after New, like the RegisterProvider validation
@@ -61,27 +59,19 @@ func (d *DB) WhatIf(req *whatif.Request) (*whatif.Response, error) {
 		return nil, err
 	}
 
-	shards := make([]whatif.ShardSource, len(snaps))
-	for i := range snaps {
-		n := len(snaps[i].keys)
+	shards := make([]whatif.ShardSource, len(rows))
+	for i := range rows {
 		src := whatif.ShardSource{
-			Keys:     snaps[i].keys,
-			Prefs:    make([]*privacy.Prefs, n),
-			Compiled: make([]*core.CompiledPrefs, n),
+			Keys:    keys[i],
+			Prefs:   make([]*privacy.Prefs, len(rows[i])),
+			Reports: make([]core.ProviderReport, len(rows[i])),
 		}
-		for j, st := range snaps[i].states {
-			src.Prefs[j] = st.prefs
-			src.Compiled[j] = st.compiled
+		for j, r := range rows[i] {
+			src.Prefs[j], src.Reports[j] = r.Prefs, r.Report
 		}
 		shards[i] = src
 	}
-	var memo whatif.Memo
-	if led != nil {
-		memo = func(si, i int) (core.ProviderReport, bool) {
-			return led.ReportIfCurrent(snaps[si].keys[i], policyVersion, snaps[si].states[i].version)
-		}
-	}
-	resp := eng.Evaluate(shards, memo)
+	resp := eng.Evaluate(shards)
 
 	switch resp.Verdict {
 	case whatif.VerdictFree:

@@ -259,7 +259,10 @@ func TestWhatIfStormLeavesLiveStateUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dirBytes(t, dir), cert, db.ledger.Summary(), db.WALLastLSN()
+		db.mu.RLock()
+		sum := db.summaryShared()
+		db.mu.RUnlock()
+		return dirBytes(t, dir), cert, sum, db.WALLastLSN()
 	}
 	dirA := filepath.Join(t.TempDir(), "before")
 	bytesA, certA, ledA, lsnA := capture(dirA)

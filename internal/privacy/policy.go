@@ -189,12 +189,18 @@ func (hp *HousePolicy) AddPurpose(name, attr string, t Tuple) *HousePolicy {
 
 // Validate checks every tuple against the scales.
 func (hp *HousePolicy) Validate(sc Scales) error {
+	if err := checkNames(hp.Name); err != nil {
+		return err
+	}
 	for _, e := range hp.entries {
 		if e.Attribute == "" {
 			return fmt.Errorf("privacy: policy %q has a tuple with an empty attribute", hp.Name)
 		}
 		if e.Tuple.Purpose == "" {
 			return fmt.Errorf("privacy: policy %q attribute %q has a tuple with no purpose", hp.Name, e.Attribute)
+		}
+		if err := checkNames(e.Attribute, string(e.Tuple.Purpose)); err != nil {
+			return fmt.Errorf("privacy: policy %q: %w", hp.Name, err)
 		}
 		if err := e.Tuple.Validate(sc); err != nil {
 			return fmt.Errorf("privacy: policy %q attribute %q: %w", hp.Name, e.Attribute, err)
@@ -233,4 +239,18 @@ func (hp *HousePolicy) String() string {
 		}
 	}
 	return b.String()
+}
+
+// checkNames refuses names the policy DSL cannot carry. The DSL writes
+// names between double quotes and reads them back byte for byte with no
+// escapes, so a name holding '"' or a newline would be renamed or refused
+// when a checkpoint reloads; refusing it here fails the registration
+// instead.
+func checkNames(names ...string) error {
+	for _, n := range names {
+		if strings.ContainsAny(n, "\"\n") {
+			return fmt.Errorf("privacy: name %q holds a '\"' or a newline, which the policy DSL cannot carry", n)
+		}
+	}
+	return nil
 }

@@ -134,6 +134,15 @@ func TestPolicyValidate(t *testing.T) {
 	if err := bad2.Validate(sc); err == nil {
 		t.Error("off-scale level should fail validation")
 	}
+	bad3 := NewHousePolicy(`say "hi"`)
+	if err := bad3.Validate(sc); err == nil {
+		t.Error("a quote in the policy name should fail validation")
+	}
+	bad4 := NewHousePolicy("p")
+	bad4.Add("a", Tuple{Purpose: "line\nbreak"})
+	if err := bad4.Validate(sc); err == nil {
+		t.Error("a newline in a purpose should fail validation")
+	}
 }
 
 func TestPolicyEqualMultiset(t *testing.T) {

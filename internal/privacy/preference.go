@@ -235,6 +235,9 @@ func (p *Prefs) Validate(sc Scales) error {
 	if strings.TrimSpace(p.Provider) == "" {
 		return fmt.Errorf("privacy: preferences have no provider identity")
 	}
+	if err := checkNames(p.Provider); err != nil {
+		return err
+	}
 	if p.Threshold < 0 {
 		return fmt.Errorf("privacy: provider %q has negative default threshold %g", p.Provider, p.Threshold)
 	}
@@ -242,11 +245,17 @@ func (p *Prefs) Validate(sc Scales) error {
 		if e.Tuple.Purpose == "" {
 			return fmt.Errorf("privacy: provider %q attribute %q has a tuple with no purpose", p.Provider, e.Attribute)
 		}
+		if err := checkNames(e.Attribute, string(e.Tuple.Purpose)); err != nil {
+			return fmt.Errorf("privacy: provider %q: %w", p.Provider, err)
+		}
 		if err := e.Tuple.Validate(sc); err != nil {
 			return fmt.Errorf("privacy: provider %q attribute %q: %w", p.Provider, e.Attribute, err)
 		}
 	}
 	for k, s := range p.sens {
+		if err := checkNames(k.attr, string(k.purpose)); err != nil {
+			return fmt.Errorf("privacy: provider %q: %w", p.Provider, err)
+		}
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("privacy: provider %q attribute %q: %w", p.Provider, k.attr, err)
 		}

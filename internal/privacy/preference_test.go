@@ -142,6 +142,19 @@ func TestPrefsValidate(t *testing.T) {
 	if err := bad4.Validate(sc); err == nil {
 		t.Error("negative sensitivity should fail")
 	}
+	for _, name := range []string{`dr "who"`, "a\nb"} {
+		if err := NewPrefs(name, 1).Validate(sc); err == nil {
+			t.Errorf("provider name %q should fail", name)
+		}
+		q := NewPrefs("x", 1)
+		q.Add(name, Tuple{Purpose: "p"})
+		if err := q.Validate(sc); err == nil {
+			t.Errorf("attribute name %q should fail", name)
+		}
+	}
+	if err := NewPrefs(`ann\bee`, 1).Validate(sc); err != nil {
+		t.Errorf("backslash in a provider name rejected: %v", err)
+	}
 }
 
 func TestSensitivityHelpers(t *testing.T) {

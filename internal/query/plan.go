@@ -240,7 +240,10 @@ func collectCols(ex relational.Expr, resolve func(string, bool) (int, error)) er
 // the index matches raw stored values while WHERE evaluates the disclosed
 // view, so a probe for a generalized label (`WHERE city = 'MA'` when
 // 'Boston' discloses as 'MA') would miss rows a full scan answers — the
-// physical plan must not change the relation.
+// physical plan must not change the relation. NULL literals never qualify
+// either: the index keys NULLs together while `col = NULL` matches nothing,
+// so a probe would count the NULL rows as scanned and make the stats
+// depend on the plan.
 func (p *plan) pickIndex(hasHierarchy func(attr string) bool) {
 	for _, conj := range conjuncts(p.where) {
 		bin, ok := conj.(relational.Binary)
@@ -248,7 +251,7 @@ func (p *plan) pickIndex(hasHierarchy func(attr string) bool) {
 			continue
 		}
 		col, val, ok := colEqLiteral(bin)
-		if !ok {
+		if !ok || val.IsNull() {
 			continue
 		}
 		idx, found := p.env[privacy.CanonAttr(col)]

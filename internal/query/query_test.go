@@ -524,6 +524,26 @@ func TestIndexScan(t *testing.T) {
 	}
 }
 
+// TestIndexSkipsNullLiteral pins plan independence for `col = NULL`: SQL
+// equality never matches NULL, so the indexed column must take the full
+// scan like any other column instead of probing the index's NULL bucket.
+func TestIndexSkipsNullLiteral(t *testing.T) {
+	fx := newFixture(t)
+	res, err := fx.eng.Query(Request{
+		Requester: "analyst", Purpose: "service", Visibility: 2,
+		SQL: "SELECT email FROM people WHERE city = NULL", Explain: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Explain.Scan != "full" || res.IndexScan {
+		t.Fatalf("scan = %q (IndexScan=%v), want a full scan for a NULL literal", res.Explain.Scan, res.IndexScan)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("rows = %v, want none", display(res.Rows))
+	}
+}
+
 // TestIndexSkipsGeneralizableColumn pins plan independence: an index on a
 // column whose attribute generalizes must not be used, because the index
 // matches raw values while WHERE sees the disclosed view — carol's email

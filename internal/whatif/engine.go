@@ -15,8 +15,8 @@ import (
 // ShadowVersionBit marks shadow policy versions: a candidate evaluated by
 // the engine carries the live policy version with this bit set. Live policy
 // versions are small monotonic counters, so the two namespaces are disjoint
-// — a shadow version can never equal a live one, and therefore can never
-// satisfy a ledger's (policyVersion, prefsVersion) memo key.
+// — a shadow version can never equal a live one, so a shadow answer can
+// never be mistaken for a live one.
 const ShadowVersionBit = uint64(1) << 63
 
 // Engine evaluates one candidate diff against provider populations. It is
@@ -42,9 +42,9 @@ type Engine struct {
 
 // NewEngine validates the request, compiles the candidate diff into a
 // shadow assessor, and decides the reuse strategy. live must be the
-// assessor the provider snapshots were compiled against (internal/ppdb's
-// cached one) — the columnar fast path keys on assessor identity.
-// policyVersion is the live policy version the shadow version derives from.
+// assessor the snapshot's live reports were computed with (internal/ppdb's
+// cached one). policyVersion is the live policy version the shadow version
+// derives from.
 func NewEngine(live *core.Assessor, attrSens privacy.AttributeSensitivities, opts core.Options,
 	policyVersion uint64, req *Request, sc privacy.Scales) (*Engine, error) {
 	if live == nil {
@@ -125,27 +125,19 @@ func (e *Engine) AffectedAttributes() []string { return e.affectedAttrs }
 func (e *Engine) GlobalFallback() bool { return e.allAffected }
 
 // ShardSource is one shard's immutable provider snapshot: parallel slices
-// in ascending key order. Compiled rows may be nil (providers whose prefs
-// did not compile take the reference path); the slice itself may also be
-// nil when no compiled forms exist.
+// in ascending key order, each provider with its live report under the
+// engine's live assessor.
 type ShardSource struct {
-	Keys     []string
-	Prefs    []*privacy.Prefs
-	Compiled []*core.CompiledPrefs
+	Keys    []string
+	Prefs   []*privacy.Prefs
+	Reports []core.ProviderReport
 }
-
-// Memo looks up a memoized live report for shards[shard].Keys[i], returning
-// ok=false when none is current. Implementations must return reports keyed
-// on the live (policy, prefs) version — internal/ppdb wires this to the
-// incremental ledger. A nil Memo always misses.
-type Memo func(shard, i int) (core.ProviderReport, bool)
 
 // shardEval is one shard's evaluation output, merged after the fan-out.
 type shardEval struct {
-	cur, shd []core.ProviderReport
+	shd      []core.ProviderReport
 	affected int
 	reused   int
-	memoHits int
 	// per affected-attribute segment tallies, indexed like affectedAttrs
 	segProviders []int
 	segDefCur    []int
@@ -153,38 +145,20 @@ type shardEval struct {
 }
 
 // Evaluate assesses the candidate against the provider population in
-// shards, reusing memoized live reports where offered and re-assessing
-// under the shadow policy only the providers the diff can affect. It reads
-// the snapshots and writes nothing anywhere.
-func (e *Engine) Evaluate(shards []ShardSource, memo Memo) *Response {
+// shards, reusing each live report for providers the diff cannot affect and
+// re-assessing under the shadow policy only those it can. It reads the
+// snapshots and writes nothing anywhere.
+func (e *Engine) Evaluate(shards []ShardSource) *Response {
 	evals := make([]shardEval, len(shards))
 	core.FanOut(len(shards), len(shards), func(si int) {
 		src := shards[si]
 		ev := &evals[si]
-		n := len(src.Keys)
-		ev.cur = make([]core.ProviderReport, n)
-		ev.shd = make([]core.ProviderReport, n)
+		ev.shd = make([]core.ProviderReport, len(src.Keys))
 		ev.segProviders = make([]int, len(e.affectedAttrs))
 		ev.segDefCur = make([]int, len(e.affectedAttrs))
 		ev.segDefShd = make([]int, len(e.affectedAttrs))
-		var sc core.Scratch
-		for i := 0; i < n; i++ {
-			p := src.Prefs[i]
-			cur, hit := core.ProviderReport{}, false
-			if memo != nil {
-				cur, hit = memo(si, i)
-			}
-			if hit {
-				ev.memoHits++
-			} else {
-				var compiled *core.CompiledPrefs
-				if src.Compiled != nil {
-					compiled = src.Compiled[i]
-				}
-				cur = e.live.AssessRow(p, compiled, &sc)
-			}
-			ev.cur[i] = cur
-
+		for i, p := range src.Prefs {
+			cur := src.Reports[i]
 			touched := e.allAffected
 			for _, a := range e.affectedAttrs {
 				if p.TouchesAttribute(a) {
@@ -192,7 +166,7 @@ func (e *Engine) Evaluate(shards []ShardSource, memo Memo) *Response {
 					break
 				}
 			}
-			var shd core.ProviderReport
+			shd := cur
 			if touched {
 				// Shadow assessments always take the reference path: the
 				// compiled columns were built against the live policy and the
@@ -202,7 +176,6 @@ func (e *Engine) Evaluate(shards []ShardSource, memo Memo) *Response {
 				shd = e.shadow.AssessProvider(p)
 				ev.affected++
 			} else {
-				shd = cur
 				ev.reused++
 			}
 			ev.shd[i] = shd
@@ -224,30 +197,21 @@ func (e *Engine) Evaluate(shards []ShardSource, memo Memo) *Response {
 		}
 	})
 
-	// P-way merge into the global ascending key order, so both population
-	// totals are float-summed in the canonical certification order and the
-	// current summary is bit-identical to a full certification.
+	// Merge into the global ascending key order, so both population totals
+	// are float-summed in the canonical certification order and the current
+	// summary is bit-identical to a full certification.
+	keys := make([][]string, len(shards))
 	total := 0
-	for _, ev := range evals {
-		total += len(ev.cur)
+	for si := range shards {
+		keys[si] = shards[si].Keys
+		total += len(keys[si])
 	}
 	curRows := make([]core.ProviderReport, 0, total)
 	shdRows := make([]core.ProviderReport, 0, total)
-	cursors := make([]int, len(shards))
-	for len(curRows) < total {
-		best := -1
-		for si := range shards {
-			if cursors[si] >= len(shards[si].Keys) {
-				continue
-			}
-			if best < 0 || shards[si].Keys[cursors[si]] < shards[best].Keys[cursors[best]] {
-				best = si
-			}
-		}
-		curRows = append(curRows, evals[best].cur[cursors[best]])
-		shdRows = append(shdRows, evals[best].shd[cursors[best]])
-		cursors[best]++
-	}
+	core.MergeSorted(keys, func(si, i int) {
+		curRows = append(curRows, shards[si].Reports[i])
+		shdRows = append(shdRows, evals[si].shd[i])
+	})
 
 	cur := core.AssemblePopulation(curRows)
 	shd := core.AssemblePopulation(shdRows)
@@ -313,8 +277,9 @@ func summaryOf(rep core.PopulationReport) Summary {
 }
 
 // EvaluateOffline runs a what-if against an in-memory population with no
-// store, ledger or memoization — the cmd/whatif path. The population is
-// evaluated in ascending case-folded provider order, the same canonical
+// store — the cmd/whatif path. It assesses every provider's live report
+// itself (the columnar kernel, as the store does) and evaluates the
+// population in ascending case-folded provider order, the same canonical
 // order internal/ppdb certifies in, so offline and online responses for the
 // same state are identical.
 func EvaluateOffline(policy *privacy.HousePolicy, attrSens privacy.AttributeSensitivities,
@@ -333,13 +298,14 @@ func EvaluateOffline(policy *privacy.HousePolicy, attrSens privacy.AttributeSens
 		return strings.ToLower(sorted[i].Provider) < strings.ToLower(sorted[j].Provider)
 	})
 	src := ShardSource{
-		Keys:     make([]string, len(sorted)),
-		Prefs:    sorted,
-		Compiled: make([]*core.CompiledPrefs, len(sorted)),
+		Keys:    make([]string, len(sorted)),
+		Prefs:   sorted,
+		Reports: make([]core.ProviderReport, len(sorted)),
 	}
+	var sc core.Scratch
 	for i, p := range sorted {
 		src.Keys[i] = strings.ToLower(p.Provider)
-		src.Compiled[i] = live.Compile(p)
+		src.Reports[i] = live.AssessRow(p, live.Compile(p), &sc)
 	}
-	return e.Evaluate([]ShardSource{src}, nil), nil
+	return e.Evaluate([]ShardSource{src}), nil
 }

@@ -13,15 +13,15 @@
 //     Σ vector, yielding the affected-attribute set;
 //   - NewEngine builds a shadow core.Assessor carrying a shadow policy
 //     version (live version with the high bit set — a namespace disjoint
-//     from live versions, so shadow state can never be mistaken for, or
-//     memoized as, a live ledger row);
-//   - Evaluate fans out over immutable per-shard snapshots, re-assessing
-//     only providers the diff can affect and reusing memoized live reports
-//     for everyone else (see engine.go for the exactness rule).
+//     from live versions, so a shadow answer can never be mistaken for a
+//     live one);
+//   - Evaluate fans out over immutable per-shard snapshots that carry each
+//     provider's live report, re-assessing only providers the diff can
+//     affect and reusing the live report for everyone else (see engine.go
+//     for the exactness rule).
 //
 // The engine is read-only by construction: it consumes snapshots and
-// memo lookups and produces a Response. It never writes to a ledger, a
-// store, or a WAL.
+// produces a Response. It never writes to a store or a WAL.
 package whatif
 
 import (

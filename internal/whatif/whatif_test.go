@@ -515,47 +515,39 @@ func TestEvaluateMemoPathEquivalence(t *testing.T) {
 	if eng.ShadowVersion() != 17|whatif.ShadowVersionBit {
 		t.Errorf("shadow version = %#x", eng.ShadowVersion())
 	}
-	// Two shards with interleaved keys exercise the P-way merge.
-	var a, b whatif.ShardSource
+	// Two shards with interleaved keys exercise the P-way merge. The same
+	// snapshot is built twice: live reports from the columnar kernel (what
+	// the store memoizes) and from the reference walk.
+	var kernel, ref [2]whatif.ShardSource
+	var sc core.Scratch
 	for i, p := range pop {
 		key := strings.ToLower(p.Provider)
-		if i%2 == 0 {
-			a.Keys = append(a.Keys, key)
-			a.Prefs = append(a.Prefs, p)
-			a.Compiled = append(a.Compiled, live.Compile(p))
-		} else {
-			b.Keys = append(b.Keys, key)
-			b.Prefs = append(b.Prefs, p)
-			b.Compiled = append(b.Compiled, live.Compile(p))
+		for _, src := range []*whatif.ShardSource{&kernel[i%2], &ref[i%2]} {
+			src.Keys = append(src.Keys, key)
+			src.Prefs = append(src.Prefs, p)
 		}
-	}
-	shards := []whatif.ShardSource{a, b}
-	base := eng.Evaluate(shards, nil)
-
-	// A memo that serves precomputed live reports for half the providers
-	// must change nothing in the response.
-	memoized := map[string]core.ProviderReport{}
-	for i, p := range pop {
-		if i%3 == 0 {
-			memoized[strings.ToLower(p.Provider)] = live.AssessProvider(p)
+		c := live.Compile(p)
+		if c == nil {
+			t.Fatal("fixture policy must be maskable")
 		}
+		kernel[i%2].Reports = append(kernel[i%2].Reports, live.AssessCompiled(c, &sc))
+		ref[i%2].Reports = append(ref[i%2].Reports, live.AssessProvider(p))
 	}
-	withMemo := eng.Evaluate(shards, func(si, i int) (core.ProviderReport, bool) {
-		rep, ok := memoized[shards[si].Keys[i]]
-		return rep, ok
-	})
-	if base.Current != withMemo.Current || base.Proposed != withMemo.Proposed {
-		t.Errorf("memo changed the answer:\nbase %+v %+v\nmemo %+v %+v",
-			base.Current, base.Proposed, withMemo.Current, withMemo.Proposed)
+	shards := kernel[:]
+	base := eng.Evaluate(shards)
+	walked := eng.Evaluate(ref[:])
+	if base.Current != walked.Current || base.Proposed != walked.Proposed {
+		t.Errorf("kernel and reference live reports changed the answer:\nkernel %+v %+v\nref    %+v %+v",
+			base.Current, base.Proposed, walked.Current, walked.Proposed)
 	}
-	if base.Verdict != withMemo.Verdict || base.Affected != withMemo.Affected || base.MemoReused != withMemo.MemoReused {
-		t.Errorf("memo changed verdict/counters")
+	if base.Verdict != walked.Verdict || base.Affected != walked.Affected || base.MemoReused != walked.MemoReused {
+		t.Errorf("kernel and reference live reports changed verdict/counters")
 	}
 	if len(base.Segments) != 1 || base.Segments[0].Attribute != "contact" {
 		t.Fatalf("segments = %+v", base.Segments)
 	}
-	if len(withMemo.Segments) != 1 || withMemo.Segments[0] != base.Segments[0] {
-		t.Errorf("memo changed segments: %+v vs %+v", withMemo.Segments, base.Segments)
+	if len(walked.Segments) != 1 || walked.Segments[0] != base.Segments[0] {
+		t.Errorf("kernel and reference live reports changed segments: %+v vs %+v", walked.Segments, base.Segments)
 	}
 
 	// Without Detail, segments are withheld.
@@ -564,7 +556,7 @@ func TestEvaluateMemoPathEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := eng2.Evaluate(shards, nil); len(resp.Segments) != 0 {
+	if resp := eng2.Evaluate(shards); len(resp.Segments) != 0 {
 		t.Errorf("segments leaked without detail: %+v", resp.Segments)
 	}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: the full `make check` chain (gofmt, go vet, ppdblint, build,
 # tests), the fault-injection/crash-matrix suite, the WAL durability suite,
-# a short fuzz pass over the enforced query path, a build-and-test of the
+# short fuzz passes over the enforced query path and the policy DSL round
+# trip, a build-and-test of the
 # benchmark harness (perfbench/ is its own module, so `go build ./...`
 # never compiles it), and a race pass over the concurrency-bearing
 # packages — the PPDB
