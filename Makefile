@@ -59,14 +59,18 @@ faults-wal:
 
 # fuzz runs each fuzz target for FUZZTIME (default 30s): internal/query's
 # FuzzQuery (arbitrary SQL through Engine.Query must never panic and every
-# answer must keep rows returned <= matched <= scanned) and
+# answer must keep rows returned <= matched <= scanned),
 # internal/policydsl's FuzzPolicyDSL (parse -> render -> parse must succeed,
 # render identically and keep every policy and provider name byte for
-# byte). Crashers land in the package's testdata/fuzz/<target>; commit them
-# as seeds once fixed — `make test` replays every seed there.
+# byte) and internal/ppdb's FuzzSnapshotRows (arbitrary bytes as one
+# table's snapshot row and provenance artifacts must never panic the
+# loader, and whatever it accepts must save back byte for byte). Crashers
+# land in the package's testdata/fuzz/<target>; commit them as seeds once
+# fixed — `make test` replays every seed there.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/query
 	go test -run '^$$' -fuzz '^FuzzPolicyDSL$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/policydsl
+	go test -run '^$$' -fuzz '^FuzzSnapshotRows$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/ppdb
 
 # bench runs the certification benches and records BENCH_certify.json
 # (cold vs incremental ledger certification, the per-shard-count sharding

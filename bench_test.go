@@ -466,18 +466,15 @@ func BenchmarkKAnonSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	table, err := relational.NewTable("m", schema)
-	if err != nil {
-		b.Fatal(err)
-	}
 	gen, err := population.NewGenerator(population.Config{
 		Attributes: []population.AttributeSpec{{Name: "weight", Sensitivity: 4, Purposes: []privacy.Purpose{"p"}}},
 	}, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		if _, err := table.Insert(gen.MicrodataRow(sizeName(i))); err != nil {
+	rows := make([]relational.Row, 500)
+	for i := range rows {
+		if rows[i], err = schema.CheckRow(gen.MicrodataRow(sizeName(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -486,7 +483,7 @@ func BenchmarkKAnonSearch(b *testing.B) {
 		"calgary": "west", "edmonton": "west", "vancouver": "west",
 		"toronto": "east", "montreal": "east", "west": "canada", "east": "canada",
 	})
-	an, err := generalize.NewAnonymizer(table, map[string]generalize.Hierarchy{"age": ageH, "city": cityH}, "condition")
+	an, err := generalize.NewAnonymizer(schema, rows, map[string]generalize.Hierarchy{"age": ageH, "city": cityH}, "condition")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -62,12 +62,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	table, err := relational.NewTable("members", schema)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		if _, err := table.Insert(gen.MicrodataRow(fmt.Sprintf("m%04d", i))); err != nil {
+	microdata := make([]relational.Row, 1000)
+	for i := range microdata {
+		if microdata[i], err = schema.CheckRow(gen.MicrodataRow(fmt.Sprintf("m%04d", i))); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -83,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an, err := generalize.NewAnonymizer(table,
+	an, err := generalize.NewAnonymizer(schema, microdata,
 		map[string]generalize.Hierarchy{"age": ageH, "city": cityH}, "income")
 	if err != nil {
 		log.Fatal(err)

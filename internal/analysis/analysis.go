@@ -2,10 +2,11 @@
 // library's go/ast, go/parser and go/types — no external module
 // dependencies, matching the repo's zero-dep go.mod. It exists because the
 // reproduction's correctness rests on invariants the compiler cannot see:
-// mutex-guarded shared state in internal/ppdb and internal/relational,
-// ε-sensitive severity arithmetic in internal/core and internal/economics
-// (Eqs. 12-16 of the paper), two hand-written parsers whose errors must
-// never be silently dropped, and — since the store was sharded — a
+// mutex-guarded shared state in internal/ppdb (whose row tables have no
+// lock of their own and live under ppdb.DB's), ε-sensitive severity
+// arithmetic in internal/core and internal/economics (Eqs. 12-16 of the
+// paper), two hand-written parsers whose errors must never be silently
+// dropped, and — since the store was sharded — a
 // whole-program lock order and the byte-determinism of every persisted
 // artifact. Each invariant gets a Checker; cmd/ppdblint drives them all
 // and gates `make check`.

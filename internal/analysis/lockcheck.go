@@ -9,8 +9,8 @@ import (
 )
 
 // lockcheckChecker enforces the lock discipline of structs that guard
-// shared state with a sync.Mutex/sync.RWMutex field (ppdb.DB,
-// relational.Table, ppdb.Audit are the hot paths):
+// shared state with a sync.Mutex/sync.RWMutex field (ppdb.DB, which also
+// guards every row table, and ppdb.Audit are the hot paths):
 //
 //  1. an exported pointer-receiver method that reads or writes a mutated
 //     sibling field without acquiring the struct's lock is flagged

@@ -58,12 +58,9 @@ func BaselineContrast(n int, seed uint64, k, widenings int) (*BaselineResult, er
 	if err != nil {
 		return nil, err
 	}
-	table, err := relational.NewTable("micro", schema)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		if _, err := table.Insert(gen.MicrodataRow(fmt.Sprintf("p%04d", i))); err != nil {
+	rows := make([]relational.Row, n)
+	for i := range rows {
+		if rows[i], err = schema.CheckRow(gen.MicrodataRow(fmt.Sprintf("p%04d", i))); err != nil {
 			return nil, err
 		}
 	}
@@ -80,7 +77,7 @@ func BaselineContrast(n int, seed uint64, k, widenings int) (*BaselineResult, er
 		return nil, err
 	}
 	qi := map[string]generalize.Hierarchy{"age": ageH, "city": cityH}
-	an, err := generalize.NewAnonymizer(table, qi, "condition")
+	an, err := generalize.NewAnonymizer(schema, rows, qi, "condition")
 	if err != nil {
 		return nil, err
 	}

@@ -18,12 +18,12 @@ type Release struct {
 	LevelVector []int
 }
 
-// Anonymizer runs full-domain generalization over a table: every value of a
+// Anonymizer runs full-domain generalization over rows: every value of a
 // quasi-identifier column is generalized to the same level, and a lattice of
 // level vectors is searched for the minimal vector achieving k-anonymity
 // (Samarati-style breadth-first search by vector height).
 type Anonymizer struct {
-	table       *relational.Table
+	rows        []relational.Row
 	qiCols      []string
 	qiIdx       []int
 	hierarchies []Hierarchy
@@ -31,17 +31,17 @@ type Anonymizer struct {
 	sensIdx     int
 }
 
-// NewAnonymizer prepares anonymization of table with the given
-// quasi-identifier columns (each with its hierarchy) and sensitive column.
-func NewAnonymizer(table *relational.Table, qi map[string]Hierarchy, sensitive string) (*Anonymizer, error) {
-	if table == nil {
-		return nil, fmt.Errorf("generalize: nil table")
+// NewAnonymizer prepares anonymization of rows conforming to schema with
+// the given quasi-identifier columns (each with its hierarchy) and
+// sensitive column.
+func NewAnonymizer(schema *relational.Schema, rows []relational.Row, qi map[string]Hierarchy, sensitive string) (*Anonymizer, error) {
+	if schema == nil {
+		return nil, fmt.Errorf("generalize: nil schema")
 	}
 	if len(qi) == 0 {
 		return nil, fmt.Errorf("generalize: need at least one quasi-identifier")
 	}
-	schema := table.Schema()
-	a := &Anonymizer{table: table, sensCol: strings.ToLower(sensitive)}
+	a := &Anonymizer{rows: rows, sensCol: strings.ToLower(sensitive)}
 	cols := make([]string, 0, len(qi))
 	for c := range qi {
 		cols = append(cols, strings.ToLower(c))
@@ -50,7 +50,7 @@ func NewAnonymizer(table *relational.Table, qi map[string]Hierarchy, sensitive s
 	for _, c := range cols {
 		i, ok := schema.ColumnIndex(c)
 		if !ok {
-			return nil, fmt.Errorf("generalize: table %q has no column %q", table.Name(), c)
+			return nil, fmt.Errorf("generalize: schema has no column %q", c)
 		}
 		h := qi[c]
 		if h == nil {
@@ -71,7 +71,7 @@ func NewAnonymizer(table *relational.Table, qi map[string]Hierarchy, sensitive s
 	}
 	si, ok := schema.ColumnIndex(a.sensCol)
 	if !ok {
-		return nil, fmt.Errorf("generalize: table %q has no sensitive column %q", table.Name(), sensitive)
+		return nil, fmt.Errorf("generalize: schema has no sensitive column %q", sensitive)
 	}
 	a.sensIdx = si
 	return a, nil
@@ -88,15 +88,14 @@ func (a *Anonymizer) Generalize(levels []int) (*Release, error) {
 		Sensitive:   a.sensCol,
 		LevelVector: append([]int(nil), levels...),
 	}
-	a.table.Scan(func(_ relational.RowID, row relational.Row) bool {
+	for _, row := range a.rows {
 		out := make([]relational.Value, len(a.qiIdx)+1)
 		for j, ci := range a.qiIdx {
 			out[j] = a.hierarchies[j].Generalize(row[ci], levels[j])
 		}
 		out[len(out)-1] = row[a.sensIdx]
 		rel.Rows = append(rel.Rows, out)
-		return true
-	})
+	}
 	return rel, nil
 }
 

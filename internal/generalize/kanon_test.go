@@ -7,8 +7,14 @@ import (
 	"repro/internal/relational"
 )
 
-// microdataTable builds a small table of (age, city, disease) microdata.
-func microdataTable(t *testing.T) *relational.Table {
+// microdata is a small table of (age, city, disease) microdata.
+type microdata struct {
+	schema *relational.Schema
+	rows   []relational.Row
+}
+
+// microdataTable builds the microdata rows, each checked against the schema.
+func microdataTable(t *testing.T) microdata {
 	t.Helper()
 	schema, err := relational.NewSchema([]relational.Column{
 		{Name: "id", Type: relational.TypeInt, PrimaryKey: true},
@@ -19,10 +25,7 @@ func microdataTable(t *testing.T) *relational.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := relational.NewTable("micro", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := microdata{schema: schema}
 	rows := []struct {
 		age     int64
 		city    string
@@ -38,13 +41,14 @@ func microdataTable(t *testing.T) *relational.Table {
 		{59, "edmonton", "flu"},
 	}
 	for i, r := range rows {
-		_, err := tab.Insert(relational.Row{
+		row, err := schema.CheckRow(relational.Row{
 			relational.Int(int64(i)), relational.Int(r.age),
 			relational.Text(r.city), relational.Text(r.disease),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		tab.rows = append(tab.rows, row)
 	}
 	return tab
 }
@@ -66,7 +70,7 @@ func testQI(t *testing.T) map[string]Hierarchy {
 
 func TestGeneralizeIdentity(t *testing.T) {
 	tab := microdataTable(t)
-	an, err := NewAnonymizer(tab, testQI(t), "disease")
+	an, err := NewAnonymizer(tab.schema, tab.rows, testQI(t), "disease")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestGeneralizeIdentity(t *testing.T) {
 
 func TestSearchK(t *testing.T) {
 	tab := microdataTable(t)
-	an, err := NewAnonymizer(tab, testQI(t), "disease")
+	an, err := NewAnonymizer(tab.schema, tab.rows, testQI(t), "disease")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +139,7 @@ func TestSearchK(t *testing.T) {
 
 func TestLDiversity(t *testing.T) {
 	tab := microdataTable(t)
-	an, err := NewAnonymizer(tab, testQI(t), "disease")
+	an, err := NewAnonymizer(tab.schema, tab.rows, testQI(t), "disease")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +161,7 @@ func TestLDiversity(t *testing.T) {
 func TestPrecisionLoss(t *testing.T) {
 	tab := microdataTable(t)
 	qi := testQI(t)
-	an, err := NewAnonymizer(tab, qi, "disease")
+	an, err := NewAnonymizer(tab.schema, tab.rows, qi, "disease")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,19 +182,19 @@ func TestPrecisionLoss(t *testing.T) {
 
 func TestNewAnonymizerErrors(t *testing.T) {
 	tab := microdataTable(t)
-	if _, err := NewAnonymizer(nil, testQI(t), "disease"); err == nil {
+	if _, err := NewAnonymizer(nil, nil, testQI(t), "disease"); err == nil {
 		t.Error("nil table should fail")
 	}
-	if _, err := NewAnonymizer(tab, nil, "disease"); err == nil {
+	if _, err := NewAnonymizer(tab.schema, tab.rows, nil, "disease"); err == nil {
 		t.Error("no QI should fail")
 	}
-	if _, err := NewAnonymizer(tab, map[string]Hierarchy{"nope": SuppressionHierarchy{}}, "disease"); err == nil {
+	if _, err := NewAnonymizer(tab.schema, tab.rows, map[string]Hierarchy{"nope": SuppressionHierarchy{}}, "disease"); err == nil {
 		t.Error("missing QI column should fail")
 	}
-	if _, err := NewAnonymizer(tab, testQI(t), "nope"); err == nil {
+	if _, err := NewAnonymizer(tab.schema, tab.rows, testQI(t), "nope"); err == nil {
 		t.Error("missing sensitive column should fail")
 	}
-	an, _ := NewAnonymizer(tab, testQI(t), "disease")
+	an, _ := NewAnonymizer(tab.schema, tab.rows, testQI(t), "disease")
 	if _, err := an.Generalize([]int{0}); err == nil {
 		t.Error("wrong level vector length should fail")
 	}
@@ -215,7 +219,7 @@ func TestVectorsOfHeight(t *testing.T) {
 
 func TestSearchKL(t *testing.T) {
 	tab := microdataTable(t)
-	an, err := NewAnonymizer(tab, testQI(t), "disease")
+	an, err := NewAnonymizer(tab.schema, tab.rows, testQI(t), "disease")
 	if err != nil {
 		t.Fatal(err)
 	}

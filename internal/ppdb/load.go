@@ -15,27 +15,23 @@ import (
 // failure remain stored.
 func (d *DB) ImportCSV(table string, r io.Reader) (int, error) {
 	d.mu.RLock()
-	tm, ok := d.tables[strings.ToLower(table)]
+	t, ok := d.tables[strings.ToLower(table)]
 	d.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("ppdb: table %q is not registered", table)
 	}
-	schema := tm.table.Schema()
-	rows, err := relational.ReadCSV(schema, r)
+	rows, err := relational.ReadCSV(t.schema, r)
 	if err != nil {
 		return 0, err
 	}
-	pi, _ := schema.ColumnIndex(tm.providerCol)
-	n := 0
 	for i, row := range rows {
-		provider, ok := row[pi].AsText()
+		provider, ok := row[t.provIdx].AsText()
 		if !ok {
-			return n, fmt.Errorf("ppdb: csv row %d has no provider identity", i+1)
+			return i, fmt.Errorf("ppdb: csv row %d has no provider identity", i+1)
 		}
 		if _, err := d.Insert(table, provider, row); err != nil {
-			return n, fmt.Errorf("ppdb: csv row %d: %w", i+1, err)
+			return i, fmt.Errorf("ppdb: csv row %d: %w", i+1, err)
 		}
-		n++
 	}
-	return n, nil
+	return len(rows), nil
 }

@@ -1,6 +1,7 @@
 package ppdb
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/csv"
 	"encoding/hex"
@@ -39,10 +40,13 @@ var (
 // and the simulated clock — into a directory of human-readable artifacts:
 //
 //	corpus.dsl            the policy + providers in the DSL
-//	state.json            clock and table registry
+//	state.json            clock and table registry (provider column and
+//	                      next row id per table)
 //	tables/<t>.schema.sql CREATE TABLE statement
-//	tables/<t>.csv        rows (header + data)
-//	tables/<t>.meta.csv   per-row provenance (provider, inserted), row-aligned
+//	tables/<t>.csv        live rows in row-id order, each cell a lossless
+//	                      literal (relational.ExportCSV)
+//	tables/<t>.meta.csv   per-row provenance, row-aligned: row id, provider
+//	                      key, insert instant, expired columns
 //	MANIFEST.json         format version + SHA-256 of every artifact above
 //
 // Crash safety (DESIGN.md §9): Save never touches the live snapshot in
@@ -66,10 +70,12 @@ var (
 // "persist.rename.prev", "persist.rename.live", "persist.sync.parent");
 // the crash-matrix test arms each in turn and proves recovery.
 
-// FormatVersion is the snapshot format Save writes. Version 2 added the
-// manifest's walLSN checkpoint field; Load also accepts version 1
-// (walLSN 0 — the whole WAL replays over it).
-const FormatVersion = 2
+// FormatVersion is the snapshot format Save writes. Version 3 keeps row
+// ids, expired cells and each table's next row id, and writes cells
+// losslessly; version 2 added the manifest's walLSN checkpoint field. Load
+// also accepts versions 1 (walLSN 0 — the whole WAL replays over it) and
+// 2; see restoreLegacyRows.
+const FormatVersion = 3
 
 // minFormatVersion is the oldest snapshot format Load accepts.
 const minFormatVersion = 1
@@ -100,8 +106,15 @@ type stateJSON struct {
 }
 
 type tableJSON struct {
-	ProviderCol string `json:"providerCol"`
+	ProviderCol string           `json:"providerCol"`
+	NextRowID   relational.RowID `json:"nextRowId"`
 }
+
+// provenanceColumns heads the format-3 provenance artifact
+// tables/<t>.meta.csv: per live row, in row-id order, its id, provider
+// key, insert instant (RFC 3339) and the columns sweeps have expired
+// (space-separated, in schema order).
+var provenanceColumns = []string{"row", "provider", "inserted", "expired"}
 
 // Save atomically replaces the snapshot at dir with the database's current
 // state, keeping the displaced generation at <dir>.prev. On error the
@@ -165,74 +178,17 @@ func (d *DB) renderLocked() (map[string][]byte, time.Time, error) {
 	state := stateJSON{Now: d.now, Tables: map[string]tableJSON{}}
 	// Tables in sorted name order so the artifact renders are deterministic
 	// run to run (map iteration order is not).
-	tableNames := make([]string, 0, len(d.tables))
-	for n := range d.tables {
-		tableNames = append(tableNames, n)
-	}
-	sort.Strings(tableNames)
-	type tableRender struct {
-		schema, data, meta []byte
-		err                error
-	}
-	renders := make([]tableRender, len(tableNames))
+	tableNames := d.tableNamesLocked()
+	data, meta := make([][]byte, len(tableNames)), make([][]byte, len(tableNames))
 	core.FanOut(len(tableNames), len(d.shards), func(i int) {
-		name := tableNames[i]
-		tm := d.tables[name]
-
-		schemaSQL := fmt.Sprintf("CREATE TABLE %s (%s)", name, tm.table.Schema())
-		renders[i].schema = []byte(schemaSQL + "\n")
-
-		var dataBuf, metaBuf strings.Builder
-		metaWriter := csv.NewWriter(&metaBuf)
-		if err := metaWriter.Write([]string{"provider", "inserted"}); err != nil {
-			renders[i].err = err
-			return
-		}
-		// Rows in scan (insertion) order so meta lines align.
-		var scanErr error
-		var rowsOut []relational.Row
-		schema := tm.table.Schema()
-		cols := make([]string, schema.Len())
-		for j := range cols {
-			cols[j] = schema.Column(j).Name
-		}
-		tm.table.Scan(func(id relational.RowID, row relational.Row) bool {
-			meta, ok := tm.rows[id]
-			if !ok {
-				scanErr = fmt.Errorf("ppdb: row %d of %s has no provenance", id, name)
-				return false
-			}
-			rowsOut = append(rowsOut, row)
-			if err := metaWriter.Write([]string{meta.provider, meta.inserted.Format(time.RFC3339Nano)}); err != nil {
-				scanErr = err
-				return false
-			}
-			return true
-		})
-		if scanErr != nil {
-			renders[i].err = scanErr
-			return
-		}
-		metaWriter.Flush()
-		if err := metaWriter.Error(); err != nil {
-			renders[i].err = err
-			return
-		}
-		if err := relational.ExportCSV(&dataBuf, cols, rowsOut); err != nil {
-			renders[i].err = fmt.Errorf("ppdb: save rows %s: %w", name, err)
-			return
-		}
-		renders[i].data = []byte(dataBuf.String())
-		renders[i].meta = []byte(metaBuf.String())
+		data[i], meta[i] = renderTable(d.tables[tableNames[i]])
 	})
 	for i, name := range tableNames {
-		if renders[i].err != nil {
-			return nil, time.Time{}, renders[i].err
-		}
-		state.Tables[name] = tableJSON{ProviderCol: d.tables[name].providerCol}
-		artifacts[filepath.Join("tables", name+".schema.sql")] = renders[i].schema
-		artifacts[filepath.Join("tables", name+".csv")] = renders[i].data
-		artifacts[filepath.Join("tables", name+".meta.csv")] = renders[i].meta
+		t := d.tables[name]
+		state.Tables[name] = tableJSON{ProviderCol: t.ProviderCol(), NextRowID: t.nextID()}
+		artifacts[filepath.Join("tables", name+".schema.sql")] = []byte(fmt.Sprintf("CREATE TABLE %s (%s)\n", name, t.schema))
+		artifacts[filepath.Join("tables", name+".csv")] = data[i]
+		artifacts[filepath.Join("tables", name+".meta.csv")] = meta[i]
 	}
 	stateBytes, err := json.MarshalIndent(state, "", "  ")
 	if err != nil {
@@ -240,6 +196,29 @@ func (d *DB) renderLocked() (map[string][]byte, time.Time, error) {
 	}
 	artifacts["state.json"] = append(stateBytes, '\n')
 	return artifacts, d.now, nil
+}
+
+// renderTable renders one table's live rows and their provenance, both in
+// row-id order, as the row and provenance artifacts.
+func renderTable(t *rowTable) (data, meta []byte) {
+	rows := make([]relational.Row, 0, t.live)
+	prov := make([]relational.Row, 0, t.live)
+	for id := range t.slots {
+		s := &t.slots[id]
+		if s.row == nil {
+			continue
+		}
+		var expired []string
+		for i, e := range s.expired {
+			if e {
+				expired = append(expired, t.schema.Column(i).Name)
+			}
+		}
+		rows = append(rows, s.row)
+		prov = append(prov, relational.Row{relational.Int(int64(id)), relational.Text(s.provider),
+			relational.Text(s.inserted.Format(time.RFC3339Nano)), relational.Text(strings.Join(expired, " "))})
+	}
+	return relational.ExportCSV(t.columnNames(), rows), relational.ExportCSV(provenanceColumns, prov)
 }
 
 // writeSnapshot stages the artifacts into <dir>.tmp, fsyncs everything,
@@ -449,10 +428,15 @@ func loadSnapshot(dir string, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	return restore(arts, man, cfg)
+}
+
+// restore rebuilds a DB from a generation's verified artifacts.
+func restore(arts map[string][]byte, man manifestJSON, cfg Config) (*DB, error) {
 	artifact := func(rel string) ([]byte, error) {
 		data, ok := arts[rel]
 		if !ok {
-			return nil, fmt.Errorf("ppdb: load %s: artifact %s is not listed in the manifest", dir, rel)
+			return nil, fmt.Errorf("ppdb: load: artifact %s is not listed in the manifest", rel)
 		}
 		return data, nil
 	}
@@ -518,46 +502,115 @@ func loadSnapshot(dir string, cfg Config) (*DB, error) {
 		if err := db.RegisterTable(name, schema, tj.ProviderCol); err != nil {
 			return nil, err
 		}
-
-		dataBytes, err := artifact(filepath.Join("tables", name+".csv"))
+		data, err := artifact(filepath.Join("tables", name+".csv"))
 		if err != nil {
 			return nil, err
 		}
-		rows, err := relational.ReadCSV(schema, strings.NewReader(string(dataBytes)))
+		meta, err := artifact(filepath.Join("tables", name+".meta.csv"))
+		if err != nil {
+			return nil, err
+		}
+		restoreRows := db.restoreRows
+		if man.FormatVersion < 3 {
+			restoreRows = db.restoreLegacyRows
+		}
+		db.mu.Lock()
+		err = restoreRows(db.tables[name], data, meta, tj.NextRowID)
+		db.mu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("ppdb: load rows %s: %w", name, err)
-		}
-		metaBytes, err := artifact(filepath.Join("tables", name+".meta.csv"))
-		if err != nil {
-			return nil, err
-		}
-		metaRecords, err := csv.NewReader(strings.NewReader(string(metaBytes))).ReadAll()
-		if err != nil {
-			return nil, fmt.Errorf("ppdb: load provenance %s: %w", name, err)
-		}
-		if len(metaRecords) != len(rows)+1 {
-			return nil, fmt.Errorf("ppdb: provenance for %s has %d records for %d rows", name, len(metaRecords), len(rows))
-		}
-		for i, row := range rows {
-			parts := metaRecords[i+1]
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("ppdb: bad provenance record %d for %s", i+2, name)
-			}
-			inserted, err := time.Parse(time.RFC3339Nano, parts[1])
-			if err != nil {
-				return nil, fmt.Errorf("ppdb: bad provenance time for %s row %d: %w", name, i+1, err)
-			}
-			id, err := db.Insert(name, parts[0], row)
-			if err != nil {
-				return nil, fmt.Errorf("ppdb: reload %s row %d: %w", name, i+1, err)
-			}
-			db.mu.Lock()
-			db.tables[name].rows[id].inserted = inserted
-			db.mu.Unlock()
 		}
 	}
 	// Remember the snapshot's WAL high-water mark: AttachWAL replays only
 	// records after it.
 	db.loadedLSN = man.WALLSN
 	return db, nil
+}
+
+// restoreRows reloads a format-3 table: every row under its saved id with
+// its saved provenance, then tombstones up to the saved next row id. The
+// caller holds d.mu exclusively.
+func (d *DB) restoreRows(t *rowTable, data, meta []byte, next relational.RowID) error {
+	rows, err := relational.ReadExportedCSV(t.columnNames(), data)
+	if err != nil {
+		return err
+	}
+	prov, err := relational.ReadExportedCSV(provenanceColumns, meta)
+	if err != nil {
+		return fmt.Errorf("provenance: %w", err)
+	}
+	if len(prov) != len(rows) {
+		return fmt.Errorf("provenance has %d records for %d rows", len(prov), len(rows))
+	}
+	for i, row := range rows {
+		id, okID := prov[i][0].AsInt()
+		provider, okP := prov[i][1].AsText()
+		stamp, _ := prov[i][2].AsText()
+		names, okN := prov[i][3].AsText()
+		if !okID || !okP || !okN || id >= int64(next) {
+			return fmt.Errorf("bad provenance record %v (next row id %d)", prov[i], next)
+		}
+		inserted, err := time.Parse(time.RFC3339Nano, stamp)
+		if err != nil || inserted.Format(time.RFC3339Nano) != stamp {
+			return fmt.Errorf("row %d: bad insert instant %s", id, prov[i][2])
+		}
+		expired, err := parseExpired(t, names)
+		if err != nil {
+			return fmt.Errorf("row %d: %w", id, err)
+		}
+		if err := d.addLocked(t, relational.RowID(id), rowSlot{row: row, provider: provider, inserted: inserted, expired: expired}); err != nil {
+			return fmt.Errorf("row %d: %w", id, err)
+		}
+	}
+	t.padTo(next)
+	return nil
+}
+
+// parseExpired reads a provenance record's expired columns: names of the
+// table's non-provider columns, space-separated, in schema order.
+func parseExpired(t *rowTable, names string) ([]bool, error) {
+	if names == "" {
+		return nil, nil
+	}
+	expired := make([]bool, t.schema.Len())
+	last := -1
+	for _, name := range strings.Split(names, " ") {
+		i, ok := t.schema.ColumnIndex(name)
+		if !ok || i <= last || i == t.provIdx || t.schema.Column(i).Name != name {
+			return nil, fmt.Errorf("bad expired columns %q", names)
+		}
+		expired[i], last = true, i
+	}
+	return expired, nil
+}
+
+// restoreLegacyRows reloads a format-1 or format-2 table, which saved
+// neither row ids nor expired cells: rows take fresh dense ids in saved
+// order, cells are read the way ReadCSV reads them, and the next row id
+// follows the last row. The caller holds d.mu exclusively.
+func (d *DB) restoreLegacyRows(t *rowTable, data, meta []byte, _ relational.RowID) error {
+	rows, err := relational.ReadCSV(t.schema, bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	r := csv.NewReader(bytes.NewReader(meta))
+	r.FieldsPerRecord = 2 // provider, inserted
+	records, err := r.ReadAll()
+	if err != nil {
+		return fmt.Errorf("provenance: %w", err)
+	}
+	if len(records) != len(rows)+1 {
+		return fmt.Errorf("provenance has %d records for %d rows", len(records), len(rows))
+	}
+	for i, row := range rows {
+		parts := records[i+1]
+		inserted, err := time.Parse(time.RFC3339Nano, parts[1])
+		if err != nil {
+			return fmt.Errorf("bad provenance time for row %d: %w", i+1, err)
+		}
+		if err := d.addLocked(t, relational.RowID(i), rowSlot{row: row, provider: strings.ToLower(parts[0]), inserted: inserted}); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	return nil
 }

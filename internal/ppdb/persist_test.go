@@ -195,6 +195,157 @@ func TestSaveLoadWithNullsAndQuotes(t *testing.T) {
 	if !rows[0].Values[1].IsNull() {
 		t.Errorf("NULL lost: %v", rows[0].Values[1])
 	}
+
+	// Text the /v1/load reader would trim or read as NULL survives a
+	// checkpoint verbatim: an empty NOT NULL cell, a padded cell, and a
+	// padded provider key.
+	strict, _ := relational.NewSchema([]relational.Column{
+		{Name: "provider", Type: relational.TypeText, PrimaryKey: true},
+		{Name: "note", Type: relational.TypeText, NotNull: true},
+	})
+	if err := db.RegisterTable("u", strict, "provider"); err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]string{"c": "", "d": "  padded  ", "bob ": "kept"}
+	for _, name := range []string{"c", "d", "bob "} {
+		if err := db.RegisterProvider(privacy.NewPrefs(name, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Insert("u", name, relational.Row{relational.Text(name), relational.Text(cells[name])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir2 := t.TempDir()
+	if err := db.Save(dir2); err != nil {
+		t.Fatal(err)
+	}
+	db3, err := Load(dir2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range cells {
+		rows, err := db3.ProviderView(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || rows[0].Values[0].Display() != name || rows[0].Values[1].Display() != want || rows[0].Values[1].IsNull() {
+			t.Errorf("provider %q reloaded as %v, want note %q", name, rows, want)
+		}
+	}
+}
+
+// TestSnapshotKeepsRowIDs: a row keeps its id across a checkpoint, so an
+// id a provider read before a restart still names their row after it, and
+// an id freed by a delete — even of the last row — is never handed out
+// again.
+func TestSnapshotKeepsRowIDs(t *testing.T) {
+	hp := privacy.NewHousePolicy("p")
+	hp.Add("note", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
+	db, err := New(Config{Policy: hp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, _ := relational.NewSchema([]relational.Column{
+		{Name: "provider", Type: relational.TypeText, NotNull: true},
+		{Name: "note", Type: relational.TypeText},
+	})
+	if err := db.RegisterTable("t", schema, "provider"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ann", "bob", "cy", "dee"} {
+		if err := db.RegisterProvider(privacy.NewPrefs(name, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Insert("t", name, relational.Row{relational.Text(name), relational.Text("v1")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"ann", "dee"} { // the first and the last row
+		if _, err := db.RemoveProvider(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, err := db.ProviderView("cy")
+	if err != nil || len(live) != 1 || live[0].RowID != 2 {
+		t.Fatalf("cy's row before the checkpoint = %+v, %v; want id 2", live, err)
+	}
+
+	dir := t.TempDir()
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Load(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := db2.ProviderView("cy")
+	if err != nil || len(got) != 1 || got[0].RowID != 2 {
+		t.Fatalf("cy's row after the checkpoint = %+v, %v; want id 2", got, err)
+	}
+	if err := db2.UpdateOwnRow("cy", "t", live[0].RowID, relational.Row{relational.Text("cy"), relational.Text("v2")}); err != nil {
+		t.Fatalf("update by the pre-restart id: %v", err)
+	}
+	if err := db2.RegisterProvider(privacy.NewPrefs("eve", 10)); err != nil {
+		t.Fatal(err)
+	}
+	id, err := db2.Insert("t", "eve", relational.Row{relational.Text("eve"), relational.Text("v1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 4 {
+		t.Errorf("row inserted after the reload got id %d, want 4 (ids 0-3 were handed out before)", id)
+	}
+}
+
+// TestSnapshotKeepsExpiredCells: cells a sweep expired stay expired across
+// a checkpoint, so sweeping the reloaded store expires — and reports —
+// nothing the live store would not.
+func TestSnapshotKeepsExpiredCells(t *testing.T) {
+	hp := privacy.NewHousePolicy("p")
+	hp.Add("provider", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
+	hp.Add("weight", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 1})
+	db, err := New(Config{Policy: hp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, _ := relational.NewSchema([]relational.Column{
+		{Name: "provider", Type: relational.TypeText, NotNull: true},
+		{Name: "weight", Type: relational.TypeFloat},
+	})
+	if err := db.RegisterTable("t", schema, "provider"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ann", "bob", "cy"} {
+		if err := db.RegisterProvider(privacy.NewPrefs(name, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Insert("t", name, relational.Row{relational.Text(name), relational.Float(60)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Advance(2 * 24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := db.Sweep(); err != nil || rep.CellsExpired != 3 || rep.RowsDeleted != 0 {
+		t.Fatalf("first sweep = %+v, %v; want 3 cells expired, no rows deleted", rep, err)
+	}
+	dir := t.TempDir()
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Load(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, d := range map[string]*DB{"live": db, "reloaded": db2} {
+		rep, err := d.Sweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CellsExpired != 0 || rep.RowsDeleted != 0 {
+			t.Errorf("%s store swept again: %+v, want nothing expired", label, rep)
+		}
+	}
 }
 
 // TestSaveLoadKeepsEscapableNames pins provider identity across a
@@ -235,5 +386,58 @@ func TestSaveLoadKeepsEscapableNames(t *testing.T) {
 	}
 	if _, ok := db2.Provider(name); !ok {
 		t.Errorf("provider %q not found under its own key after reload", name)
+	}
+}
+
+// TestLoadFormat2Snapshot: snapshots written before format 3 still load
+// as they always did — rows take fresh dense ids in saved order with their
+// saved insert instants, cells are read the way /v1/load reads CSV
+// (trimmed, empty as NULL), and new rows continue after the last one.
+func TestLoadFormat2Snapshot(t *testing.T) {
+	hp := privacy.NewHousePolicy("p")
+	hp.Add("provider", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
+	hp.Add("note", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 1})
+	db, err := New(Config{Policy: hp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, _ := relational.NewSchema([]relational.Column{
+		{Name: "provider", Type: relational.TypeText, NotNull: true},
+		{Name: "note", Type: relational.TypeText},
+	})
+	if err := db.RegisterTable("t", schema, "provider"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ann", "bob"} {
+		if err := db.RegisterProvider(privacy.NewPrefs(name, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arts := renderArtifacts(t, db)
+	arts[filepath.Join("tables", "t.csv")] = []byte("provider,note\nbob,  kept  \nann,\n")
+	arts[filepath.Join("tables", "t.meta.csv")] = []byte("provider,inserted\nbob,2010-12-31T00:00:00Z\nann,2011-01-01T00:00:00Z\n")
+	db2, err := restore(arts, manifestJSON{FormatVersion: 2}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, _ := db2.ProviderView("bob")
+	ann, _ := db2.ProviderView("ann")
+	if len(bob) != 1 || bob[0].RowID != 0 || bob[0].Values[1].Display() != "kept" {
+		t.Errorf("bob = %+v, want row 0 with the trimmed note", bob)
+	}
+	if len(ann) != 1 || ann[0].RowID != 1 || !ann[0].Values[1].IsNull() {
+		t.Errorf("ann = %+v, want row 1 with a NULL note", ann)
+	}
+	// bob's row was inserted a day before the clock, ann's at it: one
+	// more second expires bob's one-day note alone.
+	if _, err := db2.Advance(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := db2.Sweep(); err != nil || rep.CellsExpired != 1 {
+		t.Errorf("sweep = %+v, %v; want bob's note expired alone", rep, err)
+	}
+	id, err := db2.Insert("t", "ann", relational.Row{relational.Text("ann"), relational.Text("new")})
+	if err != nil || id != 2 {
+		t.Errorf("insert after a format-2 load = %d, %v; want id 2", id, err)
 	}
 }

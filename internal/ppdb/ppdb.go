@@ -22,8 +22,10 @@
 // bulk registration, policy rebuilds, sweeps, saves — fan out one goroutine
 // per shard. The top-level d.mu guards the cross-shard state (policy,
 // tables, clock, logs): readers of any shard hold it shared, structural
-// changes hold it exclusively. Lock order is always d.mu → dbShard.mu →
-// wal.Log.
+// changes hold it exclusively. Each registered table is one rowTable, the
+// only copy of its rows, with every row's provenance inline; it has no
+// lock of its own, so d.mu guards it too. Lock order is always d.mu →
+// dbShard.mu → wal.Log.
 package ppdb
 
 import (
@@ -40,7 +42,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policydsl"
 	"repro/internal/privacy"
-	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/wal"
 )
@@ -65,21 +66,6 @@ func (d *DB) publishGaugesShared() {
 	mProviders.Set(float64(sum.N))
 	mPW.Set(sum.PW())
 	mPDefault.Set(sum.PDefault())
-}
-
-// rowMeta tracks per-row provenance: who provided it and when.
-type rowMeta struct {
-	provider string
-	inserted time.Time
-	// expired marks attribute cells already nulled by retention sweeps.
-	expired map[string]bool
-}
-
-// tableMeta is the PPDB bookkeeping for one registered table.
-type tableMeta struct {
-	table       *relational.Table
-	providerCol string
-	rows        map[relational.RowID]*rowMeta
 }
 
 // dbShard owns the providers whose canonical key hashes to its index: one
@@ -124,10 +110,9 @@ type DB struct {
 	// maintain it), so NumProviders needs no shard sweep.
 	nProviders atomic.Int64
 
-	tables map[string]*tableMeta
-	// catalog binds every registered table for the query planner; it is
-	// extended by RegisterTable and read by QueryEnforced, both under mu.
-	catalog *query.Catalog
+	// tables holds every registered table's rows; the query engine reads
+	// them in place through enforceSource.Table.
+	tables map[string]*rowTable
 
 	hierarchies map[string]generalize.Hierarchy
 	retention   RetentionSchedule
@@ -251,8 +236,7 @@ func New(cfg Config) (*DB, error) {
 		attrSens:      cfg.AttrSens,
 		opts:          cfg.Options,
 		shards:        make([]*dbShard, nShards),
-		tables:        make(map[string]*tableMeta),
-		catalog:       query.NewCatalog(),
+		tables:        make(map[string]*rowTable),
 		hierarchies:   hier,
 		retention:     ret,
 		now:           start,
@@ -331,28 +315,32 @@ func (d *DB) Audit() *Audit { return d.audit }
 // RegisterTable creates a table whose rows each belong to one data provider,
 // identified by providerCol (paper assumption 5: one tuple per provider per
 // table; the PPDB enforces provider existence, not uniqueness, so the
-// one-to-many extension the paper mentions also works). The table is bound
-// into the query catalog here, once, so reads never rebuild it.
+// one-to-many extension the paper mentions also works).
 func (d *DB) RegisterTable(name string, schema *relational.Schema, providerCol string) error {
-	tab, err := relational.NewTable(name, schema)
+	t, err := newRowTable(name, schema, providerCol)
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, dup := d.tables[tab.Name()]; dup {
-		return fmt.Errorf("ppdb: table %q already exists", tab.Name())
+	if _, dup := d.tables[t.name]; dup {
+		return fmt.Errorf("ppdb: table %q already exists", t.name)
 	}
-	if err := d.catalog.Bind(tab, providerCol); err != nil {
-		return err
-	}
-	d.tables[tab.Name()] = &tableMeta{
-		table:       tab,
-		providerCol: privacy.CanonAttr(providerCol),
-		rows:        make(map[relational.RowID]*rowMeta),
-	}
+	d.tables[t.name] = t
 	d.mutSeq.Add(1)
 	return nil
+}
+
+// tableNamesLocked lists the registered tables in sorted name order, the
+// order every multi-table walk (sweeps, snapshots, right of access) takes
+// so its result never depends on map iteration. The caller holds d.mu.
+func (d *DB) tableNamesLocked() []string {
+	names := make([]string, 0, len(d.tables))
+	for n := range d.tables {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // RegisterProvider records a provider's preferences. Re-registering replaces
@@ -561,10 +549,9 @@ func (d *DB) summaryShared() core.Partial {
 
 // RemoveProvider deletes a provider's preferences and all of their rows —
 // the mechanics of a default (Def. 4): the provider leaves and contributes
-// zero information. Returns the number of rows deleted. Tables are visited
-// in sorted name order and rows in ascending ID order, so the mutation
-// sequence is reproducible — WAL replay of a delete must retrace it
-// exactly.
+// zero information. Returns the number of rows deleted: every id on the
+// provider's posting list in each table becomes a tombstone, so WAL replay
+// of a delete lands on exactly the same rows.
 func (d *DB) RemoveProvider(name string) (int, error) {
 	key := strings.ToLower(name)
 	d.mu.Lock()
@@ -575,25 +562,8 @@ func (d *DB) RemoveProvider(name string) (int, error) {
 	}
 	d.shardOf(key).Remove(key)
 	removed := 0
-	tableNames := make([]string, 0, len(d.tables))
-	for n := range d.tables {
-		tableNames = append(tableNames, n)
-	}
-	sort.Strings(tableNames)
-	for _, tn := range tableNames {
-		tm := d.tables[tn]
-		ids := make([]relational.RowID, 0)
-		for id, meta := range tm.rows {
-			if meta.provider == key {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			tm.table.Delete(id)
-			delete(tm.rows, id)
-			removed++
-		}
+	for _, t := range d.tables {
+		removed += t.removeProvider(key)
 	}
 	d.publishGaugesShared()
 	d.mu.Unlock()
@@ -605,42 +575,54 @@ func (d *DB) RemoveProvider(name string) (int, error) {
 // the simulated clock. The provider must have been registered first — the
 // PPDB will not hold data it cannot audit.
 func (d *DB) Insert(table, provider string, row relational.Row) (relational.RowID, error) {
-	key := strings.ToLower(provider)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.rowShared(key); !ok {
-		return 0, fmt.Errorf("ppdb: provider %q is not registered", provider)
-	}
-	tm, ok := d.tables[strings.ToLower(table)]
+	t, ok := d.tables[strings.ToLower(table)]
 	if !ok {
 		return 0, fmt.Errorf("ppdb: table %q is not registered", table)
 	}
-	pi, _ := tm.table.Schema().ColumnIndex(tm.providerCol)
-	if pi < len(row) {
-		if s, ok := row[pi].AsText(); !ok || !strings.EqualFold(s, provider) {
-			return 0, fmt.Errorf("ppdb: row provider column %s does not match provider %q", row[pi], provider)
-		}
-	}
-	id, err := tm.table.Insert(row)
-	if err != nil {
+	id := t.nextID()
+	if err := d.addLocked(t, id, rowSlot{row: row, provider: strings.ToLower(provider), inserted: d.now}); err != nil {
 		return 0, err
 	}
-	tm.rows[id] = &rowMeta{provider: key, inserted: d.now, expired: map[string]bool{}}
 	// Row mutations are not WAL-logged (rows ride snapshots only) but must
 	// still mark the store dirty so periodic checkpoints persist them.
 	d.mutSeq.Add(1)
 	return id, nil
 }
 
+// addLocked stores a row under id after the checks that keep the store
+// auditable: its provider is registered and named in its provider column.
+// The caller holds d.mu exclusively.
+func (d *DB) addLocked(t *rowTable, id relational.RowID, s rowSlot) error {
+	if _, ok := d.rowShared(s.provider); !ok {
+		return fmt.Errorf("ppdb: provider %q is not registered", s.provider)
+	}
+	if err := ownsRow(t, s.row, s.provider); err != nil {
+		return err
+	}
+	return t.add(id, s)
+}
+
+// ownsRow checks that the row's provider column names the provider.
+func ownsRow(t *rowTable, row relational.Row, provider string) error {
+	if t.provIdx < len(row) {
+		if s, ok := row[t.provIdx].AsText(); !ok || !strings.EqualFold(s, provider) {
+			return fmt.Errorf("ppdb: row provider column %s does not match provider %q", row[t.provIdx], provider)
+		}
+	}
+	return nil
+}
+
 // TableLen returns the number of live rows in a registered table.
 func (d *DB) TableLen(table string) int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	tm, ok := d.tables[strings.ToLower(table)]
+	t, ok := d.tables[strings.ToLower(table)]
 	if !ok {
 		return 0
 	}
-	return tm.table.Len()
+	return t.live
 }
 
 // SetPolicy swaps the house policy, measuring the before/after population

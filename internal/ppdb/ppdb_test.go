@@ -110,6 +110,12 @@ func TestRegistrationErrors(t *testing.T) {
 	if err := db.RegisterTable("t2", schema, "nope"); err == nil {
 		t.Error("missing provider column should fail")
 	}
+	if err := db.RegisterTable(" ", schema, "x"); err == nil {
+		t.Error("empty table name should fail")
+	}
+	if err := db.RegisterTable("t3", nil, "x"); err == nil {
+		t.Error("nil schema should fail")
+	}
 	if err := db.RegisterProvider(nil); err == nil {
 		t.Error("nil provider should fail")
 	}

@@ -44,7 +44,7 @@ type EnforcedQuery struct {
 }
 
 // enforceSource adapts the DB to query.Source. Every method is called by
-// the engine while QueryEnforced holds d.mu shared, so the table map, the
+// the engine while QueryEnforced holds d.mu shared, so the tables, the
 // clock and the retention schedule are stable for the whole query;
 // provider reads take the owning shard's lock (mu → dbShard.mu, the
 // declared order).
@@ -52,17 +52,13 @@ type enforceSource struct {
 	d *DB
 }
 
-// Origin implements query.Source.
-func (s enforceSource) Origin(table string, id relational.RowID) (string, time.Time, bool) {
-	tm, ok := s.d.tables[strings.ToLower(table)]
+// Table implements query.Source: the engine scans the rowTable in place.
+func (s enforceSource) Table(name string) (query.Rows, bool) {
+	t, ok := s.d.tables[strings.ToLower(name)]
 	if !ok {
-		return "", time.Time{}, false
+		return nil, false
 	}
-	meta, ok := tm.rows[id]
-	if !ok {
-		return "", time.Time{}, false
-	}
-	return meta.provider, meta.inserted, true
+	return t, true
 }
 
 // Provider implements query.Source.
@@ -185,7 +181,7 @@ func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 func (d *DB) queryShared(q EnforcedQuery) (*query.Result, time.Time, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	res, err := query.New(d.catalog, d.assessor, enforceSource{d: d}).Query(query.Request{
+	res, err := query.New(d.assessor, enforceSource{d: d}).Query(query.Request{
 		Requester:  q.Requester,
 		Purpose:    q.Purpose,
 		Visibility: q.Visibility,

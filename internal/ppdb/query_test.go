@@ -243,18 +243,18 @@ func TestQueryEnforcedDimensions(t *testing.T) {
 func TestQueryEnforcedProvenance(t *testing.T) {
 	db, _ := enforcedDB(t)
 
-	// White-box: bypass Insert's registration check to plant an orphan row
-	// (no rowMeta) and a row attributed to an unregistered provider.
+	// White-box: bypass Insert's registration check to plant a row
+	// attributed to an unregistered provider and an orphan row with no
+	// provenance at all.
 	db.mu.Lock()
-	tm := db.tables["patients"]
-	ghostID, err := tm.table.Insert(relational.Row{
+	tab := db.tables["patients"]
+	err := tab.add(tab.nextID(), rowSlot{row: relational.Row{
 		relational.Text("ghost"), relational.Int(40), relational.Float(80),
-	})
+	}, provider: "ghost", inserted: db.now})
 	if err == nil {
-		tm.rows[ghostID] = &rowMeta{provider: "ghost", inserted: db.now, expired: map[string]bool{}}
-		_, err = tm.table.Insert(relational.Row{
+		err = tab.add(tab.nextID(), rowSlot{row: relational.Row{
 			relational.Text("orphan"), relational.Int(41), relational.Float(81),
-		})
+		}})
 	}
 	db.mu.Unlock()
 	if err != nil {
@@ -637,11 +637,11 @@ func TestShardedEnforcedQueryUnderMutation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQueryEnforcedCatalogError pins where catalog faults surface: the
-// query catalog is bound once, when RegisterTable admits a table, so a
+// TestQueryEnforcedCatalogError pins where table faults surface: a table
+// is bound to its provider column once, when RegisterTable admits it, so a
 // table whose provider column does not resolve (or whose name is taken) is
-// refused there and never reaches the catalog — a read of it is a plain
-// invalid request, and the tables already bound keep answering.
+// refused there and never becomes readable — a read of it is a plain
+// invalid request, and the tables already registered keep answering.
 func TestQueryEnforcedCatalogError(t *testing.T) {
 	db, _ := enforcedDB(t)
 	schema, err := relational.NewSchema([]relational.Column{{Name: "patient", Type: relational.TypeText}})

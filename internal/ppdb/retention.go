@@ -2,7 +2,7 @@ package ppdb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -78,19 +78,11 @@ type SweepReport struct {
 	RowsDeleted  int
 }
 
-// cellExpiry is one decided cell expiration: which column to null (or
-// star, for NOT NULL columns) and the attribute name to mark expired.
-type cellExpiry struct {
-	idx     int
-	name    string
-	notNull bool
-}
-
 // rowDecision is the sweep verdict for one row, computed read-only in the
-// parallel decision phase and applied serially afterwards.
+// parallel decision phase and applied serially afterwards: the columns
+// whose cells expire, and whether the whole row goes.
 type rowDecision struct {
-	id     relational.RowID
-	expire []cellExpiry
+	expire []int
 	del    bool
 }
 
@@ -132,124 +124,90 @@ func (d *DB) Sweep() (SweepReport, error) {
 // sweepLocked is the sweep body; the caller holds d.mu exclusively.
 func (d *DB) sweepLocked() (SweepReport, error) {
 	rep := SweepReport{At: d.now}
-
-	tableNames := make([]string, 0, len(d.tables))
-	for name := range d.tables {
-		tableNames = append(tableNames, name)
-	}
-	sort.Strings(tableNames)
-	for _, name := range tableNames {
-		tm := d.tables[name]
-		schema := tm.table.Schema()
-		// Per-column effective retention level under the current policy.
-		type colPolicy struct {
-			idx     int
-			level   privacy.Level
-			covered bool
-		}
-		cols := make([]colPolicy, schema.Len())
-		for i := 0; i < schema.Len(); i++ {
-			name := schema.Column(i).Name
-			cp := colPolicy{idx: i}
-			// The compiled policy precomputes each attribute's retention
-			// ceiling (max over its tuples — data is kept while any purpose
-			// still needs it), so the sweep does one interner lookup per
-			// column instead of materializing the attribute's tuple list.
-			cp.level, cp.covered = d.assessor.Compiled().RetentionCeiling(name)
-			cols[i] = cp
-		}
-
-		anyCovered := false
-		for _, cp := range cols {
-			if cp.covered && schema.Column(cp.idx).Name != tm.providerCol {
-				anyCovered = true
-			}
-		}
-
-		// Decision phase: classify rows in ascending ID order, fanned out
-		// across the shard-count worker pool. Reads only.
-		ids := make([]relational.RowID, 0, len(tm.rows))
-		for id := range tm.rows {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		decisions := make([]rowDecision, len(ids))
-		core.FanOut(len(ids), len(d.shards), func(i int) {
-			id := ids[i]
-			meta := tm.rows[id]
-			dec := rowDecision{id: id}
-			if _, ok := tm.table.Get(id); !ok {
-				decisions[i] = dec
-				return
-			}
-			liveCovered := 0
-			for _, cp := range cols {
-				if !cp.covered {
-					continue
-				}
-				name := schema.Column(cp.idx).Name
-				if name == tm.providerCol {
-					// Identity expires with the row, not cell-wise.
-					continue
-				}
-				if meta.expired[name] {
-					continue
-				}
-				if d.retention.Expired(d.scales.Retention, cp.level, meta.inserted, d.now) {
-					dec.expire = append(dec.expire, cellExpiry{
-						idx:     cp.idx,
-						name:    name,
-						notNull: schema.Column(cp.idx).NotNull,
-					})
-				} else {
-					liveCovered++
-				}
-			}
-			// Check the provider column's own retention for row deletion.
-			rowExpired := true
-			for _, cp := range cols {
-				if !cp.covered || schema.Column(cp.idx).Name != tm.providerCol {
-					continue
-				}
-				if !d.retention.Expired(d.scales.Retention, cp.level, meta.inserted, d.now) {
-					rowExpired = false
-				}
-			}
-			dec.del = anyCovered && liveCovered == 0 && rowExpired
-			decisions[i] = dec
-		})
-
-		// Apply phase: serial, in ascending row-ID order.
-		for _, dec := range decisions {
-			meta := tm.rows[dec.id]
-			for _, ce := range dec.expire {
-				meta.expired[ce.name] = true
-				rep.CellsExpired++
-			}
-			if dec.del {
-				tm.table.Delete(dec.id)
-				delete(tm.rows, dec.id)
-				rep.RowsDeleted++
-				continue
-			}
-			if len(dec.expire) == 0 {
-				continue
-			}
-			row, ok := tm.table.Get(dec.id)
-			if !ok {
-				continue
-			}
-			for _, ce := range dec.expire {
-				if ce.notNull {
-					row[ce.idx] = relational.Text("*")
-				} else {
-					row[ce.idx] = relational.Null()
-				}
-			}
-			if err := tm.table.Update(dec.id, row); err != nil {
-				return rep, err
-			}
+	for _, name := range d.tableNamesLocked() {
+		if err := d.sweepTable(d.tables[name], &rep); err != nil {
+			return rep, err
 		}
 	}
 	return rep, nil
+}
+
+// sweepTable sweeps one table's rows into rep; the caller holds d.mu
+// exclusively.
+func (d *DB) sweepTable(t *rowTable, rep *SweepReport) error {
+	// Per-column effective retention level under the current policy. The
+	// compiled policy precomputes each attribute's retention ceiling (max
+	// over its tuples — data is kept while any purpose still needs it), so
+	// the sweep does one interner lookup per column instead of
+	// materializing the attribute's tuple list.
+	type colPolicy struct {
+		level   privacy.Level
+		covered bool
+	}
+	cols := make([]colPolicy, t.schema.Len())
+	anyCovered := false
+	for i := range cols {
+		cols[i].level, cols[i].covered = d.assessor.Compiled().RetentionCeiling(t.schema.Column(i).Name)
+		if cols[i].covered && i != t.provIdx {
+			anyCovered = true
+		}
+	}
+	expired := func(i int, inserted time.Time) bool {
+		return d.retention.Expired(d.scales.Retention, cols[i].level, inserted, d.now)
+	}
+
+	// Decision phase: classify every slot, fanned out across the
+	// shard-count worker pool. Reads only; tombstones decide nothing.
+	decisions := make([]rowDecision, len(t.slots))
+	core.FanOut(len(t.slots), len(d.shards), func(id int) {
+		s := &t.slots[id]
+		if s.row == nil {
+			return
+		}
+		dec := &decisions[id]
+		liveCovered := 0
+		for i, cp := range cols {
+			// Identity expires with the row, not cell-wise.
+			if !cp.covered || i == t.provIdx || s.expired != nil && s.expired[i] {
+				continue
+			}
+			if expired(i, s.inserted) {
+				dec.expire = append(dec.expire, i)
+			} else {
+				liveCovered++
+			}
+		}
+		// The provider column's own retention decides row deletion.
+		rowExpired := !cols[t.provIdx].covered || expired(t.provIdx, s.inserted)
+		dec.del = anyCovered && liveCovered == 0 && rowExpired
+	})
+
+	// Apply phase: serial, in ascending row-ID order.
+	for id, dec := range decisions {
+		rep.CellsExpired += len(dec.expire)
+		if dec.del {
+			t.delete(relational.RowID(id))
+			rep.RowsDeleted++
+			continue
+		}
+		if len(dec.expire) == 0 {
+			continue
+		}
+		s := &t.slots[id]
+		if s.expired == nil {
+			s.expired = make([]bool, len(cols))
+		}
+		// An expired cell is nulled, or starred in a NOT NULL column.
+		row := slices.Clone(s.row)
+		for _, i := range dec.expire {
+			s.expired[i], row[i] = true, relational.Null()
+			if t.schema.Column(i).NotNull {
+				row[i] = relational.Text("*")
+			}
+		}
+		if err := t.update(relational.RowID(id), row); err != nil {
+			return err
+		}
+	}
+	return nil
 }

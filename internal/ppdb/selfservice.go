@@ -2,6 +2,7 @@ package ppdb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -27,7 +28,9 @@ type OwnRow struct {
 
 // ProviderView returns every row the provider has contributed, across all
 // registered tables, at full granularity — a provider's right of access is
-// not subject to the house policy (they are reading their own data).
+// not subject to the house policy (they are reading their own data). Rows
+// come in (table name, row id) order, read off each table's posting list
+// for the provider.
 func (d *DB) ProviderView(provider string) ([]OwnRow, error) {
 	key := strings.ToLower(provider)
 	d.mu.RLock()
@@ -36,21 +39,15 @@ func (d *DB) ProviderView(provider string) ([]OwnRow, error) {
 		return nil, fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
 	var out []OwnRow
-	for name, tm := range d.tables {
-		schema := tm.table.Schema()
-		cols := make([]string, schema.Len())
-		for i := range cols {
-			cols[i] = schema.Column(i).Name
+	for _, name := range d.tableNamesLocked() {
+		t := d.tables[name]
+		ids := t.owned[key]
+		if len(ids) == 0 {
+			continue
 		}
-		for id, meta := range tm.rows {
-			if meta.provider != key {
-				continue
-			}
-			row, ok := tm.table.Get(id)
-			if !ok {
-				continue
-			}
-			out = append(out, OwnRow{Table: name, RowID: id, Columns: cols, Values: row})
+		cols := t.columnNames()
+		for _, id := range ids {
+			out = append(out, OwnRow{Table: name, RowID: id, Columns: cols, Values: slices.Clone(t.slots[id].row)})
 		}
 	}
 	return out, nil
@@ -62,24 +59,21 @@ func (d *DB) UpdateOwnRow(provider, table string, id relational.RowID, row relat
 	key := strings.ToLower(provider)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	tm, ok := d.tables[strings.ToLower(table)]
+	t, ok := d.tables[strings.ToLower(table)]
 	if !ok {
 		return fmt.Errorf("ppdb: table %q is not registered", table)
 	}
-	meta, ok := tm.rows[id]
+	s, ok := t.get(id)
 	if !ok {
 		return fmt.Errorf("ppdb: row %d does not exist in %q", id, table)
 	}
-	if meta.provider != key {
+	if s.provider != key {
 		return fmt.Errorf("ppdb: row %d in %q does not belong to %q", id, table, provider)
 	}
-	pi, _ := tm.table.Schema().ColumnIndex(tm.providerCol)
-	if pi < len(row) {
-		if s, ok := row[pi].AsText(); !ok || !strings.EqualFold(s, provider) {
-			return fmt.Errorf("ppdb: cannot reassign row ownership")
-		}
+	if ownsRow(t, row, provider) != nil {
+		return fmt.Errorf("ppdb: cannot reassign row ownership")
 	}
-	if err := tm.table.Update(id, row); err != nil {
+	if err := t.update(id, row); err != nil {
 		return err
 	}
 	d.mutSeq.Add(1)

@@ -91,8 +91,8 @@ func TestShardCountCertifyEquivalence(t *testing.T) {
 
 // TestShardSnapshotByteCompat saves the same database state at every
 // sweep shard count and requires every artifact — providers, policy,
-// tables, MANIFEST.json — to be byte-identical: the snapshot format
-// (FormatVersion 1) has no notion of shards, and a snapshot written by a
+// tables, MANIFEST.json — to be byte-identical: the snapshot format has
+// no notion of shards, and a snapshot written by a
 // sharded server must load anywhere.
 func TestShardSnapshotByteCompat(t *testing.T) {
 	read := func(t *testing.T, dir string) map[string][]byte {

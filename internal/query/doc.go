@@ -6,19 +6,22 @@
 //
 // The pieces:
 //
-//   - Catalog binds stored tables to the privacy model: which column
-//     carries the provider key (every column discloses the attribute of
-//     its own name). The owning store binds each table once, at
-//     registration.
-//   - The planner (plan.go) parses the SELECT, refuses constructs whose
-//     cells cannot be attributed to a single (provider, attribute) pair
-//     (joins, aggregates, DISTINCT, grouping, subqueries, computed
-//     projections), and resolves every referenced attribute to its
-//     governing policy tuple for the request purpose — refusing purposes
-//     the policy never stated and requester classes the policy does not
-//     admit. The index shortcut is declined for columns whose attribute
-//     generalizes (Source.HasHierarchy): the index matches raw values,
-//     and the physical plan must not change the relation.
+//   - Source.Table resolves the FROM clause to the store's Rows: the
+//     schema, the column carrying the provider key (every column discloses
+//     the attribute of its own name), and the rows themselves, each with
+//     its provenance inline.
+//   - The planner (plan.go) parses the SELECT — the parser already refuses
+//     joins, aggregates, DISTINCT, grouping and subqueries at their
+//     keyword, and the planner turns that refusal into an
+//     *UnenforceableError — refuses computed projections, whose cells
+//     cannot be attributed to a single (provider, attribute) pair, and
+//     resolves every referenced attribute to its governing policy tuple for
+//     the request purpose — refusing purposes the policy never stated and
+//     requester classes the policy does not admit. A top-level equality on
+//     an Indexed column becomes a Rows.Probe; the shortcut is declined for
+//     columns whose attribute generalizes (Source.HasHierarchy): the index
+//     matches raw values, and the physical plan must not change the
+//     relation.
 //   - The executor (exec.go) scans the base table and materializes, per
 //     row, the view the provider's preferences permit: rows whose
 //     provenance is missing or whose provider would be violated on

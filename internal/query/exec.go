@@ -2,6 +2,7 @@ package query
 
 import (
 	"sort"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/relational"
@@ -13,24 +14,14 @@ type rowEnv struct {
 	row  relational.Row
 }
 
-// Col implements relational.Env over the disclosed view.
+// Col implements relational.Env over the disclosed view. The parser
+// lower-cases every column reference, so name is already in the form the
+// planner keyed env by.
 func (e rowEnv) Col(name string) (relational.Value, error) {
-	if idx, ok := e.plan.env[canonColName(name)]; ok {
+	if idx, ok := e.plan.env[name]; ok {
 		return e.row[idx], nil
 	}
 	return relational.Null(), &DeniedError{Attribute: name, Reason: "column not resolved at plan time"}
-}
-
-func canonColName(name string) string {
-	out := make([]byte, 0, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out = append(out, c)
-	}
-	return string(out)
 }
 
 // outRow is one surviving row awaiting ordering and windowing.
@@ -45,7 +36,7 @@ type outRow struct {
 // view → OFFSET/LIMIT → projection. Rows are visited in ascending row-id
 // order and ties sort by row id, so the answer — and the EXPLAIN trace —
 // is deterministic.
-func (e *Engine) run(p *plan) (*Result, error) {
+func (e *Engine) run(p *plan) *Result {
 	res := &Result{Columns: make([]string, len(p.items))}
 	for i, it := range p.items {
 		res.Columns[i] = it.name
@@ -57,43 +48,16 @@ func (e *Engine) run(p *plan) (*Result, error) {
 
 	var rows []outRow
 	bindings := make([]core.PrefBinding, len(p.uses))
-	visit := func(id relational.RowID, raw relational.Row) error {
+	visit := func(id relational.RowID, raw relational.Row, provider string, inserted time.Time) {
 		res.Stats.RowsScanned++
-		tr, err := e.enforceRow(p, id, raw, bindings, res)
-		if err != nil {
-			return err
+		if r := e.enforceRow(p, id, raw, provider, inserted, bindings, res); r != nil {
+			rows = append(rows, *r)
 		}
-		if tr != nil {
-			rows = append(rows, *tr)
-		}
-		return nil
 	}
-
-	table := p.binding.Table
 	if p.useIdx {
-		ids, err := table.Lookup(p.idxCol, p.idxVal)
-		if err != nil {
-			return nil, err
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			raw, ok := table.Get(id)
-			if !ok {
-				continue
-			}
-			if err := visit(id, raw); err != nil {
-				return nil, err
-			}
-		}
+		p.rows.Probe(p.idxCol, p.idxVal, visit)
 	} else {
-		var scanErr error
-		table.Scan(func(id relational.RowID, raw relational.Row) bool {
-			scanErr = visit(id, raw)
-			return scanErr == nil
-		})
-		if scanErr != nil {
-			return nil, scanErr
-		}
+		p.rows.Scan(visit)
 	}
 
 	sortRows(rows, p.orderBy)
@@ -112,25 +76,24 @@ func (e *Engine) run(p *plan) (*Result, error) {
 		res.Rows = append(res.Rows, r.cells)
 	}
 	res.Stats.RowsReturned = len(res.Rows)
-	return res, nil
+	return res
 }
 
 // enforceRow applies the four dimensions to one stored row. It returns nil
 // when the row is suppressed or fails WHERE over the disclosed view.
-func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, bindings []core.PrefBinding, res *Result) (*outRow, error) {
+func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, provider string, inserted time.Time, bindings []core.PrefBinding, res *Result) *outRow {
 	// Provenance: a row the store cannot attribute to a registered provider
 	// cannot be checked against anyone's preferences, so it is withheld.
-	provider, inserted, ok := e.src.Origin(p.binding.Table.Name(), id)
-	if !ok || raw[p.provIdx].IsNull() {
+	if provider == "" || raw[p.provIdx].IsNull() {
 		res.Stats.RowsSuppressed++
-		res.Explain.suppress(id, provider, "", nil, "row has no attributable provider")
-		return nil, nil
+		res.Explain.suppress(id, provider, "row has no attributable provider")
+		return nil
 	}
 	prefs, compiled, ok := e.src.Provider(provider)
 	if !ok {
 		res.Stats.RowsSuppressed++
-		res.Explain.suppress(id, provider, "", nil, "provider is not registered")
-		return nil, nil
+		res.Explain.suppress(id, provider, "provider is not registered")
+		return nil
 	}
 
 	// Visibility: if the requester's class exceeds what any referenced
@@ -153,7 +116,7 @@ func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, bi
 	}
 	if suppressed {
 		res.Stats.RowsSuppressed++
-		return nil, nil
+		return nil
 	}
 
 	// Materialize the disclosed view of the referenced cells: retention
@@ -219,7 +182,7 @@ func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, bi
 	if p.where != nil {
 		match, err := relational.Truthy(p.where, env)
 		if err != nil || !match {
-			return nil, nil
+			return nil
 		}
 	}
 	res.Stats.RowsMatched++
@@ -241,7 +204,7 @@ func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, bi
 			out.keys[i] = v
 		}
 	}
-	return out, nil
+	return out
 }
 
 // sameValue compares raw and disclosed cells, treating NULL = NULL (the

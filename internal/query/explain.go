@@ -55,11 +55,11 @@ type Explain struct {
 func newExplain(p *plan) *Explain {
 	scan := "full"
 	if p.useIdx {
-		scan = fmt.Sprintf("index(%s=%s)", p.idxCol, p.idxVal)
+		scan = fmt.Sprintf("index(%s=%s)", p.schema.Column(p.idxCol).Name, p.idxVal)
 	}
 	return &Explain{
 		SQL:        p.req.SQL,
-		Table:      strings.ToLower(p.binding.Table.Name()),
+		Table:      p.table,
 		Scan:       scan,
 		Purpose:    p.req.Purpose.Normalize(),
 		Visibility: p.req.Visibility,
@@ -68,14 +68,11 @@ func newExplain(p *plan) *Explain {
 
 // suppress records a whole-row refusal with a plain reason. Nil-safe: when
 // EXPLAIN was not requested the receiver is nil and nothing is recorded.
-func (x *Explain) suppress(id relational.RowID, provider, column string, policy *privacy.Tuple, reason string) {
+func (x *Explain) suppress(id relational.RowID, provider, reason string) {
 	if x == nil {
 		return
 	}
-	x.Entries = append(x.Entries, Trace{
-		Row: id, Provider: provider, Column: column,
-		Action: ActionSuppress, Policy: policy, Reason: reason,
-	})
+	x.Entries = append(x.Entries, Trace{Row: id, Provider: provider, Action: ActionSuppress, Reason: reason})
 }
 
 // violation records one pair-attributed enforcement decision. Nil-safe.

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/relational"
 )
 
-// colUse is one referenced column resolved against the catalog: its schema
+// colUse is one referenced column resolved against the table: its schema
 // position and the policy tuple governing the attribute it discloses — the
 // attribute of its own canonical name — for the request purpose (resolved
 // once here, so the per-row loop does no purpose matching).
@@ -30,7 +31,8 @@ type planItem struct {
 // plan is a validated, policy-gated single-table SELECT ready to execute.
 type plan struct {
 	req     Request
-	binding *TableBinding
+	table   string
+	rows    Rows
 	schema  *relational.Schema
 	provIdx int // schema index of the provider-key column
 
@@ -46,8 +48,8 @@ type plan struct {
 	env map[string]int
 
 	// Index scan: a top-level equality on an indexed column narrows the
-	// scan to Table.Lookup.
-	idxCol string
+	// scan to Rows.Probe.
+	idxCol int
 	idxVal relational.Value
 	useIdx bool
 }
@@ -58,6 +60,10 @@ type plan struct {
 // errors for malformed input.
 func (e *Engine) Plan(req Request) (*plan, error) {
 	st, err := relational.Parse(req.SQL)
+	var unsup *relational.UnsupportedError
+	if errors.As(err, &unsup) {
+		return nil, unenforceable(unsup.Construct)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -65,34 +71,26 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: only SELECT is allowed through the enforced path")
 	}
-	if len(sel.Joins) > 0 {
-		return nil, &UnenforceableError{Construct: "JOIN", Reason: "joined cells cannot be attributed to a single provider row"}
-	}
-	if sel.Distinct {
-		return nil, &UnenforceableError{Construct: "DISTINCT", Reason: "deduplication mixes cells across providers"}
-	}
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return nil, &UnenforceableError{Construct: "GROUP BY", Reason: "grouped cells aggregate across providers"}
-	}
 
-	b, ok := e.cat.Lookup(sel.From.Table)
+	tname := sel.From.Table
+	rows, ok := e.src.Table(tname)
 	if !ok {
-		return nil, fmt.Errorf("query: table %q is not registered", sel.From.Table)
+		return nil, fmt.Errorf("query: table %q is not registered", tname)
 	}
 	p := &plan{
 		req:     req,
-		binding: b,
-		schema:  b.Table.Schema(),
+		table:   tname,
+		rows:    rows,
+		schema:  rows.Schema(),
 		where:   sel.Where,
 		orderBy: sel.OrderBy,
 		limit:   sel.Limit,
 		offset:  sel.Offset,
 		env:     make(map[string]int),
 	}
-	p.provIdx, _ = p.schema.ColumnIndex(b.ProviderCol)
+	p.provIdx, _ = p.schema.ColumnIndex(rows.ProviderCol())
 
-	tname := strings.ToLower(b.Table.Name())
-	alias := strings.ToLower(sel.From.Alias)
+	alias := sel.From.Alias        // the parser defaults it to the table name
 	useIdx := make(map[string]int) // canonical column → index into p.uses
 	resolve := func(name string, projected bool) (int, error) {
 		col := privacy.CanonAttr(name)
@@ -114,9 +112,7 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 			p.uses = append(p.uses, colUse{col: col, idx: idx})
 			p.env[col] = idx
 			p.env[tname+"."+col] = idx
-			if alias != "" {
-				p.env[alias+"."+col] = idx
-			}
+			p.env[alias+"."+col] = idx
 		}
 		if projected {
 			p.uses[ui].projected = true
@@ -128,12 +124,13 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 	// bind to exactly one (provider, attribute) datum.
 	for _, it := range sel.Items {
 		if it.Star {
-			for _, c := range p.schema.Columns() {
-				ui, err := resolve(c.Name, true)
+			for i := 0; i < p.schema.Len(); i++ {
+				name := p.schema.Column(i).Name
+				ui, err := resolve(name, true)
 				if err != nil {
 					return nil, err
 				}
-				p.items = append(p.items, planItem{name: c.Name, use: ui})
+				p.items = append(p.items, planItem{name: name, use: ui})
 			}
 			continue
 		}
@@ -156,7 +153,7 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 	}
 
 	// WHERE and ORDER BY may use expressions, but only over resolvable
-	// columns — and never aggregates or subqueries.
+	// columns.
 	if sel.Where != nil {
 		if err := collectCols(sel.Where, resolve); err != nil {
 			return nil, err
@@ -197,6 +194,24 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 	return p, nil
 }
 
+// unenforceable explains a construct the parser refused: why per-datum
+// enforcement cannot prove its answer conformant. Aggregates are named by
+// their function.
+func unenforceable(construct string) *UnenforceableError {
+	reason := "aggregates mix cells across providers"
+	switch construct {
+	case "JOIN":
+		reason = "joined cells cannot be attributed to a single provider row"
+	case "DISTINCT":
+		reason = "deduplication mixes cells across providers"
+	case "GROUP BY", "HAVING":
+		reason = "grouped cells aggregate across providers"
+	case "IN (SELECT …)":
+		reason = "subqueries read data outside the gated table"
+	}
+	return &UnenforceableError{Construct: construct, Reason: reason}
+}
+
 // collectCols walks an expression, resolving every column reference and
 // rejecting nodes whose evaluation cannot be attributed per datum.
 func collectCols(ex relational.Expr, resolve func(string, bool) (int, error)) error {
@@ -225,17 +240,13 @@ func collectCols(ex relational.Expr, resolve func(string, bool) (int, error)) er
 			}
 		}
 		return nil
-	case relational.InSubquery:
-		return &UnenforceableError{Construct: "IN (SELECT …)", Reason: "subqueries read data outside the gated table"}
-	case relational.Agg:
-		return &UnenforceableError{Construct: x.String(), Reason: "aggregates mix cells across providers"}
 	default:
 		return &UnenforceableError{Construct: ex.String(), Reason: "unsupported expression"}
 	}
 }
 
 // pickIndex looks for a top-level equality conjunct on an indexed column
-// and, finding one, narrows the executor from a full scan to Table.Lookup.
+// and, finding one, narrows the executor from a full scan to Rows.Probe.
 // Columns whose attribute has a generalization hierarchy never qualify:
 // the index matches raw stored values while WHERE evaluates the disclosed
 // view, so a probe for a generalized label (`WHERE city = 'MA'` when
@@ -258,14 +269,10 @@ func (p *plan) pickIndex(hasHierarchy func(attr string) bool) {
 		if !found {
 			continue
 		}
-		name := p.schema.Column(idx).Name
-		if !p.binding.Table.HasIndex(name) {
+		if !p.rows.Indexed(idx) || hasHierarchy(p.schema.Column(idx).Name) {
 			continue
 		}
-		if hasHierarchy(name) {
-			continue
-		}
-		p.idxCol, p.idxVal, p.useIdx = name, val, true
+		p.idxCol, p.idxVal, p.useIdx = idx, val, true
 		return
 	}
 }

@@ -10,28 +10,59 @@ import (
 	"repro/internal/relational"
 )
 
-// stubOrigin is one row's provenance in the stub source.
-type stubOrigin struct {
+// stubRow is one stored row of the stub table with its provenance; an
+// empty provider is a row the store cannot attribute.
+type stubRow struct {
+	cells    relational.Row
 	provider string
 	inserted time.Time
 }
 
-// stubSource is an in-memory query.Source: explicit provenance, a fixed
-// clock with day-granular retention (a datum granted level l expires once
-// older than l days), and a deterministic generalizer (text truncates to
-// `granted` runes plus an ellipsis, integers round to a power of ten) so
-// enforcement outcomes are exact in assertions and goldens.
+// stubRows is an in-memory query.Rows: rows in id order, the provider key
+// in the "provider" column, and equality indexes on the declared columns
+// (a probe answers exactly the rows an index would).
+type stubRows struct {
+	schema  *relational.Schema
+	rows    []stubRow
+	indexed map[int]bool
+}
+
+func (r *stubRows) Schema() *relational.Schema { return r.schema }
+func (r *stubRows) ProviderCol() string        { return "provider" }
+func (r *stubRows) Indexed(col int) bool       { return r.indexed[col] }
+
+func (r *stubRows) Scan(visit Visit) {
+	for id, row := range r.rows {
+		visit(relational.RowID(id), row.cells, row.provider, row.inserted)
+	}
+}
+
+func (r *stubRows) Probe(col int, v relational.Value, visit Visit) {
+	for id, row := range r.rows {
+		if relational.Equal(row.cells[col], v) {
+			visit(relational.RowID(id), row.cells, row.provider, row.inserted)
+		}
+	}
+}
+
+// stubSource is an in-memory query.Source over one table, "people": a
+// fixed clock with day-granular retention (a datum granted level l expires
+// once older than l days), and a deterministic generalizer (text truncates
+// to `granted` runes plus an ellipsis, integers round to a power of ten)
+// so enforcement outcomes are exact in assertions and goldens.
 type stubSource struct {
-	origins  map[relational.RowID]stubOrigin
+	people   *stubRows
 	prefs    map[string]*privacy.Prefs
 	compiled map[string]*core.CompiledPrefs
 	hier     map[string]bool // attributes with a generalization hierarchy
 	now      time.Time
 }
 
-func (s *stubSource) Origin(table string, id relational.RowID) (string, time.Time, bool) {
-	o, ok := s.origins[id]
-	return o.provider, o.inserted, ok
+func (s *stubSource) Table(name string) (Rows, bool) {
+	if name != "people" {
+		return nil, false
+	}
+	return s.people, true
 }
 
 func (s *stubSource) Provider(key string) (*privacy.Prefs, *core.CompiledPrefs, bool) {
@@ -76,9 +107,8 @@ func (s *stubSource) HasHierarchy(attr string) bool { return s.hier[attr] }
 // restrictive preference each, plus a NULL-provenance row and an
 // unregistered provider.
 type fixture struct {
-	eng   *Engine
-	src   *stubSource
-	table *relational.Table
+	eng *Engine
+	src *stubSource
 }
 
 // fullPrefs grants everything the fixture policy states, per purpose.
@@ -103,13 +133,8 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := relational.NewTable("people", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := table.CreateIndex("city"); err != nil {
-		t.Fatal(err)
-	}
+	// id is the primary key; city and email carry secondary indexes.
+	people := &stubRows{schema: schema, indexed: map[int]bool{0: true, 2: true, 4: true}}
 
 	hp := privacy.NewHousePolicy("acme").
 		Add("id", privacy.Tuple{Purpose: "service", Visibility: 2, Granularity: 4, Retention: 6}).
@@ -151,11 +176,12 @@ func newFixture(t testing.TB) *fixture {
 	now := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
 	fresh := now.Add(-time.Hour)
 	src := &stubSource{
-		origins:  make(map[relational.RowID]stubOrigin),
+		people:   people,
 		prefs:    prefs,
 		compiled: compiled,
 		// email and income carry hierarchies (the attributes the fixture
-		// actually degrades); city does not, so its index stays usable.
+		// actually degrades), so the email index is never used; city has
+		// none, so its index stays usable.
 		hier: map[string]bool{"email": true, "income": true},
 		now:  now,
 	}
@@ -180,23 +206,16 @@ func newFixture(t testing.TB) *fixture {
 		if r.provider != "" {
 			prov = relational.Text(r.provider)
 		}
-		id, err := table.Insert(relational.Row{
+		cells, err := schema.CheckRow(relational.Row{
 			relational.Int(int64(i + 1)), prov, relational.Text(r.email),
 			relational.Int(r.income), relational.Text(r.city),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.provider != "" {
-			src.origins[id] = stubOrigin{provider: r.provider, inserted: r.inserted}
-		}
+		people.rows = append(people.rows, stubRow{cells: cells, provider: r.provider, inserted: r.inserted})
 	}
-
-	cat := NewCatalog()
-	if err := cat.Bind(table, "provider"); err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{eng: New(cat, asr, src), src: src, table: table}
+	return &fixture{eng: New(asr, src), src: src}
 }
 
 // display flattens result rows to strings for compact assertions.
@@ -550,9 +569,6 @@ func TestIndexSkipsNullLiteral(t *testing.T) {
 // discloses as "c…", which a raw-value lookup would never surface.
 func TestIndexSkipsGeneralizableColumn(t *testing.T) {
 	fx := newFixture(t)
-	if err := fx.table.CreateIndex("email"); err != nil {
-		t.Fatal(err)
-	}
 	res, err := fx.eng.Query(Request{
 		Requester: "analyst", Purpose: "service", Visibility: 2,
 		SQL: "SELECT provider FROM people WHERE email = 'c…'", Explain: true,

@@ -1,40 +1,31 @@
 package relational
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
-// Additional edge-case coverage: aggregate nesting, lexer corners, parser
-// backtracking and statement marker types.
+// Additional edge-case coverage: refusals nested in expressions, lexer
+// corners, parser lookahead and statement marker types.
 
 func TestGroupedCompositeExpressions(t *testing.T) {
-	// Aggregates nest inside arithmetic, IS NULL, IN and unary minus.
-	sel := parseSelect(t, `
-		SELECT city,
-		       SUM(age) / COUNT(*) AS mean_age,
-		       MAX(weight) IS NULL AS no_weights,
-		       COUNT(*) IN (2, 3) AS small
-		FROM patients GROUP BY city ORDER BY city`)
-	want := "city, (SUM(age) / COUNT(*)) AS mean_age, (MAX(weight) IS NULL) AS no_weights, (COUNT(*) IN (2, 3)) AS small"
-	if got := joined(itemStrings(sel)); got != want {
-		t.Errorf("items = %q\nwant    %q", got, want)
-	}
-	sel = parseSelect(t, "SELECT -COUNT(*) AS neg FROM patients")
-	if got := joined(itemStrings(sel)); got != "(-COUNT(*)) AS neg" {
-		t.Errorf("neg count = %q", got)
-	}
+	// Aggregates nested inside arithmetic, IS NULL, IN and unary minus are
+	// refused at the innermost call the parser reaches first.
+	refusedAt(t, "SELECT city, SUM(age) / COUNT(*) AS mean_age FROM patients", "SUM", "SUM")
+	refusedAt(t, "SELECT city, age / COUNT(*) AS mean_age FROM patients", "COUNT", "COUNT")
+	refusedAt(t, "SELECT MAX(weight) IS NULL AS no_weights FROM patients", "MAX", "MAX")
+	refusedAt(t, "SELECT city FROM patients WHERE 2 IN (1, COUNT(*))", "COUNT", "COUNT")
+	refusedAt(t, "SELECT -COUNT(*) AS neg FROM patients", "COUNT", "COUNT")
 }
 
 func TestGroupedHavingWithAggExpression(t *testing.T) {
-	sel := parseSelect(t, `
+	refusedAt(t, `
 		SELECT city FROM patients
 		GROUP BY city
 		HAVING NOT (COUNT(*) < 3)
-		ORDER BY city`)
-	if sel.Having == nil || sel.Having.String() != "(NOT (COUNT(*) < 3))" {
-		t.Errorf("having = %v", sel.Having)
-	}
+		ORDER BY city`, "GROUP BY", "GROUP")
+	refusedAt(t, "SELECT city FROM patients HAVING NOT (COUNT(*) < 3)", "HAVING", "HAVING")
 }
 
 func TestOrderByNullsPlacement(t *testing.T) {
@@ -74,48 +65,30 @@ func TestStatementMarkers(t *testing.T) {
 }
 
 func TestAggAndSubqueryStringForms(t *testing.T) {
-	a := Agg{Fn: AggSum, Arg: ColRef{Name: "x"}}
-	if a.String() != "SUM(x)" {
-		t.Errorf("Agg.String = %q", a.String())
+	// A refusal names the construct and where it starts.
+	err := error(&UnsupportedError{Construct: "IN (SELECT …)", Pos: 31})
+	if err.Error() != "relational: IN (SELECT …) at offset 31 is not supported" {
+		t.Errorf("UnsupportedError = %q", err)
 	}
-	star := Agg{Fn: AggCount, Star: true}
-	if star.String() != "COUNT(*)" {
-		t.Errorf("star = %q", star.String())
+	if u := refused(t, "SELECT SUM(x) FROM t"); !strings.Contains(u.Error(), "SUM at offset 7") {
+		t.Errorf("aggregate refusal = %q", u)
 	}
-	if _, err := star.Eval(MapEnv{}); err == nil {
-		t.Error("raw Agg.Eval must error")
-	}
-	q := InSubquery{X: ColRef{Name: "id"}}
-	if !strings.Contains(q.String(), "IN (SELECT") {
-		t.Errorf("InSubquery.String = %q", q.String())
-	}
-	qn := InSubquery{Not: true, X: ColRef{Name: "id"}}
-	if !strings.Contains(qn.String(), "NOT IN") {
-		t.Errorf("not-in String = %q", qn.String())
-	}
-	if _, err := q.Eval(MapEnv{}); err == nil {
-		t.Error("raw InSubquery.Eval must error")
-	}
-	// Kind and BinOp string forms.
+	// Kind, BinOp and ColType fallback string forms.
 	if Kind(99).String() == "" || BinOp(99).String() == "" || ColType(99).String() == "" {
 		t.Error("fallback String forms must be non-empty")
-	}
-	if AggFn(99).String() == "" {
-		t.Error("AggFn fallback String must be non-empty")
 	}
 }
 
 func TestInnerWithoutJoinBacktracks(t *testing.T) {
-	// INNER not followed by JOIN: the parser backtracks and the statement
-	// fails cleanly ("inner" is reserved and cannot be an alias).
-	if _, err := Parse("SELECT name FROM patients INNER WHERE id = 1"); err == nil {
-		t.Error("INNER without JOIN should fail to parse")
+	// INNER not followed by JOIN is no join: the statement fails as plain
+	// trailing input ("inner" is reserved and cannot be an alias).
+	_, err := Parse("SELECT name FROM patients INNER WHERE id = 1")
+	var u *UnsupportedError
+	if err == nil || errors.As(err, &u) {
+		t.Errorf("INNER without JOIN = %v, want a parse error", err)
 	}
-	// The full INNER JOIN spelling still works.
-	sel := parseSelect(t, "SELECT p.name FROM patients p INNER JOIN visits v ON p.id = v.patient_id WHERE v.id = 10")
-	if len(sel.Joins) != 1 || sel.Where.String() != "(v.id = 10)" {
-		t.Errorf("joins = %+v, where = %s", sel.Joins, sel.Where)
-	}
+	// The full INNER JOIN spelling is refused as a join.
+	refusedAt(t, "SELECT p.name FROM patients p INNER JOIN visits v ON p.id = v.patient_id WHERE v.id = 10", "JOIN", "INNER")
 }
 
 func TestParseExprTrailingInput(t *testing.T) {
@@ -128,23 +101,16 @@ func TestParseExprTrailingInput(t *testing.T) {
 }
 
 func TestSubqueryInsideInListAndNesting(t *testing.T) {
-	// Nested IN subquery inside another subquery's WHERE.
-	sel := parseSelect(t, `
+	// A subquery nested in another is refused at the outer one.
+	inSubquery(t, `
 		SELECT name FROM patients
 		WHERE id IN (
 			SELECT patient_id FROM visits
 			WHERE patient_id IN (SELECT id FROM patients WHERE city = 'calgary')
 		)
 		ORDER BY name`)
-	outer, ok := sel.Where.(InSubquery)
-	if !ok || outer.X != (ColRef{Name: "id"}) || outer.Query.From.Table != "visits" {
-		t.Fatalf("outer = %#v", sel.Where)
-	}
-	inner, ok := outer.Query.Where.(InSubquery)
-	if !ok || inner.Query.From.Table != "patients" || inner.Query.Where.String() != "(city = 'calgary')" {
-		t.Fatalf("inner = %#v", outer.Query.Where)
-	}
-	if joined(orderStrings(sel)) != "name" {
-		t.Errorf("outer order by = %v", orderStrings(sel))
+	// A SELECT inside a literal IN list is no subquery form at all.
+	if _, err := Parse("SELECT name FROM patients WHERE id IN (1, (SELECT id FROM t))"); err == nil {
+		t.Error("SELECT inside an IN list should fail to parse")
 	}
 }

@@ -90,26 +90,110 @@ func parseCell(cell string, ct ColType) (Value, error) {
 	}
 }
 
-// ExportCSV writes rows as CSV under a header row of column names; NULL
-// cells are written empty, the form ReadCSV reads back as NULL.
-func ExportCSV(w io.Writer, columns []string, rows []Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(columns); err != nil {
-		return fmt.Errorf("relational: csv export: %w", err)
-	}
-	record := make([]string, len(columns))
+// ExportCSV renders rows under a header row of column names, one line per
+// row, each cell in its literal form: NULL, TRUE or FALSE, a number in its
+// shortest round-trip form (NaN, +Inf and -Inf included), or text as a
+// double-quoted Go string literal. Quoting escapes every control byte, so
+// a row is exactly one line and a comma inside text never separates
+// cells. Unlike ReadCSV's input, nothing is trimmed and empty text stays
+// distinct from NULL: ReadExportedCSV reads the rows back value for value.
+// Snapshots store table rows in this form.
+func ExportCSV(columns []string, rows []Row) []byte {
+	b := append([]byte(strings.Join(columns, ",")), '\n')
 	for _, row := range rows {
 		for i, v := range row {
-			if v.IsNull() {
-				record[i] = ""
-			} else {
-				record[i] = v.Display()
+			if i > 0 {
+				b = append(b, ',')
 			}
+			b = appendLiteral(b, v)
 		}
-		if err := cw.Write(record); err != nil {
-			return fmt.Errorf("relational: csv export: %w", err)
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// ReadExportedCSV reads back rows ExportCSV rendered under columns. It
+// accepts only what ExportCSV writes — that header, then one
+// newline-terminated line per row whose every cell is the literal
+// ExportCSV writes for its value — so anything it reads, ExportCSV renders
+// back byte for byte. A number reads as an integer when it is written as
+// one; typing cells by column and checking constraints is the caller's
+// job (Schema.CheckRow widens integers in FLOAT columns).
+func ReadExportedCSV(columns []string, data []byte) ([]Row, error) {
+	header := strings.Join(columns, ",") + "\n"
+	s, ok := strings.CutPrefix(string(data), header)
+	if !ok {
+		return nil, fmt.Errorf("relational: csv header is not %q", header[:len(header)-1])
+	}
+	var rows []Row
+	for line := 2; s != ""; line++ {
+		row := make(Row, len(columns))
+		for i := range row {
+			lit, rest := cutLiteral(s)
+			v, err := parseLiteral(lit)
+			if err != nil {
+				return nil, fmt.Errorf("relational: csv line %d column %q: %w", line, columns[i], err)
+			}
+			sep := byte(',')
+			if i == len(row)-1 {
+				sep = '\n'
+			}
+			if rest == "" || rest[0] != sep {
+				return nil, fmt.Errorf("relational: csv line %d: expected %q after column %q", line, sep, columns[i])
+			}
+			row[i], s = v, rest[1:]
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// appendLiteral appends v's ExportCSV cell.
+func appendLiteral(b []byte, v Value) []byte {
+	if s, ok := v.AsText(); ok {
+		return strconv.AppendQuote(b, s)
+	}
+	return append(b, v.String()...)
+}
+
+// cutLiteral splits the next cell off s: a quoted text literal up to its
+// closing quote, anything else up to the next comma or newline.
+func cutLiteral(s string) (lit, rest string) {
+	if strings.HasPrefix(s, `"`) {
+		if q, err := strconv.QuotedPrefix(s); err == nil {
+			return q, s[len(q):]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if i := strings.IndexAny(s, ",\n"); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
+// parseLiteral reads one ExportCSV cell, refusing any spelling other than
+// the one appendLiteral writes for the value it denotes.
+func parseLiteral(lit string) (Value, error) {
+	v, err := Null(), error(nil)
+	switch {
+	case lit == "NULL":
+	case lit == "TRUE", lit == "FALSE":
+		v = Bool(lit == "TRUE")
+	case strings.HasPrefix(lit, `"`):
+		var s string
+		s, err = strconv.Unquote(lit)
+		v = Text(s)
+	default:
+		// "-0" is the float negative zero; no integer is written that way.
+		if n, ierr := strconv.ParseInt(lit, 10, 64); ierr == nil && lit != "-0" {
+			v = Int(n)
+		} else {
+			var f float64
+			f, err = strconv.ParseFloat(lit, 64)
+			v = Float(f)
+		}
+	}
+	if err != nil || string(appendLiteral(nil, v)) != lit {
+		return Null(), fmt.Errorf("%q is not a literal ExportCSV writes", lit)
+	}
+	return v, nil
 }

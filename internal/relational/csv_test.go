@@ -1,56 +1,56 @@
 package relational
 
 import (
-	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
-// loadCSV reads CSV into tab the way the store ingests it: ReadCSV types
-// the cells, Table.Insert enforces the schema's constraints.
-func loadCSV(tab *Table, data string) (int, error) {
-	rows, err := ReadCSV(tab.Schema(), strings.NewReader(data))
+// loadCSV reads CSV the way the store ingests it: ReadCSV types the cells
+// and the schema's CheckRow enforces NOT NULL. Primary-key uniqueness is
+// the store's to enforce (internal/ppdb).
+func loadCSV(s *Schema, data string) ([]Row, error) {
+	rows, err := ReadCSV(s, strings.NewReader(data))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	for i, row := range rows {
-		if _, err := tab.Insert(row); err != nil {
-			return i, err
+		if rows[i], err = s.CheckRow(row); err != nil {
+			return nil, err
 		}
 	}
-	return len(rows), nil
+	return rows, nil
 }
 
 func TestImportCSV(t *testing.T) {
-	tab := newPersonTable(t)
 	csvData := `name,id,weight,active
 alice,1,61.5,true
 bob,2,,false
 carol,3,55,YES
 `
-	n, err := loadCSV(tab, csvData)
+	rows, err := loadCSV(personSchema(t), csvData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 || tab.Len() != 3 {
-		t.Fatalf("imported %d rows", n)
+	if len(rows) != 3 {
+		t.Fatalf("imported %d rows", len(rows))
 	}
-	_, row, ok := tab.GetByPK(Int(2))
-	if !ok {
-		t.Fatal("bob missing")
+	bob := rows[1]
+	if id, _ := bob[0].AsInt(); id != 2 {
+		t.Fatalf("row 2 = %v, want bob", bob)
 	}
-	if !row[2].IsNull() {
-		t.Errorf("empty cell should be NULL: %v", row[2])
+	if !bob[2].IsNull() {
+		t.Errorf("empty cell should be NULL: %v", bob[2])
 	}
-	if b, _ := row[3].AsBool(); b {
-		t.Errorf("bob active = %v", row[3])
+	if b, _ := bob[3].AsBool(); b {
+		t.Errorf("bob active = %v", bob[3])
 	}
-	_, row, _ = tab.GetByPK(Int(3))
-	if w, _ := row[2].AsFloat(); w != 55 {
-		t.Errorf("carol weight = %v", row[2])
+	carol := rows[2]
+	if w, _ := carol[2].AsFloat(); w != 55 {
+		t.Errorf("carol weight = %v", carol[2])
 	}
-	if b, _ := row[3].AsBool(); !b {
-		t.Errorf("YES should parse true: %v", row[3])
+	if b, _ := carol[3].AsBool(); !b {
+		t.Errorf("YES should parse true: %v", carol[3])
 	}
 }
 
@@ -60,67 +60,124 @@ func TestImportCSVErrors(t *testing.T) {
 		"bad int":         "name,id,weight,active\na,x,1,true\n",
 		"bad float":       "name,id,weight,active\na,1,heavy,true\n",
 		"bad bool":        "name,id,weight,active\na,1,1,maybe\n",
-		"pk duplicate":    "name,id,weight,active\na,1,1,true\nb,1,2,false\n",
 		"not null violat": "name,id,weight,active\n,1,1,true\n",
 		"empty input":     "",
 	}
 	for name, data := range cases {
-		tab := newPersonTable(t)
-		if _, err := loadCSV(tab, data); err == nil {
+		if _, err := loadCSV(personSchema(t), data); err == nil {
 			t.Errorf("%s: import should fail", name)
 		}
 	}
 }
 
-func TestExportCSVRoundTrip(t *testing.T) {
-	tab := newPersonTable(t)
-	src := "name,id,weight,active\nalice,1,61.5,TRUE\nbob,2,,FALSE\n"
-	if _, err := loadCSV(tab, src); err != nil {
-		t.Fatal(err)
-	}
-	cols := make([]string, tab.Schema().Len())
+// exportRoundTrip exports rows, requires the exact text want, and reads
+// the text back with ReadExportedCSV: after the schema's CheckRow (which
+// types integral floats back as floats) every value must be identical.
+func exportRoundTrip(t *testing.T, s *Schema, rows []Row, want string) {
+	t.Helper()
+	cols := make([]string, s.Len())
 	for i := range cols {
-		cols[i] = tab.Schema().Column(i).Name
+		cols[i] = s.Column(i).Name
 	}
-	var rows []Row
-	tab.Scan(func(_ RowID, row Row) bool {
-		rows = append(rows, row)
-		return true
-	})
-	var buf bytes.Buffer
-	if err := ExportCSV(&buf, cols, rows); err != nil {
-		t.Fatal(err)
+	out := ExportCSV(cols, rows)
+	if string(out) != want {
+		t.Fatalf("export = %q\nwant     %q", out, want)
 	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "id,name,weight,active\n") {
-		t.Errorf("header = %q", out)
-	}
-	if !strings.Contains(out, "1,alice,61.5,TRUE") {
-		t.Errorf("alice row missing:\n%s", out)
-	}
-	// NULL exports as empty.
-	if !strings.Contains(out, "2,bob,,FALSE") {
-		t.Errorf("bob row wrong:\n%s", out)
-	}
-	// Re-import into a fresh table.
-	tab2 := newPersonTable(t)
-	n, err := loadCSV(tab2, out)
+	back, err := ReadExportedCSV(cols, out)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read back: %v", err)
 	}
-	if n != 2 || tab2.Len() != 2 {
-		t.Errorf("round-trip rows = %d", n)
+	if len(back) != len(rows) {
+		t.Fatalf("read back %d rows, exported %d", len(back), len(rows))
+	}
+	for i := range rows {
+		got, err := s.CheckRow(back[i])
+		if err != nil {
+			t.Fatalf("row %d read back as %v: %v", i, back[i], err)
+		}
+		for j := range rows[i] {
+			a, b := rows[i][j], got[j]
+			if a.Kind() != b.Kind() || a.String() != b.String() {
+				t.Errorf("row %d cell %d = %s (%s), exported %s (%s)", i, j, b, b.Kind(), a, a.Kind())
+			}
+		}
 	}
 }
 
-func TestExportQueryResultCSV(t *testing.T) {
-	var buf bytes.Buffer
-	rows := []Row{{Text("calgary"), Int(3)}, {Text("edmonton"), Int(2)}, {Null(), Int(0)}}
-	if err := ExportCSV(&buf, []string{"city", "n"}, rows); err != nil {
+func TestExportCSVRoundTrip(t *testing.T) {
+	s := personSchema(t)
+	rows, err := loadCSV(s, "name,id,weight,active\nalice,1,61.5,TRUE\nbob,2,,FALSE\n")
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := "city,n\ncalgary,3\nedmonton,2\n,0\n"
-	if buf.String() != want {
-		t.Errorf("csv = %q, want %q", buf.String(), want)
+	exportRoundTrip(t, s, rows, "id,name,weight,active\n1,\"alice\",61.5,TRUE\n2,\"bob\",NULL,FALSE\n")
+
+	// Cells ReadCSV would trim, turn to NULL or split survive verbatim,
+	// and so do the floats a decimal rendering cannot spell.
+	tricky := []Row{
+		{Int(math.MinInt64), Text(""), Float(math.NaN()), Null()},
+		{Int(math.MaxInt64), Text("  padded  "), Float(math.Inf(1)), Bool(true)},
+		{Int(-1), Text("a,b\r\nc\t\"q\" 'x' \\ é \x00\xff"), Float(math.Inf(-1)), Bool(false)},
+		{Int(0), Text("NULL"), Float(math.Copysign(0, -1)), Null()},
+		{Int(7), Text(","), Float(1e21), Null()},
+		{Int(8), Text("-0"), Float(3), Null()},
+	}
+	exportRoundTrip(t, s, tricky, "id,name,weight,active\n"+
+		"-9223372036854775808,\"\",NaN,NULL\n"+
+		"9223372036854775807,\"  padded  \",+Inf,TRUE\n"+
+		"-1,\"a,b\\r\\nc\\t\\\"q\\\" 'x' \\\\ é \\x00\\xff\",-Inf,FALSE\n"+
+		"0,\"NULL\",-0,NULL\n"+
+		"7,\",\",1e+21,NULL\n"+
+		"8,\"-0\",3,NULL\n")
+}
+
+func TestExportQueryResultCSV(t *testing.T) {
+	rows := []Row{{Text("calgary"), Int(3)}, {Text("edmonton"), Int(2)}, {Null(), Int(0)}}
+	want := "city,n\n\"calgary\",3\n\"edmonton\",2\nNULL,0\n"
+	if got := string(ExportCSV([]string{"city", "n"}, rows)); got != want {
+		t.Errorf("csv = %q, want %q", got, want)
+	}
+}
+
+// TestReadExportedCSVRejectsOtherSpellings pins the reader to the exact
+// bytes ExportCSV writes: any other spelling of a value, a header or a
+// line ending is refused rather than normalized, so whatever the reader
+// accepts exports back byte for byte.
+func TestReadExportedCSVRejectsOtherSpellings(t *testing.T) {
+	cols := []string{"id", "name", "weight", "active"}
+	const header = "id,name,weight,active\n"
+	if rows, err := ReadExportedCSV(cols, []byte(header)); err != nil || len(rows) != 0 {
+		t.Fatalf("header only = %v, %v; want no rows", rows, err)
+	}
+	for _, bad := range []string{
+		"",
+		"id,name,weight\n",
+		"ID,name,weight,active\n",
+		header + "1,\"a\",1.5,TRUE",     // no final newline
+		header + "1,\"a\",1.5,TRUE\r\n", // CRLF
+		header + "1,\"a\",1.5,TRUE,\n",  // extra cell
+		header + "1,\"a\",1.5\n",        // missing cell
+		header + "\n",                   // blank line
+		header + "01,\"a\",1.5,TRUE\n",
+		header + "+1,\"a\",1.5,TRUE\n",
+		header + "1,a,1.5,TRUE\n",
+		header + "1,'a',1.5,TRUE\n",
+		header + "1,`a`,1.5,TRUE\n",
+		header + "1,\"\\x61\",1.5,TRUE\n",
+		header + "1,\"a\",1.50,TRUE\n",
+		header + "-00,\"a\",1.5,TRUE\n",
+		header + "1,\"a\",1.0,TRUE\n",
+		header + "1,\"a\",inf,TRUE\n",
+		header + "1,\"a\",1.5,true\n",
+		header + "1,\"a\",1.5,T\n",
+		header + "1,\"a\",null,TRUE\n",
+		header + "1,\"a\",1.5, TRUE\n",
+		header + "1,\"a\"\"b\",1.5,TRUE\n",
+		header + "1,\"unterminated,1.5,TRUE\n",
+		header + "99999999999999999999,\"a\",1.5,TRUE\n",
+	} {
+		if rows, err := ReadExportedCSV(cols, []byte(bad)); err == nil {
+			t.Errorf("ReadExportedCSV(%q) = %v, want an error", bad, rows)
+		}
 	}
 }

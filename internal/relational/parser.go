@@ -29,107 +29,40 @@ type FromItem struct {
 	Alias string
 }
 
-// JoinClause is an INNER JOIN with its ON condition.
-type JoinClause struct {
-	Right FromItem
-	On    Expr
-}
-
 // OrderItem is one ORDER BY key.
 type OrderItem struct {
 	Expr Expr
 	Desc bool
 }
 
-// SelectStmt is a SELECT query.
+// SelectStmt is a single-table SELECT query.
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	From     FromItem
-	Joins    []JoinClause
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderItem
-	Limit    int // -1 = none
-	Offset   int
+	Items   []SelectItem
+	From    FromItem
+	Where   Expr
+	OrderBy []OrderItem
+	Limit   int // -1 = none
+	Offset  int
 }
 
 func (CreateTableStmt) stmt() {}
 func (SelectStmt) stmt()      {}
 
-// AggFn enumerates aggregate functions.
-type AggFn int
-
-// Aggregate functions.
-const (
-	AggCount AggFn = iota
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
-)
-
-// String names the aggregate.
-func (f AggFn) String() string {
-	switch f {
-	case AggCount:
-		return "COUNT"
-	case AggSum:
-		return "SUM"
-	case AggAvg:
-		return "AVG"
-	case AggMin:
-		return "MIN"
-	case AggMax:
-		return "MAX"
-	default:
-		return fmt.Sprintf("AGG(%d)", int(f))
-	}
+// UnsupportedError reports a SELECT construct the dialect refuses at its
+// keyword: a join, DISTINCT, GROUP BY, HAVING, an aggregate (named by its
+// function) or an IN (SELECT …) subquery. Each either mixes cells of
+// several stored rows into one answer cell or reads rows outside the one
+// table the statement names, so the enforcing planner could not check it
+// per datum; the parser names the construct rather than building a tree
+// only to have it refused.
+type UnsupportedError struct {
+	Construct string
+	Pos       int // byte offset of the refused keyword
 }
 
-// InSubquery is `x [NOT] IN (SELECT …)` with an uncorrelated subquery. It is
-// parsed so the enforcing planner can name and refuse it; evaluating the
-// node is an error.
-type InSubquery struct {
-	Not   bool
-	X     Expr
-	Query SelectStmt
-}
-
-// Eval implements Expr; subqueries cannot evaluate row-wise.
-func (q InSubquery) Eval(Env) (Value, error) {
-	return Null(), fmt.Errorf("relational: IN (SELECT …) subquery cannot be evaluated")
-}
-
-// String implements Expr.
-func (q InSubquery) String() string {
-	op := "IN"
-	if q.Not {
-		op = "NOT IN"
-	}
-	return fmt.Sprintf("(%s %s (SELECT …))", q.X, op)
-}
-
-// Agg is an aggregate call. It is parsed so the enforcing planner can name
-// and refuse it; evaluating the node is an error.
-type Agg struct {
-	Fn   AggFn
-	Star bool // COUNT(*)
-	Arg  Expr
-}
-
-// Eval implements Expr; aggregates cannot evaluate row-wise.
-func (a Agg) Eval(Env) (Value, error) {
-	return Null(), fmt.Errorf("relational: aggregate %s cannot be evaluated per row", a)
-}
-
-// String implements Expr.
-func (a Agg) String() string {
-	if a.Star {
-		return "COUNT(*)"
-	}
-	return fmt.Sprintf("%s(%s)", a.Fn, a.Arg)
+// Error implements error.
+func (e *UnsupportedError) Error() string {
+	return fmt.Sprintf("relational: %s at offset %d is not supported", e.Construct, e.Pos)
 }
 
 // Parse parses a single SELECT or CREATE TABLE statement (a trailing
@@ -287,8 +220,8 @@ func (p *parser) parseCreate() (Statement, error) {
 func (p *parser) parseSelect() (Statement, error) {
 	p.next() // SELECT
 	st := SelectStmt{Limit: -1}
-	if p.accept(tokIdent, "distinct") {
-		st.Distinct = true
+	if p.at(tokIdent, "distinct") {
+		return nil, p.unsupported("DISTINCT")
 	}
 	for {
 		if p.accept(tokPunct, "*") {
@@ -320,19 +253,9 @@ func (p *parser) parseSelect() (Statement, error) {
 		return nil, err
 	}
 	st.From = from
-	for p.accept(tokIdent, "join") || (p.at(tokIdent, "inner") && p.acceptInnerJoin()) {
-		right, err := p.parseFromItem()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.keyword("on"); err != nil {
-			return nil, err
-		}
-		on, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Joins = append(st.Joins, JoinClause{Right: right, On: on})
+	if p.at(tokIdent, "join") || p.at(tokIdent, "inner") && p.toks[p.i+1].kind == tokIdent &&
+		strings.EqualFold(p.toks[p.i+1].text, "join") {
+		return nil, p.unsupported("JOIN")
 	}
 	if p.accept(tokIdent, "where") {
 		w, err := p.parseExpr()
@@ -341,27 +264,11 @@ func (p *parser) parseSelect() (Statement, error) {
 		}
 		st.Where = w
 	}
-	if p.accept(tokIdent, "group") {
-		if err := p.keyword("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.GroupBy = append(st.GroupBy, e)
-			if !p.accept(tokPunct, ",") {
-				break
-			}
-		}
-	}
-	if p.accept(tokIdent, "having") {
-		h, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Having = h
+	switch {
+	case p.at(tokIdent, "group"):
+		return nil, p.unsupported("GROUP BY")
+	case p.at(tokIdent, "having"):
+		return nil, p.unsupported("HAVING")
 	}
 	if p.accept(tokIdent, "order") {
 		if err := p.keyword("by"); err != nil {
@@ -401,15 +308,9 @@ func (p *parser) parseSelect() (Statement, error) {
 	return st, nil
 }
 
-// acceptInnerJoin consumes "INNER JOIN" after at() saw INNER.
-func (p *parser) acceptInnerJoin() bool {
-	save := p.i
-	p.next() // INNER
-	if p.accept(tokIdent, "join") {
-		return true
-	}
-	p.i = save
-	return false
+// unsupported refuses the construct starting at the current token.
+func (p *parser) unsupported(construct string) error {
+	return &UnsupportedError{Construct: construct, Pos: p.peek().pos}
 }
 
 func (p *parser) parseNonNegInt() (int, error) {
@@ -465,7 +366,7 @@ func (p *parser) atReserved() bool {
 //   additive := term ((+|-) term)*
 //   term     := unary ((*|/|%) unary)*
 //   unary    := - unary | primary
-//   primary  := literal | colref | agg | ( expr )
+//   primary  := literal | colref | ( expr )
 
 func (p *parser) parseExpr() (Expr, error) {
 	l, err := p.parseAnd()
@@ -557,14 +458,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 				return nil, err
 			}
 			if p.at(tokIdent, "select") {
-				sub, err := p.parseSelect()
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(tokPunct, ")"); err != nil {
-					return nil, err
-				}
-				return InSubquery{Not: not, X: l, Query: sub.(SelectStmt)}, nil
+				return nil, p.unsupported("IN (SELECT …)")
 			}
 			var list []Expr
 			for {
@@ -681,9 +575,8 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-var aggNames = map[string]AggFn{
-	"count": AggCount, "sum": AggSum, "avg": AggAvg, "min": AggMin, "max": AggMax,
-}
+// aggregates are the function names refused as aggregates when called.
+var aggregates = map[string]bool{"count": true, "sum": true, "avg": true, "min": true, "max": true}
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
@@ -732,24 +625,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 			p.next()
 			return Literal{Bool(false)}, nil
 		}
-		if fn, isAgg := aggNames[lower]; isAgg && p.i+1 < len(p.toks) &&
-			p.toks[p.i+1].kind == tokPunct && p.toks[p.i+1].text == "(" {
-			p.next() // fn name
-			p.next() // (
-			if fn == AggCount && p.accept(tokPunct, "*") {
-				if _, err := p.expect(tokPunct, ")"); err != nil {
-					return nil, err
-				}
-				return Agg{Fn: AggCount, Star: true}, nil
-			}
-			arg, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
-				return nil, err
-			}
-			return Agg{Fn: fn, Arg: arg}, nil
+		if aggregates[lower] && p.toks[p.i+1].kind == tokPunct && p.toks[p.i+1].text == "(" {
+			return nil, p.unsupported(strings.ToUpper(lower))
 		}
 		p.next()
 		name := strings.ToLower(t.text)

@@ -113,13 +113,6 @@ func NewSchema(cols []Column) (*Schema, error) {
 // Len returns the number of columns.
 func (s *Schema) Len() int { return len(s.cols) }
 
-// Columns returns a copy of the column definitions.
-func (s *Schema) Columns() []Column {
-	out := make([]Column, len(s.cols))
-	copy(out, s.cols)
-	return out
-}
-
 // Column returns the i'th column definition.
 func (s *Schema) Column(i int) Column { return s.cols[i] }
 

@@ -1,15 +1,39 @@
 package relational
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 )
 
-// The SQL surface is a parser: SELECT (the full grammar the enforcing
-// planner in internal/query classifies) and CREATE TABLE (the form
-// snapshots store schemas in). These tests pin the statements the grammar
-// produces; executing them is the planner's business.
+// The SQL surface is a parser: the single-table SELECT the enforcing
+// planner in internal/query can check per datum, and CREATE TABLE (the
+// form snapshots store schemas in). These tests pin the statements the
+// grammar produces and the constructs it refuses at their keyword;
+// executing statements is the planner's business.
+
+// refused parses src and returns the *UnsupportedError it must fail with.
+func refused(t *testing.T, src string) *UnsupportedError {
+	t.Helper()
+	_, err := Parse(src)
+	var u *UnsupportedError
+	if !errors.As(err, &u) {
+		t.Fatalf("Parse(%q) = %v, want an *UnsupportedError", src, err)
+	}
+	return u
+}
+
+// refusedAt requires src to be refused as construct at the first offset
+// of keyword.
+func refusedAt(t *testing.T, src, construct, keyword string) {
+	t.Helper()
+	u := refused(t, src)
+	if u.Construct != construct || u.Pos != strings.Index(src, keyword) {
+		t.Errorf("Parse(%q) refused %s at %d, want %s at %d (%q)",
+			src, u.Construct, u.Pos, construct, strings.Index(src, keyword), keyword)
+	}
+}
 
 // parseSelect parses src, failing the test unless it is a SELECT.
 func parseSelect(t *testing.T, src string) SelectStmt {
@@ -89,8 +113,8 @@ func TestSelectBasic(t *testing.T) {
 	if got := joined(orderStrings(sel)); got != "age DESC, name" {
 		t.Errorf("order by = %q", got)
 	}
-	if sel.Limit != -1 || sel.Offset != 0 || sel.Distinct {
-		t.Errorf("limit/offset/distinct = %d/%d/%v", sel.Limit, sel.Offset, sel.Distinct)
+	if sel.Limit != -1 || sel.Offset != 0 {
+		t.Errorf("limit/offset = %d/%d", sel.Limit, sel.Offset)
 	}
 }
 
@@ -149,109 +173,70 @@ func TestSelectLimitOffset(t *testing.T) {
 }
 
 func TestJoin(t *testing.T) {
-	sel := parseSelect(t, `
+	// Joins are refused at their keyword, in either spelling, before the
+	// joined table or its ON clause is read.
+	refusedAt(t, `
 		SELECT p.name, v.reason
 		FROM patients p JOIN visits v ON p.id = v.patient_id
 		WHERE p.city = 'calgary'
-		ORDER BY v.id`)
-	if sel.From != (FromItem{Table: "patients", Alias: "p"}) {
-		t.Errorf("from = %+v", sel.From)
-	}
-	if len(sel.Joins) != 1 || sel.Joins[0].Right != (FromItem{Table: "visits", Alias: "v"}) {
-		t.Fatalf("joins = %+v", sel.Joins)
-	}
-	if sel.Joins[0].On.String() != "(p.id = v.patient_id)" {
-		t.Errorf("on = %s", sel.Joins[0].On)
-	}
-	if got := joined(itemStrings(sel)); got != "p.name, v.reason" {
-		t.Errorf("items = %q", got)
-	}
-	if sel.Where.String() != "(p.city = 'calgary')" || joined(orderStrings(sel)) != "v.id" {
-		t.Errorf("where = %s, order = %v", sel.Where, orderStrings(sel))
-	}
-	// INNER JOIN spelling.
-	sel = parseSelect(t, `SELECT p.name FROM patients p INNER JOIN visits v ON p.id = v.patient_id ORDER BY v.id`)
-	if len(sel.Joins) != 1 {
-		t.Errorf("inner join = %+v", sel.Joins)
-	}
+		ORDER BY v.id`, "JOIN", "JOIN")
+	refusedAt(t, `SELECT p.name FROM patients p INNER JOIN visits v ON p.id = v.patient_id ORDER BY v.id`, "JOIN", "INNER")
+	refusedAt(t, `SELECT name FROM patients join visits`, "JOIN", "join")
 }
 
 func TestJoinAmbiguousColumn(t *testing.T) {
-	// The parser keeps a bare "id" distinct from the qualified ones; it is
-	// the planner that resolves (or refuses) names against tables.
-	sel := parseSelect(t, `SELECT id FROM patients p JOIN visits v ON p.id = v.patient_id`)
-	if sel.Items[0].Expr != (ColRef{Name: "id"}) {
-		t.Errorf("bare item = %#v", sel.Items[0].Expr)
-	}
-	on := sel.Joins[0].On.(Binary)
-	if on.L != (ColRef{Name: "p.id"}) || on.R != (ColRef{Name: "v.patient_id"}) {
-		t.Errorf("on = %#v", on)
+	// A join never gets as far as its ON clause, so a bare column that
+	// two joined tables would share is never resolved against both; in
+	// the single-table SELECT that remains, the parser keeps a bare "id"
+	// distinct from a qualified one and the planner resolves both.
+	refusedAt(t, `SELECT id FROM patients p JOIN visits v ON p.id = v.patient_id`, "JOIN", "JOIN")
+	sel := parseSelect(t, `SELECT id, p.id FROM patients p`)
+	if sel.Items[0].Expr != (ColRef{Name: "id"}) || sel.Items[1].Expr != (ColRef{Name: "p.id"}) {
+		t.Errorf("items = %#v", sel.Items)
 	}
 }
 
 func TestAggregates(t *testing.T) {
-	sel := parseSelect(t, "SELECT COUNT(*), COUNT(weight), SUM(age), AVG(weight), MIN(age), MAX(age) FROM patients")
-	want := []Agg{
-		{Fn: AggCount, Star: true},
-		{Fn: AggCount, Arg: ColRef{Name: "weight"}},
-		{Fn: AggSum, Arg: ColRef{Name: "age"}},
-		{Fn: AggAvg, Arg: ColRef{Name: "weight"}},
-		{Fn: AggMin, Arg: ColRef{Name: "age"}},
-		{Fn: AggMax, Arg: ColRef{Name: "age"}},
-	}
-	if len(sel.Items) != len(want) {
-		t.Fatalf("items = %v", itemStrings(sel))
-	}
-	for i, w := range want {
-		if sel.Items[i].Expr != w {
-			t.Errorf("item %d = %#v, want %#v", i, sel.Items[i].Expr, w)
+	// Each aggregate is refused at its call, named by its function, in
+	// any letter case.
+	for _, tc := range []struct{ src, fn string }{
+		{"SELECT COUNT(*) FROM patients", "COUNT"},
+		{"SELECT count(weight) FROM patients", "COUNT"},
+		{"SELECT name, SUM(age) FROM patients", "SUM"},
+		{"SELECT Avg(weight) FROM patients", "AVG"},
+		{"SELECT MIN(age) FROM patients", "MIN"},
+		{"SELECT MAX(age) FROM patients", "MAX"},
+	} {
+		u := refused(t, tc.src)
+		if u.Construct != tc.fn || u.Pos != strings.Index(strings.ToUpper(tc.src), tc.fn) {
+			t.Errorf("Parse(%q) refused %s at %d, want %s", tc.src, u.Construct, u.Pos, tc.fn)
 		}
 	}
-	if got := joined(itemStrings(sel)); got != "COUNT(*), COUNT(weight), SUM(age), AVG(weight), MIN(age), MAX(age)" {
-		t.Errorf("rendered = %q", got)
-	}
 	// An aggregate name not followed by "(" is a plain column.
-	sel = parseSelect(t, "SELECT count FROM patients")
+	sel := parseSelect(t, "SELECT count FROM patients")
 	if sel.Items[0].Expr != (ColRef{Name: "count"}) {
 		t.Errorf("bare count = %#v", sel.Items[0].Expr)
 	}
 }
 
 func TestGroupByHaving(t *testing.T) {
-	sel := parseSelect(t, `
+	// The first unsupported keyword in reading order is the one named.
+	refusedAt(t, `
 		SELECT city, COUNT(*) AS n, AVG(age) AS mean_age
 		FROM patients
 		GROUP BY city
 		HAVING COUNT(*) >= 2
-		ORDER BY city`)
-	if got := joined(itemStrings(sel)); got != "city, COUNT(*) AS n, AVG(age) AS mean_age" {
-		t.Errorf("items = %q", got)
-	}
-	if len(sel.GroupBy) != 1 || sel.GroupBy[0] != (ColRef{Name: "city"}) {
-		t.Errorf("group by = %v", sel.GroupBy)
-	}
-	if sel.Having == nil || sel.Having.String() != "(COUNT(*) >= 2)" {
-		t.Errorf("having = %v", sel.Having)
-	}
-	// HAVING parses without GROUP BY too; the planner refuses both.
-	sel = parseSelect(t, "SELECT city FROM patients HAVING COUNT(*) > 1")
-	if len(sel.GroupBy) != 0 || sel.Having == nil {
-		t.Errorf("bare having: group by %v, having %v", sel.GroupBy, sel.Having)
-	}
+		ORDER BY city`, "COUNT", "COUNT")
+	refusedAt(t, `SELECT city FROM patients WHERE age > 3 GROUP BY city HAVING city > 'a'`, "GROUP BY", "GROUP")
+	// HAVING without GROUP BY is refused too, at HAVING.
+	refusedAt(t, "SELECT city FROM patients HAVING city > 'a'", "HAVING", "HAVING")
 }
 
 func TestAggregateOverEmptyInput(t *testing.T) {
-	// Aggregates only parse: no row-wise evaluation exists for them, over
-	// any input.
-	sel := parseSelect(t, "SELECT COUNT(*), SUM(age), MIN(age) FROM patients WHERE age > 999")
-	for i, it := range sel.Items {
-		if _, ok := it.Expr.(Agg); !ok {
-			t.Fatalf("item %d = %#v, want an aggregate", i, it.Expr)
-		}
-		if _, err := it.Expr.Eval(MapEnv{"age": Null()}); err == nil {
-			t.Errorf("%s evaluated per row", it.Expr)
-		}
-	}
+	// Aggregates are refused whatever the WHERE clause would match, and in
+	// WHERE as in the projection.
+	refusedAt(t, "SELECT COUNT(*), SUM(age), MIN(age) FROM patients WHERE age > 999", "COUNT", "COUNT")
+	refusedAt(t, "SELECT name FROM patients WHERE age > 999 AND age < MAX(age)", "MAX", "MAX")
 }
 
 func TestUpdateDelete(t *testing.T) {
@@ -338,18 +323,18 @@ func TestParseErrors(t *testing.T) {
 
 func TestExecErrors(t *testing.T) {
 	// Names are resolved by the planner, not the parser: a SELECT over
-	// unknown tables or columns, or mixing * with an aggregate, parses,
-	// and internal/query refuses it. Statements outside the grammar fail
-	// here already.
+	// unknown tables or columns parses, and internal/query refuses it. A
+	// join or an aggregate is refused here whatever it names, and
+	// statements outside the grammar fail here already.
 	resolvedLater := []string{
 		"SELECT * FROM nope",
 		"SELECT nope FROM patients",
-		"SELECT * FROM patients JOIN nope ON 1 = 1",
-		"SELECT *, COUNT(*) FROM patients",
 	}
 	for _, s := range resolvedLater {
 		parseSelect(t, s)
 	}
+	refusedAt(t, "SELECT * FROM patients JOIN nope ON 1 = 1", "JOIN", "JOIN")
+	refusedAt(t, "SELECT *, COUNT(*) FROM patients", "COUNT", "COUNT")
 	outsideGrammar := []string{
 		"UPDATE nope SET a = 1",
 		"UPDATE patients SET nope = 1",
@@ -376,22 +361,26 @@ func TestQualifiedColumnsSingleTable(t *testing.T) {
 }
 
 func TestOrderByAlias(t *testing.T) {
-	sel := parseSelect(t, "SELECT city, COUNT(*) AS n FROM patients GROUP BY city ORDER BY n DESC")
-	if got := joined(orderStrings(sel)); got != "n DESC" {
+	// ORDER BY may name a projection alias; resolving it is the planner's
+	// business.
+	sel := parseSelect(t, "SELECT city AS c, name FROM patients ORDER BY c DESC")
+	if got := joined(orderStrings(sel)); got != "c DESC" {
 		t.Errorf("order by = %q", got)
 	}
-	if sel.Items[1].Alias != "n" {
-		t.Errorf("alias = %q", sel.Items[1].Alias)
+	if sel.Items[0].Alias != "c" {
+		t.Errorf("alias = %q", sel.Items[0].Alias)
 	}
 }
 
 func TestGroupByExpression(t *testing.T) {
-	sel := parseSelect(t, "SELECT age / 10 AS decade, COUNT(*) AS n FROM patients GROUP BY age / 10 ORDER BY decade")
-	if len(sel.GroupBy) != 1 || sel.GroupBy[0].String() != "(age / 10)" {
-		t.Fatalf("group by = %v", sel.GroupBy)
+	// Grouping by an expression is refused at GROUP like any grouping…
+	refusedAt(t, "SELECT age / 10 AS decade FROM patients GROUP BY age / 10 ORDER BY decade", "GROUP BY", "GROUP")
+	// …while the same expression orders rows: ordinary integer division.
+	sel := parseSelect(t, "SELECT age FROM patients ORDER BY age / 10")
+	if len(sel.OrderBy) != 1 || sel.OrderBy[0].Expr.String() != "(age / 10)" {
+		t.Fatalf("order by = %v", orderStrings(sel))
 	}
-	// The grouping expression is ordinary arithmetic: integer division.
-	v, err := sel.GroupBy[0].Eval(MapEnv{"age": Int(34)})
+	v, err := sel.OrderBy[0].Expr.Eval(MapEnv{"age": Int(34)})
 	if err != nil {
 		t.Fatal(err)
 	}

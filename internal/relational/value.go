@@ -1,13 +1,14 @@
-// Package relational is the storage substrate the paper's model operates
-// over — "the data table of private information T = {t_1 … t_n}" of Sec. 4 —
-// built from scratch on the standard library: typed values, schemas, tables
-// with hash indexes, CSV import/export, an expression language and a SQL
-// parser. The parser reads SELECT in full (joins, DISTINCT, grouping,
-// HAVING, aggregates, IN subqueries, ORDER BY, LIMIT/OFFSET) so the
-// enforcing planner in internal/query can name every construct it refuses,
-// and CREATE TABLE, the form snapshots store schemas in. There is no
-// executor here and no DML: internal/query is the only reader of tables
-// through SQL, and the store mutates rows through Table's methods.
+// Package relational is the vocabulary the paper's data table — "the data
+// table of private information T = {t_1 … t_n}" of Sec. 4 — is written in,
+// built from scratch on the standard library: typed values, rows and
+// schemas, CSV import/export, an expression language and a parser for the
+// SELECT subset the enforcing planner in internal/query can check per
+// datum (one table, plain-column projections, WHERE, ORDER BY,
+// LIMIT/OFFSET), plus CREATE TABLE, the form snapshots store schemas in.
+// Joins, DISTINCT, grouping, aggregates and IN subqueries are refused at
+// their keyword with an *UnsupportedError naming the construct. There is no
+// table, executor or DML here: internal/ppdb stores the rows, and
+// internal/query is the only reader of them through SQL.
 package relational
 
 import (
@@ -46,6 +47,12 @@ func (k Kind) String() string {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
+
+// Row is one tuple t_i of the data table.
+type Row []Value
+
+// RowID identifies a stored row for its lifetime; IDs are never reused.
+type RowID int64
 
 // Value is a dynamically typed SQL value. The zero Value is NULL.
 type Value struct {
@@ -184,10 +191,10 @@ func Equal(a, b Value) bool {
 	return err == nil && c == 0
 }
 
-// key renders a value for index hashing; kind-prefixed so Int(1) and
+// Key renders a value for index hashing; kind-prefixed so Int(1) and
 // Text("1") hash differently while Int(1) and Float(1) collide (they are
 // Compare-equal).
-func (v Value) key() string {
+func (v Value) Key() string {
 	if f, ok := v.AsFloat(); ok {
 		return "n:" + strconv.FormatFloat(f, 'g', -1, 64)
 	}

@@ -97,16 +97,16 @@ func TestEqual(t *testing.T) {
 }
 
 func TestKeyDistinguishesKinds(t *testing.T) {
-	if Int(1).key() == Text("1").key() {
+	if Int(1).Key() == Text("1").Key() {
 		t.Error("Int(1) and Text(\"1\") must hash differently")
 	}
-	if Int(1).key() != Float(1).key() {
+	if Int(1).Key() != Float(1).Key() {
 		t.Error("Int(1) and Float(1) are Compare-equal and must hash equal")
 	}
-	if Bool(true).key() == Bool(false).key() {
+	if Bool(true).Key() == Bool(false).Key() {
 		t.Error("booleans must hash differently")
 	}
-	if Null().key() == Int(0).key() {
+	if Null().Key() == Int(0).Key() {
 		t.Error("NULL must hash differently from 0")
 	}
 }
