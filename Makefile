@@ -62,15 +62,20 @@ faults-wal:
 # answer must keep rows returned <= matched <= scanned),
 # internal/policydsl's FuzzPolicyDSL (parse -> render -> parse must succeed,
 # render identically and keep every policy and provider name byte for
-# byte) and internal/ppdb's FuzzSnapshotRows (arbitrary bytes as one
+# byte), internal/ppdb's FuzzSnapshotRows (arbitrary bytes as one
 # table's snapshot row and provenance artifacts must never panic the
-# loader, and whatever it accepts must save back byte for byte). Crashers
-# land in the package's testdata/fuzz/<target>; commit them as seeds once
-# fixed — `make test` replays every seed there.
+# loader, and whatever it accepts must save back byte for byte) and
+# internal/httpapi's FuzzReportJSON (certifications and provider reports
+# built from arbitrary bytes must come out of the /v1/certify and
+# /v1/self/audit writer exactly as encoding/json's indented encoder
+# writes them, and fail where it fails). Crashers land in the package's
+# testdata/fuzz/<target>; commit them as seeds once fixed — `make test`
+# replays every seed there.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/query
 	go test -run '^$$' -fuzz '^FuzzPolicyDSL$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/policydsl
 	go test -run '^$$' -fuzz '^FuzzSnapshotRows$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/ppdb
+	go test -run '^$$' -fuzz '^FuzzReportJSON$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/httpapi
 
 # bench runs the certification benches and records BENCH_certify.json
 # (cold vs incremental ledger certification, the per-shard-count sharding

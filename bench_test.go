@@ -7,6 +7,8 @@ package repro_test
 
 import (
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/generalize"
 	"repro/internal/hierdata"
+	"repro/internal/httpapi"
 	"repro/internal/policydsl"
 	"repro/internal/population"
 	"repro/internal/ppdb"
@@ -445,6 +448,45 @@ func BenchmarkCertifySummary(b *testing.B) {
 		if sum.N != 100000 {
 			b.Fatal("wrong N")
 		}
+	}
+}
+
+// discardResponse is an http.ResponseWriter that counts the body and
+// throws it away, so BenchmarkCertifyHTTP times the handler, not a sink.
+type discardResponse struct {
+	header http.Header
+	status int
+	bytes  int64
+}
+
+func (w *discardResponse) Header() http.Header  { return w.header }
+func (w *discardResponse) WriteHeader(code int) { w.status = code }
+func (w *discardResponse) Write(p []byte) (int, error) {
+	w.bytes += int64(len(p))
+	return len(p), nil
+}
+
+// BenchmarkCertifyHTTP measures GET /v1/certify through the whole handler
+// (routing, instrumentation, Certify and the body encoding) into a
+// discarding ResponseWriter: the route's cost without the network.
+func BenchmarkCertifyHTTP(b *testing.B) {
+	for _, n := range certifyBenchSizes {
+		db := benchCertifyDB(b, n)
+		srv, err := httpapi.New(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodGet, "/v1/certify?alpha=0.1", nil)
+		b.Run(sizeName(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := discardResponse{header: http.Header{}}
+				srv.ServeHTTP(&w, req)
+				if w.status != http.StatusOK || w.bytes == 0 {
+					b.Fatalf("status %d, %d bytes", w.status, w.bytes)
+				}
+			}
+		})
 	}
 }
 

@@ -715,7 +715,8 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, cert)
+	//lint:ignore errflow the status line is already written; a failure here means the client hung up
+	_ = writeCertification(w, cert)
 }
 
 // handleCertifySummary serves GET /v1/certify/summary?alpha=: the aggregate
@@ -950,7 +951,8 @@ func (s *Server) handleSelfAudit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	//lint:ignore errflow the status line is already written; a failure here means the client hung up
+	_ = writeProviderReport(w, &rep)
 }
 
 // handleSelfData serves GET /v1/self/data?provider=name: every row the

@@ -400,9 +400,18 @@ func TestLoadShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The parked request occupies the only slot; a second request must be
-	// shed. Poll briefly: the first request needs to reach ServeHTTP.
+	// Wait until the parked request holds the only slot. A probe sent
+	// before that could take the slot first and get the parked request
+	// shed instead.
 	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.inflight) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("parked request never reached ServeHTTP")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The parked request occupies the only slot; a second request must be
+	// shed.
 	shed := false
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(ts.URL + "/certify?alpha=0.5")

@@ -229,8 +229,8 @@ func (p *Prefs) Clone(provider string) *Prefs {
 	return cp
 }
 
-// Validate checks tuples against the scales and sensitivities for
-// non-negativity.
+// Validate checks tuples against the scales, every sensitivity weight
+// against [0, MaxSensitivity] and the threshold for a finite value >= 0.
 func (p *Prefs) Validate(sc Scales) error {
 	if strings.TrimSpace(p.Provider) == "" {
 		return fmt.Errorf("privacy: preferences have no provider identity")
@@ -238,8 +238,10 @@ func (p *Prefs) Validate(sc Scales) error {
 	if err := checkNames(p.Provider); err != nil {
 		return err
 	}
-	if p.Threshold < 0 {
-		return fmt.Errorf("privacy: provider %q has negative default threshold %g", p.Provider, p.Threshold)
+	if !(p.Threshold >= 0) || math.IsInf(p.Threshold, 1) {
+		// NaN fails every comparison; NaN and +Inf would also leave the
+		// provider's report without a JSON form.
+		return fmt.Errorf("privacy: provider %q has default threshold %g; want a finite number >= 0 (NoDefaultThreshold never defaults)", p.Provider, p.Threshold)
 	}
 	for _, e := range p.entries {
 		if e.Tuple.Purpose == "" {

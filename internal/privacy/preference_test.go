@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -196,6 +197,50 @@ func TestAttributeSensitivities(t *testing.T) {
 	as.Set("bad", -2)
 	if err := as.Validate(); err == nil {
 		t.Error("negative Σ should fail")
+	}
+}
+
+// TestWeightBounds pins the sensitivity cap and the finite threshold:
+// every weight in [0, MaxSensitivity] passes, and NaN, a negative or an
+// over-cap weight fails in both the σ and the Σ validator.
+func TestWeightBounds(t *testing.T) {
+	for _, w := range []float64{0, 1, 9, MaxSensitivity} {
+		if err := (Sensitivity{Value: w, Visibility: w, Granularity: w, Retention: w}).Validate(); err != nil {
+			t.Errorf("σ weight %g rejected: %v", w, err)
+		}
+		if err := (AttributeSensitivities{"a": w}).Validate(); err != nil {
+			t.Errorf("Σ weight %g rejected: %v", w, err)
+		}
+	}
+	for _, tc := range []struct {
+		w    float64
+		want string
+	}{
+		{math.NaN(), "not a number"},
+		{-1, "negative"},
+		{math.Nextafter(MaxSensitivity, math.Inf(1)), "cap"},
+		{1e300, "cap"},
+		{math.Inf(1), "cap"},
+	} {
+		err := (Sensitivity{Value: 1, Visibility: 1, Granularity: tc.w, Retention: 1}).Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("σ weight %g: err %v, want %q", tc.w, err, tc.want)
+		}
+		err = (AttributeSensitivities{"a": 1, "b": tc.w}).Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Σ weight %g: err %v, want %q", tc.w, err, tc.want)
+		}
+	}
+	sc := DefaultScales()
+	for _, v := range []float64{0, 50, NoDefaultThreshold} {
+		if err := NewPrefs("p", v).Validate(sc); err != nil {
+			t.Errorf("threshold %g rejected: %v", v, err)
+		}
+	}
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := NewPrefs("p", v).Validate(sc); err == nil {
+			t.Errorf("threshold %g accepted", v)
+		}
 	}
 }
 

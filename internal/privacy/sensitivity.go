@@ -1,6 +1,10 @@
 package privacy
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Sensitivity is the per-datum sensitivity element σ_i^j of Eq. 11:
 // ⟨s_i^j, s_i^j[V], s_i^j[G], s_i^j[R]⟩ — the sensitivity of the data value
@@ -42,11 +46,41 @@ func (s Sensitivity) Scale(k float64) Sensitivity {
 	}
 }
 
-// Validate rejects negative weights; the severity model assumes sensitivities
-// are non-negative so conf is monotone in policy widening.
+// MaxSensitivity caps every sensitivity weight: each component of σ
+// (Eq. 11) and each attribute's Σ^a (Eq. 10). Corpora use single digits
+// and the Westin generator draws σ near 3, so the cap binds on nothing
+// real; it exists so that no report float can overflow to ±Inf, which
+// JSON cannot carry. One severity term of Eq. 14 is
+// overshoot × Σ^a × s × s[dim] < 2^63 × (1e6)^3 ≈ 9.2e36, since an
+// overshoot is a difference of int levels. Violation_i (Eq. 15) and the
+// house total (Eq. 16) add three such terms per comparable (preference,
+// policy) pair of every provider: fewer than 3 × (2^64)^3 terms, because
+// providers, preference tuples and policy tuples each take memory. So
+// every sum stays below 9.2e36 × 2^194 ≈ 2.3e95, and rounding a running
+// sum of non-negative terms at most doubles it: far under MaxFloat64.
+const MaxSensitivity = 1e6
+
+// checkWeight refuses a weight outside [0, MaxSensitivity], NaN included.
+func checkWeight(w float64) error {
+	switch {
+	case math.IsNaN(w):
+		return errors.New("is not a number")
+	case w < 0:
+		return errors.New("is negative")
+	case w > MaxSensitivity:
+		return fmt.Errorf("exceeds the cap %g", float64(MaxSensitivity))
+	}
+	return nil
+}
+
+// Validate rejects weights outside [0, MaxSensitivity]: the severity model
+// assumes sensitivities are non-negative so conf is monotone in policy
+// widening, and bounded so it stays finite.
 func (s Sensitivity) Validate() error {
-	if s.Value < 0 || s.Visibility < 0 || s.Granularity < 0 || s.Retention < 0 {
-		return fmt.Errorf("privacy: sensitivity %+v has a negative component", s)
+	for _, w := range [...]float64{s.Value, s.Visibility, s.Granularity, s.Retention} {
+		if err := checkWeight(w); err != nil {
+			return fmt.Errorf("privacy: sensitivity %s has a component that %w", s, err)
+		}
 	}
 	return nil
 }
@@ -79,11 +113,11 @@ func (as AttributeSensitivities) Set(attr string, v float64) {
 	as[canonAttr(attr)] = v
 }
 
-// Validate rejects negative attribute sensitivities.
+// Validate rejects attribute sensitivities outside [0, MaxSensitivity].
 func (as AttributeSensitivities) Validate() error {
 	for a, v := range as {
-		if v < 0 {
-			return fmt.Errorf("privacy: attribute sensitivity Σ^%s = %g is negative", a, v)
+		if err := checkWeight(v); err != nil {
+			return fmt.Errorf("privacy: attribute sensitivity Σ^%s = %g %w", a, v, err)
 		}
 	}
 	return nil

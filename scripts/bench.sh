@@ -7,8 +7,9 @@
 # (BenchmarkIngestDurable, one sub-bench per WAL group-commit mode), the
 # enforced-query benches (BenchmarkQueryEnforced, clean vs violating
 # populations at 10k/100k rows), the what-if storm benches
-# (BenchmarkWhatIfStorm, narrow vs full diff over 100k providers) and
-# records ns/op and allocs/op
+# (BenchmarkWhatIfStorm, narrow vs full diff over 100k providers), the
+# HTTP certify benches (BenchmarkCertifyHTTP, GET /v1/certify through the
+# handler at 1k/100k providers) and records ns/op, B/op and allocs/op
 # plus the cold→incremental speedup per population size into
 # BENCH_certify.json at the repo root. Wired as `make bench`; not part of
 # `make check`.
@@ -23,7 +24,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|ColdShards|Incremental|Summary)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIfStorm)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIfStorm)}"
 out=$(go test -run '^$' -bench "$pattern" \
 	-benchtime "${BENCHTIME:-1s}" -benchmem -timeout 30m .)
 printf '%s\n' "$out"
@@ -38,13 +39,16 @@ prev=$(mktemp)
 printf '%s\n' "$out" | awk '
 NR == FNR {
 	# Baseline lines look like
-	# {"name": "BenchmarkCertifyCold/1k", "ns_per_op": 2778438, "allocs_per_op": 12},
-	# (allocs_per_op is absent in pre-columnar baselines and carried as such).
+	# {"name": "BenchmarkCertifyCold/1k", "ns_per_op": 2778438, "bytes_per_op": 960, "allocs_per_op": 12},
+	# (bytes_per_op and allocs_per_op are absent in older baselines and
+	# carried as such).
 	if (match($0, /"name": "[^"]+"/)) {
 		name = substr($0, RSTART + 9, RLENGTH - 10)
 		if (match($0, /"ns_per_op": [0-9.]+/)) {
 			if (!(name in vals)) names[++n] = name
 			vals[name] = substr($0, RSTART + 13, RLENGTH - 13) + 0
+			if (match($0, /"bytes_per_op": [0-9.]+/))
+				bytes[name] = substr($0, RSTART + 16, RLENGTH - 16) + 0
 			if (match($0, /"allocs_per_op": [0-9.]+/))
 				allocs[name] = substr($0, RSTART + 17, RLENGTH - 17) + 0
 		}
@@ -57,12 +61,15 @@ NR == FNR {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	if (!(name in vals)) names[++n] = name
 	vals[name] = $3
-	if (NF >= 7 && $8 == "allocs/op") allocs[name] = $7
+	if (NF >= 6 && $6 == "B/op") bytes[name] = $5
+	if (NF >= 8 && $8 == "allocs/op") allocs[name] = $7
 }
 END {
 	printf "{\n  \"benchmarks\": [\n"
 	for (i = 1; i <= n; i++) {
 		printf "    {\"name\": \"%s\", \"ns_per_op\": %s", names[i], vals[names[i]]
+		if (names[i] in bytes)
+			printf ", \"bytes_per_op\": %s", bytes[names[i]]
 		if (names[i] in allocs)
 			printf ", \"allocs_per_op\": %s", allocs[names[i]]
 		printf "}%s\n", (i < n ? "," : "")

@@ -21,10 +21,11 @@ fi
 # The pattern names every gated bench explicitly, including the sharding
 # benches (CertifyColdShards/BulkIngestShards run one sub-bench per shard
 # count), the durable-ingest benches (IngestDurable runs one sub-bench
-# per WAL group-commit mode) and the enforced-query benches (QueryEnforced
-# runs clean and violating populations at 10k/100k rows); each sub-bench
-# is compared against its own baseline entry.
-out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|ColdShards|Incremental|Summary)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIfStorm)' \
+# per WAL group-commit mode), the enforced-query benches (QueryEnforced
+# runs clean and violating populations at 10k/100k rows) and the HTTP
+# certify benches (CertifyHTTP, GET /v1/certify through the handler); each
+# sub-bench is compared against its own baseline entry.
+out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIfStorm)' \
 	-benchtime "${BENCHTIME:-1s}" -timeout 30m .)
 printf '%s\n' "$out"
 echo

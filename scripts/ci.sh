@@ -2,18 +2,17 @@
 # CI gate: the full `make check` chain (gofmt, go vet, ppdblint, build,
 # tests), the fault-injection/crash-matrix suite, the WAL durability suite,
 # short fuzz passes over the enforced query path, the policy DSL round
-# trip and the snapshot row decoder, a build-and-test of the
-# benchmark harness (perfbench/ is its own module, so `go build ./...`
-# never compiles it), and a race pass over the concurrency-bearing
-# packages — the PPDB
-# prototype (whose row tables d.mu guards), the relational values, schemas
-# and parser every request goroutine shares, the ledger, the write-ahead
-# log (group commit runs a background flusher against concurrent
-# appenders), the fault
-# registry (global armed-site state hit from request goroutines), the
-# hardened HTTP layer (in-flight semaphore, readiness flag), the enforced
-# query engine (read-side snapshots raced against store mutation) and the
-# metrics registry every one of them publishes to.
+# trip, the snapshot row decoder and the certification report writer, a
+# build-and-test of the benchmark harness (perfbench/ is its own module,
+# so `go build ./...` never compiles it), and a race pass over the
+# concurrency-bearing packages — the PPDB prototype (whose row tables
+# d.mu guards), the relational values, schemas and parser every request
+# goroutine shares, the ledger, the write-ahead log (group commit runs a
+# background flusher against concurrent appenders), the fault registry
+# (global armed-site state hit from request goroutines), the hardened HTTP
+# layer (in-flight semaphore, readiness flag), the enforced query engine
+# (read-side snapshots raced against store mutation) and the metrics
+# registry every one of them publishes to.
 set -eu
 
 cd "$(dirname "$0")/.."
