@@ -68,7 +68,11 @@ faults-wal:
 # internal/httpapi's FuzzReportJSON (certifications and provider reports
 # built from arbitrary bytes must come out of the /v1/certify and
 # /v1/self/audit writer exactly as encoding/json's indented encoder
-# writes them, and fail where it fails). Crashers land in the package's
+# writes them, and fail where it fails) and internal/ppdb's FuzzAuditTrail
+# (arbitrary access records, including invalid UTF-8, statements spanning
+# the trail's storage blocks and clock advances, must read back exactly,
+# and every page must equal filtering and slicing the full trail).
+# Crashers land in the package's
 # testdata/fuzz/<target>; commit them as seeds once fixed — `make test`
 # replays every seed there.
 fuzz:
@@ -76,6 +80,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzPolicyDSL$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/policydsl
 	go test -run '^$$' -fuzz '^FuzzSnapshotRows$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/ppdb
 	go test -run '^$$' -fuzz '^FuzzReportJSON$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/httpapi
+	go test -run '^$$' -fuzz '^FuzzAuditTrail$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/ppdb
 
 # bench runs the certification benches and records BENCH_certify.json
 # (cold vs incremental ledger certification, the per-shard-count sharding

@@ -753,13 +753,42 @@ func BenchmarkXMLParity(b *testing.B) {
 	}
 }
 
+// queryPop is the preference mix of an enforced-query bench population:
+// the visibility and granularity levels provider i grants on weight.
+type queryPop func(i int) (v, g privacy.Level)
+
+// The enforced-query bench populations. clean conforms end to end and
+// measures the pure per-datum check overhead. violating suppresses every
+// third row (weight visibility below the request class) and generalizes
+// every fifth remaining one (granularity below the policy grant). rangePop
+// is serve-read's shape: 60% of rows suppressed and 30% of weight cells
+// generalized to text, which no numeric range can decide.
+var (
+	cleanPop     queryPop = func(int) (privacy.Level, privacy.Level) { return 4, 3 }
+	violatingPop queryPop = func(i int) (privacy.Level, privacy.Level) {
+		switch {
+		case i%3 == 0:
+			return 1, 3
+		case i%5 == 0:
+			return 4, 1
+		}
+		return 4, 3
+	}
+	rangePop queryPop = func(i int) (privacy.Level, privacy.Level) {
+		switch r := i % 10; {
+		case r < 6:
+			return 1, 3
+		case r < 9:
+			return 4, 1
+		}
+		return 4, 3
+	}
+)
+
 // benchQueryDB builds a PPDB with n one-row providers for the enforced
-// query benches. In the violating population every third provider caps
-// weight visibility below the request class (row suppressed) and every
-// fifth caps granularity (cell generalized), so enforcement does real work
-// on a large fraction of the scan; the clean population conforms end to
-// end and measures the pure per-datum check overhead.
-func benchQueryDB(b *testing.B, n int, violating bool) *ppdb.DB {
+// query benches: provider qI owns one row of table t with weight
+// 40 + I mod 90, and grants weight the levels pop gives it.
+func benchQueryDB(b *testing.B, n int, pop queryPop) *ppdb.DB {
 	b.Helper()
 	hp := privacy.NewHousePolicy("bench-query")
 	hp.Add("provider", privacy.Tuple{Purpose: "service", Visibility: 2, Granularity: 3, Retention: 5})
@@ -783,15 +812,7 @@ func benchQueryDB(b *testing.B, n int, violating bool) *ppdb.DB {
 		name := "q" + itoa(i)
 		p := privacy.NewPrefs(name, 100)
 		p.Add("provider", privacy.Tuple{Purpose: "service", Visibility: 4, Granularity: 3, Retention: 5})
-		v, g := privacy.Level(4), privacy.Level(3)
-		if violating {
-			switch {
-			case i%3 == 0:
-				v = 1 // below the request class: row suppressed
-			case i%5 == 0:
-				g = 1 // below the policy grant: cell generalized
-			}
-		}
+		v, g := pop(i)
 		p.Add("weight", privacy.Tuple{Purpose: "service", Visibility: v, Granularity: g, Retention: 5})
 		prefs = append(prefs, p)
 	}
@@ -800,7 +821,7 @@ func benchQueryDB(b *testing.B, n int, violating bool) *ppdb.DB {
 	}
 	for i := 0; i < n; i++ {
 		if _, err := db.Insert("t", "q"+itoa(i), relational.Row{
-			relational.Text("q" + itoa(i)), relational.Float(float64(i) + 0.5),
+			relational.Text("q" + itoa(i)), relational.Float(float64(40+i%90) + 0.5),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -809,38 +830,43 @@ func benchQueryDB(b *testing.B, n int, violating bool) *ppdb.DB {
 }
 
 // BenchmarkQueryEnforced measures the per-datum enforcement hot path
-// (DESIGN.md §15): a full-scan SELECT over 10k/100k rows, against a clean
-// population and one where enforcement suppresses or degrades roughly half
-// the rows. The per-row cost is two compiled binding lookups (binary
-// search + cover-mask test); ns/op is recorded in BENCH_certify.json and
-// gated by scripts/benchgate.sh.
+// (DESIGN.md §15). clean and violating run a full-scan SELECT without
+// WHERE over 10k/100k rows. range-scan is serve-read's scan: a WHERE
+// range over weight at 20k rows, where most rows are suppressed or carry
+// a generalized cell the range cannot decide, so the scan returns ~1% of
+// them. The per-row cost is a shard-locked provider lookup plus one
+// compiled binding fold per referenced column; ns/op, B/op and allocs/op
+// are recorded in BENCH_certify.json and gated by scripts/benchgate.sh.
 func BenchmarkQueryEnforced(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		violating bool
-	}{{"clean", false}, {"violating", true}} {
-		for _, n := range []int{10000, 100000} {
-			db := benchQueryDB(b, n, mode.violating)
-			req := ppdb.EnforcedQuery{
-				Requester: "bench", Purpose: "service", Visibility: 2,
-				SQL: "SELECT provider, weight FROM t",
-			}
-			b.Run(mode.name+"/"+sizeName(n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := db.QueryEnforced(req)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if mode.violating && res.Stats.RowsSuppressed == 0 {
-						b.Fatal("violating population produced no suppressions")
-					}
-					if res.Stats.RowsScanned != n {
-						b.Fatal("scan did not cover the table")
-					}
+	for _, bc := range []struct {
+		name string
+		pop  queryPop
+		n    int
+		sql  string
+	}{
+		{"clean", cleanPop, 10000, "SELECT provider, weight FROM t"},
+		{"clean", cleanPop, 100000, "SELECT provider, weight FROM t"},
+		{"violating", violatingPop, 10000, "SELECT provider, weight FROM t"},
+		{"violating", violatingPop, 100000, "SELECT provider, weight FROM t"},
+		{"range-scan", rangePop, 20000, "SELECT provider, weight FROM t WHERE weight >= 60 AND weight < 70"},
+	} {
+		db := benchQueryDB(b, bc.n, bc.pop)
+		req := ppdb.EnforcedQuery{Requester: "bench", Purpose: "service", Visibility: 2, SQL: bc.sql}
+		b.Run(bc.name+"/"+sizeName(bc.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := db.QueryEnforced(req)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if bc.name != "clean" && res.Stats.RowsSuppressed == 0 {
+					b.Fatal("violating population produced no suppressions")
+				}
+				if res.Stats.RowsScanned != bc.n {
+					b.Fatal("scan did not cover the table")
+				}
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -102,6 +103,7 @@ func TestLoadBoot(t *testing.T) {
 // snapshot and returns nil. The in-flight request is held open by feeding
 // its body one half at a time over a raw connection.
 func TestServeGracefulDrain(t *testing.T) {
+	holdSIGTERM(t)
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
 	db, err := build(corpus, "records", "provider", "weight", 0)
 	if err != nil {
@@ -136,11 +138,8 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond) // let the server route the request
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
 	// While draining, readiness is down but the listener still answers.
-	waitDraining(t, base)
+	sigtermUntil(t, func() bool { return draining(base) })
 
 	// Complete the in-flight request: it must be served, not cut off.
 	if _, err := io.WriteString(conn, body[len(body)/2:]); err != nil {
@@ -172,6 +171,7 @@ func TestServeGracefulDrain(t *testing.T) {
 // TestServePeriodicSnapshot checks the -snapshot-interval loop persists
 // without any signal involved.
 func TestServePeriodicSnapshot(t *testing.T) {
+	holdSIGTERM(t)
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
 	db, err := build(corpus, "records", "provider", "weight", 0)
 	if err != nil {
@@ -200,16 +200,8 @@ func TestServePeriodicSnapshot(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serve returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("serve did not return after SIGTERM")
+	if err := stopServe(t, done); err != nil {
+		t.Fatalf("serve returned %v", err)
 	}
 	if _, err := ppdb.Load(snapDir, ppdb.Config{}); err != nil {
 		t.Errorf("periodic snapshot unusable: %v", err)
@@ -234,27 +226,64 @@ func waitHealthy(t *testing.T, base string) {
 	}
 }
 
-func waitDraining(t *testing.T, base string) {
+// draining reports whether the server at base has begun draining:
+// readiness answers 503, or the listener already refuses new connections.
+func draining(base string) bool {
+	resp, err := http.Get(base + "/readyz")
+	if err != nil {
+		return true
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusServiceUnavailable
+}
+
+// holdSIGTERM subscribes the test to SIGTERM for its whole run, from
+// before the server under test starts. The server's own handler is
+// installed only once run begins; a signal that lands before then is
+// caught here, where the default action would kill the test binary.
+func holdSIGTERM(t *testing.T) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	c := make(chan os.Signal, 1)
+	signal.Notify(c, syscall.SIGTERM)
+	t.Cleanup(func() { signal.Stop(c) })
+}
+
+// sigtermUntil sends the test process SIGTERM, again every 100 ms, until
+// stopped reports that the server acted on it. A signal sent before run
+// subscribes is absorbed by holdSIGTERM's subscription, so one send is not
+// enough.
+func sigtermUntil(t *testing.T, stopped func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusServiceUnavailable {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+			if stopped() {
 				return
 			}
 		}
-		// The listener may already be closed to new connections; that is
-		// also evidence the drain began.
-		if err != nil {
-			return
-		}
 		if time.Now().After(deadline) {
-			t.Fatal("readyz never reported draining")
+			t.Fatal("the server never acted on SIGTERM")
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// stopServe signals until the serve or run goroutine reporting on done
+// returns, and returns its error.
+func stopServe(t *testing.T, done <-chan error) error {
+	t.Helper()
+	var err error
+	sigtermUntil(t, func() bool {
+		select {
+		case err = <-done:
+			return true
+		default:
+			return false
+		}
+	})
+	return err
 }
 
 // TestPprofHandler pins the private profiling mux: the pprof index is
@@ -300,6 +329,7 @@ func TestPprofHandler(t *testing.T) {
 // registered over HTTP is WAL-durable before the 200 is written, and a
 // restarted process replays it from the log with no snapshot involved.
 func TestServeBootstrapAndWALRestart(t *testing.T) {
+	holdSIGTERM(t)
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
 	walDir := filepath.Join(t.TempDir(), "wal")
 	db, err := build(corpus, "records", "provider", "weight", 0)
@@ -366,16 +396,8 @@ func TestServeBootstrapAndWALRestart(t *testing.T) {
 		t.Fatalf("register = %d", resp.StatusCode)
 	}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not return after SIGTERM")
+	if err := stopServe(t, done); err != nil {
+		t.Fatalf("run returned %v", err)
 	}
 
 	// Restart: same corpus, same log — the HTTP-registered provider is

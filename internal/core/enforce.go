@@ -73,17 +73,19 @@ func (cp *CompiledPolicy) tupleRef(id, j uint32) PolicyTupleRef {
 // PrefBinding is the per-datum preference constraint at one policy
 // coordinate: along each ordered dimension, the minimum level over the
 // provider's preference tuples comparable (Eq. 13) with the policy tuple,
-// plus the binding tuple itself so an enforcement decision can be traced to
-// its violating (pref, policy) pair. Found is false when no preference
-// tuple covers the coordinate (only possible with implicit zeros disabled
-// or a purpose outside the provider's stated set) — the policy alone then
-// bounds the disclosure.
+// plus where the binding tuple sits, so an enforcement decision can be
+// traced to its violating (pref, policy) pair. Found is false when no
+// preference tuple covers the coordinate (only possible with implicit
+// zeros disabled or a purpose outside the provider's stated set) — the
+// policy alone then bounds the disclosure.
 type PrefBinding struct {
 	Found   bool
 	V, G, R privacy.Level
-	// VPref/GPref/RPref are the preference tuples that set each minimum
-	// (the first in reference enumeration order on ties).
-	VPref, GPref, RPref privacy.Tuple
+	// VAt/GAt/RAt locate the preference tuples that set each minimum (the
+	// first in reference enumeration order on ties). Only EXPLAIN needs the
+	// tuples themselves, so the per-row fold keeps positions and
+	// BindingTuple materializes them on demand.
+	VAt, GAt, RAt int
 	// VImplicit/GImplicit/RImplicit mark binding tuples synthesized by the
 	// Sec. 5 implicit-zero rule.
 	VImplicit, GImplicit, RImplicit bool
@@ -94,16 +96,38 @@ type PrefBinding struct {
 // columnar fast path — a binary search into the attribute's run plus a
 // cover-mask test per tuple; otherwise the reference effective-preference
 // walk is used. Both paths enumerate tuples in the same order, so the
-// binding (including tie-broken binding tuples) is identical.
+// levels, the implicit flags and the tuples BindingTuple returns are
+// identical; the positions index each path's own enumeration.
 func (a *Assessor) BindingFor(p *privacy.Prefs, c *CompiledPrefs, ref PolicyTupleRef) PrefBinding {
-	if c.CurrentFor(a) && ref.Index < maxPolicyTuplesPerAttr {
+	if a.columnar(c, ref) {
 		return c.binding(ref)
 	}
 	return a.bindingReference(p, ref)
 }
 
+// BindingTuple materializes the binding tuple at position at (one of the
+// VAt/GAt/RAt of a binding BindingFor(p, c, ref) returned).
+func (a *Assessor) BindingTuple(p *privacy.Prefs, c *CompiledPrefs, ref PolicyTupleRef, at int) privacy.Tuple {
+	if a.columnar(c, ref) {
+		return privacy.Tuple{
+			Purpose:     c.purpose[at],
+			Visibility:  privacy.Level(c.prefV[at]),
+			Granularity: privacy.Level(c.prefG[at]),
+			Retention:   privacy.Level(c.prefR[at]),
+		}
+	}
+	return a.effectivePrefs(p, ref.Attr)[at].Tuple
+}
+
+// columnar reports whether c can answer for ref: compiled against this
+// assessor's policy, with ref inside the cover-mask width.
+func (a *Assessor) columnar(c *CompiledPrefs, ref PolicyTupleRef) bool {
+	return c.CurrentFor(a) && ref.Index < maxPolicyTuplesPerAttr
+}
+
 // binding is the columnar fast path: fold per-dimension minima over the
 // attribute's compiled tuples whose cover mask includes the policy tuple.
+// Positions index the compiled columns.
 func (c *CompiledPrefs) binding(ref PolicyTupleRef) PrefBinding {
 	var b PrefBinding
 	bit := uint64(1) << ref.Index
@@ -112,20 +136,15 @@ func (c *CompiledPrefs) binding(ref PolicyTupleRef) PrefBinding {
 		if c.cover[i]&bit == 0 {
 			continue
 		}
-		tup := privacy.Tuple{
-			Purpose:     c.purpose[i],
-			Visibility:  privacy.Level(c.prefV[i]),
-			Granularity: privacy.Level(c.prefG[i]),
-			Retention:   privacy.Level(c.prefR[i]),
-		}
-		b.fold(tup, c.implicit[i])
+		b.fold(privacy.Level(c.prefV[i]), privacy.Level(c.prefG[i]), privacy.Level(c.prefR[i]), i, c.implicit[i])
 	}
 	return b
 }
 
 // bindingReference is the fallback: the same fold over the reference
 // effective-preference enumeration (explicit tuples in insertion order,
-// then implicit zeros in sorted house-purpose order).
+// then implicit zeros in sorted house-purpose order). Positions index that
+// enumeration.
 func (a *Assessor) bindingReference(p *privacy.Prefs, ref PolicyTupleRef) PrefBinding {
 	var b PrefBinding
 	if p == nil {
@@ -140,30 +159,32 @@ func (a *Assessor) bindingReference(p *privacy.Prefs, ref PolicyTupleRef) PrefBi
 		if !m.Covers(pref.Tuple.Purpose, ref.Tuple.Purpose) {
 			continue
 		}
-		b.fold(pref.Tuple, idx >= explicit)
+		t := pref.Tuple
+		b.fold(t.Visibility, t.Granularity, t.Retention, idx, idx >= explicit)
 	}
 	return b
 }
 
-// fold accumulates one covering preference tuple into the binding, keeping
-// strict minima so the first tuple in enumeration order wins ties.
-func (b *PrefBinding) fold(tup privacy.Tuple, implicit bool) {
+// fold accumulates one covering preference tuple, at position at, into the
+// binding, keeping strict minima so the first tuple in enumeration order
+// wins ties.
+func (b *PrefBinding) fold(v, g, r privacy.Level, at int, implicit bool) {
 	if !b.Found {
 		*b = PrefBinding{
 			Found: true,
-			V:     tup.Visibility, G: tup.Granularity, R: tup.Retention,
-			VPref: tup, GPref: tup, RPref: tup,
+			V:     v, G: g, R: r,
+			VAt: at, GAt: at, RAt: at,
 			VImplicit: implicit, GImplicit: implicit, RImplicit: implicit,
 		}
 		return
 	}
-	if tup.Visibility < b.V {
-		b.V, b.VPref, b.VImplicit = tup.Visibility, tup, implicit
+	if v < b.V {
+		b.V, b.VAt, b.VImplicit = v, at, implicit
 	}
-	if tup.Granularity < b.G {
-		b.G, b.GPref, b.GImplicit = tup.Granularity, tup, implicit
+	if g < b.G {
+		b.G, b.GAt, b.GImplicit = g, at, implicit
 	}
-	if tup.Retention < b.R {
-		b.R, b.RPref, b.RImplicit = tup.Retention, tup, implicit
+	if r < b.R {
+		b.R, b.RAt, b.RImplicit = r, at, implicit
 	}
 }

@@ -133,7 +133,7 @@ func TestBindingForMatchesReference(t *testing.T) {
 							}
 							want := a.bindingReference(p, ref)
 							got := a.BindingFor(p, c, ref)
-							if !reflect.DeepEqual(got, want) {
+							if !sameBinding(a, p, c, ref, got, want) {
 								t.Fatalf("provider %d (%s, %s): binding differs\n got: %+v\nwant: %+v",
 									i, attr, pr, got, want)
 							}
@@ -147,6 +147,27 @@ func TestBindingForMatchesReference(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sameBinding reports whether got, computed over the compiled columns c,
+// and want, computed by the reference walk, are the same binding: equal
+// levels and implicit flags, and the same binding tuples. The positions
+// index each path's own enumeration, so the tuples are compared
+// materialized.
+func sameBinding(a *Assessor, p *privacy.Prefs, c *CompiledPrefs, ref PolicyTupleRef, got, want PrefBinding) bool {
+	if got.Found != want.Found || got.V != want.V || got.G != want.G || got.R != want.R ||
+		got.VImplicit != want.VImplicit || got.GImplicit != want.GImplicit || got.RImplicit != want.RImplicit {
+		return false
+	}
+	if !got.Found {
+		return true
+	}
+	for _, at := range [][2]int{{got.VAt, want.VAt}, {got.GAt, want.GAt}, {got.RAt, want.RAt}} {
+		if a.BindingTuple(p, c, ref, at[0]) != a.BindingTuple(p, nil, ref, at[1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBindingForDispatch covers the fast-path guards: a compilation built

@@ -115,7 +115,11 @@ type DB struct {
 	tables map[string]*rowTable
 
 	hierarchies map[string]generalize.Hierarchy
-	retention   RetentionSchedule
+	// generalizers holds each hierarchy's degradation as the query engine
+	// applies it, and suppressGen the suppress-only default; built by New.
+	generalizers map[string]*generalizer
+	suppressGen  *generalizer
+	retention    RetentionSchedule
 
 	now   time.Time
 	audit *Audit
@@ -247,6 +251,11 @@ func New(cfg Config) (*DB, error) {
 	for i := range d.shards {
 		d.shards[i] = &dbShard{Shard: ledger.NewShard(&d.nProviders)}
 	}
+	d.generalizers = make(map[string]*generalizer, len(hier))
+	for a, h := range hier {
+		d.generalizers[a] = d.newGeneralizer(h)
+	}
+	d.suppressGen = d.newGeneralizer(suppressOnly{})
 	d.publishGaugesShared()
 	return d, nil
 }

@@ -75,22 +75,16 @@ func (s enforceSource) Expired(l privacy.Level, inserted time.Time) bool {
 	return s.d.retention.Expired(s.d.scales.Retention, l, inserted, s.d.now)
 }
 
-// Generalize implements query.Source.
-func (s enforceSource) Generalize(attr string, v relational.Value, granted privacy.Level) relational.Value {
-	lv := s.d.hierarchyLevel(attr, granted)
-	if lv == 0 {
-		return v
+// Generalizer implements query.Source with the attribute's degradation
+// resolved when the store was built. Only attributes with a registered
+// hierarchy report one; the rest fall back to suppress-only degradation
+// ("*" above level 0), which the planner's index-shortcut refusal does not
+// cover — see the API.md caveat.
+func (s enforceSource) Generalizer(attr string) (query.Generalizer, bool) {
+	if g, ok := s.d.generalizers[strings.ToLower(attr)]; ok {
+		return g, true
 	}
-	return s.d.hierarchyFor(attr).Generalize(v, lv)
-}
-
-// HasHierarchy implements query.Source: true only for attributes with a
-// registered generalization hierarchy. Attributes without one fall back to
-// suppress-only degradation ("*" above level 0), which the planner's
-// index-shortcut refusal does not cover — see the API.md caveat.
-func (s enforceSource) HasHierarchy(attr string) bool {
-	_, ok := s.d.hierarchies[strings.ToLower(attr)]
-	return ok
+	return s.d.suppressGen, false
 }
 
 // hierarchyFor returns the attribute's hierarchy, defaulting to plain
@@ -120,10 +114,50 @@ func (suppressOnly) Generalize(v relational.Value, level int) relational.Value {
 	return relational.Text("*")
 }
 
+// generalizer is one attribute's degradation as the query engine applies
+// it per cell: the hierarchy, and the hierarchy level each granted
+// granularity level maps to, tabulated from hierarchyLevel when the store
+// is built (hierarchies and scales are fixed for the store's lifetime).
+type generalizer struct {
+	h      hierarchy
+	levels []int // granted level 0..scale max → hierarchy level
+}
+
+// newGeneralizer tabulates h's level map.
+func (d *DB) newGeneralizer(h hierarchy) *generalizer {
+	g := &generalizer{h: h}
+	for l := privacy.LevelZero; l <= d.scales.Granularity.Max(); l++ {
+		g.levels = append(g.levels, d.levelIn(h, l))
+	}
+	return g
+}
+
+// Generalize implements query.Generalizer. Levels past the scale maximum
+// disclose exactly and levels below zero withhold as much as zero does,
+// as in hierarchyLevel.
+func (g *generalizer) Generalize(v relational.Value, granted privacy.Level) relational.Value {
+	lv := 0
+	switch {
+	case granted < 0:
+		lv = g.levels[0]
+	case int(granted) < len(g.levels):
+		lv = g.levels[granted]
+	}
+	if lv == 0 {
+		return v
+	}
+	return g.h.Generalize(v, lv)
+}
+
 // hierarchyLevel converts a granted granularity level (0 = reveal nothing …
 // scale max = fully specific) into the attribute hierarchy's generalization
 // level (0 = exact … Levels-1 = suppressed), scaling proportionally.
 func (d *DB) hierarchyLevel(attr string, g privacy.Level) int {
+	return d.levelIn(d.hierarchyFor(attr), g)
+}
+
+// levelIn is hierarchyLevel for hierarchy h.
+func (d *DB) levelIn(h hierarchy, g privacy.Level) int {
 	gmax := int(d.scales.Granularity.Max())
 	if gmax <= 0 {
 		return 0
@@ -131,10 +165,10 @@ func (d *DB) hierarchyLevel(attr string, g privacy.Level) int {
 	if g >= privacy.Level(gmax) {
 		return 0
 	}
+	hmax := h.Levels() - 1
 	if g <= 0 {
-		return d.hierarchyFor(attr).Levels() - 1
+		return hmax
 	}
-	hmax := d.hierarchyFor(attr).Levels() - 1
 	// Fraction of granularity withheld, mapped onto hierarchy levels,
 	// rounding toward more privacy.
 	withheld := float64(gmax-int(g)) / float64(gmax)
@@ -149,9 +183,13 @@ func (d *DB) hierarchyLevel(attr string, g privacy.Level) int {
 // providers would be violated on visibility are suppressed, cells are
 // generalized to the minimum of policy grant and provider preference, and
 // data held past either retention window is refused. The whole execution
-// runs under one shared acquisition of d.mu, so the answer reflects a
-// consistent snapshot of policy, preferences, tables and clock. Every
-// attempt — allowed or refused — lands in the audit log.
+// runs under one shared acquisition of d.mu, so policy, tables, clock and
+// retention schedule are one snapshot. Preferences are not: RegisterProvider
+// holds d.mu only shared, so each row is enforced against its provider's
+// preferences as they stand when the scan visits it — still sound per
+// datum, since every disclosed cell conforms to its provider's preferences
+// at the moment it was read. Every attempt — allowed or refused — lands in
+// the audit log.
 func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 	start := time.Now()
 	res, at, err := d.queryShared(q)

@@ -19,9 +19,12 @@
 //     the request purpose — refusing purposes the policy never stated and
 //     requester classes the policy does not admit. A top-level equality on
 //     an Indexed column becomes a Rows.Probe; the shortcut is declined for
-//     columns whose attribute generalizes (Source.HasHierarchy): the index
-//     matches raw values, and the physical plan must not change the
-//     relation.
+//     columns whose attribute has a generalization hierarchy (as
+//     Source.Generalizer reports): the index matches raw values, and the
+//     physical plan must not change the relation. The planner also binds
+//     every WHERE and ORDER BY column reference to its schema index and
+//     resolves each column's degradation once, so rows are enforced
+//     without name lookups.
 //   - The executor (exec.go) scans the base table and materializes, per
 //     row, the view the provider's preferences permit: rows whose
 //     provenance is missing or whose provider would be violated on
@@ -38,5 +41,9 @@
 // planner resolves each attribute to a core.PolicyTupleRef once, and the
 // executor folds preference minima via core.BindingFor — an id-indexed
 // walk over the provider's compiled columns with precomputed purpose cover
-// masks, falling back to the reference walk for unmaskable policies.
+// masks, falling back to the reference walk for unmaskable policies. The
+// fold keeps the binding tuples' positions; core.BindingTuple builds the
+// tuples only for EXPLAIN. The executor keeps its per-row state in
+// per-query scratch, so a row that is suppressed or fails WHERE allocates
+// nothing; only kept rows get cells of their own.
 package query

@@ -10,8 +10,11 @@ import (
 )
 
 // Source is the live store the executor enforces over. Implementations
-// (internal/ppdb) must keep every method consistent for the duration of one
-// Engine.Query call — the store holds its read lock across the call.
+// (internal/ppdb) must keep the tables, the clock and the degradations
+// stable for the duration of one Engine.Query call — the store holds its
+// read lock across the call. Provider may answer with each provider's
+// preferences as they stand at the moment of the call: every row is
+// enforced against its own provider's preferences when it is visited.
 type Source interface {
 	// Table resolves a table name (lower-cased by the parser) to its rows.
 	Table(name string) (Rows, bool)
@@ -21,15 +24,20 @@ type Source interface {
 	// Expired reports whether a datum inserted at t and granted retention
 	// level l is past its window on the store's clock.
 	Expired(l privacy.Level, inserted time.Time) bool
-	// Generalize degrades v to the granted granularity level through the
-	// attribute's hierarchy (identity at the scale maximum).
-	Generalize(attr string, v relational.Value, granted privacy.Level) relational.Value
-	// HasHierarchy reports whether the attribute has a generalization
-	// hierarchy, i.e. whether Generalize can rewrite its values. The
-	// planner refuses the index shortcut for such columns: the index
-	// matches raw stored values, so a probe for a generalized label would
-	// silently miss rows a full scan answers.
-	HasHierarchy(attr string) bool
+	// Generalizer resolves the attribute's degradation once per plan, and
+	// reports whether the attribute has a generalization hierarchy, i.e.
+	// whether its values generalize to labels other than a suppression
+	// marker. The planner refuses the index shortcut for such columns: the
+	// index matches raw stored values, so a probe for a generalized label
+	// would silently miss rows a full scan answers.
+	Generalizer(attr string) (g Generalizer, hierarchy bool)
+}
+
+// Generalizer degrades one attribute's values.
+type Generalizer interface {
+	// Generalize degrades v to the granted granularity level (identity at
+	// the scale maximum).
+	Generalize(v relational.Value, granted privacy.Level) relational.Value
 }
 
 // Rows is one stored table as the executor reads it. Each row is held

@@ -8,27 +8,30 @@ import (
 	"repro/internal/relational"
 )
 
-// rowEnv resolves column references against one disclosed row.
-type rowEnv struct {
-	plan *plan
-	row  relational.Row
-}
-
-// Col implements relational.Env over the disclosed view. The parser
-// lower-cases every column reference, so name is already in the form the
-// planner keyed env by.
-func (e rowEnv) Col(name string) (relational.Value, error) {
-	if idx, ok := e.plan.env[name]; ok {
-		return e.row[idx], nil
-	}
-	return relational.Null(), &DeniedError{Attribute: name, Reason: "column not resolved at plan time"}
-}
-
 // outRow is one surviving row awaiting ordering and windowing.
 type outRow struct {
 	id    relational.RowID
 	keys  []relational.Value
 	cells []relational.Value
+}
+
+// scratch is one query's per-row working state, overwritten for every row
+// the scan visits: the preference binding of each referenced column, the
+// disclosed row, and the traces a row's cells produce before WHERE decides
+// whether the row is kept. A row that is suppressed or fails WHERE
+// therefore allocates nothing; only the rows the query keeps get their own
+// cells. It is also the relational.Env WHERE and ORDER BY evaluate in.
+type scratch struct {
+	bindings []core.PrefBinding
+	disc     relational.Row
+	pending  []Trace
+}
+
+// Col implements relational.Env. The planner binds every column reference
+// to a schema index (boundCol reads disc directly), so only an unbound
+// reference could reach here, and the planner leaves none.
+func (sc *scratch) Col(name string) (relational.Value, error) {
+	return relational.Null(), &DeniedError{Attribute: name, Reason: "column not resolved at plan time"}
 }
 
 // run executes a validated plan: scan → per-row enforcement (suppress /
@@ -47,11 +50,14 @@ func (e *Engine) run(p *plan) *Result {
 	}
 
 	var rows []outRow
-	bindings := make([]core.PrefBinding, len(p.uses))
+	sc := &scratch{
+		bindings: make([]core.PrefBinding, len(p.uses)),
+		disc:     make(relational.Row, p.schema.Len()),
+	}
 	visit := func(id relational.RowID, raw relational.Row, provider string, inserted time.Time) {
 		res.Stats.RowsScanned++
-		if r := e.enforceRow(p, id, raw, provider, inserted, bindings, res); r != nil {
-			rows = append(rows, *r)
+		if r, ok := e.enforceRow(p, sc, id, raw, provider, inserted, res); ok {
+			rows = append(rows, r)
 		}
 	}
 	if p.useIdx {
@@ -79,55 +85,62 @@ func (e *Engine) run(p *plan) *Result {
 	return res
 }
 
-// enforceRow applies the four dimensions to one stored row. It returns nil
-// when the row is suppressed or fails WHERE over the disclosed view.
-func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, provider string, inserted time.Time, bindings []core.PrefBinding, res *Result) *outRow {
+// enforceRow applies the four dimensions to one stored row. It reports
+// false when the row is suppressed or fails WHERE over the disclosed view.
+// Traces are built only when EXPLAIN is on.
+func (e *Engine) enforceRow(p *plan, sc *scratch, id relational.RowID, raw relational.Row, provider string, inserted time.Time, res *Result) (outRow, bool) {
+	x := res.Explain
 	// Provenance: a row the store cannot attribute to a registered provider
 	// cannot be checked against anyone's preferences, so it is withheld.
 	if provider == "" || raw[p.provIdx].IsNull() {
 		res.Stats.RowsSuppressed++
-		res.Explain.suppress(id, provider, "row has no attributable provider")
-		return nil
+		x.suppress(id, provider, "row has no attributable provider")
+		return outRow{}, false
 	}
 	prefs, compiled, ok := e.src.Provider(provider)
 	if !ok {
 		res.Stats.RowsSuppressed++
-		res.Explain.suppress(id, provider, "provider is not registered")
-		return nil
+		x.suppress(id, provider, "provider is not registered")
+		return outRow{}, false
 	}
 
 	// Visibility: if the requester's class exceeds what any referenced
 	// attribute's covering preference admits, disclosing — or even filtering
-	// on — the row would violate the provider. The whole row is suppressed.
+	// on — the row would violate the provider. The whole row is suppressed;
+	// without EXPLAIN the first violated attribute settles it.
 	suppressed := false
 	for i := range p.uses {
 		u := &p.uses[i]
-		bindings[i] = e.asr.BindingFor(prefs, compiled, u.ref)
-		b := &bindings[i]
-		if b.Found && p.req.Visibility > b.V {
-			suppressed = true
-			pref := b.VPref // copy: b aliases the per-query scratch slice
-			res.Explain.violation(Trace{
-				Row: id, Provider: provider, Column: u.col, Attribute: u.col,
-				Action: ActionSuppress, Dimension: "visibility", Granted: b.V,
-				Pref: &pref, PrefImplicit: b.VImplicit, Policy: &u.ref.Tuple,
-			})
+		b := &sc.bindings[i]
+		*b = e.asr.BindingFor(prefs, compiled, u.ref)
+		if !b.Found || p.req.Visibility <= b.V {
+			continue
 		}
+		suppressed = true
+		if x == nil {
+			break
+		}
+		pref := e.asr.BindingTuple(prefs, compiled, u.ref, b.VAt)
+		x.violation(Trace{
+			Row: id, Provider: provider, Column: u.col, Attribute: u.col,
+			Action: ActionSuppress, Dimension: "visibility", Granted: b.V,
+			Pref: &pref, PrefImplicit: b.VImplicit, Policy: &u.ref.Tuple,
+		})
 	}
 	if suppressed {
 		res.Stats.RowsSuppressed++
-		return nil
+		return outRow{}, false
 	}
 
 	// Materialize the disclosed view of the referenced cells: retention
 	// refusal first (an expired datum discloses nothing), then granularity
 	// degradation to the minimum of policy grant and preference.
-	disc := make(relational.Row, len(raw))
-	var pending []Trace
+	disc := sc.disc
+	sc.pending = sc.pending[:0]
 	generalized, expired := 0, 0
 	for i := range p.uses {
 		u := &p.uses[i]
-		b := &bindings[i]
+		b := &sc.bindings[i]
 		cell := raw[u.idx]
 		grantedR := u.ref.Tuple.Retention
 		if b.Found && b.R < grantedR {
@@ -137,18 +150,20 @@ func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, pr
 			disc[u.idx] = relational.Null()
 			if u.projected {
 				expired++
-				t := Trace{
-					Row: id, Provider: provider, Column: u.col, Attribute: u.col,
-					Action: ActionExpire, Dimension: "retention", Granted: grantedR,
-					Policy: &u.ref.Tuple,
+				if x != nil {
+					t := Trace{
+						Row: id, Provider: provider, Column: u.col, Attribute: u.col,
+						Action: ActionExpire, Dimension: "retention", Granted: grantedR,
+						Policy: &u.ref.Tuple,
+					}
+					if b.Found && b.R < u.ref.Tuple.Retention {
+						pref := e.asr.BindingTuple(prefs, compiled, u.ref, b.RAt)
+						t.Pref, t.PrefImplicit = &pref, b.RImplicit
+					} else {
+						t.Reason = "past the policy's retention window"
+					}
+					sc.pending = append(sc.pending, t)
 				}
-				if b.Found && b.R < u.ref.Tuple.Retention {
-					pref := b.RPref
-					t.Pref, t.PrefImplicit = &pref, b.RImplicit
-				} else {
-					t.Reason = "past the policy's retention window"
-				}
-				pending = append(pending, t)
 			}
 			continue
 		}
@@ -156,55 +171,55 @@ func (e *Engine) enforceRow(p *plan, id relational.RowID, raw relational.Row, pr
 		if b.Found && b.G < grantedG {
 			grantedG = b.G
 		}
-		out := e.src.Generalize(u.col, cell, grantedG)
+		out := u.gen.Generalize(cell, grantedG)
 		disc[u.idx] = out
 		if u.projected && !sameValue(cell, out) {
 			generalized++
-			t := Trace{
-				Row: id, Provider: provider, Column: u.col, Attribute: u.col,
-				Action: ActionGeneralize, Dimension: "granularity", Granted: grantedG,
-				Policy: &u.ref.Tuple,
+			if x != nil {
+				t := Trace{
+					Row: id, Provider: provider, Column: u.col, Attribute: u.col,
+					Action: ActionGeneralize, Dimension: "granularity", Granted: grantedG,
+					Policy: &u.ref.Tuple,
+				}
+				if b.Found && b.G < u.ref.Tuple.Granularity {
+					pref := e.asr.BindingTuple(prefs, compiled, u.ref, b.GAt)
+					t.Pref, t.PrefImplicit = &pref, b.GImplicit
+				} else {
+					t.Reason = "policy grants partial granularity"
+				}
+				sc.pending = append(sc.pending, t)
 			}
-			if b.Found && b.G < u.ref.Tuple.Granularity {
-				pref := b.GPref
-				t.Pref, t.PrefImplicit = &pref, b.GImplicit
-			} else {
-				t.Reason = "policy grants partial granularity"
-			}
-			pending = append(pending, t)
 		}
 	}
 
 	// WHERE runs over the disclosed view: a predicate a degraded value
 	// cannot decide (generalized text vs a numeric bound, an expired NULL)
 	// simply does not match — withheld data never drives an answer.
-	env := rowEnv{plan: p, row: disc}
 	if p.where != nil {
-		match, err := relational.Truthy(p.where, env)
+		match, err := relational.Truthy(p.where, sc)
 		if err != nil || !match {
-			return nil
+			return outRow{}, false
 		}
 	}
 	res.Stats.RowsMatched++
 	res.Stats.CellsGeneralized += generalized
 	res.Stats.CellsExpired += expired
-	res.Explain.violations(pending)
+	x.violations(sc.pending)
 
-	out := &outRow{id: id, cells: make([]relational.Value, len(p.items))}
+	// The kept row's cells and ORDER BY keys share one allocation.
+	vals := make([]relational.Value, len(p.items)+len(p.orderBy))
+	out := outRow{id: id, cells: vals[:len(p.items):len(p.items)], keys: vals[len(p.items):]}
 	for i, it := range p.items {
 		out.cells[i] = disc[p.uses[it.use].idx]
 	}
-	if len(p.orderBy) > 0 {
-		out.keys = make([]relational.Value, len(p.orderBy))
-		for i, o := range p.orderBy {
-			v, err := o.Expr.Eval(env)
-			if err != nil {
-				v = relational.Null()
-			}
-			out.keys[i] = v
+	for i, o := range p.orderBy {
+		v, err := o.Expr.Eval(sc)
+		if err != nil {
+			v = relational.Null()
 		}
+		out.keys[i] = v
 	}
-	return out
+	return out, true
 }
 
 // sameValue compares raw and disclosed cells, treating NULL = NULL (the

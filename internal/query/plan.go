@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,6 +20,8 @@ type colUse struct {
 	col       string // canonical column name, which is also the attribute
 	idx       int    // schema column index
 	ref       core.PolicyTupleRef
+	gen       Generalizer // the attribute's degradation, resolved once
+	hier      bool        // the attribute has a generalization hierarchy
 	projected bool
 }
 
@@ -42,10 +45,6 @@ type plan struct {
 	orderBy []relational.OrderItem
 	limit   int
 	offset  int
-
-	// env maps every accepted spelling (bare, table-qualified,
-	// alias-qualified) of a referenced column to its schema index.
-	env map[string]int
 
 	// Index scan: a top-level equality on an indexed column narrows the
 	// scan to Rows.Probe.
@@ -78,15 +77,12 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 		return nil, fmt.Errorf("query: table %q is not registered", tname)
 	}
 	p := &plan{
-		req:     req,
-		table:   tname,
-		rows:    rows,
-		schema:  rows.Schema(),
-		where:   sel.Where,
-		orderBy: sel.OrderBy,
-		limit:   sel.Limit,
-		offset:  sel.Offset,
-		env:     make(map[string]int),
+		req:    req,
+		table:  tname,
+		rows:   rows,
+		schema: rows.Schema(),
+		limit:  sel.Limit,
+		offset: sel.Offset,
 	}
 	p.provIdx, _ = p.schema.ColumnIndex(rows.ProviderCol())
 
@@ -110,9 +106,6 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 			ui = len(p.uses)
 			useIdx[col] = ui
 			p.uses = append(p.uses, colUse{col: col, idx: idx})
-			p.env[col] = idx
-			p.env[tname+"."+col] = idx
-			p.env[alias+"."+col] = idx
 		}
 		if projected {
 			p.uses[ui].projected = true
@@ -153,16 +146,24 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 	}
 
 	// WHERE and ORDER BY may use expressions, but only over resolvable
-	// columns.
+	// columns, each bound here to its schema index.
+	bind := func(name string) (int, error) {
+		ui, err := resolve(name, false)
+		if err != nil {
+			return 0, err
+		}
+		return p.uses[ui].idx, nil
+	}
 	if sel.Where != nil {
-		if err := collectCols(sel.Where, resolve); err != nil {
+		if p.where, err = bindCols(sel.Where, bind); err != nil {
 			return nil, err
 		}
 	}
 	for _, o := range sel.OrderBy {
-		if err := collectCols(o.Expr, resolve); err != nil {
+		if o.Expr, err = bindCols(o.Expr, bind); err != nil {
 			return nil, err
 		}
+		p.orderBy = append(p.orderBy, o)
 	}
 
 	// Policy gate, in sorted attribute order for deterministic denials:
@@ -188,9 +189,10 @@ func (e *Engine) Plan(req Request) (*plan, error) {
 			}
 		}
 		u.ref = ref
+		u.gen, u.hier = e.src.Generalizer(u.col)
 	}
 
-	p.pickIndex(e.src.HasHierarchy)
+	p.pickIndex()
 	return p, nil
 }
 
@@ -212,36 +214,56 @@ func unenforceable(construct string) *UnenforceableError {
 	return &UnenforceableError{Construct: construct, Reason: reason}
 }
 
-// collectCols walks an expression, resolving every column reference and
-// rejecting nodes whose evaluation cannot be attributed per datum.
-func collectCols(ex relational.Expr, resolve func(string, bool) (int, error)) error {
+// boundCol is a column reference bound at plan time to its schema index:
+// it reads the executor's disclosed row directly, so evaluating WHERE and
+// ORDER BY looks up no names per row.
+type boundCol struct {
+	relational.ColRef
+	idx int
+}
+
+// Eval implements relational.Expr over the disclosed row.
+func (c boundCol) Eval(env relational.Env) (relational.Value, error) {
+	return env.(*scratch).disc[c.idx], nil
+}
+
+// bindCols copies an expression with every column reference resolved to a
+// boundCol, rejecting nodes whose evaluation cannot be attributed per
+// datum. Columns resolve in first-appearance order, left to right.
+func bindCols(ex relational.Expr, resolve func(string) (int, error)) (relational.Expr, error) {
+	var err error
 	switch x := ex.(type) {
 	case relational.ColRef:
-		_, err := resolve(x.Name, false)
-		return err
+		idx, err := resolve(x.Name)
+		return boundCol{ColRef: x, idx: idx}, err
 	case relational.Literal:
-		return nil
+		return x, nil
 	case relational.Binary:
-		if err := collectCols(x.L, resolve); err != nil {
-			return err
+		if x.L, err = bindCols(x.L, resolve); err != nil {
+			return nil, err
 		}
-		return collectCols(x.R, resolve)
+		x.R, err = bindCols(x.R, resolve)
+		return x, err
 	case relational.Unary:
-		return collectCols(x.X, resolve)
+		x.X, err = bindCols(x.X, resolve)
+		return x, err
 	case relational.IsNull:
-		return collectCols(x.X, resolve)
+		x.X, err = bindCols(x.X, resolve)
+		return x, err
 	case relational.In:
-		if err := collectCols(x.X, resolve); err != nil {
-			return err
+		if x.X, err = bindCols(x.X, resolve); err != nil {
+			return nil, err
 		}
-		for _, item := range x.List {
-			if err := collectCols(item, resolve); err != nil {
-				return err
+		list := make([]relational.Expr, len(x.List))
+		for i, item := range x.List {
+			if list[i], err = bindCols(item, resolve); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		x.List = list
+		return x, nil
 	default:
-		return &UnenforceableError{Construct: ex.String(), Reason: "unsupported expression"}
+		return nil, &UnenforceableError{Construct: ex.String(), Reason: "unsupported expression"}
 	}
 }
 
@@ -255,21 +277,17 @@ func collectCols(ex relational.Expr, resolve func(string, bool) (int, error)) er
 // either: the index keys NULLs together while `col = NULL` matches nothing,
 // so a probe would count the NULL rows as scanned and make the stats
 // depend on the plan.
-func (p *plan) pickIndex(hasHierarchy func(attr string) bool) {
+func (p *plan) pickIndex() {
 	for _, conj := range conjuncts(p.where) {
 		bin, ok := conj.(relational.Binary)
 		if !ok || bin.Op != relational.OpEq {
 			continue
 		}
-		col, val, ok := colEqLiteral(bin)
+		idx, val, ok := colEqLiteral(bin)
 		if !ok || val.IsNull() {
 			continue
 		}
-		idx, found := p.env[privacy.CanonAttr(col)]
-		if !found {
-			continue
-		}
-		if !p.rows.Indexed(idx) || hasHierarchy(p.schema.Column(idx).Name) {
+		if !p.rows.Indexed(idx) || slices.ContainsFunc(p.uses, func(u colUse) bool { return u.idx == idx && u.hier }) {
 			continue
 		}
 		p.idxCol, p.idxVal, p.useIdx = idx, val, true
@@ -288,17 +306,18 @@ func conjuncts(ex relational.Expr) []relational.Expr {
 	return []relational.Expr{ex}
 }
 
-// colEqLiteral matches `col = literal` (either side) and returns the parts.
-func colEqLiteral(bin relational.Binary) (string, relational.Value, bool) {
-	if cr, ok := bin.L.(relational.ColRef); ok {
+// colEqLiteral matches `col = literal` (either side) over bound columns
+// and returns the column's schema index and the literal.
+func colEqLiteral(bin relational.Binary) (int, relational.Value, bool) {
+	if c, ok := bin.L.(boundCol); ok {
 		if lit, ok := bin.R.(relational.Literal); ok {
-			return cr.Name, lit.Val, true
+			return c.idx, lit.Val, true
 		}
 	}
-	if cr, ok := bin.R.(relational.ColRef); ok {
+	if c, ok := bin.R.(boundCol); ok {
 		if lit, ok := bin.L.(relational.Literal); ok {
-			return cr.Name, lit.Val, true
+			return c.idx, lit.Val, true
 		}
 	}
-	return "", relational.Null(), false
+	return 0, relational.Null(), false
 }

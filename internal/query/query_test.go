@@ -77,7 +77,15 @@ func (s *stubSource) Expired(l privacy.Level, inserted time.Time) bool {
 	return s.now.Sub(inserted) > time.Duration(l)*24*time.Hour
 }
 
-func (s *stubSource) Generalize(attr string, v relational.Value, granted privacy.Level) relational.Value {
+func (s *stubSource) Generalizer(attr string) (Generalizer, bool) {
+	return stubGeneralizer{}, s.hier[attr]
+}
+
+// stubGeneralizer is the fixture's deterministic degradation, the same for
+// every attribute.
+type stubGeneralizer struct{}
+
+func (stubGeneralizer) Generalize(v relational.Value, granted privacy.Level) relational.Value {
 	if granted >= 3 || v.IsNull() {
 		return v
 	}
@@ -100,8 +108,6 @@ func (s *stubSource) Generalize(attr string, v relational.Value, granted privacy
 	}
 	return v
 }
-
-func (s *stubSource) HasHierarchy(attr string) bool { return s.hier[attr] }
 
 // fixture is the shared test world: seven rows over five providers with one
 // restrictive preference each, plus a NULL-provenance row and an

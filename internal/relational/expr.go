@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -83,6 +84,24 @@ func (b Binary) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
 }
 
+// Evaluation errors are built once, like Compare's: an enforced scan
+// evaluates WHERE over every row it discloses, and a predicate a degraded
+// value cannot decide fails on each of them. The caller discards the error
+// (the row simply does not match), so it names the failure, not the
+// expression.
+var (
+	errLikeOperands  = errors.New("relational: LIKE needs text operands")
+	errUnknownOp     = errors.New("relational: unknown operator")
+	errAndOperands   = errors.New("relational: AND needs boolean operands")
+	errOrOperands    = errors.New("relational: OR needs boolean operands")
+	errDivByZero     = errors.New("relational: division by zero")
+	errModByZero     = errors.New("relational: modulo by zero")
+	errArithOperands = errors.New("relational: arithmetic needs numeric operands")
+	errModOperands   = errors.New("relational: % needs integer operands")
+	errNegate        = errors.New("relational: cannot negate a non-numeric value")
+	errNotOperand    = errors.New("relational: NOT needs a boolean")
+)
+
 // Eval implements Expr. NULL operands propagate: any comparison or
 // arithmetic with NULL yields NULL; AND/OR use three-valued shortcuts.
 func (b Binary) Eval(env Env) (Value, error) {
@@ -104,7 +123,7 @@ func (b Binary) Eval(env Env) (Value, error) {
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		c, err := Compare(l, r)
 		if err != nil {
-			return Null(), fmt.Errorf("%w in %s", err, b)
+			return Null(), err
 		}
 		switch b.Op {
 		case OpEq:
@@ -126,12 +145,20 @@ func (b Binary) Eval(env Env) (Value, error) {
 		ls, ok1 := l.AsText()
 		rs, ok2 := r.AsText()
 		if !ok1 || !ok2 {
-			return Null(), fmt.Errorf("relational: LIKE needs text operands in %s", b)
+			return Null(), errLikeOperands
 		}
 		return Bool(likeMatch(ls, rs)), nil
 	default:
-		return Null(), fmt.Errorf("relational: unknown operator in %s", b)
+		return Null(), errUnknownOp
 	}
+}
+
+// logicOperandErr refuses a non-boolean operand of AND or OR.
+func (b Binary) logicOperandErr() error {
+	if b.Op == OpAnd {
+		return errAndOperands
+	}
+	return errOrOperands
 }
 
 func (b Binary) evalLogic(env Env) (Value, error) {
@@ -141,7 +168,7 @@ func (b Binary) evalLogic(env Env) (Value, error) {
 	}
 	lb, lok := l.AsBool()
 	if !lok && !l.IsNull() {
-		return Null(), fmt.Errorf("relational: %s needs boolean operands in %s", b.Op, b)
+		return Null(), b.logicOperandErr()
 	}
 	// Short circuits.
 	if lok {
@@ -158,7 +185,7 @@ func (b Binary) evalLogic(env Env) (Value, error) {
 	}
 	rb, rok := r.AsBool()
 	if !rok && !r.IsNull() {
-		return Null(), fmt.Errorf("relational: %s needs boolean operands in %s", b.Op, b)
+		return Null(), b.logicOperandErr()
 	}
 	switch {
 	case lok && rok:
@@ -190,22 +217,22 @@ func evalArith(op BinOp, l, r Value) (Value, error) {
 			return Int(li * ri), nil
 		case OpDiv:
 			if ri == 0 {
-				return Null(), fmt.Errorf("relational: division by zero")
+				return Null(), errDivByZero
 			}
 			return Int(li / ri), nil
 		case OpMod:
 			if ri == 0 {
-				return Null(), fmt.Errorf("relational: modulo by zero")
+				return Null(), errModByZero
 			}
 			return Int(li % ri), nil
 		default:
-			return Null(), fmt.Errorf("relational: bad arithmetic operator %s", op)
+			return Null(), errUnknownOp
 		}
 	}
 	lf, lok := l.AsFloat()
 	rf, rok := r.AsFloat()
 	if !lok || !rok {
-		return Null(), fmt.Errorf("relational: arithmetic needs numeric operands, got %s and %s", l.Kind(), r.Kind())
+		return Null(), errArithOperands
 	}
 	switch op {
 	case OpAdd:
@@ -217,13 +244,13 @@ func evalArith(op BinOp, l, r Value) (Value, error) {
 	case OpDiv:
 		//lint:ignore floatcmp SQL division is undefined only at exactly zero; a tolerance would reject tiny legitimate divisors
 		if rf == 0 {
-			return Null(), fmt.Errorf("relational: division by zero")
+			return Null(), errDivByZero
 		}
 		return Float(lf / rf), nil
 	case OpMod:
-		return Null(), fmt.Errorf("relational: %% needs integer operands")
+		return Null(), errModOperands
 	default:
-		return Null(), fmt.Errorf("relational: bad arithmetic operator %s", op)
+		return Null(), errUnknownOp
 	}
 }
 
@@ -295,11 +322,11 @@ func (u Unary) Eval(env Env) (Value, error) {
 		if f, ok := v.AsFloat(); ok {
 			return Float(-f), nil
 		}
-		return Null(), fmt.Errorf("relational: cannot negate %s", v.Kind())
+		return Null(), errNegate
 	}
 	b, ok := v.AsBool()
 	if !ok {
-		return Null(), fmt.Errorf("relational: NOT needs a boolean, got %s", v.Kind())
+		return Null(), errNotOperand
 	}
 	return Bool(!b), nil
 }

@@ -182,3 +182,32 @@ func TestExprStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestUndecidablePredicates pins the rule a disclosed-view WHERE relies
+// on: a comparison its operands cannot decide (generalized text against a
+// number, mixed kinds) is an error, and the error fails the whole
+// predicate through AND, OR and NOT whenever the undecidable operand is
+// evaluated. Raising it allocates nothing, so a scan can hit it on every
+// row for free.
+func TestUndecidablePredicates(t *testing.T) {
+	env := MapEnv{"w": Text("*"), "n": Float(61.5), "b": Bool(true)}
+	for _, src := range []string{
+		"w >= 60", "w >= 60 AND w < 70", "n > 0 AND w >= 60", "w >= 60 AND n > 0",
+		"w >= 60 OR n > 0", "n > 100 OR w >= 60", "NOT (w >= 60)", "NOT (n > 100 OR w < 70)",
+		"b = 1", "n LIKE 'x%'", "w AND b", "n OR b",
+	} {
+		e := parseExpr(t, src)
+		if ok, err := Truthy(e, env); err == nil || ok {
+			t.Errorf("%q = %v, %v; want an error", src, ok, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = Truthy(e, env) }); allocs != 0 {
+			t.Errorf("%q allocates %v times per evaluation, want 0", src, allocs)
+		}
+	}
+	// A short circuit that never evaluates the undecidable side decides.
+	for src, want := range map[string]bool{"n > 100 AND w >= 60": false, "n > 0 OR w >= 60": true} {
+		if ok, err := Truthy(parseExpr(t, src), env); err != nil || ok != want {
+			t.Errorf("%q = %v, %v; want %v", src, ok, err, want)
+		}
+	}
+}

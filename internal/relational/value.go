@@ -12,6 +12,7 @@
 package relational
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -138,12 +139,32 @@ func (v Value) Display() string {
 // numeric reports whether the value is int or float.
 func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
+// Compare's errors are built once: an enforced scan can hit an
+// undecidable comparison on every row it reads (generalized text against a
+// numeric bound), so formatting one per call would allocate per row.
+var (
+	errCompareNull = errors.New("relational: cannot compare NULL")
+	// errCompareKinds[a][b] refuses comparing kind a with kind b.
+	errCompareKinds = func() (errs [KindBool + 1][KindBool + 1]error) {
+		for a := range errs {
+			for b := range errs[a] {
+				if a == b {
+					errs[a][b] = fmt.Errorf("relational: cannot compare %s values", Kind(a))
+				} else {
+					errs[a][b] = fmt.Errorf("relational: cannot compare %s with %s", Kind(a), Kind(b))
+				}
+			}
+		}
+		return errs
+	}()
+)
+
 // Compare orders two values: -1, 0, +1. Integers and floats compare
 // numerically; text compares lexicographically; bools false < true. NULL or
 // mixed non-numeric kinds are an error.
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
-		return 0, fmt.Errorf("relational: cannot compare NULL")
+		return 0, errCompareNull
 	}
 	if a.numeric() && b.numeric() {
 		if a.kind == KindInt && b.kind == KindInt {
@@ -166,7 +187,7 @@ func Compare(a, b Value) (int, error) {
 		return 0, nil
 	}
 	if a.kind != b.kind {
-		return 0, fmt.Errorf("relational: cannot compare %s with %s", a.kind, b.kind)
+		return 0, errCompareKinds[a.kind][b.kind]
 	}
 	switch a.kind {
 	case KindText:
@@ -180,7 +201,7 @@ func Compare(a, b Value) (int, error) {
 		}
 		return 0, nil
 	default:
-		return 0, fmt.Errorf("relational: cannot compare %s values", a.kind)
+		return 0, errCompareKinds[a.kind][b.kind]
 	}
 }
 
