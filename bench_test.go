@@ -879,6 +879,25 @@ func BenchmarkQueryEnforced(b *testing.B) {
 // common) re-assesses everyone; the gap between the two sub-benches is
 // the price the memo-reuse invariant saves.
 func BenchmarkWhatIfStorm(b *testing.B) {
+	benchWhatIf(b, core.Options{DisableImplicitZero: true}, func(resp *whatif.Response, n int) bool {
+		return !resp.GlobalFallback
+	})
+}
+
+// BenchmarkWhatIfShipped is BenchmarkWhatIfStorm in the configuration the
+// server runs: the same population, policy and diffs under the paper's
+// Sec. 5 implicit zero. There every retarget changes what an empty
+// preference set sees, so both diffs take the global fallback and the
+// shadow kernel re-assesses all n providers.
+func BenchmarkWhatIfShipped(b *testing.B) {
+	benchWhatIf(b, core.Options{}, func(resp *whatif.Response, n int) bool {
+		return resp.GlobalFallback && resp.Affected == n
+	})
+}
+
+// benchWhatIf runs the what-if storm over 100k providers under opts, one
+// sub-bench per diff; shape must accept every response.
+func benchWhatIf(b *testing.B, opts core.Options, shape func(resp *whatif.Response, n int) bool) {
 	const n = 100000
 	hp := privacy.NewHousePolicy("bench")
 	hp.Add("common", privacy.Tuple{Purpose: "service", Visibility: 2, Granularity: 2, Retention: 2})
@@ -906,7 +925,7 @@ func BenchmarkWhatIfStorm(b *testing.B) {
 			db, err := ppdb.New(ppdb.Config{
 				Policy:   hp,
 				AttrSens: privacy.AttributeSensitivities{"common": 2, "rare": 6},
-				Options:  core.Options{DisableImplicitZero: true},
+				Options:  opts,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -923,7 +942,7 @@ func BenchmarkWhatIfStorm(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if resp.Current.N != n || resp.GlobalFallback {
+					if resp.Current.N != n || !shape(resp, n) {
 						b.Fatal("unexpected evaluation shape")
 					}
 				}

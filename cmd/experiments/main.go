@@ -10,41 +10,75 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
-func main() {
-	run := flag.String("run", "all", "experiment to run: table1, figure1, figure2, expansion, accumulation, estimator, alpha, baseline, ablations, all")
-	n := flag.Int("n", 5000, "population size for population-scale experiments")
-	seed := flag.Uint64("seed", 2011, "deterministic generator seed")
-	steps := flag.Int("steps", 8, "widening steps for expansion-style experiments")
-	k := flag.Int("k", 3, "k for the k-anonymity baseline release")
-	flag.Parse()
+// allExperiments is what -run all runs, in order.
+var allExperiments = []string{"table1", "figure1", "figure2", "expansion", "accumulation", "estimator", "alpha", "baseline", "ablations", "game", "legacy", "xmlparity"}
 
-	names := strings.Split(*run, ",")
-	if *run == "all" {
-		names = []string{"table1", "figure1", "figure2", "expansion", "accumulation", "estimator", "alpha", "baseline", "ablations", "game", "legacy", "xmlparity"}
+// config holds the command-line flags.
+type config struct {
+	run      string
+	n        int
+	seed     uint64
+	steps, k int
+}
+
+// parseFlags parses args (without the program name) into a config. On a
+// bad flag or -h the flag set has already printed usage.
+func parseFlags(args []string) (config, error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	var cfg config
+	fs.StringVar(&cfg.run, "run", "all", "experiment to run: table1, figure1, figure2, expansion, accumulation, estimator, alpha, baseline, ablations, all")
+	fs.IntVar(&cfg.n, "n", 5000, "population size for population-scale experiments")
+	fs.Uint64Var(&cfg.seed, "seed", 2011, "deterministic generator seed")
+	fs.IntVar(&cfg.steps, "steps", 8, "widening steps for expansion-style experiments")
+	fs.IntVar(&cfg.k, "k", 3, "k for the k-anonymity baseline release")
+	err := fs.Parse(args)
+	return cfg, err
+}
+
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	for i, name := range names {
-		if i > 0 {
-			fmt.Println()
-			fmt.Println(strings.Repeat("=", 78))
-			fmt.Println()
-		}
-		if err := runOne(strings.TrimSpace(name), *n, *seed, *steps, *k); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
-		}
+	if err != nil {
+		os.Exit(2)
+	}
+	if err := run(os.Stdout, cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
 }
 
-func runOne(name string, n int, seed uint64, steps, k int) error {
-	w := os.Stdout
+// run writes the experiments cfg names to w, separated by rules.
+func run(w io.Writer, cfg config) error {
+	names := strings.Split(cfg.run, ",")
+	if cfg.run == "all" {
+		names = allExperiments
+	}
+	for i, name := range names {
+		if i > 0 {
+			fmt.Fprintln(w)
+			fmt.Fprintln(w, strings.Repeat("=", 78))
+			fmt.Fprintln(w)
+		}
+		if err := runOne(w, strings.TrimSpace(name), cfg.n, cfg.seed, cfg.steps, cfg.k); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+func runOne(w io.Writer, name string, n int, seed uint64, steps, k int) error {
 	switch name {
 	case "table1":
 		r := experiments.Table1()

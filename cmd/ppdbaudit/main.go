@@ -70,7 +70,8 @@ func runAudit(w io.Writer, in string, alpha float64, top int, asJSON bool) error
 	}
 	items := make([]ledger.Item, len(doc.Providers))
 	for i, p := range doc.Providers {
-		items[i] = ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p, Version: uint64(i + 1)}
+		items[i] = ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p,
+			Compiled: assessor.Compile(p), Version: uint64(i + 1)}
 	}
 	led.UpsertBatch(items)
 	rep := led.Snapshot()

@@ -1,10 +1,12 @@
 // The columnar assessment kernel (DESIGN.md §13): AssessCompiled walks the
 // flattened per-provider preference columns against the flattened policy
-// columns and produces exactly the ProviderReport AssessProvider would —
-// same pair order, same float-operation order, bit-identical results — with
-// zero map iteration and zero heap allocation for providers with no
-// violations. Conflicting providers allocate exactly two slices (the pairs
-// and one shared dims backing array), built from a reusable scratch arena.
+// columns and produces exactly the ProviderReport the paper's Eq. 15 walk
+// would (reference_test.go) — same pair order, same float-operation order,
+// bit-identical results — with zero map iteration and zero heap allocation
+// for providers with no violations. Conflicting providers allocate exactly
+// two slices (the pairs and one shared dims backing array), built from a
+// reusable scratch arena. It is the only assessor: every report, stored or
+// ad hoc, comes from here.
 package core
 
 import (
@@ -13,14 +15,17 @@ import (
 
 // Scratch is the reusable per-worker arena the columnar kernel accumulates
 // conflicts into before materializing a report. A Scratch may be reused
-// across any number of AssessCompiled calls but never shared between
-// concurrent callers; the sharded stores keep one per shard (used under the
-// shard's exclusive lock) and the certification fan-out keeps one per
-// worker goroutine. The zero value is ready to use.
+// across any number of AssessCompiled and AssessRow calls but never shared
+// between concurrent callers; the sharded stores keep one per shard (used
+// under the shard's exclusive lock), and the certification and what-if
+// fan-outs keep one per worker goroutine. The zero value is ready to use.
 type Scratch struct {
 	dims    []DimensionViolation
 	pairs   []PairConflict
 	pairOff []int // start offset of each pair's dims within dims
+	// cols is the column buffer AssessRow compiles providers into when
+	// they come without current columns.
+	cols CompiledPrefs
 }
 
 // AssessCompiled runs the columnar kernel: one pass over the provider's
@@ -28,9 +33,9 @@ type Scratch struct {
 // the reference enumeration order — attributes in sorted (= id) order,
 // preference tuples in explicit-then-implicit order, policy tuples in
 // insertion order — and computing every severity with the same
-// multiplication chain as AssessProvider (Eq. 14: overshoot × Σ^a × s_i^a ×
+// multiplication chain as the Eq. 15 walk (Eq. 14: overshoot × Σ^a × s_i^a ×
 // s_i^a[dim], left-associated), so the resulting report is bit-identical to
-// the reference. The caller guarantees c was compiled against this
+// it. The caller guarantees c was compiled against this
 // assessor's policy (see AssessRow) and that sc is not shared concurrently.
 //
 //lint:deterministic the kernel must reproduce the reference assessment bit-for-bit; certification bytes depend on it
@@ -41,14 +46,11 @@ func (a *Assessor) AssessCompiled(c *CompiledPrefs, sc *Scratch) ProviderReport 
 	sc.pairs = sc.pairs[:0]
 	sc.pairOff = sc.pairOff[:0]
 	for i, aid := range c.attrID {
-		mask := c.cover[i]
 		attrS := cp.attrSens[aid]
 		sVal := c.sVal[i]
-		start, end := cp.polStart[aid], cp.polStart[aid+1]
-		for j := start; j < end; j++ {
-			if mask&(1<<(j-start)) == 0 {
-				continue
-			}
+		start := cp.polStart[aid]
+		for _, off := range c.covered(i) {
+			j := start + off
 			dimStart := len(sc.dims)
 			var conf float64
 			// The three ordered dimensions, unrolled in OrderedDimensions
@@ -135,17 +137,19 @@ func (a *Assessor) AssessCompiled(c *CompiledPrefs, sc *Scratch) ProviderReport 
 	return rep
 }
 
-// AssessRow is the dispatch point the materialized stores (internal/ledger,
-// internal/ppdb) call per provider: the columnar kernel when the compiled
-// columns are present and were compiled against this assessor's policy, the
-// reference AssessProvider otherwise (nil columns, unmaskable policy, or a
-// row compiled under a since-swapped policy). Both paths return the same
-// report bit-for-bit.
+// AssessRow assesses one provider with the columnar kernel. c is used when
+// it was compiled against this assessor's policy; when it is nil or stale
+// (compiled under a since-swapped policy), p is compiled into a column
+// buffer sc owns. A nil sc uses a fresh arena.
 func (a *Assessor) AssessRow(p *privacy.Prefs, c *CompiledPrefs, sc *Scratch) ProviderReport {
-	if sc != nil && c.CurrentFor(a) {
-		return a.AssessCompiled(c, sc)
+	if sc == nil {
+		sc = new(Scratch)
 	}
-	return a.AssessProvider(p)
+	if !c.CurrentFor(a) {
+		c = &sc.cols
+		a.compileInto(c, p)
+	}
+	return a.AssessCompiled(c, sc)
 }
 
 // Compiled returns the assessor's flattened policy (built at construction).

@@ -3,21 +3,15 @@
 // dense attribute id, and each provider's effective preference tuples are
 // flattened once per registration into parallel columns. The hot
 // certification loop (columnar.go) then walks plain slices — no map
-// iteration, no string hashing, no per-provider allocation — while
-// AssessProvider remains the readable reference implementation the columns
-// are compiled to agree with bit-for-bit.
+// iteration, no string hashing, no per-provider allocation. The kernel is
+// the only production assessor; the row-oriented walks of the paper's
+// equations live in reference_test.go as the oracles it is tested against
+// bit-for-bit.
 package core
 
 import (
 	"repro/internal/privacy"
 )
-
-// maxPolicyTuplesPerAttr bounds the per-attribute policy range the compiled
-// representation supports: each preference tuple carries a uint64 purpose
-// cover mask with one bit per policy tuple of its attribute. Policies wider
-// than this are legal — Compile then returns nil and every assessment path
-// falls back to the reference AssessProvider.
-const maxPolicyTuplesPerAttr = 64
 
 // CompiledPolicy is the house policy flattened for the columnar kernel:
 // attribute and purpose strings interned to dense uint32 ids (attribute ids
@@ -48,11 +42,6 @@ type CompiledPolicy struct {
 	// tuples — the "kept while any purpose still needs it" ceiling retention
 	// sweeps enforce per column.
 	retCeil []privacy.Level
-
-	// maskable is false when some attribute holds more than
-	// maxPolicyTuplesPerAttr tuples, overflowing the uint64 cover mask;
-	// Compile then declines and callers use the reference path.
-	maskable bool
 }
 
 // compilePolicy flattens hp. attrSens must already be validated.
@@ -60,7 +49,6 @@ func compilePolicy(hp *privacy.HousePolicy, attrSens privacy.AttributeSensitivit
 	cp := &CompiledPolicy{
 		attrs:    privacy.NewInterner(),
 		purposes: privacy.NewInterner(),
-		maskable: true,
 	}
 	attrs := hp.Attributes()
 	cp.polStart = make([]uint32, 1, len(attrs)+1)
@@ -68,9 +56,6 @@ func compilePolicy(hp *privacy.HousePolicy, attrSens privacy.AttributeSensitivit
 		cp.attrs.Intern(attr)
 		cp.attrSens = append(cp.attrSens, attrSens.Get(attr))
 		pols := hp.ForAttribute(attr)
-		if len(pols) > maxPolicyTuplesPerAttr {
-			cp.maskable = false
-		}
 		ceil := privacy.LevelZero
 		for _, pol := range pols {
 			t := pol.Tuple
@@ -100,10 +85,6 @@ func (cp *CompiledPolicy) AttrID(attr string) (uint32, bool) {
 // AttrName returns the canonical name of attribute id.
 func (cp *CompiledPolicy) AttrName(id uint32) string { return cp.attrs.Name(id) }
 
-// Maskable reports whether the policy fits the columnar kernel's per-tuple
-// cover masks (no attribute holds more than maxPolicyTuplesPerAttr tuples).
-func (cp *CompiledPolicy) Maskable() bool { return cp.maskable }
-
 // RetentionCeiling returns the maximum retention level over the attribute's
 // policy tuples, and whether the policy covers the attribute at all — the
 // per-column effective retention the sweep enforces (data is kept while any
@@ -121,13 +102,14 @@ func (cp *CompiledPolicy) RetentionCeiling(attr string) (privacy.Level, bool) {
 // id (= sorted) order; within an attribute, explicit tuples in insertion
 // order followed by Sec. 5 implicit zeros in sorted house-purpose order.
 // Tuples that can never pair with a policy tuple (uncovered attribute or
-// purpose) are dropped at compile time — they contribute nothing in the
-// reference walk either.
+// purpose) are dropped at compile time — Eq. 13 makes them incomparable
+// with every policy tuple, so they contribute nothing.
 //
 // A CompiledPrefs is immutable once published (the owning store installs a
 // freshly compiled value on every mutation) and valid only against the
-// Assessor whose CompiledPolicy it was compiled from; AssessRow checks that
-// identity and falls back to the reference path on a stale or nil value.
+// Assessor whose CompiledPolicy it was compiled from; AssessRow, BindingFor
+// and BindingTuple check that identity and compile afresh on a stale or nil
+// value.
 type CompiledPrefs struct {
 	Provider  string
 	Threshold float64
@@ -147,11 +129,13 @@ type CompiledPrefs struct {
 	sV     []float64 // s_i^a[V]
 	sG     []float64 // s_i^a[G]
 	sR     []float64 // s_i^a[R]
-	// cover is the purpose cover mask: bit j set means this tuple is
-	// comparable (Eq. 13, under the assessor's matcher) with the j-th policy
-	// tuple of its attribute's range. Computed once here so the kernel does
-	// no purpose matching at all.
-	cover []uint64
+	// covers[covStart[i]:covStart[i+1]] lists, ascending, the offsets
+	// within tuple i's attribute policy range of the policy tuples it is
+	// comparable with (Eq. 13, under the assessor's matcher). Computed once
+	// here so the kernel does no purpose matching at all; storage is one
+	// entry per comparable pair, linear in policy width.
+	covStart []uint32
+	covers   []uint32
 	// implicit records whether the tuple was synthesized by the Sec. 5 rule.
 	implicit []bool
 	// purpose is the cold column: the tuple's purpose string, needed only
@@ -162,29 +146,68 @@ type CompiledPrefs struct {
 // Len returns the number of compiled effective preference tuples.
 func (c *CompiledPrefs) Len() int { return len(c.attrID) }
 
+// covered returns the ascending policy offsets tuple i is comparable with.
+func (c *CompiledPrefs) covered(i int) []uint32 {
+	return c.covers[c.covStart[i]:c.covStart[i+1]]
+}
+
+// comparable reports whether tuple i is comparable with the policy tuple at
+// offset off of its attribute's range.
+func (c *CompiledPrefs) comparable(i int, off uint32) bool {
+	for _, o := range c.covered(i) {
+		if o >= off {
+			return o == off
+		}
+	}
+	return false
+}
+
 // CurrentFor reports whether the columns were compiled against a's policy —
-// the validity check AssessRow applies before trusting them.
+// the validity check AssessRow and the binding lookups apply before
+// trusting them.
 func (c *CompiledPrefs) CurrentFor(a *Assessor) bool {
 	return c != nil && c.policy == a.compiled
 }
 
 // Compile flattens one provider's preferences into the columnar layout for
-// this assessor's policy. It returns nil when the policy is not maskable
-// (see maxPolicyTuplesPerAttr); callers treat a nil CompiledPrefs as "use
-// the reference path". The result references p's strings but never p
-// itself, so later mutations of p do not corrupt the columns as long as the
-// owning store replaces (rather than edits) registered preferences — the
-// convention internal/ppdb already follows.
+// this assessor's policy. A nil p compiles to empty columns. The result
+// references p's strings but never p itself, so later mutations of p do
+// not corrupt the columns as long as the owning store replaces (rather than
+// edits) registered preferences — the convention internal/ppdb already
+// follows.
 func (a *Assessor) Compile(p *privacy.Prefs) *CompiledPrefs {
+	c := new(CompiledPrefs)
+	a.compileInto(c, p)
+	return c
+}
+
+// compileInto flattens p into c, reusing c's column storage — the scratch
+// buffer AssessRow compiles uncompiled or stale providers into.
+func (a *Assessor) compileInto(c *CompiledPrefs, p *privacy.Prefs) {
 	cp := a.compiled
-	if cp == nil || !cp.maskable || p == nil {
-		return nil
+	*c = CompiledPrefs{
+		policy:   cp,
+		attrID:   c.attrID[:0],
+		prefV:    c.prefV[:0],
+		prefG:    c.prefG[:0],
+		prefR:    c.prefR[:0],
+		sVal:     c.sVal[:0],
+		sV:       c.sV[:0],
+		sG:       c.sG[:0],
+		sR:       c.sR[:0],
+		covStart: append(c.covStart[:0], 0),
+		covers:   c.covers[:0],
+		implicit: c.implicit[:0],
+		purpose:  c.purpose[:0],
 	}
+	if p == nil {
+		return
+	}
+	c.Provider, c.Threshold = p.Provider, p.Threshold
 	m := a.opts.Matcher
 	if m == nil {
 		m = privacy.EqualityMatcher{}
 	}
-	c := &CompiledPrefs{Provider: p.Provider, Threshold: p.Threshold, policy: cp}
 	for id := 0; id < cp.attrs.Len(); id++ {
 		attr := cp.attrs.Name(uint32(id))
 		start, end := cp.polStart[id], cp.polStart[id+1]
@@ -193,13 +216,13 @@ func (a *Assessor) Compile(p *privacy.Prefs) *CompiledPrefs {
 		}
 		explicit := len(p.ForAttribute(attr))
 		for idx, pref := range a.effectivePrefs(p, attr) {
-			var mask uint64
+			n := len(c.covers)
 			for j := start; j < end; j++ {
 				if m.Covers(pref.Tuple.Purpose, privacy.Purpose(cp.purposes.Name(cp.polPurpose[j]))) {
-					mask |= 1 << (j - start)
+					c.covers = append(c.covers, j-start)
 				}
 			}
-			if mask == 0 {
+			if len(c.covers) == n {
 				continue // never comparable; contributes nothing (Eq. 13)
 			}
 			sens := p.Sensitivity(attr, pref.Tuple.Purpose)
@@ -211,15 +234,14 @@ func (a *Assessor) Compile(p *privacy.Prefs) *CompiledPrefs {
 			c.sV = append(c.sV, sens.Visibility)
 			c.sG = append(c.sG, sens.Granularity)
 			c.sR = append(c.sR, sens.Retention)
-			c.cover = append(c.cover, mask)
+			c.covStart = append(c.covStart, uint32(len(c.covers)))
 			// EffectiveFor returns explicit tuples first, then synthesized
 			// zeros for house purposes no explicit tuple covers; a
 			// synthesized purpose can never equal an explicit one (equality
 			// implies coverage under every Matcher), so position alone
-			// decides the reference's ImplicitZero flag.
+			// decides the ImplicitZero flag.
 			c.implicit = append(c.implicit, idx >= explicit)
 			c.purpose = append(c.purpose, pref.Tuple.Purpose)
 		}
 	}
-	return c
 }

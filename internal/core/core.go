@@ -122,18 +122,7 @@ func (a *Assessor) effectivePrefs(p *privacy.Prefs, attr string) []privacy.PrefT
 // (preference, policy) tuple pair has the policy strictly exceeding the
 // preference along visibility, granularity or retention.
 func (a *Assessor) Violated(p *privacy.Prefs) bool {
-	for _, attr := range a.policy.Attributes() {
-		pols := a.policy.ForAttribute(attr)
-		for _, pref := range a.effectivePrefs(p, attr) {
-			for _, pol := range pols {
-				if Comp(pref.Attribute, pref.Tuple, pol.Attribute, pol.Tuple, a.opts.Matcher) &&
-					pref.Tuple.ExceededBy(pol.Tuple) {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	return a.AssessProvider(p).Violated
 }
 
 // DimensionViolation records the overshoot along one dimension of one
@@ -168,55 +157,11 @@ type ProviderReport struct {
 	Pairs     []PairConflict
 }
 
-// AssessProvider produces the complete report for one provider, walking
-// every (preference, policy) tuple pair as Eq. 15 prescribes.
+// AssessProvider produces the complete report for one provider: every
+// comparable (preference, policy) tuple pair Eq. 15 sums over, computed by
+// the columnar kernel on freshly compiled columns.
 func (a *Assessor) AssessProvider(p *privacy.Prefs) ProviderReport {
-	rep := ProviderReport{Provider: p.Provider, Threshold: p.Threshold}
-	for _, attr := range a.policy.Attributes() {
-		pols := a.policy.ForAttribute(attr)
-		explicit := map[privacy.Purpose]bool{}
-		for _, e := range p.ForAttribute(attr) {
-			explicit[e.Tuple.Purpose] = true
-		}
-		for _, pref := range a.effectivePrefs(p, attr) {
-			sens := p.Sensitivity(attr, pref.Tuple.Purpose)
-			for _, pol := range pols {
-				if !Comp(pref.Attribute, pref.Tuple, pol.Attribute, pol.Tuple, a.opts.Matcher) {
-					continue
-				}
-				pc := PairConflict{
-					Attribute:    attr,
-					Purpose:      pol.Tuple.Purpose,
-					Pref:         pref.Tuple,
-					Policy:       pol.Tuple,
-					ImplicitZero: !explicit[pref.Tuple.Purpose],
-				}
-				attrS := a.attrSens.Get(attr)
-				for _, d := range privacy.OrderedDimensions {
-					over := Diff(pref.Tuple.Get(d), pol.Tuple.Get(d))
-					if over == 0 {
-						continue
-					}
-					sev := float64(over) * attrS * sens.Value * sens.Dim(d)
-					pc.Dims = append(pc.Dims, DimensionViolation{
-						Dimension: d,
-						PrefLevel: pref.Tuple.Get(d),
-						PolLevel:  pol.Tuple.Get(d),
-						Overshoot: over,
-						Severity:  sev,
-					})
-					pc.Conf += sev
-				}
-				if len(pc.Dims) > 0 {
-					rep.Violated = true
-					rep.Violation += pc.Conf
-					rep.Pairs = append(rep.Pairs, pc)
-				}
-			}
-		}
-	}
-	rep.Defaults = rep.Violation > rep.Threshold
-	return rep
+	return a.AssessRow(p, nil, nil)
 }
 
 // AssessOne is the stable per-provider entry point for incremental
@@ -254,8 +199,9 @@ type PopulationReport struct {
 // population yields zero probabilities.
 func (a *Assessor) AssessPopulation(pop []*privacy.Prefs) PopulationReport {
 	rows := make([]ProviderReport, 0, len(pop))
+	var sc Scratch
 	for _, p := range pop {
-		rows = append(rows, a.AssessOne(p))
+		rows = append(rows, a.AssessRow(p, nil, &sc))
 	}
 	return AssemblePopulation(rows)
 }
@@ -302,8 +248,9 @@ func (a *Assessor) MinAlpha(pop []*privacy.Prefs) float64 {
 // multi-dimension violations at population scale.
 func (a *Assessor) ViolatedDimensionsHistogram(pop []*privacy.Prefs) map[privacy.Dimension]int {
 	hist := make(map[privacy.Dimension]int, len(privacy.OrderedDimensions))
+	var sc Scratch
 	for _, p := range pop {
-		rep := a.AssessProvider(p)
+		rep := a.AssessRow(p, nil, &sc)
 		seen := map[privacy.Dimension]bool{}
 		for _, pc := range rep.Pairs {
 			for _, dv := range pc.Dims {

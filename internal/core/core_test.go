@@ -337,7 +337,7 @@ func TestViolatedIffPositiveSeverity(t *testing.T) {
 		prov.Add("x", pref)
 
 		a, _ := NewAssessor(hp, nil, Options{})
-		return a.Violated(prov) == (a.Severity(prov) > 0)
+		return a.violatedReference(prov) == (a.Severity(prov) > 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

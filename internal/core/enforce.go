@@ -3,22 +3,21 @@
 // (attribute, policy tuple) coordinate at plan time, then asks here for the
 // most restrictive covering preference levels per row. Both lookups are
 // id-indexed walks over the flattened columns of compile.go — no map
-// iteration and no purpose matching on the hot path (the cover masks
-// precomputed at registration already encode Eq. 13 comparability) — with
-// the reference preference walk as the fallback for stale or unmaskable
-// compilations, mirroring AssessRow's dispatch.
+// iteration and no purpose matching on the hot path (the covered-offset
+// lists precomputed at registration already encode Eq. 13 comparability).
+// Like AssessRow, they compile afresh when handed nil or stale columns.
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/privacy"
 )
 
 // PolicyTupleRef locates the single policy tuple governing one
 // (attribute, purpose) coordinate: the attribute's dense id, the tuple's
-// offset within the attribute's policy range (the bit position preference
-// cover masks are keyed on), and the tuple itself.
+// offset within the attribute's policy range (the value preference
+// covered-offset lists hold), and the tuple itself.
 type PolicyTupleRef struct {
 	Attr   string // canonical attribute name
 	AttrID uint32
@@ -92,48 +91,18 @@ type PrefBinding struct {
 }
 
 // BindingFor computes the preference binding for provider p at policy
-// coordinate ref. When c is current for this assessor the walk is the
-// columnar fast path — a binary search into the attribute's run plus a
-// cover-mask test per tuple; otherwise the reference effective-preference
-// walk is used. Both paths enumerate tuples in the same order, so the
-// levels, the implicit flags and the tuples BindingTuple returns are
-// identical; the positions index each path's own enumeration.
+// coordinate ref: a binary search into the attribute's run of the compiled
+// columns, then a membership test of ref's offset in each tuple's covered
+// list. c is used when it is current for this assessor; otherwise p is
+// compiled afresh. Positions index the compiled columns.
 func (a *Assessor) BindingFor(p *privacy.Prefs, c *CompiledPrefs, ref PolicyTupleRef) PrefBinding {
-	if a.columnar(c, ref) {
-		return c.binding(ref)
+	if !c.CurrentFor(a) {
+		c = a.Compile(p)
 	}
-	return a.bindingReference(p, ref)
-}
-
-// BindingTuple materializes the binding tuple at position at (one of the
-// VAt/GAt/RAt of a binding BindingFor(p, c, ref) returned).
-func (a *Assessor) BindingTuple(p *privacy.Prefs, c *CompiledPrefs, ref PolicyTupleRef, at int) privacy.Tuple {
-	if a.columnar(c, ref) {
-		return privacy.Tuple{
-			Purpose:     c.purpose[at],
-			Visibility:  privacy.Level(c.prefV[at]),
-			Granularity: privacy.Level(c.prefG[at]),
-			Retention:   privacy.Level(c.prefR[at]),
-		}
-	}
-	return a.effectivePrefs(p, ref.Attr)[at].Tuple
-}
-
-// columnar reports whether c can answer for ref: compiled against this
-// assessor's policy, with ref inside the cover-mask width.
-func (a *Assessor) columnar(c *CompiledPrefs, ref PolicyTupleRef) bool {
-	return c.CurrentFor(a) && ref.Index < maxPolicyTuplesPerAttr
-}
-
-// binding is the columnar fast path: fold per-dimension minima over the
-// attribute's compiled tuples whose cover mask includes the policy tuple.
-// Positions index the compiled columns.
-func (c *CompiledPrefs) binding(ref PolicyTupleRef) PrefBinding {
 	var b PrefBinding
-	bit := uint64(1) << ref.Index
-	lo := sort.Search(len(c.attrID), func(i int) bool { return c.attrID[i] >= ref.AttrID })
+	lo, _ := slices.BinarySearch(c.attrID, ref.AttrID)
 	for i := lo; i < len(c.attrID) && c.attrID[i] == ref.AttrID; i++ {
-		if c.cover[i]&bit == 0 {
+		if !c.comparable(i, ref.Index) {
 			continue
 		}
 		b.fold(privacy.Level(c.prefV[i]), privacy.Level(c.prefG[i]), privacy.Level(c.prefR[i]), i, c.implicit[i])
@@ -141,28 +110,18 @@ func (c *CompiledPrefs) binding(ref PolicyTupleRef) PrefBinding {
 	return b
 }
 
-// bindingReference is the fallback: the same fold over the reference
-// effective-preference enumeration (explicit tuples in insertion order,
-// then implicit zeros in sorted house-purpose order). Positions index that
-// enumeration.
-func (a *Assessor) bindingReference(p *privacy.Prefs, ref PolicyTupleRef) PrefBinding {
-	var b PrefBinding
-	if p == nil {
-		return b
+// BindingTuple materializes the binding tuple at position at (one of the
+// VAt/GAt/RAt of a binding BindingFor(p, c, ref) returned).
+func (a *Assessor) BindingTuple(p *privacy.Prefs, c *CompiledPrefs, at int) privacy.Tuple {
+	if !c.CurrentFor(a) {
+		c = a.Compile(p)
 	}
-	m := a.opts.Matcher
-	if m == nil {
-		m = privacy.EqualityMatcher{}
+	return privacy.Tuple{
+		Purpose:     c.purpose[at],
+		Visibility:  privacy.Level(c.prefV[at]),
+		Granularity: privacy.Level(c.prefG[at]),
+		Retention:   privacy.Level(c.prefR[at]),
 	}
-	explicit := len(p.ForAttribute(ref.Attr))
-	for idx, pref := range a.effectivePrefs(p, ref.Attr) {
-		if !m.Covers(pref.Tuple.Purpose, ref.Tuple.Purpose) {
-			continue
-		}
-		t := pref.Tuple
-		b.fold(t.Visibility, t.Granularity, t.Retention, idx, idx >= explicit)
-	}
-	return b
 }
 
 // fold accumulates one covering preference tuple, at position at, into the

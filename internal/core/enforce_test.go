@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -88,45 +86,27 @@ func TestFindPolicyTuple(t *testing.T) {
 
 // TestBindingForMatchesReference is the randomized property test for the
 // per-datum lookup: at every resolvable (attribute, purpose) coordinate the
-// columnar fast path must produce a binding identical — minima, binding
-// tuples and implicit flags — to the reference preference walk, across
-// seeds, matchers and the implicit-zero ablation.
+// columnar lookup must produce a binding identical — minima, binding
+// tuples and implicit flags — to the reference preference fold, across
+// seeds, the store-level populations, matchers and the implicit-zero
+// ablation, whether it is handed current columns or none.
 func TestBindingForMatchesReference(t *testing.T) {
-	attrs := []string{"income", "weight", "Email", " Address "}
-	extraAttrs := append(append([]string(nil), attrs...), "uncovered")
-	purposes := []privacy.Purpose{"service", "marketing", "research", "Sharing"}
-	extraPurposes := append(append([]privacy.Purpose(nil), purposes...), "unused")
-
-	lat := privacy.NewLattice()
-	if err := lat.AddEdge("marketing", "sharing"); err != nil {
-		t.Fatal(err)
-	}
-	if err := lat.AddEdge("service", "research"); err != nil {
-		t.Fatal(err)
-	}
-
+	var cases []oracleCase
 	for _, seed := range []int64{1, 42, 2011, 20260809} {
-		for _, opts := range []Options{
-			{},
-			{DisableImplicitZero: true},
-			{Matcher: lat},
-		} {
-			name := fmt.Sprintf("seed=%d/implicit=%v/lattice=%v", seed, !opts.DisableImplicitZero, opts.Matcher != nil)
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				hp := randomPolicy(rng, attrs, purposes)
-				a, err := NewAssessor(hp, nil, opts)
+		cases = append(cases, randomCase(seed, 100))
+	}
+	cases = append(cases, storeCases(t)...)
+	for _, oc := range cases {
+		for _, opts := range oracleOptions(t) {
+			t.Run(oc.name+"/"+optionsName(opts), func(t *testing.T) {
+				a, err := NewAssessor(oc.hp, oc.sens, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < 100; i++ {
-					p := randomPrefs(rng, fmt.Sprintf("p%03d", i), extraAttrs, extraPurposes)
+				for i, p := range oc.pop {
 					c := a.Compile(p)
-					if c == nil {
-						t.Fatal("Compile returned nil for a maskable policy")
-					}
-					for _, attr := range extraAttrs {
-						for _, pr := range extraPurposes {
+					for _, attr := range oc.attrs {
+						for _, pr := range oc.purposes {
 							ref, ok := a.FindPolicyTuple(attr, pr)
 							if !ok {
 								continue
@@ -137,9 +117,13 @@ func TestBindingForMatchesReference(t *testing.T) {
 								t.Fatalf("provider %d (%s, %s): binding differs\n got: %+v\nwant: %+v",
 									i, attr, pr, got, want)
 							}
-							// A nil compilation must fall back to the same answer.
-							if fb := a.BindingFor(p, nil, ref); !reflect.DeepEqual(fb, want) {
-								t.Fatalf("provider %d (%s, %s): nil-compiled fallback differs", i, attr, pr)
+							// Without columns the lookups compile afresh and
+							// must give the same answer, positions included.
+							if fb := a.BindingFor(p, nil, ref); !reflect.DeepEqual(fb, got) {
+								t.Fatalf("provider %d (%s, %s): uncompiled binding differs", i, attr, pr)
+							}
+							if got.Found && a.BindingTuple(p, nil, got.VAt) != a.BindingTuple(p, c, got.VAt) {
+								t.Fatalf("provider %d (%s, %s): uncompiled binding tuple differs", i, attr, pr)
 							}
 						}
 					}
@@ -150,7 +134,7 @@ func TestBindingForMatchesReference(t *testing.T) {
 }
 
 // sameBinding reports whether got, computed over the compiled columns c,
-// and want, computed by the reference walk, are the same binding: equal
+// and want, computed by the reference fold, are the same binding: equal
 // levels and implicit flags, and the same binding tuples. The positions
 // index each path's own enumeration, so the tuples are compared
 // materialized.
@@ -162,17 +146,17 @@ func sameBinding(a *Assessor, p *privacy.Prefs, c *CompiledPrefs, ref PolicyTupl
 	if !got.Found {
 		return true
 	}
+	eff := a.effectivePrefs(p, ref.Attr) // the enumeration want's positions index
 	for _, at := range [][2]int{{got.VAt, want.VAt}, {got.GAt, want.GAt}, {got.RAt, want.RAt}} {
-		if a.BindingTuple(p, c, ref, at[0]) != a.BindingTuple(p, nil, ref, at[1]) {
+		if a.BindingTuple(p, c, at[0]) != eff[at[1]].Tuple {
 			return false
 		}
 	}
 	return true
 }
 
-// TestBindingForDispatch covers the fast-path guards: a compilation built
-// under a different policy must not be trusted, and a policy coordinate
-// beyond the cover-mask width must use the reference walk.
+// TestBindingForDispatch covers the guards: a compilation built under a
+// different policy must not be trusted, and nil preferences bind nothing.
 func TestBindingForDispatch(t *testing.T) {
 	hp := privacy.NewHousePolicy("hp").
 		Add("email", privacy.Tuple{Purpose: "service", Visibility: 3, Granularity: 2, Retention: 4})
@@ -204,13 +188,8 @@ func TestBindingForDispatch(t *testing.T) {
 		t.Fatalf("stale compiled binding differs\n got: %+v\nwant: %+v", got, want)
 	}
 
-	// An index past the mask width forces the reference walk even with a
-	// current compilation.
-	wide := ref
-	wide.Index = maxPolicyTuplesPerAttr
-	cur := a.Compile(p)
-	if got := a.BindingFor(p, cur, wide); !reflect.DeepEqual(got, a.bindingReference(p, wide)) {
-		t.Fatal("wide-index binding must match the reference walk")
+	if got := a.BindingTuple(p, stale, want.VAt); got != a.effectivePrefs(p, ref.Attr)[want.VAt].Tuple {
+		t.Fatalf("stale compiled binding tuple = %+v", got)
 	}
 
 	// No preferences at all: the binding reports Found=false and the policy

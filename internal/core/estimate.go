@@ -25,13 +25,15 @@ type Estimate struct {
 // provider with replacement. It returns an error for an empty population or
 // non-positive trial count.
 func (a *Assessor) EstimatePW(pop []*privacy.Prefs, trials int, rng IntnSource) (Estimate, error) {
-	return a.estimate(pop, trials, rng, func(p *privacy.Prefs) bool { return a.Violated(p) })
+	var sc Scratch
+	return a.estimate(pop, trials, rng, func(p *privacy.Prefs) bool { return a.AssessRow(p, nil, &sc).Violated })
 }
 
 // EstimatePDefault estimates P(Default) (Def. 5) by trials random selections
 // of a data provider with replacement.
 func (a *Assessor) EstimatePDefault(pop []*privacy.Prefs, trials int, rng IntnSource) (Estimate, error) {
-	return a.estimate(pop, trials, rng, func(p *privacy.Prefs) bool { return a.Defaults(p) })
+	var sc Scratch
+	return a.estimate(pop, trials, rng, func(p *privacy.Prefs) bool { return a.AssessRow(p, nil, &sc).Defaults })
 }
 
 func (a *Assessor) estimate(pop []*privacy.Prefs, trials int, rng IntnSource, event func(*privacy.Prefs) bool) (Estimate, error) {

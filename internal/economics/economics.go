@@ -293,8 +293,9 @@ func survivors(s *Scenario, policy *privacy.HousePolicy, pop []*privacy.Prefs) [
 		return nil
 	}
 	var out []*privacy.Prefs
+	var sc core.Scratch
 	for _, p := range pop {
-		if !assessor.AssessProvider(p).Defaults {
+		if !assessor.AssessRow(p, nil, &sc).Defaults {
 			out = append(out, p)
 		}
 	}

@@ -143,8 +143,9 @@ func SeverityIndex(policy *privacy.HousePolicy, attrSens privacy.AttributeSensit
 		return 0, err
 	}
 	var total float64
+	var sc core.Scratch
 	for _, p := range sample {
-		total += assessor.Severity(p)
+		total += assessor.AssessRow(p, nil, &sc).Violation
 	}
 	return total / float64(len(sample)), nil
 }

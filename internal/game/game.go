@@ -112,8 +112,9 @@ func (g *Game) Play(s HouseStrategy) (*Outcome, error) {
 	}
 	out := &Outcome{Strategy: s}
 	boost := g.cfg.ToleranceGain * s.Incentive
+	var sc core.Scratch
 	for _, p := range g.pop {
-		violation := assessor.Severity(p)
+		violation := assessor.AssessRow(p, nil, &sc).Violation
 		eff := p.Threshold + boost
 		resp := ProviderResponse{
 			Provider:     p.Provider,
@@ -188,8 +189,9 @@ func (g *Game) OptimalIncentive(s HouseStrategy) (*Outcome, error) {
 		return nil, err
 	}
 	candidates := []float64{0}
+	var sc core.Scratch
 	for _, p := range g.pop {
-		gap := assessor.Severity(p) - p.Threshold
+		gap := assessor.AssessRow(p, nil, &sc).Violation - p.Threshold
 		if gap > 0 {
 			candidates = append(candidates, gap/g.cfg.ToleranceGain)
 		}

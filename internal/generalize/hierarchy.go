@@ -13,6 +13,7 @@ package generalize
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/relational"
@@ -96,16 +97,25 @@ func (h *NumericHierarchy) Generalize(v relational.Value, level int) relational.
 	return relational.Text(formatRange(lo, lo+w))
 }
 
+// formatRange renders the bucket label "[lo-hi)" in a stack buffer, so the
+// label string is a generalized cell's only allocation.
 func formatRange(lo, hi float64) string {
-	return fmt.Sprintf("[%s-%s)", trimFloat(lo), trimFloat(hi))
+	var buf [64]byte // two shortest float64s (≤ 24 bytes each) and "[-)"
+	b := append(buf[:0], '[')
+	b = appendTrimmed(b, lo)
+	b = append(b, '-')
+	b = appendTrimmed(b, hi)
+	return string(append(b, ')'))
 }
 
-func trimFloat(f float64) string {
+// appendTrimmed appends f as an integer when it is exactly integral and
+// below 1e15, else in shortest %g form.
+func appendTrimmed(b []byte, f float64) []byte {
 	//lint:ignore floatcmp rendering decision: only exactly-integral floats print without a fraction
 	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return fmt.Sprintf("%d", int64(f))
+		return strconv.AppendInt(b, int64(f), 10)
 	}
-	return fmt.Sprintf("%g", f)
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
 // CategoryHierarchy generalizes categorical values through an explicit tree:

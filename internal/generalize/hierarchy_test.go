@@ -1,6 +1,8 @@
 package generalize
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +49,68 @@ func TestNumericHierarchy(t *testing.T) {
 	}
 	if got := h.Generalize(relational.Null(), 3); !got.IsNull() {
 		t.Errorf("NULL should pass through, got %s", got)
+	}
+}
+
+// fmtRange is the label form NumericHierarchy printed through fmt; the
+// strconv form must reproduce it byte for byte.
+func fmtRange(lo, hi float64) string {
+	trim := func(f float64) string {
+		//lint:ignore floatcmp mirrors the rendering rule under test: only exactly-integral floats print without a fraction
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return fmt.Sprintf("%d", int64(f))
+		}
+		return fmt.Sprintf("%g", f)
+	}
+	return fmt.Sprintf("[%s-%s)", trim(lo), trim(hi))
+}
+
+// TestNumericLabelsMatchFmt pins the bucket labels to their fmt form over
+// negatives, fractions, -0, the 1e15 integral cut-over, NaN, ±Inf and
+// extreme magnitudes, at several widths and factors.
+func TestNumericLabelsMatchFmt(t *testing.T) {
+	values := []float64{
+		0, math.Copysign(0, -1), 72, -72, 72.5, -72.5, 0.1, -0.3, 1.0 / 3, 2.5e-7,
+		1e15 - 1, 1e15, 1e15 + 2, -1e15, -1e15 + 1, 123456789012345.6, 1e21, -3.7e300,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for _, lo := range values {
+		for _, hi := range values {
+			if got, want := formatRange(lo, hi), fmtRange(lo, hi); got != want {
+				t.Errorf("formatRange(%v, %v) = %q, want %q", lo, hi, got, want)
+			}
+		}
+	}
+	for _, hc := range []struct{ width, factor float64 }{{5, 2}, {0.1, 3}, {2.5, 1.5}, {1e-3, 10}, {1e14, 2}} {
+		h, err := NewNumericHierarchy(hc.width, hc.factor, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range values {
+			for level := 1; level < h.Levels()-1; level++ {
+				w := h.Width * math.Pow(h.Factor, float64(level-1))
+				lo := math.Floor(v/w) * w
+				if got, want := h.Generalize(relational.Float(v), level).Display(), fmtRange(lo, lo+w); got != want {
+					t.Errorf("width %g factor %g level %d: Generalize(%v) = %q, want %q",
+						hc.width, hc.factor, level, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNumericGeneralizeAllocs pins a generalized cell to one allocation:
+// its label string.
+func TestNumericGeneralizeAllocs(t *testing.T) {
+	h, err := NewNumericHierarchy(5, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := relational.Float(-72.25)
+	for level := 1; level < h.Levels()-1; level++ {
+		if allocs := testing.AllocsPerRun(100, func() { _ = h.Generalize(v, level) }); allocs > 1 {
+			t.Errorf("level %d: Generalize allocates %.1f objects, want at most 1", level, allocs)
+		}
 	}
 }
 

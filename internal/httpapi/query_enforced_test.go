@@ -3,6 +3,8 @@ package httpapi
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -234,6 +236,39 @@ func TestQueryEnforcedErrorMapping(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "not enforceable per datum") {
 		t.Fatalf("body = %s", rec.Body)
+	}
+}
+
+// TestQueryOffScaleClassInvalid checks that a requester class outside the
+// visibility scale is a 400 with verdict "invalid" — in the request log and
+// in ppdb_query_total — for classes below and above the scale: no class
+// check can vouch for a class that is not a level.
+func TestQueryOffScaleClassInvalid(t *testing.T) {
+	var reqLog strings.Builder
+	srv, err := NewWith(enforcedServer(t).db, Options{RequestLog: log.New(&reqLog, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	const invalid = `ppdb_query_total{verdict="invalid"}`
+	for _, class := range []int{-5, 5, 99} {
+		before := scrape(t, ts.URL)[invalid]
+		body := fmt.Sprintf(`{"requester":"dr","purpose":"care","visibility":%d,"sql":"SELECT provider, weight FROM t"}`, class)
+		rec := do(t, srv, http.MethodPost, "/v1/query", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("class %d: status = %d: %s", class, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), "not on the visibility scale") ||
+			!strings.Contains(rec.Body.String(), `"bad_request"`) {
+			t.Fatalf("class %d: body = %s", class, rec.Body)
+		}
+		if d := scrape(t, ts.URL)[invalid] - before; d != 1 {
+			t.Errorf("class %d: %s moved %g, want 1", class, invalid, d)
+		}
+		if want := fmt.Sprintf("visibility=%d verdict=invalid", class); !strings.Contains(reqLog.String(), want) {
+			t.Errorf("class %d: request log lacks %q:\n%s", class, want, reqLog.String())
+		}
 	}
 }
 

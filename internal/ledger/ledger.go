@@ -64,7 +64,7 @@ var (
 type Row struct {
 	Prefs *privacy.Prefs
 	// Compiled is Prefs flattened against the policy the row was assessed
-	// under; nil when that policy is not maskable (the reference path).
+	// under.
 	Compiled *core.CompiledPrefs
 	// Version is the owner's registration counter at this row's latest
 	// upsert.
@@ -72,8 +72,9 @@ type Row struct {
 	Report  core.ProviderReport
 }
 
-// Item is one upsert: a provider's canonical key, preferences, optional
-// compiled columns (nil takes the reference assessment) and prefs version.
+// Item is one upsert: a provider's canonical key, preferences, their
+// columns compiled against the ledger's assessor (core.Assessor.Compile)
+// and prefs version.
 type Item struct {
 	Key      string
 	Prefs    *privacy.Prefs
@@ -125,8 +126,7 @@ func (s *Shard) Rows() ([]string, []*Row) {
 
 // Upsert installs one registration or preference edit and returns the
 // provider's report. A row already at it.Version is returned untouched (a
-// memo hit); otherwise the provider is assessed with a — the columnar
-// kernel when it.Compiled is current for a, the reference walk otherwise —
+// memo hit); otherwise the provider is assessed with a's columnar kernel
 // and the shard's partial moves by the delta.
 func (s *Shard) Upsert(a *core.Assessor, it Item) core.ProviderReport {
 	if r, ok := s.byKey[it.Key]; ok && r.Version == it.Version {
@@ -208,9 +208,7 @@ func (s *Shard) rebuild(a *core.Assessor) {
 	for _, k := range s.keys {
 		old := s.byKey[k]
 		c := a.Compile(old.Prefs)
-		if c != nil {
-			c.PrefsVersion = old.Version
-		}
+		c.PrefsVersion = old.Version
 		r := &Row{Prefs: old.Prefs, Compiled: c, Version: old.Version,
 			Report: a.AssessRow(old.Prefs, c, &s.scratch)}
 		s.byKey[k] = r
@@ -283,8 +281,7 @@ func NewSharded(a *core.Assessor, _ uint64, shards int) (*Ledger, error) {
 }
 
 // UpsertCompiled applies one registration or preference edit with the
-// provider's compiled columns (nil takes the reference assessment); see
-// Shard.Upsert.
+// provider's compiled columns; see Shard.Upsert.
 func (l *Ledger) UpsertCompiled(key string, prefs *privacy.Prefs, compiled *core.CompiledPrefs, prefsVersion uint64) core.ProviderReport {
 	l.mu.Lock()
 	defer l.mu.Unlock()

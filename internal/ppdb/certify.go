@@ -83,10 +83,8 @@ func (d *DB) Certify(alpha float64) (*Certification, error) {
 // compare Certify against. It runs the columnar kernel (DESIGN.md §13) over
 // each shard's compiled tuple columns, one worker and one scratch arena per
 // shard, then merges the per-shard sorted rows into global sorted provider
-// order before assembling — the same enumeration and float-sum order as the
-// serial row-oriented recompute, so the result is bit-identical to it
-// (providers without compiled columns fall back to the reference
-// assessment per row).
+// order before assembling — the same enumeration and float-sum order as a
+// serial per-provider recompute, so the result is bit-identical to it.
 //
 //lint:deterministic certification bytes are the paper's auditable artifact (Eq. 12-16)
 func (d *DB) CertifyFull(alpha float64) (*Certification, error) {

@@ -6,6 +6,7 @@ package ppdb
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"time"
 
@@ -188,8 +189,10 @@ func (d *DB) levelIn(h hierarchy, g privacy.Level) int {
 // holds d.mu only shared, so each row is enforced against its provider's
 // preferences as they stand when the scan visits it — still sound per
 // datum, since every disclosed cell conforms to its provider's preferences
-// at the moment it was read. Every attempt — allowed or refused — lands in
-// the audit log.
+// at the moment it was read. A requester class outside the visibility
+// scale is refused as invalid before planning: the plan and row gates
+// compare classes against levels, and an off-scale class would pass both.
+// Every attempt — allowed or refused — lands in the audit log.
 func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 	start := time.Now()
 	res, at, err := d.queryShared(q)
@@ -219,6 +222,10 @@ func (d *DB) QueryEnforced(q EnforcedQuery) (*query.Result, error) {
 func (d *DB) queryShared(q EnforcedQuery) (*query.Result, time.Time, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	if !d.scales.Visibility.Contains(q.Visibility) {
+		return nil, d.now, fmt.Errorf("ppdb: requester class %d is not on the visibility scale (0-%d)",
+			q.Visibility, d.scales.Visibility.Max())
+	}
 	res, err := query.New(d.assessor, enforceSource{d: d}).Query(query.Request{
 		Requester:  q.Requester,
 		Purpose:    q.Purpose,

@@ -236,6 +236,64 @@ func TestQueryEnforcedDimensions(t *testing.T) {
 	})
 }
 
+// TestQueryEnforcedOffScaleClass pins the class gate: a requester class
+// outside the visibility scale is refused as invalid before planning,
+// counted under verdict="invalid" and audited as refused, instead of
+// slipping past the plan and row gates. bo caps weight/care at owner, so
+// an on-scale house class still suppresses bo.
+func TestQueryEnforcedOffScaleClass(t *testing.T) {
+	db, _ := enforcedDB(t)
+	res, err := db.QueryEnforced(EnforcedQuery{
+		Requester: "nurse", Purpose: "care", Visibility: 2,
+		SQL: "SELECT patient, weight FROM patients",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if row[0].Display() == "bo" {
+			t.Fatalf("house class read bo's row: %v", row)
+		}
+	}
+	max := db.scales.Visibility.Max()
+	for _, class := range []privacy.Level{-5, -1, max + 1, 99} {
+		invalid, denied := mQueryInvalid.Value(), mQueryDenied.Value()
+		audited := db.Audit().Len()
+		res, err := db.QueryEnforced(EnforcedQuery{
+			Requester: "nurse", Purpose: "care", Visibility: class,
+			SQL: "SELECT patient, weight FROM patients",
+		})
+		if err == nil {
+			t.Fatalf("class %d answered %d rows; want a refusal", class, len(res.Rows))
+		}
+		var qdenied *query.DeniedError
+		var unenf *query.UnenforceableError
+		if errors.As(err, &qdenied) || errors.As(err, &unenf) {
+			t.Fatalf("class %d refused as %T; want an invalid request", class, err)
+		}
+		if !strings.Contains(err.Error(), "not on the visibility scale") {
+			t.Fatalf("class %d: error %q", class, err)
+		}
+		if got := mQueryInvalid.Value() - invalid; got != 1 {
+			t.Errorf("class %d: verdict=invalid moved by %d, want 1", class, got)
+		}
+		if mQueryDenied.Value() != denied {
+			t.Errorf("class %d counted as denied", class)
+		}
+		recs := db.Audit().Records()
+		if len(recs) != audited+1 || recs[len(recs)-1].Allowed {
+			t.Fatalf("class %d: audit grew by %d, last allowed=%v; want one refused record",
+				class, len(recs)-audited, len(recs) > 0 && recs[len(recs)-1].Allowed)
+		}
+	}
+	if _, err := db.QueryEnforced(EnforcedQuery{
+		Requester: "world", Purpose: "care", Visibility: max,
+		SQL: "SELECT age FROM patients",
+	}); err != nil && strings.Contains(err.Error(), "visibility scale") {
+		t.Fatalf("top of the scale refused as off-scale: %v", err)
+	}
+}
+
 // TestQueryEnforcedProvenance covers rows the store cannot vouch for: a row
 // whose provider key was never registered and a row with no provenance
 // metadata at all. Neither can be checked against preferences, so both are

@@ -40,9 +40,8 @@
 // Per-row checks reuse the columnar compilation of internal/core: the
 // planner resolves each attribute to a core.PolicyTupleRef once, and the
 // executor folds preference minima via core.BindingFor — an id-indexed
-// walk over the provider's compiled columns with precomputed purpose cover
-// masks, falling back to the reference walk for unmaskable policies. The
-// fold keeps the binding tuples' positions; core.BindingTuple builds the
+// walk over the provider's compiled columns with precomputed covered-offset
+// lists, for policies of any width. The fold keeps the binding tuples' positions; core.BindingTuple builds the
 // tuples only for EXPLAIN. The executor keeps its per-row state in
 // per-query scratch, so a row that is suppressed or fails WHERE allocates
 // nothing; only kept rows get cells of their own.

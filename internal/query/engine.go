@@ -19,7 +19,7 @@ type Source interface {
 	// Table resolves a table name (lower-cased by the parser) to its rows.
 	Table(name string) (Rows, bool)
 	// Provider returns a registered provider's preferences and their
-	// compiled columns (nil when the policy is unmaskable).
+	// compiled columns.
 	Provider(key string) (*privacy.Prefs, *core.CompiledPrefs, bool)
 	// Expired reports whether a datum inserted at t and granted retention
 	// level l is past its window on the store's clock.

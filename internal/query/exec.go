@@ -120,7 +120,7 @@ func (e *Engine) enforceRow(p *plan, sc *scratch, id relational.RowID, raw relat
 		if x == nil {
 			break
 		}
-		pref := e.asr.BindingTuple(prefs, compiled, u.ref, b.VAt)
+		pref := e.asr.BindingTuple(prefs, compiled, b.VAt)
 		x.violation(Trace{
 			Row: id, Provider: provider, Column: u.col, Attribute: u.col,
 			Action: ActionSuppress, Dimension: "visibility", Granted: b.V,
@@ -157,7 +157,7 @@ func (e *Engine) enforceRow(p *plan, sc *scratch, id relational.RowID, raw relat
 						Policy: &u.ref.Tuple,
 					}
 					if b.Found && b.R < u.ref.Tuple.Retention {
-						pref := e.asr.BindingTuple(prefs, compiled, u.ref, b.RAt)
+						pref := e.asr.BindingTuple(prefs, compiled, b.RAt)
 						t.Pref, t.PrefImplicit = &pref, b.RImplicit
 					} else {
 						t.Reason = "past the policy's retention window"
@@ -182,7 +182,7 @@ func (e *Engine) enforceRow(p *plan, sc *scratch, id relational.RowID, raw relat
 					Policy: &u.ref.Tuple,
 				}
 				if b.Found && b.G < u.ref.Tuple.Granularity {
-					pref := e.asr.BindingTuple(prefs, compiled, u.ref, b.GAt)
+					pref := e.asr.BindingTuple(prefs, compiled, b.GAt)
 					t.Pref, t.PrefImplicit = &pref, b.GImplicit
 				} else {
 					t.Reason = "policy grants partial granularity"

@@ -157,6 +157,7 @@ func (e *Engine) Evaluate(shards []ShardSource) *Response {
 		ev.segProviders = make([]int, len(e.affectedAttrs))
 		ev.segDefCur = make([]int, len(e.affectedAttrs))
 		ev.segDefShd = make([]int, len(e.affectedAttrs))
+		var sc core.Scratch
 		for i, p := range src.Prefs {
 			cur := src.Reports[i]
 			touched := e.allAffected
@@ -168,12 +169,10 @@ func (e *Engine) Evaluate(shards []ShardSource) *Response {
 			}
 			shd := cur
 			if touched {
-				// Shadow assessments always take the reference path: the
-				// compiled columns were built against the live policy and the
-				// shadow policy is evaluated once per candidate, not per
-				// certification — compiling every provider against it would
-				// cost more than it saves.
-				shd = e.shadow.AssessProvider(p)
+				// The stored columns were compiled against the live policy,
+				// so the kernel compiles the provider against the shadow
+				// policy into the worker's scratch.
+				shd = e.shadow.AssessRow(p, nil, &sc)
 				ev.affected++
 			} else {
 				ev.reused++
@@ -305,7 +304,7 @@ func EvaluateOffline(policy *privacy.HousePolicy, attrSens privacy.AttributeSens
 	var sc core.Scratch
 	for i, p := range sorted {
 		src.Keys[i] = strings.ToLower(p.Provider)
-		src.Reports[i] = live.AssessRow(p, live.Compile(p), &sc)
+		src.Reports[i] = live.AssessRow(p, nil, &sc)
 	}
 	return e.Evaluate([]ShardSource{src}), nil
 }

@@ -516,8 +516,9 @@ func TestEvaluateMemoPathEquivalence(t *testing.T) {
 		t.Errorf("shadow version = %#x", eng.ShadowVersion())
 	}
 	// Two shards with interleaved keys exercise the P-way merge. The same
-	// snapshot is built twice: live reports from the columnar kernel (what
-	// the store memoizes) and from the reference walk.
+	// snapshot is built twice: live reports from columns compiled up front
+	// (what the store memoizes) and from AssessProvider, which compiles
+	// afresh per call.
 	var kernel, ref [2]whatif.ShardSource
 	var sc core.Scratch
 	for i, p := range pop {
@@ -526,11 +527,7 @@ func TestEvaluateMemoPathEquivalence(t *testing.T) {
 			src.Keys = append(src.Keys, key)
 			src.Prefs = append(src.Prefs, p)
 		}
-		c := live.Compile(p)
-		if c == nil {
-			t.Fatal("fixture policy must be maskable")
-		}
-		kernel[i%2].Reports = append(kernel[i%2].Reports, live.AssessCompiled(c, &sc))
+		kernel[i%2].Reports = append(kernel[i%2].Reports, live.AssessCompiled(live.Compile(p), &sc))
 		ref[i%2].Reports = append(ref[i%2].Reports, live.AssessProvider(p))
 	}
 	shards := kernel[:]

@@ -7,7 +7,8 @@
 # (BenchmarkIngestDurable, one sub-bench per WAL group-commit mode), the
 # enforced-query benches (BenchmarkQueryEnforced, clean vs violating
 # populations at 10k/100k rows), the what-if storm benches
-# (BenchmarkWhatIfStorm, narrow vs full diff over 100k providers), the
+# (BenchmarkWhatIfStorm with implicit zeros off and BenchmarkWhatIfShipped
+# in the server's configuration, narrow vs full diff over 100k providers), the
 # HTTP certify benches (BenchmarkCertifyHTTP, GET /v1/certify through the
 # handler at 1k/100k providers) and records ns/op, B/op and allocs/op
 # plus the cold→incremental speedup per population size into
@@ -24,7 +25,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIfStorm)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped))}"
 out=$(go test -run '^$' -bench "$pattern" \
 	-benchtime "${BENCHTIME:-1s}" -benchmem -timeout 30m .)
 printf '%s\n' "$out"

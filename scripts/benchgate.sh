@@ -22,10 +22,11 @@ fi
 # benches (CertifyColdShards/BulkIngestShards run one sub-bench per shard
 # count), the durable-ingest benches (IngestDurable runs one sub-bench
 # per WAL group-commit mode), the enforced-query benches (QueryEnforced
-# runs clean and violating populations at 10k/100k rows) and the HTTP
-# certify benches (CertifyHTTP, GET /v1/certify through the handler); each
-# sub-bench is compared against its own baseline entry.
-out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIfStorm)' \
+# runs clean and violating populations at 10k/100k rows), the what-if
+# benches (WhatIfStorm and WhatIfShipped, narrow and full diffs) and the
+# HTTP certify benches (CertifyHTTP, GET /v1/certify through the handler);
+# each sub-bench is compared against its own baseline entry.
+out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped))' \
 	-benchtime "${BENCHTIME:-1s}" -timeout 30m .)
 printf '%s\n' "$out"
 echo
