@@ -870,6 +870,84 @@ func BenchmarkQueryEnforced(b *testing.B) {
 	}
 }
 
+// benchPolicies parses the two perfbench policies, A then B.
+func benchPolicies(b *testing.B) [2]*policydsl.Document {
+	b.Helper()
+	var docs [2]*policydsl.Document
+	for i, vis := range []string{"third-party", "world"} {
+		doc, err := policydsl.Parse(population.BenchPolicyDSL("bench-"+string(rune('a'+i)), vis))
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs[i] = doc
+	}
+	return docs
+}
+
+// benchWestin draws perfbench's provider population — n Westin-segment
+// providers over its four attributes — and round-trips it through the DSL,
+// so the preferences are shaped exactly as a server that ingested them
+// holds them.
+func benchWestin(b *testing.B, n int) []*privacy.Prefs {
+	b.Helper()
+	gen, err := population.NewGenerator(population.BenchConfig(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := policydsl.Render(&policydsl.Document{Scales: privacy.DefaultScales(), Providers: population.PrefsOf(gen.Generate(n))})
+	doc, err := policydsl.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return doc.Providers
+}
+
+// BenchmarkCompile measures compiling one provider of the perfbench
+// population against policy A — the per-provider cost a registration pays
+// once and a policy swap pays for every provider.
+func BenchmarkCompile(b *testing.B) {
+	pol := benchPolicies(b)[0]
+	pop := benchWestin(b, 20000)
+	a, err := core.NewAssessor(pol.Policy, pol.AttrSens, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCompiled = a.Compile(pop[i%len(pop)])
+	}
+}
+
+// benchCompiled keeps BenchmarkCompile's result live.
+var benchCompiled *core.CompiledPrefs
+
+// BenchmarkSetPolicy measures PUT /v1/policy's store work in the shipped
+// configuration (implicit zeros on): each iteration swaps between the two
+// perfbench policies, recompiling and re-assessing all 100k providers under
+// the exclusive lock.
+func BenchmarkSetPolicy(b *testing.B) {
+	const n = 100000
+	pols := benchPolicies(b)
+	db, err := ppdb.New(ppdb.Config{Policy: pols[0].Policy, AttrSens: pols[0].AttrSens})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := db.RegisterProviders(benchWestin(b, n)); err != nil {
+		b.Fatal(err)
+	}
+	next := 1 // the live policy is A; every swap goes to the other one
+	b.Run("shipped-"+sizeName(n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := db.SetPolicy(pols[next].Policy); err != nil {
+				b.Fatal(err)
+			}
+			next ^= 1
+		}
+	})
+}
+
 // BenchmarkWhatIfStorm measures concurrent POST /v1/whatif evaluation —
 // the shadow-policy read path under storm load, zero live-state mutation.
 // The population splits 90/10: every provider states preferences on

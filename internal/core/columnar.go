@@ -5,8 +5,9 @@
 // bit-identical results — with zero map iteration and zero heap allocation
 // for providers with no violations. Conflicting providers allocate exactly
 // two slices (the pairs and one shared dims backing array), built from a
-// reusable scratch arena. It is the only assessor: every report, stored or
-// ad hoc, comes from here.
+// reusable scratch arena; AssessTotals skips them for callers that keep
+// only the totals. It is the only assessor: every report, stored or ad
+// hoc, comes from here.
 package core
 
 import (
@@ -15,31 +16,42 @@ import (
 
 // Scratch is the reusable per-worker arena the columnar kernel accumulates
 // conflicts into before materializing a report. A Scratch may be reused
-// across any number of AssessCompiled and AssessRow calls but never shared
-// between concurrent callers; the sharded stores keep one per shard (used
-// under the shard's exclusive lock), and the certification and what-if
-// fan-outs keep one per worker goroutine. The zero value is ready to use.
+// across any number of AssessCompiled, AssessRow and AssessTotals calls
+// but never shared between concurrent callers; the sharded stores keep one
+// per shard (used under the shard's exclusive lock), and the certification
+// and what-if fan-outs keep one per worker goroutine. The zero value is
+// ready to use.
 type Scratch struct {
 	dims    []DimensionViolation
 	pairs   []PairConflict
 	pairOff []int // start offset of each pair's dims within dims
 	// cols is the column buffer AssessRow compiles providers into when
-	// they come without current columns.
+	// they come without current columns, and AssessTotals always.
 	cols CompiledPrefs
 }
 
-// AssessCompiled runs the columnar kernel: one pass over the provider's
-// compiled preference columns, visiting (preference, policy) tuple pairs in
-// the reference enumeration order — attributes in sorted (= id) order,
-// preference tuples in explicit-then-implicit order, policy tuples in
-// insertion order — and computing every severity with the same
-// multiplication chain as the Eq. 15 walk (Eq. 14: overshoot × Σ^a × s_i^a ×
-// s_i^a[dim], left-associated), so the resulting report is bit-identical to
-// it. The caller guarantees c was compiled against this
-// assessor's policy (see AssessRow) and that sc is not shared concurrently.
+// AssessCompiled runs the columnar kernel and copies the conflicts it
+// recorded out of sc at exact size. The caller guarantees c was compiled
+// against this assessor's policy (see AssessRow) and that sc is not shared
+// concurrently.
+func (a *Assessor) AssessCompiled(c *CompiledPrefs, sc *Scratch) ProviderReport {
+	rep := a.kernel(c, sc)
+	rep.Pairs = sc.materialize()
+	return rep
+}
+
+// kernel is one pass over the provider's compiled preference columns,
+// visiting (preference, policy) tuple pairs in the reference enumeration
+// order — attributes in sorted (= id) order, preference tuples in
+// explicit-then-implicit order, policy tuples in insertion order — and
+// computing every severity with the same multiplication chain as the Eq. 15
+// walk (Eq. 14: overshoot × Σ^a × s_i^a × s_i^a[dim], left-associated), so
+// the resulting report is bit-identical to it. It returns the report
+// without Pairs and leaves every conflicting pair and its dimensions
+// recorded in sc for materialize.
 //
 //lint:deterministic the kernel must reproduce the reference assessment bit-for-bit; certification bytes depend on it
-func (a *Assessor) AssessCompiled(c *CompiledPrefs, sc *Scratch) ProviderReport {
+func (a *Assessor) kernel(c *CompiledPrefs, sc *Scratch) ProviderReport {
 	cp := c.policy
 	rep := ProviderReport{Provider: c.Provider, Threshold: c.Threshold}
 	sc.dims = sc.dims[:0]
@@ -115,26 +127,33 @@ func (a *Assessor) AssessCompiled(c *CompiledPrefs, sc *Scratch) ProviderReport 
 			})
 		}
 	}
-	// Materialize out of the arena: exact-size copies so memoizing layers
-	// can retain the report while the scratch is reused. Pairs stays nil
-	// (JSON null, like the reference) when nothing conflicted.
-	if n := len(sc.pairs); n > 0 {
-		dims := make([]DimensionViolation, len(sc.dims))
-		copy(dims, sc.dims)
-		pairs := make([]PairConflict, n)
-		copy(pairs, sc.pairs)
-		for k := range pairs {
-			lo := sc.pairOff[k]
-			hi := len(dims)
-			if k+1 < n {
-				hi = sc.pairOff[k+1]
-			}
-			pairs[k].Dims = dims[lo:hi:hi]
-		}
-		rep.Pairs = pairs
-	}
 	rep.Defaults = rep.Violation > rep.Threshold
 	return rep
+}
+
+// materialize copies the pairs the last kernel pass recorded out of the
+// arena at exact size, so memoizing layers can retain them while the
+// scratch is reused: two allocations, the pairs and one dims backing array
+// they share. It returns nil (JSON null, like the reference) when nothing
+// conflicted.
+func (sc *Scratch) materialize() []PairConflict {
+	n := len(sc.pairs)
+	if n == 0 {
+		return nil
+	}
+	dims := make([]DimensionViolation, len(sc.dims))
+	copy(dims, sc.dims)
+	pairs := make([]PairConflict, n)
+	copy(pairs, sc.pairs)
+	for k := range pairs {
+		lo := sc.pairOff[k]
+		hi := len(dims)
+		if k+1 < n {
+			hi = sc.pairOff[k+1]
+		}
+		pairs[k].Dims = dims[lo:hi:hi]
+	}
+	return pairs
 }
 
 // AssessRow assesses one provider with the columnar kernel. c is used when
@@ -150,6 +169,16 @@ func (a *Assessor) AssessRow(p *privacy.Prefs, c *CompiledPrefs, sc *Scratch) Pr
 		a.compileInto(c, p)
 	}
 	return a.AssessCompiled(c, sc)
+}
+
+// AssessTotals is AssessRow for callers that keep only w_i, Violation_i and
+// default_i: it compiles p into sc's column buffer and runs the kernel but
+// skips materialize, so the conflicts stay in the arena and, once sc is
+// warm, nothing is allocated. The report's Pairs is nil; every other field
+// equals AssessRow's.
+func (a *Assessor) AssessTotals(p *privacy.Prefs, sc *Scratch) ProviderReport {
+	a.compileInto(&sc.cols, p)
+	return a.kernel(&sc.cols, sc)
 }
 
 // Compiled returns the assessor's flattened policy (built at construction).

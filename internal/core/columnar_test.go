@@ -365,6 +365,124 @@ func TestCompileIsTotal(t *testing.T) {
 	}
 }
 
+// namedColumn is one column of a CompiledPrefs with its field name.
+type namedColumn struct {
+	name string
+	col  any
+}
+
+// compiledColumns names every column of c, in declaration order.
+func compiledColumns(c *CompiledPrefs) []namedColumn {
+	return []namedColumn{
+		{"attrID", c.attrID}, {"prefV", c.prefV}, {"prefG", c.prefG}, {"prefR", c.prefR},
+		{"sVal", c.sVal}, {"sV", c.sV}, {"sG", c.sG}, {"sR", c.sR},
+		{"covStart", c.covStart}, {"covers", c.covers},
+		{"implicit", c.implicit}, {"purpose", c.purpose},
+	}
+}
+
+// diffColumns describes the first scalar field or column of got whose
+// length or values differ from want's, or returns ""; nil and empty
+// columns are the same column.
+func diffColumns(got, want *CompiledPrefs) string {
+	if got.Provider != want.Provider || got.Threshold != want.Threshold ||
+		got.PrefsVersion != want.PrefsVersion || got.policy != want.policy {
+		return "scalar fields"
+	}
+	gc, wc := compiledColumns(got), compiledColumns(want)
+	for k := range gc {
+		g, w := reflect.ValueOf(gc[k].col), reflect.ValueOf(wc[k].col)
+		if g.Len() != w.Len() {
+			return fmt.Sprintf("%s: len %d, want %d", gc[k].name, g.Len(), w.Len())
+		}
+		for i := 0; i < g.Len(); i++ {
+			if !reflect.DeepEqual(g.Index(i).Interface(), w.Index(i).Interface()) {
+				return fmt.Sprintf("%s[%d] = %v, want %v", gc[k].name, i, g.Index(i), w.Index(i))
+			}
+		}
+	}
+	return ""
+}
+
+// checkCompileColumns compiles every provider and compares each column with
+// the reference builder's, checks that every published column is capped at
+// its length, and that compiling the next provider leaves the previous
+// provider's columns as they were — published columns never share the
+// scratch Compile builds in.
+func checkCompileColumns(t *testing.T, a *Assessor, pop []*privacy.Prefs) {
+	t.Helper()
+	var prev, prevWant *CompiledPrefs
+	for i, p := range append(pop, nil) {
+		got, want := a.Compile(p), a.compileReference(p)
+		if d := diffColumns(got, want); d != "" {
+			t.Fatalf("provider %d: compiled columns differ from the reference: %s", i, d)
+		}
+		for _, col := range compiledColumns(got) {
+			if v := reflect.ValueOf(col.col); v.Cap() != v.Len() {
+				t.Fatalf("provider %d: column %s has cap %d, len %d", i, col.name, v.Cap(), v.Len())
+			}
+		}
+		if prev != nil {
+			if d := diffColumns(prev, prevWant); d != "" {
+				t.Fatalf("provider %d: compiling it changed provider %d's columns: %s", i, i-1, d)
+			}
+		}
+		prev, prevWant = got, want
+	}
+}
+
+// TestCompileMatchesReference pins Compile column for column to the
+// reference builder across the oracle populations — random policies, the
+// generator populations, both corpus documents — and the wide policies of
+// TestCompileIsTotal, under equality, the lattice matcher and the
+// implicit-zero ablation.
+func TestCompileMatchesReference(t *testing.T) {
+	var cases []oracleCase
+	for _, seed := range []int64{1, 42, 2011} {
+		cases = append(cases, randomCase(seed, 100))
+	}
+	cases = append(cases, storeCases(t)...)
+	for _, oc := range cases {
+		for _, opts := range oracleOptions(t) {
+			t.Run(oc.name+"/"+optionsName(opts), func(t *testing.T) {
+				a, err := NewAssessor(oc.hp, oc.sens, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkCompileColumns(t, a, oc.pop)
+			})
+		}
+	}
+	for _, n := range []int{63, 64, 65, 70, 130} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		hp, lat, purposes := widePolicy(t, rng, n)
+		pool := append([]privacy.Purpose{"all", "tail", "none"}, purposes...)
+		var pop []*privacy.Prefs
+		for i := 0; i < 24; i++ {
+			p := privacy.NewPrefs(fmt.Sprintf("p%02d", i), rng.Float64()*50)
+			for k := rng.Intn(8); k >= 0; k-- {
+				p.Add("wide", privacy.Tuple{
+					Purpose:     pool[rng.Intn(len(pool))],
+					Visibility:  privacy.Level(rng.Intn(5)),
+					Granularity: privacy.Level(rng.Intn(4)),
+					Retention:   privacy.Level(rng.Intn(6)),
+				})
+			}
+			p.SetSensitivity("wide", privacy.Sensitivity{Value: 1 + rng.Float64(), Visibility: rng.Float64(), Granularity: 1, Retention: 2})
+			pop = append(pop, p)
+		}
+		for _, opts := range []Options{{}, {Matcher: lat}, {DisableImplicitZero: true}} {
+			t.Run(fmt.Sprintf("tuples=%d/%s", n, optionsName(opts)), func(t *testing.T) {
+				a, err := NewAssessor(hp, nil, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkCompileColumns(t, a, pop)
+			})
+		}
+	}
+}
+
 // TestAssessRowFallbacks covers every guard edge: nil columns, a nil
 // scratch, columns compiled under a different policy, and a policy with
 // more than 64 tuples on one attribute — each answered by the kernel and
@@ -495,5 +613,81 @@ func TestAssessCompiledZeroAlloc(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("AssessCompiled allocates %.1f objects/op for a violated provider; want <= 2", allocs)
+	}
+}
+
+// benchShaped returns the perfbench house policies A and B (one research
+// tuple differs, the swap its audit-policy workload runs) with their Σ, and
+// n providers drawn from the perfbench population.
+func benchShaped(t *testing.T, n int) (a, b *policydsl.Document, pop []*privacy.Prefs) {
+	t.Helper()
+	doc := func(name, vis string) *policydsl.Document {
+		d, err := policydsl.Parse(population.BenchPolicyDSL(name, vis))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	gen, err := population.NewGenerator(population.BenchConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc("bench-a", "third-party"), doc("bench-b", "world"), population.PrefsOf(gen.Generate(n))
+}
+
+// raceEnabled is set under the race detector (race_test.go), whose
+// sync.Pool drops items at random, so pooled-buffer allocation counts do
+// not hold there.
+var raceEnabled bool
+
+// TestCompileAllocs pins Compile's allocations for perfbench-shaped
+// providers: the CompiledPrefs and one backing array per column element
+// type, nothing per tuple.
+func TestCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random; Compile's scratch is pooled")
+	}
+	pa, _, pop := benchShaped(t, 20)
+	a, err := NewAssessor(pa.Policy, pa.AttrSens, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pop {
+		if a.Compile(p).Len() == 0 {
+			t.Fatalf("provider %d compiled to no tuples", i)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _ = a.Compile(p) }); allocs > 6 {
+			t.Errorf("provider %d: Compile allocates %.1f objects/op; want <= 6", i, allocs)
+		}
+	}
+}
+
+// TestAssessTotalsZeroAlloc pins the what-if shadow assessment: compiling a
+// provider into a warm scratch under the shadow policy and assessing it
+// without copying its pairs out allocates nothing, violated or not, and
+// agrees with AssessRow on every total.
+func TestAssessTotalsZeroAlloc(t *testing.T) {
+	_, pb, pop := benchShaped(t, 20)
+	shadow, err := NewAssessor(pb.Policy, pb.AttrSens, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scratch
+	violated := 0
+	for i, p := range pop {
+		want := shadow.AssessRow(p, nil, &sc)
+		want.Pairs = nil
+		if got := shadow.AssessTotals(p, &sc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("provider %d: AssessTotals = %+v, AssessRow totals %+v", i, got, want)
+		}
+		if want.Violated {
+			violated++
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _ = shadow.AssessTotals(p, &sc) }); allocs != 0 {
+			t.Errorf("provider %d: AssessTotals allocates %.1f objects/op; want 0", i, allocs)
+		}
+	}
+	if violated == 0 {
+		t.Fatal("no provider is violated under policy B; the pin never reaches the conflict path")
 	}
 }

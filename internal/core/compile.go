@@ -10,6 +10,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/privacy"
 )
 
@@ -169,20 +171,75 @@ func (c *CompiledPrefs) CurrentFor(a *Assessor) bool {
 	return c != nil && c.policy == a.compiled
 }
 
+// compileScratch holds the column buffers Compile builds into before it
+// copies the result out at exact size; pooled so a population-wide
+// recompile (a policy swap) reuses one set of buffers per worker.
+var compileScratch = sync.Pool{New: func() any { return new(CompiledPrefs) }}
+
 // Compile flattens one provider's preferences into the columnar layout for
 // this assessor's policy. A nil p compiles to empty columns. The result
 // references p's strings but never p itself, so later mutations of p do
 // not corrupt the columns as long as the owning store replaces (rather than
 // edits) registered preferences — the convention internal/ppdb already
-// follows.
+// follows. The columns are built in a pooled scratch and copied out into
+// one exact-size backing array per element type, so a published value
+// carries no append slack and shares no storage with the scratch.
 func (a *Assessor) Compile(p *privacy.Prefs) *CompiledPrefs {
-	c := new(CompiledPrefs)
-	a.compileInto(c, p)
+	sc := compileScratch.Get().(*CompiledPrefs)
+	a.compileInto(sc, p)
+	c := sc.clone()
+	compileScratch.Put(sc)
 	return c
 }
 
+// clone copies c into freshly allocated exact-size storage: one backing
+// array each for the uint32, int32, float64, bool and Purpose columns,
+// every column a capped sub-slice of its array.
+func (c *CompiledPrefs) clone() *CompiledPrefs {
+	out := &CompiledPrefs{
+		Provider:     c.Provider,
+		Threshold:    c.Threshold,
+		PrefsVersion: c.PrefsVersion,
+		policy:       c.policy,
+	}
+	u32 := make([]uint32, len(c.attrID)+len(c.covStart)+len(c.covers))
+	out.attrID = carve(&u32, c.attrID)
+	out.covStart = carve(&u32, c.covStart)
+	out.covers = carve(&u32, c.covers)
+	i32 := make([]int32, 3*len(c.prefV))
+	out.prefV = carve(&i32, c.prefV)
+	out.prefG = carve(&i32, c.prefG)
+	out.prefR = carve(&i32, c.prefR)
+	f64 := make([]float64, 4*len(c.sVal))
+	out.sVal = carve(&f64, c.sVal)
+	out.sV = carve(&f64, c.sV)
+	out.sG = carve(&f64, c.sG)
+	out.sR = carve(&f64, c.sR)
+	bools := make([]bool, len(c.implicit))
+	out.implicit = carve(&bools, c.implicit)
+	purposes := make([]privacy.Purpose, len(c.purpose))
+	out.purpose = carve(&purposes, c.purpose)
+	return out
+}
+
+// carve copies src to the front of *buf and returns that prefix capped at
+// its length, advancing *buf past it.
+func carve[T any](buf *[]T, src []T) []T {
+	n := copy(*buf, src)
+	col := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return col
+}
+
+// effectiveBuf is the number of effective preference tuples per attribute
+// compileInto enumerates into stack storage; a wider attribute spills the
+// enumeration to the heap.
+const effectiveBuf = 16
+
 // compileInto flattens p into c, reusing c's column storage — the scratch
-// buffer AssessRow compiles uncompiled or stale providers into.
+// Compile builds in, and the buffer AssessRow and AssessTotals compile
+// uncompiled or stale providers into. It reads the policy only through
+// the compiled columns.
 func (a *Assessor) compileInto(c *CompiledPrefs, p *privacy.Prefs) {
 	cp := a.compiled
 	*c = CompiledPrefs{
@@ -204,28 +261,30 @@ func (a *Assessor) compileInto(c *CompiledPrefs, p *privacy.Prefs) {
 		return
 	}
 	c.Provider, c.Threshold = p.Provider, p.Threshold
+	// A nil matcher is the paper's purpose equality; both sides were
+	// normalized when added, so it is plain string equality below.
 	m := a.opts.Matcher
-	if m == nil {
-		m = privacy.EqualityMatcher{}
-	}
+	var buf [effectiveBuf]privacy.PrefTuple
 	for id := 0; id < cp.attrs.Len(); id++ {
-		attr := cp.attrs.Name(uint32(id))
 		start, end := cp.polStart[id], cp.polStart[id+1]
 		if start == end {
 			continue
 		}
-		explicit := len(p.ForAttribute(attr))
-		for idx, pref := range a.effectivePrefs(p, attr) {
+		attr := cp.attrs.Name(uint32(id))
+		eff, explicit := p.AppendEffective(buf[:0], attr, cp.housePurposes[id], m, !a.opts.DisableImplicitZero)
+		for idx, pref := range eff {
+			pr := pref.Tuple.Purpose
 			n := len(c.covers)
 			for j := start; j < end; j++ {
-				if m.Covers(pref.Tuple.Purpose, privacy.Purpose(cp.purposes.Name(cp.polPurpose[j]))) {
+				pol := privacy.Purpose(cp.purposes.Name(cp.polPurpose[j]))
+				if m == nil && pr == pol || m != nil && m.Covers(pr, pol) {
 					c.covers = append(c.covers, j-start)
 				}
 			}
 			if len(c.covers) == n {
 				continue // never comparable; contributes nothing (Eq. 13)
 			}
-			sens := p.Sensitivity(attr, pref.Tuple.Purpose)
+			sens := p.Sensitivity(attr, pr)
 			c.attrID = append(c.attrID, uint32(id))
 			c.prefV = append(c.prefV, int32(pref.Tuple.Visibility))
 			c.prefG = append(c.prefG, int32(pref.Tuple.Granularity))
@@ -235,13 +294,13 @@ func (a *Assessor) compileInto(c *CompiledPrefs, p *privacy.Prefs) {
 			c.sG = append(c.sG, sens.Granularity)
 			c.sR = append(c.sR, sens.Retention)
 			c.covStart = append(c.covStart, uint32(len(c.covers)))
-			// EffectiveFor returns explicit tuples first, then synthesized
-			// zeros for house purposes no explicit tuple covers; a
-			// synthesized purpose can never equal an explicit one (equality
-			// implies coverage under every Matcher), so position alone
-			// decides the ImplicitZero flag.
+			// AppendEffective returns explicit tuples first, then
+			// synthesized zeros for house purposes no explicit tuple
+			// covers; a synthesized purpose can never equal an explicit one
+			// (equality implies coverage under every Matcher), so position
+			// alone decides the ImplicitZero flag.
 			c.implicit = append(c.implicit, idx >= explicit)
-			c.purpose = append(c.purpose, pref.Tuple.Purpose)
+			c.purpose = append(c.purpose, pr)
 		}
 	}
 }

@@ -112,17 +112,11 @@ func NewAssessor(hp *privacy.HousePolicy, attrSens privacy.AttributeSensitivitie
 // Policy returns the policy being assessed.
 func (a *Assessor) Policy() *privacy.HousePolicy { return a.policy }
 
-// effectivePrefs returns the provider's preference tuples for one attribute,
-// including implicit zero tuples for uncovered house purposes.
-func (a *Assessor) effectivePrefs(p *privacy.Prefs, attr string) []privacy.PrefTuple {
-	return p.EffectiveFor(attr, a.policy.PurposesFor(attr), a.opts.Matcher, !a.opts.DisableImplicitZero)
-}
-
 // Violated computes w_i (Def. 1): whether some comparable
 // (preference, policy) tuple pair has the policy strictly exceeding the
 // preference along visibility, granularity or retention.
 func (a *Assessor) Violated(p *privacy.Prefs) bool {
-	return a.AssessProvider(p).Violated
+	return a.AssessTotals(p, new(Scratch)).Violated
 }
 
 // DimensionViolation records the overshoot along one dimension of one
@@ -174,12 +168,12 @@ func (a *Assessor) AssessOne(p *privacy.Prefs) ProviderReport {
 
 // Severity computes Violation_i (Eq. 15) alone.
 func (a *Assessor) Severity(p *privacy.Prefs) float64 {
-	return a.AssessProvider(p).Violation
+	return a.AssessTotals(p, new(Scratch)).Violation
 }
 
 // Defaults computes default_i (Def. 4) alone.
 func (a *Assessor) Defaults(p *privacy.Prefs) bool {
-	return a.AssessProvider(p).Defaults
+	return a.AssessTotals(p, new(Scratch)).Defaults
 }
 
 // PopulationReport aggregates a whole provider population: P(W) (Def. 2),

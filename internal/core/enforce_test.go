@@ -146,7 +146,7 @@ func sameBinding(a *Assessor, p *privacy.Prefs, c *CompiledPrefs, ref PolicyTupl
 	if !got.Found {
 		return true
 	}
-	eff := a.effectivePrefs(p, ref.Attr) // the enumeration want's positions index
+	eff := a.effectiveReference(p, ref.Attr) // the enumeration want's positions index
 	for _, at := range [][2]int{{got.VAt, want.VAt}, {got.GAt, want.GAt}, {got.RAt, want.RAt}} {
 		if a.BindingTuple(p, c, at[0]) != eff[at[1]].Tuple {
 			return false
@@ -188,7 +188,7 @@ func TestBindingForDispatch(t *testing.T) {
 		t.Fatalf("stale compiled binding differs\n got: %+v\nwant: %+v", got, want)
 	}
 
-	if got := a.BindingTuple(p, stale, want.VAt); got != a.effectivePrefs(p, ref.Attr)[want.VAt].Tuple {
+	if got := a.BindingTuple(p, stale, want.VAt); got != a.effectiveReference(p, ref.Attr)[want.VAt].Tuple {
 		t.Fatalf("stale compiled binding tuple = %+v", got)
 	}
 

@@ -10,6 +10,68 @@ import (
 // kernel (AssessCompiled, AssessRow, BindingFor, BindingTuple) is tested
 // against bit for bit, and they exist nowhere else.
 
+// effectiveReference returns the provider's preference tuples for one
+// attribute, including implicit zero tuples for uncovered house purposes:
+// the house purposes recomputed from the policy, and coverage always
+// decided by a Matcher (EqualityMatcher when none is configured), not by
+// the compiled path's string equality.
+func (a *Assessor) effectiveReference(p *privacy.Prefs, attr string) []privacy.PrefTuple {
+	m := a.opts.Matcher
+	if m == nil {
+		m = privacy.EqualityMatcher{}
+	}
+	return p.EffectiveFor(attr, a.policy.PurposesFor(attr), m, !a.opts.DisableImplicitZero)
+}
+
+// compileReference is the column builder the columnar layout was defined
+// by: it appends every column tuple by tuple, matching purposes through
+// the Matcher and re-deriving each attribute's enumeration from the policy.
+// Compile must produce exactly its columns.
+func (a *Assessor) compileReference(p *privacy.Prefs) *CompiledPrefs {
+	cp := a.compiled
+	c := &CompiledPrefs{policy: cp, covStart: []uint32{0}}
+	if p == nil {
+		return c
+	}
+	c.Provider, c.Threshold = p.Provider, p.Threshold
+	m := a.opts.Matcher
+	if m == nil {
+		m = privacy.EqualityMatcher{}
+	}
+	for id := 0; id < cp.attrs.Len(); id++ {
+		attr := cp.attrs.Name(uint32(id))
+		start, end := cp.polStart[id], cp.polStart[id+1]
+		if start == end {
+			continue
+		}
+		explicit := len(p.ForAttribute(attr))
+		for idx, pref := range a.effectiveReference(p, attr) {
+			n := len(c.covers)
+			for j := start; j < end; j++ {
+				if m.Covers(pref.Tuple.Purpose, privacy.Purpose(cp.purposes.Name(cp.polPurpose[j]))) {
+					c.covers = append(c.covers, j-start)
+				}
+			}
+			if len(c.covers) == n {
+				continue // never comparable; contributes nothing (Eq. 13)
+			}
+			sens := p.Sensitivity(attr, pref.Tuple.Purpose)
+			c.attrID = append(c.attrID, uint32(id))
+			c.prefV = append(c.prefV, int32(pref.Tuple.Visibility))
+			c.prefG = append(c.prefG, int32(pref.Tuple.Granularity))
+			c.prefR = append(c.prefR, int32(pref.Tuple.Retention))
+			c.sVal = append(c.sVal, sens.Value)
+			c.sV = append(c.sV, sens.Visibility)
+			c.sG = append(c.sG, sens.Granularity)
+			c.sR = append(c.sR, sens.Retention)
+			c.covStart = append(c.covStart, uint32(len(c.covers)))
+			c.implicit = append(c.implicit, idx >= explicit)
+			c.purpose = append(c.purpose, pref.Tuple.Purpose)
+		}
+	}
+	return c
+}
+
 // assessReference produces the complete report for one provider, walking
 // every (preference, policy) tuple pair as Eq. 15 prescribes.
 func (a *Assessor) assessReference(p *privacy.Prefs) ProviderReport {
@@ -20,7 +82,7 @@ func (a *Assessor) assessReference(p *privacy.Prefs) ProviderReport {
 		for _, e := range p.ForAttribute(attr) {
 			explicit[e.Tuple.Purpose] = true
 		}
-		for _, pref := range a.effectivePrefs(p, attr) {
+		for _, pref := range a.effectiveReference(p, attr) {
 			sens := p.Sensitivity(attr, pref.Tuple.Purpose)
 			for _, pol := range pols {
 				if !Comp(pref.Attribute, pref.Tuple, pol.Attribute, pol.Tuple, a.opts.Matcher) {
@@ -67,7 +129,7 @@ func (a *Assessor) assessReference(p *privacy.Prefs) ProviderReport {
 func (a *Assessor) violatedReference(p *privacy.Prefs) bool {
 	for _, attr := range a.policy.Attributes() {
 		pols := a.policy.ForAttribute(attr)
-		for _, pref := range a.effectivePrefs(p, attr) {
+		for _, pref := range a.effectiveReference(p, attr) {
 			for _, pol := range pols {
 				if Comp(pref.Attribute, pref.Tuple, pol.Attribute, pol.Tuple, a.opts.Matcher) &&
 					pref.Tuple.ExceededBy(pol.Tuple) {
@@ -93,7 +155,7 @@ func (a *Assessor) bindingReference(p *privacy.Prefs, ref PolicyTupleRef) PrefBi
 		m = privacy.EqualityMatcher{}
 	}
 	explicit := len(p.ForAttribute(ref.Attr))
-	for idx, pref := range a.effectivePrefs(p, ref.Attr) {
+	for idx, pref := range a.effectiveReference(p, ref.Attr) {
 		if !m.Covers(pref.Tuple.Purpose, ref.Tuple.Purpose) {
 			continue
 		}
@@ -109,7 +171,7 @@ func (a *Assessor) comparablePairs(p *privacy.Prefs) int {
 	n := 0
 	for _, attr := range a.policy.Attributes() {
 		pols := a.policy.ForAttribute(attr)
-		for _, pref := range a.effectivePrefs(p, attr) {
+		for _, pref := range a.effectiveReference(p, attr) {
 			for _, pol := range pols {
 				if Comp(pref.Attribute, pref.Tuple, pol.Attribute, pol.Tuple, a.opts.Matcher) {
 					n++

@@ -802,9 +802,10 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handlePolicyGet renders the current policy as DSL text.
+// handlePolicyGet renders the current policy and the live Σ as DSL text,
+// a document PUT /v1/policy accepts back unchanged.
 func (s *Server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
-	doc := &policydsl.Document{Policy: s.db.Policy(), Scales: privacy.DefaultScales()}
+	doc := &policydsl.Document{Policy: s.db.Policy(), AttrSens: s.db.AttrSens(), Scales: privacy.DefaultScales()}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	//lint:ignore errflow response write failures mean the client hung up; there is no recovery mid-body
 	_, _ = io.WriteString(w, policydsl.Render(doc))
@@ -826,12 +827,48 @@ func (s *Server) handlePolicyPut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("document has no policy block"))
 		return
 	}
+	// A swap keeps the live Σ. A document that states Σ must state the
+	// live one, so a changed weight is refused rather than dropped.
+	if len(doc.AttrSens) > 0 {
+		live := s.db.AttrSens()
+		if attr, ok := sigmaDiffers(doc.AttrSens, live); ok {
+			stated := fmt.Sprintf("sets sensitivity %s %g", attr, doc.AttrSens.Get(attr))
+			if _, set := doc.AttrSens[privacy.CanonAttr(attr)]; !set {
+				stated = fmt.Sprintf("omits sensitivity %s (counts as 1)", attr)
+			}
+			writeErr(w, http.StatusBadRequest, fmt.Errorf(
+				"policy document %s but the live Σ^%s is %g; a policy swap cannot change Σ",
+				stated, attr, live.Get(attr)))
+			return
+		}
+	}
 	change, err := s.db.SetPolicy(doc.Policy)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, change)
+}
+
+// sigmaDiffers returns the first attribute, in sorted order over the union
+// of both vectors, whose Σ differs between a and b; an attribute absent
+// from one counts as 1 there, as in assessment.
+func sigmaDiffers(a, b privacy.AttributeSensitivities) (string, bool) {
+	attrs := make([]string, 0, len(a)+len(b))
+	for attr := range a {
+		attrs = append(attrs, attr)
+	}
+	for attr := range b {
+		attrs = append(attrs, attr)
+	}
+	sort.Strings(attrs)
+	for _, attr := range attrs {
+		//lint:ignore floatcmp Σ must match exactly: GET renders each weight with %g, which parses back to the same float
+		if a.Get(attr) != b.Get(attr) {
+			return attr, true
+		}
+	}
+	return "", false
 }
 
 // ProvidersPage is the GET /v1/providers response: one page of canonical

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/policydsl"
 	"repro/internal/ppdb"
 	"repro/internal/privacy"
 	"repro/internal/relational"
@@ -197,6 +198,69 @@ func TestPolicyRoundTrip(t *testing.T) {
 	}
 	if rec := do(t, srv, http.MethodDelete, "/policy", ""); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE /policy status = %d", rec.Code)
+	}
+}
+
+// TestPolicyPutKeepsSigma is a regression test: PUT /v1/policy used to
+// accept a document whose sensitivity lines changed Σ, answer 200 and keep
+// assessing under the boot Σ. A Σ that differs from the live one is now
+// refused, naming the attribute; GET /v1/policy renders the live Σ, so
+// its body PUTs back; and a document without sensitivity lines keeps it.
+func TestPolicyPutKeepsSigma(t *testing.T) {
+	db := clinicDB(t)
+	srv, err := New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certify := func() *ppdb.Certification {
+		t.Helper()
+		cert, err := db.Certify(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cert
+	}
+	before := certify()
+	pol := db.Policy()
+	render := func(sens privacy.AttributeSensitivities) string {
+		return policydsl.Render(&policydsl.Document{Policy: pol, AttrSens: sens, Scales: privacy.DefaultScales()})
+	}
+	for _, tc := range []struct {
+		name string
+		sens privacy.AttributeSensitivities
+		want string
+	}{
+		{"changed weight", privacy.AttributeSensitivities{"condition": 5, "weight": 400},
+			"policy document sets sensitivity weight 400 but the live Σ^weight is 4"},
+		{"missing weight", privacy.AttributeSensitivities{"condition": 5},
+			"policy document omits sensitivity weight (counts as 1) but the live Σ^weight is 4"},
+		{"extra attribute", privacy.AttributeSensitivities{"condition": 5, "weight": 4, "age": 2},
+			"policy document sets sensitivity age 2 but the live Σ^age is 1"},
+	} {
+		rec := do(t, srv, http.MethodPut, "/v1/policy", render(tc.sens))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: PUT = %d %s; want 400 saying %q", tc.name, rec.Code, rec.Body, tc.want)
+		}
+	}
+	if swaps, after := len(db.PolicyLog()), certify(); swaps != 0 || after.Report.TotalViolations != before.Report.TotalViolations {
+		t.Fatalf("a refused PUT moved the store: %d swaps logged, violations %g → %g",
+			swaps, before.Report.TotalViolations, after.Report.TotalViolations)
+	}
+
+	rec := do(t, srv, http.MethodGet, "/v1/policy", "")
+	for _, line := range []string{"sensitivity condition 5", "sensitivity weight 4"} {
+		if !strings.Contains(rec.Body.String(), line) {
+			t.Fatalf("GET /v1/policy lacks %q:\n%s", line, rec.Body)
+		}
+	}
+	for name, body := range map[string]string{"GET body": rec.Body.String(), "no sensitivity lines": render(nil)} {
+		if rec := do(t, srv, http.MethodPut, "/v1/policy", body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: PUT = %d %s", name, rec.Code, rec.Body)
+		}
+		if after := certify(); after.Report.TotalViolations != before.Report.TotalViolations {
+			t.Fatalf("%s: the same policy under the live Σ moved violations %g → %g",
+				name, before.Report.TotalViolations, after.Report.TotalViolations)
+		}
 	}
 }
 

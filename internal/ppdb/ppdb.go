@@ -309,6 +309,22 @@ func (d *DB) Policy() *privacy.HousePolicy {
 	return d.policy
 }
 
+// AttrSens returns a copy of the house Σ vector every assessment uses;
+// nil means the store was built without one, so every Σ^a is 1. A policy
+// swap keeps it.
+func (d *DB) AttrSens() privacy.AttributeSensitivities {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.attrSens == nil {
+		return nil
+	}
+	out := make(privacy.AttributeSensitivities, len(d.attrSens))
+	for a, v := range d.attrSens {
+		out[a] = v
+	}
+	return out
+}
+
 // PolicyLog returns the recorded policy transitions.
 func (d *DB) PolicyLog() []PolicyChange {
 	d.mu.RLock()

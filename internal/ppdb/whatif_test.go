@@ -123,6 +123,37 @@ func TestWhatIfMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestWhatIfAllocsFlat pins the pair-free shadow: under the shipped
+// implicit zero a retarget re-assesses every provider, yet DB.WhatIf
+// allocates the same at 1k and 10k providers, within a small constant —
+// nothing per provider.
+func TestWhatIfAllocsFlat(t *testing.T) {
+	req := &whatif.Request{
+		Diff: whatif.Diff{Retarget: []whatif.TupleSpec{{Attribute: "common", Purpose: "service", Visibility: 3, Granularity: 3, Retention: 3}}},
+		U:    10, T: 1,
+	}
+	allocs := func(n int) float64 {
+		db, _ := whatifDB(t, core.Options{}, n)
+		resp, err := db.WhatIf(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.GlobalFallback || resp.Affected != n || resp.Proposed.ViolatedCount == 0 {
+			t.Fatalf("n=%d: fallback=%v affected=%d violated=%d; want every provider re-assessed, some violated",
+				n, resp.GlobalFallback, resp.Affected, resp.Proposed.ViolatedCount)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := db.WhatIf(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	if large > small+16 {
+		t.Errorf("DB.WhatIf allocates %.0f objects at 1k providers and %.0f at 10k; want the same within 16", small, large)
+	}
+}
+
 func TestWhatIfRejectsInvalidRequests(t *testing.T) {
 	db, _ := whatifDB(t, core.Options{}, 10)
 	if _, err := db.WhatIf(&whatif.Request{U: 1}); err == nil {

@@ -190,27 +190,40 @@ func (p *Prefs) SensitivityKeys() []SensitivityKey {
 // explicit tuple (under m), the implicit zero tuple ⟨pr, 0, 0, 0⟩ of Sec. 5
 // is synthesized when implicitZero is true. m nil means equality matching.
 func (p *Prefs) EffectiveFor(attr string, housePurposes []Purpose, m Matcher, implicitZero bool) []PrefTuple {
-	if m == nil {
-		m = EqualityMatcher{}
-	}
+	out, _ := p.AppendEffective(nil, attr, housePurposes, m, implicitZero)
+	return out
+}
+
+// AppendEffective appends EffectiveFor's tuples to dst and returns the
+// extended slice with the number of explicit tuples, which come first. It
+// reads the provider's tuples in place, so a caller that hands it a reused
+// buffer enumerates without allocating. With m nil, coverage is equality
+// of normalized purposes: stored tuples are normalized by Add, so each
+// house purpose is normalized once and compared as a string.
+func (p *Prefs) AppendEffective(dst []PrefTuple, attr string, housePurposes []Purpose, m Matcher, implicitZero bool) ([]PrefTuple, int) {
 	a := canonAttr(attr)
-	out := p.ForAttribute(a)
+	idx := p.byAttr[a]
+	for _, i := range idx {
+		dst = append(dst, p.entries[i])
+	}
 	if !implicitZero {
-		return out
+		return dst, len(idx)
 	}
 	for _, hp := range housePurposes {
+		norm := hp.Normalize()
 		covered := false
-		for _, i := range p.byAttr[a] {
-			if m.Covers(p.entries[i].Tuple.Purpose, hp) {
+		for _, i := range idx {
+			pr := p.entries[i].Tuple.Purpose
+			if m == nil && pr == norm || m != nil && m.Covers(pr, hp) {
 				covered = true
 				break
 			}
 		}
 		if !covered {
-			out = append(out, PrefTuple{Attribute: a, Tuple: ZeroTuple(hp.Normalize())})
+			dst = append(dst, PrefTuple{Attribute: a, Tuple: ZeroTuple(norm)})
 		}
 	}
-	return out
+	return dst, len(idx)
 }
 
 // Clone returns a deep copy of the preferences, optionally renaming the

@@ -115,6 +115,16 @@ func (e *Engine) genericConflictsUnchanged() bool {
 	return true
 }
 
+// touches reports whether p holds explicit state on an affected attribute.
+func (e *Engine) touches(p *privacy.Prefs) bool {
+	for _, a := range e.affectedAttrs {
+		if p.TouchesAttribute(a) {
+			return true
+		}
+	}
+	return false
+}
+
 // ShadowVersion returns the candidate's shadow policy version.
 func (e *Engine) ShadowVersion() uint64 { return e.shadowVersion }
 
@@ -126,7 +136,8 @@ func (e *Engine) GlobalFallback() bool { return e.allAffected }
 
 // ShardSource is one shard's immutable provider snapshot: parallel slices
 // in ascending key order, each provider with its live report under the
-// engine's live assessor.
+// engine's live assessor. Evaluate reads only a report's w_i, Violation_i
+// and default_i, so a report without Pairs serves as well.
 type ShardSource struct {
 	Keys    []string
 	Prefs   []*privacy.Prefs
@@ -160,19 +171,14 @@ func (e *Engine) Evaluate(shards []ShardSource) *Response {
 		var sc core.Scratch
 		for i, p := range src.Prefs {
 			cur := src.Reports[i]
-			touched := e.allAffected
-			for _, a := range e.affectedAttrs {
-				if p.TouchesAttribute(a) {
-					touched = true
-					break
-				}
-			}
 			shd := cur
-			if touched {
+			if e.allAffected || e.touches(p) {
 				// The stored columns were compiled against the live policy,
 				// so the kernel compiles the provider against the shadow
-				// policy into the worker's scratch.
-				shd = e.shadow.AssessRow(p, nil, &sc)
+				// policy into the worker's scratch. The evaluation reads
+				// only w_i, Violation_i and default_i of a shadow report,
+				// so no pair is materialized.
+				shd = e.shadow.AssessTotals(p, &sc)
 				ev.affected++
 			} else {
 				ev.reused++
@@ -276,7 +282,7 @@ func summaryOf(rep core.PopulationReport) Summary {
 }
 
 // EvaluateOffline runs a what-if against an in-memory population with no
-// store — the cmd/whatif path. It assesses every provider's live report
+// store — the cmd/whatif path. It assesses every provider's live totals
 // itself (the columnar kernel, as the store does) and evaluates the
 // population in ascending case-folded provider order, the same canonical
 // order internal/ppdb certifies in, so offline and online responses for the
@@ -304,7 +310,7 @@ func EvaluateOffline(policy *privacy.HousePolicy, attrSens privacy.AttributeSens
 	var sc core.Scratch
 	for i, p := range sorted {
 		src.Keys[i] = strings.ToLower(p.Provider)
-		src.Reports[i] = live.AssessRow(p, nil, &sc)
+		src.Reports[i] = live.AssessTotals(p, &sc)
 	}
 	return e.Evaluate([]ShardSource{src}), nil
 }

@@ -10,7 +10,9 @@
 # (BenchmarkWhatIfStorm with implicit zeros off and BenchmarkWhatIfShipped
 # in the server's configuration, narrow vs full diff over 100k providers), the
 # HTTP certify benches (BenchmarkCertifyHTTP, GET /v1/certify through the
-# handler at 1k/100k providers) and records ns/op, B/op and allocs/op
+# handler at 1k/100k providers), the compile bench (BenchmarkCompile, one
+# perfbench-shaped provider) and the policy-swap bench (BenchmarkSetPolicy,
+# 100k providers, implicit zeros on) and records ns/op, B/op and allocs/op
 # plus the cold→incremental speedup per population size into
 # BENCH_certify.json at the repo root. Wired as `make bench`; not part of
 # `make check`.
@@ -25,7 +27,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped))}"
+pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)}"
 out=$(go test -run '^$' -bench "$pattern" \
 	-benchtime "${BENCHTIME:-1s}" -benchmem -timeout 30m .)
 printf '%s\n' "$out"
@@ -56,7 +58,7 @@ NR == FNR {
 	}
 	next
 }
-/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf)/ {
+/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy)/ {
 	# -benchmem lines: name iters ns/op-value "ns/op" B-value "B/op"
 	# allocs-value "allocs/op".
 	name = $1; sub(/-[0-9]+$/, "", name)

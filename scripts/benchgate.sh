@@ -23,10 +23,11 @@ fi
 # count), the durable-ingest benches (IngestDurable runs one sub-bench
 # per WAL group-commit mode), the enforced-query benches (QueryEnforced
 # runs clean and violating populations at 10k/100k rows), the what-if
-# benches (WhatIfStorm and WhatIfShipped, narrow and full diffs) and the
-# HTTP certify benches (CertifyHTTP, GET /v1/certify through the handler);
-# each sub-bench is compared against its own baseline entry.
-out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped))' \
+# benches (WhatIfStorm and WhatIfShipped, narrow and full diffs), the
+# HTTP certify benches (CertifyHTTP, GET /v1/certify through the handler),
+# the per-provider compile bench (Compile) and the policy-swap bench
+# (SetPolicy); each sub-bench is compared against its own baseline entry.
+out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)' \
 	-benchtime "${BENCHTIME:-1s}" -timeout 30m .)
 printf '%s\n' "$out"
 echo
@@ -43,7 +44,7 @@ NR == FNR {
 	}
 	next
 }
-/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf)/ {
+/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy)/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	cur[name] = $3 + 0
 	seen[++n] = name
