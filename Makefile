@@ -2,7 +2,7 @@
 # `make check` is the single gate CI runs (scripts/ci.sh wraps it and adds
 # the targeted race pass).
 
-.PHONY: all build vet lint lint-baseline check ci test race faults faults-wal fuzz bench bench-shards bench-all benchgate profile experiments cover
+.PHONY: all build vet lint lint-baseline check ci test race faults faults-wal fuzz bench bench-all benchgate profile experiments cover
 
 all: build vet test
 
@@ -49,8 +49,8 @@ faults:
 		./internal/fault/... ./internal/ppdb/... ./internal/httpapi/... ./cmd/ppdbserver/... .
 
 # faults-wal runs the write-ahead-log durability suite (DESIGN.md §14): the
-# WAL crash matrix (every wal.* fault site killed and recovered at 1/2/8
-# shards against a serial oracle), torn-tail and corrupted-record recovery,
+# WAL crash matrix (every wal.* fault site killed and recovered at
+# GOMAXPROCS 1/2/8 against a no-WAL oracle), torn-tail and corrupted-record recovery,
 # checkpoint/truncate crashes, replay crashes, and the wal package's own
 # frame/rotation/group-commit tests. Blocking in scripts/ci.sh.
 faults-wal:
@@ -71,7 +71,10 @@ faults-wal:
 # writes them, and fail where it fails) and internal/ppdb's FuzzAuditTrail
 # (arbitrary access records, including invalid UTF-8, statements spanning
 # the trail's storage blocks and clock advances, must read back exactly,
-# and every page must equal filtering and slicing the full trail).
+# and every page must equal filtering and slicing the full trail) and
+# internal/httpapi's FuzzWhatIfRequest (arbitrary POST /v1/whatif bodies
+# through ServeHTTP must never answer 500, a 200 must cover the whole
+# population and anything else must carry the error envelope).
 # Crashers land in the package's
 # testdata/fuzz/<target>; commit them as seeds once fixed — `make test`
 # replays every seed there.
@@ -81,19 +84,15 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzSnapshotRows$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/ppdb
 	go test -run '^$$' -fuzz '^FuzzReportJSON$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/httpapi
 	go test -run '^$$' -fuzz '^FuzzAuditTrail$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/ppdb
+	go test -run '^$$' -fuzz '^FuzzWhatIfRequest$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/httpapi
 
 # bench runs the certification benches and records BENCH_certify.json
-# (cold vs incremental ledger certification, the per-shard-count sharding
-# benches, and the enforced-query benches at clean/violating populations).
-# Not part of `make check`.
+# (cold vs incremental ledger certification, bulk ingest, and the
+# enforced-query benches at clean/violating populations). Not part of
+# `make check`. To compare against another revision in alternating runs,
+# use scripts/benchcmp.sh BASE [PATTERN].
 bench:
 	./scripts/bench.sh
-
-# bench-shards re-records only the sharding benches (cold certify and bulk
-# ingest at 1/4/GOMAXPROCS shards); other BENCH_certify.json entries are
-# carried over unchanged.
-bench-shards:
-	BENCH_PATTERN='^Benchmark(CertifyColdShards|BulkIngestShards)' ./scripts/bench.sh
 
 # bench-all runs every benchmark in the repo.
 bench-all:

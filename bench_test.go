@@ -10,8 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -248,75 +246,11 @@ func BenchmarkCertifyIncremental(b *testing.B) {
 	}
 }
 
-// benchShardCounts are the shard widths the sharding benches sweep:
-// serial, a fixed 4 (the ISSUE's reference point), and one per CPU —
-// deduplicated, since CI boxes range from 1 to many cores.
-func benchShardCounts() []int {
-	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	out := counts[:0]
-	for _, c := range counts {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// benchShardedDB builds a PPDB with n providers over s shards.
-func benchShardedDB(b *testing.B, n, s int) *ppdb.DB {
-	b.Helper()
-	gen, err := population.NewGenerator(population.Config{
-		Attributes: []population.AttributeSpec{
-			{Name: "weight", Sensitivity: 4, Purposes: []privacy.Purpose{"service"}},
-			{Name: "income", Sensitivity: 5, Purposes: []privacy.Purpose{"service"}},
-		},
-	}, 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hp := privacy.NewHousePolicy("bench")
-	hp.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 2, Granularity: 2, Retention: 2})
-	hp.Add("income", privacy.Tuple{Purpose: "service", Visibility: 2, Granularity: 2, Retention: 2})
-	db, err := ppdb.New(ppdb.Config{Policy: hp, AttrSens: gen.AttributeSensitivities(), Shards: s})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := db.RegisterProviders(population.PrefsOf(gen.Generate(n))); err != nil {
-		b.Fatal(err)
-	}
-	return db
-}
-
-// BenchmarkCertifyColdShards measures the cold full-recompute certification
-// at each shard count: the fan-out width follows the shard count, so on a
-// multi-core box shards-4 should approach a 4x speedup over shards-1 while
-// producing byte-identical output (see TestShardCountCertifyEquivalence).
-func BenchmarkCertifyColdShards(b *testing.B) {
-	const n = 100000
-	for _, s := range benchShardCounts() {
-		db := benchShardedDB(b, n, s)
-		b.Run("shards="+itoa(s), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cert, err := db.CertifyFull(0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if cert.Report.N != n {
-					b.Fatal("wrong N")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBulkIngestShards measures atomic bulk registration
-// (RegisterProviders: validate, store, assess, build the ledger) at each
-// shard count. The population is generated once outside the timer.
-func BenchmarkBulkIngestShards(b *testing.B) {
+// BenchmarkBulkIngest measures atomic bulk registration
+// (RegisterProviders: validate, compile and assess across the fan-out,
+// build the ledger) of 100k providers into an empty store. The population
+// is generated once outside the timer.
+func BenchmarkBulkIngest(b *testing.B) {
 	const n = 100000
 	gen, err := population.NewGenerator(population.Config{
 		Attributes: []population.AttributeSpec{
@@ -331,23 +265,21 @@ func BenchmarkBulkIngestShards(b *testing.B) {
 	hp := privacy.NewHousePolicy("bench")
 	hp.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 2, Granularity: 2, Retention: 2})
 	hp.Add("income", privacy.Tuple{Purpose: "service", Visibility: 2, Granularity: 2, Retention: 2})
-	for _, s := range benchShardCounts() {
-		b.Run("shards="+itoa(s), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				db, err := ppdb.New(ppdb.Config{Policy: hp, AttrSens: gen.AttributeSensitivities(), Shards: s})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := db.RegisterProviders(pop); err != nil {
-					b.Fatal(err)
-				}
-				if db.NumProviders() != n {
-					b.Fatal("wrong count")
-				}
+	b.Run(sizeName(n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			db, err := ppdb.New(ppdb.Config{Policy: hp, AttrSens: gen.AttributeSensitivities()})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if err := db.RegisterProviders(pop); err != nil {
+				b.Fatal(err)
+			}
+			if db.NumProviders() != n {
+				b.Fatal("wrong count")
+			}
+		}
+	})
 }
 
 // BenchmarkIngestDurable measures single-provider upsert throughput with

@@ -17,10 +17,9 @@
 //	curl localhost:8080/v1/metrics
 //
 // (The pre-/v1 unversioned paths still answer, with Deprecation: true and
-// RFC 8594 Sunset headers; see API.md.) -shards controls how many provider-store/ledger
-// shards back the DB — 0, the default, means one per CPU; 1 reproduces the
-// serial pre-sharding behavior. Certification output is byte-identical for
-// every value.
+// RFC 8594 Sunset headers; see API.md.) -shards is accepted for old command
+// lines and ignored: the provider table is one table, and population work
+// fans out over GOMAXPROCS key ranges.
 //
 // Lifecycle: the listener binds immediately and serves a bootstrap handler
 // while the store recovers (snapshot load plus WAL replay): /healthz is up,
@@ -84,7 +83,7 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it firewalled)")
 	accessLog := flag.Bool("access-log", true, "log one structured key=value line per request")
 	operatorToken := flag.String("operator-token", "", "token granting the operator privilege (X-Operator-Token header): EXPLAIN traces and exact index-scan counts on POST /v1/query (empty disables both)")
-	shards := flag.Int("shards", 0, "provider-store/ledger shards and certification fan-out width (0 = one per CPU, 1 = serial)")
+	flag.Int("shards", 0, "deprecated and ignored: the provider table is not sharded")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: mutations are fsync-durable before acknowledgment and replay on restart (empty disables the WAL)")
 	walSyncInterval := flag.Duration("wal-sync-interval", 2*time.Millisecond, "WAL group-commit fsync interval")
 	walSyncEvery := flag.Int("wal-sync-every", 64, "fsync once this many WAL records are pending, even before the interval elapses")
@@ -123,12 +122,12 @@ func main() {
 
 	var db *ppdb.DB
 	if *load != "" {
-		db, err = ppdb.Load(*load, ppdb.Config{Shards: *shards})
+		db, err = ppdb.Load(*load, ppdb.Config{})
 		if *snapshotDir == "" {
 			*snapshotDir = *load
 		}
 	} else {
-		db, err = build(*corpus, *table, *key, *cols, *shards)
+		db, err = build(*corpus, *table, *key, *cols)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppdbserver: %v\n", err)
@@ -277,7 +276,7 @@ func run(srv *http.Server, errc <-chan error, api *httpapi.Server, db *ppdb.DB, 
 }
 
 // build assembles the PPDB from the flags.
-func build(corpusPath, table, key, cols string, shards int) (*ppdb.DB, error) {
+func build(corpusPath, table, key, cols string) (*ppdb.DB, error) {
 	if corpusPath == "" {
 		return nil, fmt.Errorf("-corpus is required")
 	}
@@ -292,7 +291,7 @@ func build(corpusPath, table, key, cols string, shards int) (*ppdb.DB, error) {
 	if doc.Policy == nil {
 		return nil, fmt.Errorf("corpus has no policy block")
 	}
-	db, err := ppdb.New(ppdb.Config{Policy: doc.Policy, AttrSens: doc.AttrSens, Shards: shards})
+	db, err := ppdb.New(ppdb.Config{Policy: doc.Policy, AttrSens: doc.AttrSens})
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 
 func TestBuildAndServe(t *testing.T) {
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
-	db, err := build(corpus, "records", "provider", "weight,condition", 0)
+	db, err := build(corpus, "records", "provider", "weight,condition")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,24 +48,24 @@ func TestBuildAndServe(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := build("", "t", "k", "", 0); err == nil {
+	if _, err := build("", "t", "k", ""); err == nil {
 		t.Error("missing corpus should fail")
 	}
-	if _, err := build("nope.dsl", "t", "k", "", 0); err == nil {
+	if _, err := build("nope.dsl", "t", "k", ""); err == nil {
 		t.Error("unreadable corpus should fail")
 	}
 	tmp := filepath.Join(t.TempDir(), "noprov.dsl")
 	if err := writeFile(tmp, `provider "a" threshold 5 { }`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := build(tmp, "t", "k", "", 0); err == nil {
+	if _, err := build(tmp, "t", "k", ""); err == nil {
 		t.Error("policyless corpus should fail")
 	}
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
-	if _, err := build(corpus, "t", "", "a", 0); err == nil {
+	if _, err := build(corpus, "t", "", "a"); err == nil {
 		t.Error("empty key column should fail")
 	}
-	if _, err := build(corpus, "t", "k", "k", 0); err == nil {
+	if _, err := build(corpus, "t", "k", "k"); err == nil {
 		t.Error("duplicate column should fail")
 	}
 }
@@ -78,7 +78,7 @@ func TestLoadBoot(t *testing.T) {
 	// Save a built DB and boot from the snapshot directory, as
 	// `ppdbserver -load` does; an empty directory must fail.
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
-	db, err := build(corpus, "records", "provider", "weight", 0)
+	db, err := build(corpus, "records", "provider", "weight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestLoadBoot(t *testing.T) {
 func TestServeGracefulDrain(t *testing.T) {
 	holdSIGTERM(t)
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
-	db, err := build(corpus, "records", "provider", "weight", 0)
+	db, err := build(corpus, "records", "provider", "weight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestServeGracefulDrain(t *testing.T) {
 func TestServePeriodicSnapshot(t *testing.T) {
 	holdSIGTERM(t)
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
-	db, err := build(corpus, "records", "provider", "weight", 0)
+	db, err := build(corpus, "records", "provider", "weight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestPprofHandler(t *testing.T) {
 
 	// The service handler must not expose the debug routes.
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
-	db, err := build(corpus, "records", "provider", "weight", 0)
+	db, err := build(corpus, "records", "provider", "weight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestServeBootstrapAndWALRestart(t *testing.T) {
 	holdSIGTERM(t)
 	corpus := filepath.Join("..", "..", "examples", "corpus", "clinic.dsl")
 	walDir := filepath.Join(t.TempDir(), "wal")
-	db, err := build(corpus, "records", "provider", "weight", 0)
+	db, err := build(corpus, "records", "provider", "weight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestServeBootstrapAndWALRestart(t *testing.T) {
 
 	// Restart: same corpus, same log — the HTTP-registered provider is
 	// replayed even though no snapshot was ever written.
-	db2, err := build(corpus, "records", "provider", "weight", 0)
+	db2, err := build(corpus, "records", "provider", "weight")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // lock of their own and live under ppdb.DB's), ε-sensitive severity
 // arithmetic in internal/core and internal/economics (Eqs. 12-16 of the
 // paper), two hand-written parsers whose errors must never be silently
-// dropped, and — since the store was sharded — a
+// dropped, and — since the store fans population work out — a
 // whole-program lock order and the byte-determinism of every persisted
 // artifact. Each invariant gets a Checker; cmd/ppdblint drives them all
 // and gates `make check`.

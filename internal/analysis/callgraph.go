@@ -138,7 +138,7 @@ func (p *Program) resolveCalls(fn *Func, impl *implIndex) {
 			fn.Calls = append(fn.Calls, Call{Callee: target.fn, Pos: call.Pos(), Interface: target.iface})
 		}
 		// Function-valued arguments: a named function passed to another
-		// call may be invoked by the callee (core.FanOut(n, w, f)).
+		// call may be invoked by the callee (core.FanOut(n, f)).
 		for _, arg := range call.Args {
 			if target := p.funcValue(info, arg); target != nil {
 				fn.Calls = append(fn.Calls, Call{Callee: target, Pos: arg.Pos()})

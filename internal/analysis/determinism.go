@@ -9,7 +9,7 @@ import (
 
 // determinismChecker guards the byte-determinism of persisted artifacts:
 // snapshots, certifications and ledger rebuilds must be identical across
-// runs and shard counts (DESIGN.md §11). Entry points are annotated in
+// runs and fan-out widths (DESIGN.md §11). Entry points are annotated in
 // source with a //lint:deterministic line in their doc comment; the
 // checker computes everything reachable from those roots over the static
 // call graph and flags, inside that set:

@@ -7,7 +7,7 @@ import (
 )
 
 // fanoutChecker flags the goroutine/fan-out mistakes that have bitten the
-// sharded fan-out paths (core.FanOut workers, per-shard goroutines):
+// fan-out paths (core.FanOut workers, hand-rolled goroutine pools):
 //
 //  1. a goroutine launched inside a loop whose closure reads the loop
 //     variable instead of taking it as a parameter — safe under Go 1.22

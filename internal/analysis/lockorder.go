@@ -12,7 +12,7 @@ import (
 // against the observed inter-procedural lock graph. The order is declared
 // in source with
 //
-//	//lint:lockorder ppdb.DB < ppdb.dbShard < wal.Log
+//	//lint:lockorder ppdb.DB < wal.Log
 //
 // where each class is pkgname.TypeName for a struct carrying a mutex field
 // (or pkgname.varname for a package-level mutex). Directives compose: the
@@ -26,8 +26,8 @@ import (
 // over-approximated). An edge is reported when the declared order puts B
 // before A, or when it closes a cycle among observed classes; the
 // diagnostic names the full call path from the holding function to the
-// acquiring one. Nested acquisitions of the same class (multiple shards of
-// one type) are out of scope — the repo orders those by shard index.
+// acquiring one. Nested acquisitions of the same class (several values of
+// one type) are out of scope.
 func lockorderChecker() *Checker {
 	return &Checker{
 		Name:       "lockorder",

@@ -8,22 +8,16 @@ import "sync"
 
 // FanOut mimics the repo's fork-join combinator; any callee named FanOut
 // is treated as running its function-literal arguments concurrently.
-func FanOut(n, workers int, f func(int)) {
+func FanOut(n int, f func(lo, hi int)) {
+	const workers = 4
 	var wg sync.WaitGroup
-	ch := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(lo, hi int) {
 			defer wg.Done()
-			for i := range ch {
-				f(i)
-			}
-		}()
+			f(lo, hi)
+		}(w*n/workers, (w+1)*n/workers)
 	}
-	for i := 0; i < n; i++ {
-		ch <- i
-	}
-	close(ch)
 	wg.Wait()
 }
 
@@ -61,18 +55,22 @@ func Parametrized(items []int) {
 // SharedAppend grows a shared slice from concurrent workers.
 func SharedAppend(keys []string) []int {
 	var out []int
-	FanOut(len(keys), 4, func(i int) {
-		out = append(out, len(keys[i])) // want "writes shared variable out"
+	FanOut(len(keys), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out = append(out, len(keys[i])) // want "writes shared variable out"
+		}
 	})
 	return out
 }
 
-// Indexed writes one slot per worker index: the sanctioned pattern, no
-// finding.
+// Indexed writes one slot per index of the worker's range: the sanctioned
+// pattern, no finding.
 func Indexed(keys []string) []int {
 	out := make([]int, len(keys))
-	FanOut(len(keys), 4, func(i int) {
-		out[i] = len(keys[i])
+	FanOut(len(keys), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = len(keys[i])
+		}
 	})
 	return out
 }
@@ -81,9 +79,11 @@ func Indexed(keys []string) []int {
 func Locked(keys []string) int {
 	var mu sync.Mutex
 	total := 0
-	FanOut(len(keys), 4, func(i int) {
+	FanOut(len(keys), func(lo, hi int) {
 		mu.Lock()
-		total += len(keys[i])
+		for i := lo; i < hi; i++ {
+			total += len(keys[i])
+		}
 		mu.Unlock()
 	})
 	return total

@@ -17,9 +17,9 @@ import (
 // Scratch is the reusable per-worker arena the columnar kernel accumulates
 // conflicts into before materializing a report. A Scratch may be reused
 // across any number of AssessCompiled, AssessRow and AssessTotals calls
-// but never shared between concurrent callers; the sharded stores keep one
-// per shard (used under the shard's exclusive lock), and the certification
-// and what-if fan-outs keep one per worker goroutine. The zero value is
+// but never shared between concurrent callers; the provider table keeps
+// one for single upserts (used under its owner's exclusive lock), and
+// every fan-out keeps one per key range. The zero value is
 // ready to use.
 type Scratch struct {
 	dims    []DimensionViolation

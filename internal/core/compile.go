@@ -116,7 +116,7 @@ type CompiledPrefs struct {
 	Provider  string
 	Threshold float64
 	// PrefsVersion is the registration counter the columns were compiled
-	// from, stamped by the ledger shard that stores them (internal/ledger);
+	// from, stamped by the ledger table that stores them (internal/ledger);
 	// with the policy identity below it versions the compiled row.
 	PrefsVersion uint64
 

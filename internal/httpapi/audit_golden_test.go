@@ -40,7 +40,7 @@ func TestAuditTrailGolden(t *testing.T) {
 	hp := privacy.NewHousePolicy("audit")
 	hp.Add("provider", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
 	hp.Add("weight", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
-	db, err := ppdb.New(ppdb.Config{Policy: hp, Shards: 1})
+	db, err := ppdb.New(ppdb.Config{Policy: hp})
 	if err != nil {
 		t.Fatal(err)
 	}

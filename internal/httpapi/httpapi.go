@@ -4,13 +4,13 @@
 //
 //	POST /v1/query            {requester, purpose, visibility, sql} → {columns, rows}
 //	GET  /v1/certify?alpha=0.1                                      → certification
-//	GET  /v1/certify/summary?alpha=0.1                              → aggregate-only certification (O(P) from the shards)
+//	GET  /v1/certify/summary?alpha=0.1                              → aggregate-only certification (O(1) from the running aggregate)
 //	GET  /v1/policy                                                 → current policy (DSL text)
 //	PUT  /v1/policy           DSL document with one policy block    → policy change
 //	POST /v1/whatif           {diff, u, t, detail}                  → shadow evaluation of a candidate policy diff
 //	GET  /v1/providers?prefix=&offset=&limit=                       → paginated provider keys
 //	POST /v1/providers        DSL document with provider blocks     → count registered
-//	POST /v1/providers/batch  large DSL document (bulk ingest)      → count registered + shard fan-out
+//	POST /v1/providers/batch  large DSL document (bulk ingest)      → count registered ("shards" is always 1)
 //	GET  /v1/audit?prefix=&offset=&limit=                           → paginated access records
 //	POST /v1/sweep                                                  → retention sweep
 //	POST /v1/load?table=T     CSV body with a header row            → rows loaded
@@ -721,7 +721,7 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 
 // handleCertifySummary serves GET /v1/certify/summary?alpha=: the aggregate
 // certification (N, P(W), P(Default), counts, verdict) without per-provider
-// rows, answered from the provider shards' running aggregates in O(P).
+// rows, answered from the provider table's running aggregate in O(1).
 func (s *Server) handleCertifySummary(w http.ResponseWriter, r *http.Request) {
 	alpha, err := alphaParam(r)
 	if err != nil {
@@ -911,7 +911,8 @@ func (s *Server) handleProvidersPost(w http.ResponseWriter, r *http.Request) {
 
 // handleProvidersBatch is the bulk-ingest endpoint: a large DSL document
 // (up to the batch body cap) whose provider blocks are validated as one
-// atomic batch and written with one goroutine per shard.
+// atomic batch and assessed across the fan-out. The response keeps its
+// "shards" key, always 1, for old clients.
 func (s *Server) handleProvidersBatch(w http.ResponseWriter, r *http.Request) {
 	n, err := s.registerFromDSL(w, r)
 	if err != nil {
@@ -921,7 +922,7 @@ func (s *Server) handleProvidersBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // registerFromDSL parses provider blocks from the request body and
-// registers them as one atomic batch, fanning out per shard. On error the
+// registers them as one atomic batch. On error the
 // envelope has been written and a non-nil error is returned.
 func (s *Server) registerFromDSL(w http.ResponseWriter, r *http.Request) (int, error) {
 	body, err := io.ReadAll(r.Body)
@@ -940,7 +941,7 @@ func (s *Server) registerFromDSL(w http.ResponseWriter, r *http.Request) (int, e
 		return 0, err
 	}
 	// Bulk registration: validates the whole batch before storing any of
-	// it, then stores and assesses the rows one goroutine per shard.
+	// it, then compiles and assesses the rows across the fan-out.
 	if err := s.db.RegisterProviders(doc.Providers); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return 0, err

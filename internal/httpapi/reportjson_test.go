@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -38,11 +39,13 @@ func indentedJSON(t testing.TB, v any) []byte {
 	return b
 }
 
-// generatedDB registers n generated providers over the given shard count,
-// plus a few whose names need escaping, under a policy most of them
-// violate along several dimensions.
-func generatedDB(t *testing.T, n, shards int) *ppdb.DB {
+// generatedDB registers n generated providers, plus a few whose names need
+// escaping, under a policy most of them violate along several dimensions.
+// The batch registration fans out at GOMAXPROCS procs — the "shards" the
+// sweep's subtests are named after.
+func generatedDB(t *testing.T, n, procs int) *ppdb.DB {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	gen, err := population.NewGenerator(population.Config{
 		Attributes: []population.AttributeSpec{
 			{Name: "weight", Sensitivity: 4, Purposes: []privacy.Purpose{"care", "research"}},
@@ -56,7 +59,7 @@ func generatedDB(t *testing.T, n, shards int) *ppdb.DB {
 	hp.Add("weight", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 2, Retention: 3})
 	hp.Add("weight", privacy.Tuple{Purpose: "research", Visibility: 3, Granularity: 1, Retention: 4})
 	hp.Add("income", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 2})
-	db, err := ppdb.New(ppdb.Config{Policy: hp, AttrSens: gen.AttributeSensitivities(), Shards: shards})
+	db, err := ppdb.New(ppdb.Config{Policy: hp, AttrSens: gen.AttributeSensitivities()})
 	if err != nil {
 		t.Fatal(err)
 	}

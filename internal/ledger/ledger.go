@@ -1,42 +1,39 @@
 // Package ledger is the provider table certification reads: one immutable
 // row per provider — its preferences, their compiled columns (DESIGN.md
-// §13), a prefs version and the memoized core.ProviderReport — plus a
-// running core.Partial (N, Σ w_i, Σ default_i, Σ Violation_i) per shard.
-// The paper's population quantities — P(W) = Σ w_i / N (Def. 2),
-// P(Default) (Def. 5) and the house total Violations (Eq. 16) — are sums of
-// independent per-provider terms, so a preference edit costs one
-// re-assessment and one delta to its shard's partial, and the population
-// answer is read from the partials in O(P) instead of recomputed over N.
+// §13), a prefs version and the memoized core.ProviderReport — plus one
+// running core.Partial (N, Σ w_i, Σ default_i, Σ Violation_i). The paper's
+// population quantities — P(W) = Σ w_i / N (Def. 2), P(Default) (Def. 5)
+// and the house total Violations (Eq. 16) — are sums of independent
+// per-provider terms, so a preference edit costs one re-assessment and one
+// delta to the partial, and the population answer is read from the partial
+// in O(1) instead of recomputed over N.
 //
-// A Shard is one partition of the table: the providers whose canonical key
-// hashes to its index (core.ShardIndex, DESIGN.md §11). It has no lock of
-// its own; its owner serializes access. internal/ppdb embeds one Shard in
-// each store shard, under that shard's lock, so the store and the table are
-// the same thing. Ledger wraps P Shards behind one lock for callers that
-// have no store (cmd/ppdbaudit and the benchmark's twin).
+// A Table has no lock of its own; its owner serializes access.
+// internal/ppdb holds one Table under its own lock, so the store and the
+// table are the same thing. Ledger wraps a Table behind one lock for
+// callers that have no store (cmd/ppdbaudit and the benchmark's twin).
+// Population work — batch assessment and the policy rebuild — fans out
+// over contiguous ranges of the sorted key list (core.FanOut, DESIGN.md
+// §11) and installs its results serially in key order.
 //
 // Rows are current by construction. An upsert assesses the row it
-// installs, and a policy swap (RebuildShards) re-assesses every row while
-// the owner excludes all readers, so no row carries a policy version. A row
-// is immutable once installed: readers may keep the pointers Rows returns
+// installs, and a policy swap (Rebuild) re-assesses every row while the
+// owner excludes all readers, so no row carries a policy version. A row is
+// immutable once installed: readers may keep the pointers Rows returns
 // after the owner's lock is released.
 //
 // Exactness: the integer aggregates (and hence P(W) and P(Default), ratios
-// of integers) are exact and independent of the shard layout. The running
-// float totals drift from a fresh sum by accumulated rounding (adds and
-// subtracts in edit order, merged in shard-index order), so a summary built
-// from the partials is last-ulp approximate in TotalViolations. Assemble
-// re-sums the rows in global sorted key order, so a snapshot is
-// bit-identical to a full recompute over the same sorted population, for
-// every shard count.
+// of integers) are exact. The running float total drifts from a fresh sum
+// by accumulated rounding (adds and subtracts in edit order), so a summary
+// built from the partial is last-ulp approximate in TotalViolations.
+// Assemble re-sums the rows in sorted key order, so a snapshot is
+// bit-identical to a full recompute over the same sorted population.
 package ledger
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -82,248 +79,243 @@ type Item struct {
 	Version  uint64
 }
 
-// Shard is one partition of the provider table. It is not safe for
+// Table is the provider table: the sorted keys, the rows by key, the
+// running aggregate and the prefs-version counter. It is not safe for
 // concurrent use: readers need the owner's lock shared, and every mutation
 // needs it exclusively.
-type Shard struct {
-	byKey map[string]*Row
-	keys  []string // sorted; kept in lockstep with byKey
-	agg   core.Partial
-	// scratch is the columnar-kernel arena, used only by mutations (which
-	// hold the owner's lock exclusively), so re-assessments never allocate
-	// it.
+type Table struct {
+	byKey   map[string]*Row
+	keys    []string // sorted; kept in lockstep with byKey
+	agg     core.Partial
+	version uint64
+	// scratch is the columnar-kernel arena of single upserts, which hold
+	// the owner's lock exclusively, so re-assessments never allocate it.
 	scratch core.Scratch
-	// total counts rows across every shard of one table: the table's N, and
-	// the ledger_rows gauge feed.
-	total *atomic.Int64
 }
 
-// NewShard returns an empty shard that counts its rows into total, the
-// counter every shard of one table shares.
-func NewShard(total *atomic.Int64) Shard {
-	return Shard{byKey: make(map[string]*Row), total: total}
+// NewTable returns an empty table.
+func NewTable() *Table {
+	return &Table{byKey: make(map[string]*Row)}
 }
+
+// Len returns the number of rows.
+func (t *Table) Len() int { return len(t.keys) }
 
 // Get returns key's row.
-func (s *Shard) Get(key string) (*Row, bool) {
-	r, ok := s.byKey[key]
+func (t *Table) Get(key string) (*Row, bool) {
+	r, ok := t.byKey[key]
 	return r, ok
 }
 
-// Partial returns the shard's running aggregate.
-func (s *Shard) Partial() core.Partial { return s.agg }
+// Partial returns the running aggregate.
+func (t *Table) Partial() core.Partial { return t.agg }
 
-// Rows copies the shard's sorted keys and their rows. The rows are
-// immutable, so the caller may read them after releasing the owner's lock.
-func (s *Shard) Rows() ([]string, []*Row) {
-	keys := slices.Clone(s.keys)
-	rows := make([]*Row, len(keys))
-	for i, k := range keys {
-		rows[i] = s.byKey[k]
+// NextVersion bumps and returns the prefs-version counter, the Version of
+// the owner's next upsert.
+func (t *Table) NextVersion() uint64 {
+	t.version++
+	return t.version
+}
+
+// Keys copies the sorted key list.
+func (t *Table) Keys() []string { return slices.Clone(t.keys) }
+
+// Rows returns every row in sorted key order. The rows are immutable, so
+// the caller may read them after releasing the owner's lock.
+func (t *Table) Rows() []*Row {
+	rows := make([]*Row, len(t.keys))
+	for i, k := range t.keys {
+		rows[i] = t.byKey[k]
 	}
-	return keys, rows
+	return rows
 }
 
 // Upsert installs one registration or preference edit and returns the
 // provider's report. A row already at it.Version is returned untouched (a
 // memo hit); otherwise the provider is assessed with a's columnar kernel
-// and the shard's partial moves by the delta.
-func (s *Shard) Upsert(a *core.Assessor, it Item) core.ProviderReport {
-	if r, ok := s.byKey[it.Key]; ok && r.Version == it.Version {
+// and the partial moves by the delta.
+func (t *Table) Upsert(a *core.Assessor, it Item) core.ProviderReport {
+	if r, ok := t.byKey[it.Key]; ok && r.Version == it.Version {
 		mMemoHits.Inc()
 		return r.Report
 	}
 	mMemoMisses.Inc()
-	r, fresh := s.put(a, it)
-	if fresh {
-		i, _ := slices.BinarySearch(s.keys, it.Key)
-		s.keys = slices.Insert(s.keys, i, it.Key)
+	r := newRow(a, it, &t.scratch)
+	if t.install(it.Key, r) {
+		i, _ := slices.BinarySearch(t.keys, it.Key)
+		t.keys = slices.Insert(t.keys, i, it.Key)
 	}
 	return r.Report
 }
 
 // UpsertBatch installs many items at once, the cold-load path. Every item
-// is assessed (a batch carries fresh versions). New keys are sorted once
-// and merged into the key list, not shifted in one at a time; a key listed
-// twice keeps its last item.
-func (s *Shard) UpsertBatch(a *core.Assessor, items []Item) {
+// is assessed (a batch carries fresh versions), across the fan-out; the
+// rows are then installed serially in item order, so a key listed twice
+// keeps its last item. New keys are sorted once and merged into the key
+// list, not shifted in one at a time.
+func (t *Table) UpsertBatch(a *core.Assessor, items []Item) {
 	mMemoMisses.Add(uint64(len(items)))
+	rows := make([]*Row, len(items))
+	core.FanOut(len(items), func(lo, hi int) {
+		var sc core.Scratch
+		for i := lo; i < hi; i++ {
+			rows[i] = newRow(a, items[i], &sc)
+		}
+	})
 	var fresh []string
-	for _, it := range items {
-		if _, isNew := s.put(a, it); isNew {
+	for i, it := range items {
+		if t.install(it.Key, rows[i]) {
 			fresh = append(fresh, it.Key)
 		}
 	}
 	if len(fresh) == 0 {
 		return
 	}
-	sort.Strings(fresh)
-	runs := [][]string{s.keys, fresh}
-	merged := make([]string, 0, len(s.keys)+len(fresh))
-	core.MergeSorted(runs, func(r, i int) { merged = append(merged, runs[r][i]) })
-	s.keys = merged
+	slices.Sort(fresh)
+	merged := make([]string, 0, len(t.keys)+len(fresh))
+	old := t.keys
+	for len(old) > 0 && len(fresh) > 0 {
+		if fresh[0] < old[0] {
+			merged, fresh = append(merged, fresh[0]), fresh[1:]
+		} else {
+			merged, old = append(merged, old[0]), old[1:]
+		}
+	}
+	t.keys = append(append(merged, old...), fresh...)
 }
 
-// put assesses it and installs the row, moving the partial by the delta
-// (subtract the old row, add the new). It reports whether the key is new;
-// the caller then places it in the key list.
-func (s *Shard) put(a *core.Assessor, it Item) (*Row, bool) {
+// newRow assesses it into a row with a's columnar kernel.
+func newRow(a *core.Assessor, it Item, sc *core.Scratch) *Row {
 	if it.Compiled != nil {
 		it.Compiled.PrefsVersion = it.Version
 	}
-	r := &Row{Prefs: it.Prefs, Compiled: it.Compiled, Version: it.Version,
-		Report: a.AssessRow(it.Prefs, it.Compiled, &s.scratch)}
-	old, existed := s.byKey[it.Key]
+	return &Row{Prefs: it.Prefs, Compiled: it.Compiled, Version: it.Version,
+		Report: a.AssessRow(it.Prefs, it.Compiled, sc)}
+}
+
+// install puts r under key, moving the partial by the delta (subtract the
+// old row, add the new). It reports whether the key is new; the caller
+// then places it in the key list.
+func (t *Table) install(key string, r *Row) bool {
+	old, existed := t.byKey[key]
 	if existed {
-		s.agg.Sub(&old.Report)
-	} else {
-		s.total.Add(1)
+		t.agg.Sub(&old.Report)
 	}
-	s.byKey[it.Key] = r
-	s.agg.Add(&r.Report)
+	t.byKey[key] = r
+	t.agg.Add(&r.Report)
 	mDeltaApplies.Inc()
-	mRows.Set(float64(s.total.Load()))
-	return r, !existed
+	mRows.Set(float64(len(t.byKey)))
+	return !existed
 }
 
 // Remove drops key's row and subtracts its contribution from the partial.
 // It reports whether the key was present.
-func (s *Shard) Remove(key string) bool {
-	r, ok := s.byKey[key]
+func (t *Table) Remove(key string) bool {
+	r, ok := t.byKey[key]
 	if !ok {
 		return false
 	}
-	s.agg.Sub(&r.Report)
-	delete(s.byKey, key)
-	i, _ := slices.BinarySearch(s.keys, key)
-	s.keys = slices.Delete(s.keys, i, i+1)
-	mRows.Set(float64(s.total.Add(-1)))
+	t.agg.Sub(&r.Report)
+	delete(t.byKey, key)
+	i, _ := slices.BinarySearch(t.keys, key)
+	t.keys = slices.Delete(t.keys, i, i+1)
+	mRows.Set(float64(len(t.byKey)))
 	return true
 }
 
-// rebuild recompiles and re-assesses every row against a, installing fresh
-// rows and re-summing the partial from scratch in sorted key order.
-func (s *Shard) rebuild(a *core.Assessor) {
-	s.agg = core.Partial{}
-	for _, k := range s.keys {
-		old := s.byKey[k]
-		c := a.Compile(old.Prefs)
-		c.PrefsVersion = old.Version
-		r := &Row{Prefs: old.Prefs, Compiled: c, Version: old.Version,
-			Report: a.AssessRow(old.Prefs, c, &s.scratch)}
-		s.byKey[k] = r
-		s.agg.Add(&r.Report)
-	}
-}
-
-// RebuildShards re-assesses every row of a table against a new assessor —
-// the policy swap, one goroutine per shard, counted as one rebuild. The
-// caller holds every shard exclusively.
+// Rebuild recompiles and re-assesses every row against a — the policy
+// swap, counted as one rebuild. The rows are assessed across the fan-out,
+// then installed and the partial re-summed from scratch in sorted key
+// order. The caller holds the owner's lock exclusively.
 //
 //lint:deterministic rebuilt aggregates must match a from-scratch assessment bit-for-bit
-func RebuildShards(shards []*Shard, a *core.Assessor) {
+func (t *Table) Rebuild(a *core.Assessor) {
 	mRebuilds.Inc()
-	core.FanOut(len(shards), len(shards), func(i int) { shards[i].rebuild(a) })
+	rows := make([]*Row, len(t.keys))
+	core.FanOut(len(rows), func(lo, hi int) {
+		var sc core.Scratch
+		for i := lo; i < hi; i++ {
+			old := t.byKey[t.keys[i]]
+			rows[i] = newRow(a, Item{Prefs: old.Prefs, Compiled: a.Compile(old.Prefs), Version: old.Version}, &sc)
+		}
+	})
+	t.agg = core.Partial{}
+	for i, k := range t.keys {
+		t.byKey[k] = rows[i]
+		t.agg.Add(&rows[i].Report)
+	}
 }
 
-// Assemble merges per-shard row runs (keys[i] sorted, rows[i][j] the row
-// of keys[i][j]) into global sorted key order and assembles the population
-// report — O(N·P) merging, zero re-assessment. The float total is summed
-// in that global order, so the result is bit-identical to a full recompute
-// over the same sorted population, for every shard count.
+// Assemble assembles the population report from rows in sorted key order
+// — O(N) copying, zero re-assessment. The float total is summed in that
+// order, so the result is bit-identical to a full recompute over the same
+// sorted population.
 //
-//lint:deterministic snapshot reports feed certifications and must not depend on shard count
-func Assemble(keys [][]string, rows [][]*Row) core.PopulationReport {
-	n := 0
-	for _, run := range keys {
-		n += len(run)
+//lint:deterministic snapshot reports feed certifications and must not depend on the fan-out width
+func Assemble(rows []*Row) core.PopulationReport {
+	reps := make([]core.ProviderReport, len(rows))
+	for i, r := range rows {
+		reps[i] = r.Report
 	}
-	reps := make([]core.ProviderReport, 0, n)
-	core.MergeSorted(keys, func(r, i int) { reps = append(reps, rows[r][i].Report) })
 	return core.AssemblePopulation(reps)
 }
 
-// Ledger is a provider table of P shards behind one lock, for callers
-// without a store of their own: writers hold the lock exclusively, and
-// Snapshot holds it shared.
+// Ledger is a provider table behind one lock, for callers without a store
+// of their own: writers hold the lock exclusively, and Snapshot holds it
+// shared.
 type Ledger struct {
 	mu       sync.RWMutex
 	assessor *core.Assessor
-	shards   []*Shard
-	rows     atomic.Int64
+	table    *Table
 }
 
-// New builds an empty ledger assessing against a, with one shard per
-// schedulable CPU. The policy version is not stored (rows need none; see
-// the package comment) and is accepted for callers that number policies.
-func New(a *core.Assessor, policyVersion uint64) (*Ledger, error) {
-	return NewSharded(a, policyVersion, 0)
-}
-
-// NewSharded builds an empty ledger with an explicit shard count; 0 means
-// core.DefaultShards().
-func NewSharded(a *core.Assessor, _ uint64, shards int) (*Ledger, error) {
+// New builds an empty ledger assessing against a. The policy version is
+// not stored (rows need none; see the package comment) and is accepted for
+// callers that number policies.
+func New(a *core.Assessor, _ uint64) (*Ledger, error) {
 	if a == nil {
 		return nil, fmt.Errorf("ledger: nil assessor")
 	}
-	if shards < 0 {
-		return nil, fmt.Errorf("ledger: shard count %d must be >= 0", shards)
-	}
-	if shards == 0 {
-		shards = core.DefaultShards()
-	}
-	l := &Ledger{assessor: a, shards: make([]*Shard, shards)}
-	for i := range l.shards {
-		s := NewShard(&l.rows)
-		l.shards[i] = &s
-	}
-	return l, nil
+	return &Ledger{assessor: a, table: NewTable()}, nil
+}
+
+// NewSharded is New.
+//
+// Deprecated: the ledger is one table whose population work fans out over
+// key ranges; the shard count is ignored.
+func NewSharded(a *core.Assessor, policyVersion uint64, _ int) (*Ledger, error) {
+	return New(a, policyVersion)
 }
 
 // UpsertCompiled applies one registration or preference edit with the
-// provider's compiled columns; see Shard.Upsert.
+// provider's compiled columns; see Table.Upsert.
 func (l *Ledger) UpsertCompiled(key string, prefs *privacy.Prefs, compiled *core.CompiledPrefs, prefsVersion uint64) core.ProviderReport {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.shards[core.ShardIndex(key, len(l.shards))]
-	return s.Upsert(l.assessor, Item{Key: key, Prefs: prefs, Compiled: compiled, Version: prefsVersion})
+	return l.table.Upsert(l.assessor, Item{Key: key, Prefs: prefs, Compiled: compiled, Version: prefsVersion})
 }
 
-// UpsertBatch applies many registrations at once, one goroutine per shard
-// with items.
+// UpsertBatch applies many registrations at once; see Table.UpsertBatch.
 func (l *Ledger) UpsertBatch(items []Item) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	buckets := make([][]Item, len(l.shards))
-	for _, it := range items {
-		i := core.ShardIndex(it.Key, len(l.shards))
-		buckets[i] = append(buckets[i], it)
-	}
-	core.FanOut(len(l.shards), len(l.shards), func(i int) {
-		if len(buckets[i]) > 0 {
-			l.shards[i].UpsertBatch(l.assessor, buckets[i])
-		}
-	})
+	l.table.UpsertBatch(l.assessor, items)
 }
 
 // Rebuild swaps in a new assessor and re-assesses every row (see
-// RebuildShards). The policy version is not stored.
+// Table.Rebuild). The policy version is not stored.
 func (l *Ledger) Rebuild(a *core.Assessor, _ uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.assessor = a
-	RebuildShards(l.shards, a)
+	l.table.Rebuild(a)
 }
 
-// Snapshot assembles the full population report from the rows in global
-// sorted provider order (see Assemble).
+// Snapshot assembles the full population report from the rows in sorted
+// provider order (see Assemble).
 func (l *Ledger) Snapshot() core.PopulationReport {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	keys := make([][]string, len(l.shards))
-	rows := make([][]*Row, len(l.shards))
-	for i, s := range l.shards {
-		keys[i], rows[i] = s.Rows()
-	}
-	return Assemble(keys, rows)
+	rows := l.table.Rows()
+	l.mu.RUnlock()
+	return Assemble(rows)
 }

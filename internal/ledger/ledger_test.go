@@ -2,9 +2,10 @@ package ledger
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis/floatutil"
@@ -36,44 +37,30 @@ func testAssessor(t testing.TB, seed uint64, level privacy.Level) (*core.Assesso
 	return a, gen
 }
 
-// table is P shards routed by core.ShardIndex — the layout internal/ppdb
-// keeps, minus its per-shard locks (these tests run on one goroutine).
+// table is a Table with the assessor it upserts against (these tests run
+// on one goroutine, so no lock).
 type table struct {
-	a      *core.Assessor
-	total  atomic.Int64
-	shards []*Shard
+	a *core.Assessor
+	*Table
 }
 
-func newTable(a *core.Assessor, n int) *table {
-	t := &table{a: a, shards: make([]*Shard, n)}
-	for i := range t.shards {
-		s := NewShard(&t.total)
-		t.shards[i] = &s
-	}
-	return t
-}
-
-func (t *table) shard(key string) *Shard { return t.shards[core.ShardIndex(key, len(t.shards))] }
+func newTable(a *core.Assessor) *table { return &table{a: a, Table: NewTable()} }
 
 func (t *table) upsert(p *privacy.Prefs, version uint64) core.ProviderReport {
-	return t.shard(p.Provider).Upsert(t.a, Item{Key: p.Provider, Prefs: p, Compiled: t.a.Compile(p), Version: version})
+	return t.Upsert(t.a, Item{Key: p.Provider, Prefs: p, Compiled: t.a.Compile(p), Version: version})
 }
 
-func (t *table) snapshot() core.PopulationReport {
-	keys := make([][]string, len(t.shards))
-	rows := make([][]*Row, len(t.shards))
-	for i, s := range t.shards {
-		keys[i], rows[i] = s.Rows()
-	}
-	return Assemble(keys, rows)
-}
+func (t *table) snapshot() core.PopulationReport { return Assemble(t.Rows()) }
 
-func (t *table) summary() core.Partial {
-	parts := make([]core.Partial, len(t.shards))
-	for i, s := range t.shards {
-		parts[i] = s.Partial()
-	}
-	return core.MergePartials(parts)
+// fanOutWidths are the GOMAXPROCS values the fan-out paths (batch upsert,
+// rebuild) are pinned at: serial, an uneven split and more ranges than
+// this box has CPUs.
+var fanOutWidths = []int{1, 3, 8}
+
+// setProcs sets GOMAXPROCS, the fan-out width, for the rest of the test.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // sortedPop returns the population sorted the way the table keys it.
@@ -88,39 +75,37 @@ func TestNewNilAssessor(t *testing.T) {
 		t.Fatal("nil assessor should be rejected")
 	}
 	a, _ := testAssessor(t, 1, 2)
-	if _, err := NewSharded(a, 1, -1); err == nil {
-		t.Fatal("negative shard count should be rejected")
+	if l, err := NewSharded(a, 1, -1); err != nil || l == nil {
+		t.Fatalf("NewSharded ignores its shard count: err = %v", err)
 	}
 }
 
 // TestSnapshotMatchesFullAssessment pins the assembled table to the direct
 // AssessPopulation result over the same sorted population, including the
-// bit-exact float total, at several shard counts.
+// bit-exact float total.
 func TestSnapshotMatchesFullAssessment(t *testing.T) {
 	a, gen := testAssessor(t, 7, 2)
 	pop := population.PrefsOf(gen.Generate(137))
 	want := a.AssessPopulation(sortedPop(pop))
-	for _, n := range []int{1, 3, 8} {
-		tab := newTable(a, n)
-		for i, p := range pop {
-			tab.upsert(p, uint64(i+1))
-		}
-		if got := tab.snapshot(); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: snapshot diverges from full assessment:\ngot  %+v\nwant %+v", n, got, want)
-		}
-		sum := tab.summary()
-		if sum.N != want.N || sum.ViolatedCount != want.ViolatedCount || sum.DefaultCount != want.DefaultCount {
-			t.Errorf("shards=%d: summary counts = %+v, want %+v", n, sum, want)
-		}
-		if !floatutil.Eq(sum.PW(), want.PW) || !floatutil.Eq(sum.PDefault(), want.PDefault) {
-			t.Errorf("shards=%d: summary probabilities = %g/%g, want %g/%g", n, sum.PW(), sum.PDefault(), want.PW, want.PDefault)
-		}
-		if !floatutil.Eq(sum.TotalViolations, want.TotalViolations) {
-			t.Errorf("shards=%d: summary total = %g, want %g", n, sum.TotalViolations, want.TotalViolations)
-		}
-		if got := int(tab.total.Load()); got != len(pop) {
-			t.Errorf("shards=%d: row count = %d, want %d", n, got, len(pop))
-		}
+	tab := newTable(a)
+	for i, p := range pop {
+		tab.upsert(p, uint64(i+1))
+	}
+	if got := tab.snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot diverges from full assessment:\ngot  %+v\nwant %+v", got, want)
+	}
+	sum := tab.Partial()
+	if sum.N != want.N || sum.ViolatedCount != want.ViolatedCount || sum.DefaultCount != want.DefaultCount {
+		t.Errorf("summary counts = %+v, want %+v", sum, want)
+	}
+	if !floatutil.Eq(sum.PW(), want.PW) || !floatutil.Eq(sum.PDefault(), want.PDefault) {
+		t.Errorf("summary probabilities = %g/%g, want %g/%g", sum.PW(), sum.PDefault(), want.PW, want.PDefault)
+	}
+	if !floatutil.Eq(sum.TotalViolations, want.TotalViolations) {
+		t.Errorf("summary total = %g, want %g", sum.TotalViolations, want.TotalViolations)
+	}
+	if got := tab.Len(); got != len(pop) {
+		t.Errorf("row count = %d, want %d", got, len(pop))
 	}
 }
 
@@ -129,7 +114,7 @@ func TestSnapshotMatchesFullAssessment(t *testing.T) {
 func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 	a, gen := testAssessor(t, 11, 2)
 	pop := population.PrefsOf(gen.Generate(60))
-	tab := newTable(a, 4)
+	tab := newTable(a)
 	version := uint64(0)
 	for _, p := range pop {
 		version++
@@ -153,13 +138,13 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 	}
 	for i, p := range pop {
 		if i%10 == 0 {
-			if !tab.shard(p.Provider).Remove(p.Provider) {
+			if !tab.Remove(p.Provider) {
 				t.Fatalf("remove %q reported absent", p.Provider)
 			}
 			delete(live, p.Provider)
 		}
 	}
-	if tab.shard("nobody").Remove("nobody") {
+	if tab.Remove("nobody") {
 		t.Error("removing an absent provider should report false")
 	}
 
@@ -173,14 +158,14 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 		t.Errorf("after edits+removals snapshot diverges:\ngot  N=%d PW=%g total=%g\nwant N=%d PW=%g total=%g",
 			got.N, got.PW, got.TotalViolations, want.N, want.PW, want.TotalViolations)
 	}
-	sum := tab.summary()
+	sum := tab.Partial()
 	if sum.N != want.N || sum.ViolatedCount != want.ViolatedCount || sum.DefaultCount != want.DefaultCount {
 		t.Errorf("summary counts = %+v, want counts from %+v", sum, want)
 	}
 	if !floatutil.Eq(sum.TotalViolations, want.TotalViolations) {
 		t.Errorf("running total = %g, want ≈ %g", sum.TotalViolations, want.TotalViolations)
 	}
-	if got := int(tab.total.Load()); got != len(rest) {
+	if got := tab.Len(); got != len(rest) {
 		t.Errorf("row count = %d, want %d", got, len(rest))
 	}
 }
@@ -190,8 +175,7 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 // unchanged version returns the cached row.
 func TestUpsertMemoizes(t *testing.T) {
 	a, _ := testAssessor(t, 3, 2)
-	var total atomic.Int64
-	s := NewShard(&total)
+	s := NewTable()
 	loud := privacy.NewPrefs("ada", 0.5)
 	loud.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
 	loud.Add("income", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
@@ -215,39 +199,43 @@ func TestUpsertMemoizes(t *testing.T) {
 	if !ok || r.Prefs != quiet || r.Version != 2 || r.Compiled.PrefsVersion != 2 {
 		t.Errorf("row after re-assessment = %+v", r)
 	}
-	if total.Load() != 1 {
-		t.Errorf("row count = %d, want 1", total.Load())
+	if s.Len() != 1 {
+		t.Errorf("row count = %d, want 1", s.Len())
 	}
 }
 
-// TestRebuildSwapsPolicy rebuilds against a wider policy and checks the
-// rows, their compiled columns and the aggregates all moved to the new
-// assessment.
+// TestRebuildSwapsPolicy rebuilds against a wider policy at every fan-out
+// width and checks the rows, their compiled columns and the aggregates all
+// moved to the new assessment, the partial re-summed in key order.
 func TestRebuildSwapsPolicy(t *testing.T) {
 	a1, gen := testAssessor(t, 19, 1)
 	pop := population.PrefsOf(gen.Generate(80))
-	tab := newTable(a1, 3)
-	for i, p := range pop {
-		tab.upsert(p, uint64(i+1))
-	}
 	a2, _ := testAssessor(t, 19, 4) // maximally wide: strictly more violations
-	RebuildShards(tab.shards, a2)
 	want := a2.AssessPopulation(sortedPop(pop))
-	got := tab.snapshot()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("rebuild diverges: got PW=%g total=%g, want PW=%g total=%g",
-			got.PW, got.TotalViolations, want.PW, want.TotalViolations)
-	}
-	r, ok := tab.shard(pop[0].Provider).Get(pop[0].Provider)
-	if !ok || !reflect.DeepEqual(r.Report, want.Providers[indexOf(want, pop[0].Provider)]) {
-		t.Error("per-provider row not rebuilt")
-	}
-	if !r.Compiled.CurrentFor(a2) || r.Version != 1 || r.Compiled.PrefsVersion != 1 {
-		t.Errorf("rebuilt row: compiled current=%v version=%d", r.Compiled.CurrentFor(a2), r.Version)
-	}
-	sum := tab.summary()
-	if sum.N != want.N || sum.ViolatedCount != want.ViolatedCount || !floatutil.Eq(sum.TotalViolations, want.TotalViolations) {
-		t.Errorf("rebuilt partials %+v disagree with %+v", sum, want)
+	for _, procs := range fanOutWidths {
+		setProcs(t, procs)
+		tab := newTable(a1)
+		for i, p := range pop {
+			tab.upsert(p, uint64(i+1))
+		}
+		tab.Rebuild(a2)
+		got := tab.snapshot()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("procs=%d: rebuild diverges: got PW=%g total=%g, want PW=%g total=%g",
+				procs, got.PW, got.TotalViolations, want.PW, want.TotalViolations)
+		}
+		r, ok := tab.Get(pop[0].Provider)
+		if !ok || !reflect.DeepEqual(r.Report, want.Providers[indexOf(want, pop[0].Provider)]) {
+			t.Errorf("procs=%d: per-provider row not rebuilt", procs)
+		}
+		if !r.Compiled.CurrentFor(a2) || r.Version != 1 || r.Compiled.PrefsVersion != 1 {
+			t.Errorf("procs=%d: rebuilt row: compiled current=%v version=%d", procs, r.Compiled.CurrentFor(a2), r.Version)
+		}
+		sum := tab.Partial()
+		// Re-summed in key order, exactly as AssessPopulation sums.
+		if sum.N != want.N || sum.ViolatedCount != want.ViolatedCount || math.Float64bits(sum.TotalViolations) != math.Float64bits(want.TotalViolations) {
+			t.Errorf("procs=%d: rebuilt partial %+v disagrees with %+v", procs, sum, want)
+		}
 	}
 }
 
@@ -260,38 +248,45 @@ func indexOf(rep core.PopulationReport, provider string) int {
 	return -1
 }
 
-// TestUpsertBatchMatchesSequential pins the batch path (sorted merge of
-// new keys, last item wins for a repeated key) to the serial path.
+// TestUpsertBatchMatchesSequential pins the batch path (assessment across
+// the fan-out, sorted merge of new keys, last item wins for a repeated
+// key) to the serial path at every fan-out width.
 func TestUpsertBatchMatchesSequential(t *testing.T) {
 	a, gen := testAssessor(t, 23, 2)
 	pop := population.PrefsOf(gen.Generate(150))
 	n := len(pop)
 	// The batch repeats its last key, which must win as in serial order.
 	pop = append(pop, privacy.NewPrefs(pop[n-1].Provider, 0.5))
-	serial, batch := newTable(a, 1), newTable(a, 1)
-	var items []Item
+	serial := newTable(a)
 	for i, p := range pop {
 		serial.upsert(p, uint64(i+1))
-		if i < 20 { // seeded one by one, so the batch merges into a non-empty key list
-			batch.upsert(p, uint64(i+1))
-		} else {
-			items = append(items, Item{Key: p.Provider, Prefs: p, Compiled: a.Compile(p), Version: uint64(i + 1)})
+	}
+	for _, procs := range fanOutWidths {
+		setProcs(t, procs)
+		batch := newTable(a)
+		var items []Item
+		for i, p := range pop {
+			if i < 20 { // seeded one by one, so the batch merges into a non-empty key list
+				batch.upsert(p, uint64(i+1))
+			} else {
+				items = append(items, Item{Key: p.Provider, Prefs: p, Compiled: a.Compile(p), Version: uint64(i + 1)})
+			}
 		}
-	}
-	batch.shards[0].UpsertBatch(a, items)
-	if !reflect.DeepEqual(batch.snapshot(), serial.snapshot()) || batch.summary() != serial.summary() {
-		t.Error("batch and serial upserts disagree")
-	}
-	if keys, _ := batch.shards[0].Rows(); !sort.StringsAreSorted(keys) || len(keys) != n || batch.total.Load() != int64(n) {
-		t.Errorf("batch key list: sorted=%v len=%d count=%d, want %d", sort.StringsAreSorted(keys), len(keys), batch.total.Load(), n)
+		batch.UpsertBatch(a, items)
+		if !reflect.DeepEqual(batch.snapshot(), serial.snapshot()) || batch.Partial() != serial.Partial() {
+			t.Errorf("procs=%d: batch and serial upserts disagree", procs)
+		}
+		if keys := batch.Keys(); !sort.StringsAreSorted(keys) || len(keys) != n || batch.Len() != n {
+			t.Errorf("procs=%d: batch key list: sorted=%v len=%d count=%d, want %d", procs, sort.StringsAreSorted(keys), len(keys), batch.Len(), n)
+		}
 	}
 }
 
-// TestWouldDefaultSorted checks the defaulting rows come out of a
-// multi-shard snapshot in sorted key order.
+// TestWouldDefaultSorted checks the defaulting rows come out of a snapshot
+// in sorted key order, not upsert order.
 func TestWouldDefaultSorted(t *testing.T) {
 	a, _ := testAssessor(t, 5, 4)
-	tab := newTable(a, 3)
+	tab := newTable(a)
 	for _, name := range []string{"zoe", "ada", "mel"} {
 		p := privacy.NewPrefs(name, 0) // any positive violation defaults
 		p.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
@@ -312,11 +307,11 @@ func TestWouldDefaultSorted(t *testing.T) {
 // TestReportMiss covers the absent-provider read and the empty table.
 func TestReportMiss(t *testing.T) {
 	a, _ := testAssessor(t, 2, 2)
-	tab := newTable(a, 2)
-	if _, ok := tab.shard("ghost").Get("ghost"); ok {
+	tab := newTable(a)
+	if _, ok := tab.Get("ghost"); ok {
 		t.Error("absent provider should miss")
 	}
-	if s := tab.summary(); s.N != 0 || !floatutil.Zero(s.PW()) {
+	if s := tab.Partial(); s.N != 0 || !floatutil.Zero(s.PW()) {
 		t.Errorf("empty summary = %+v", s)
 	}
 	if rep := tab.snapshot(); rep.N != 0 || len(rep.Providers) != 0 {

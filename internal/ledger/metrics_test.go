@@ -9,13 +9,13 @@ import (
 // TestMetricsCounters pins the instrumentation to the memoization
 // semantics: a repeated upsert with an unchanged version is a hit, a
 // version bump is a miss plus a delta apply, a batch counts one miss per
-// item, and a table rebuild counts once however many shards it has.
+// item, and a table rebuild counts once however wide its fan-out.
 // Counters live in the shared default registry, so the test asserts
 // deltas, not absolutes.
 func TestMetricsCounters(t *testing.T) {
 	a, gen := testAssessor(t, 11, 2)
 	pop := population.PrefsOf(gen.Generate(10))
-	tab := newTable(a, 3)
+	tab := newTable(a)
 	hits0, misses0 := mMemoHits.Value(), mMemoMisses.Value()
 	applies0, rebuilds0 := mDeltaApplies.Value(), mRebuilds.Value()
 
@@ -51,22 +51,22 @@ func TestMetricsCounters(t *testing.T) {
 	for i, p := range pop {
 		batch = append(batch, Item{Key: p.Provider, Prefs: p, Version: uint64(100 + i)})
 	}
-	tab.shards[0].UpsertBatch(a, batch)
+	tab.UpsertBatch(a, batch)
 	if got := mMemoMisses.Value() - misses0; got != 21 {
 		t.Errorf("batch: misses moved %d, want 21", got)
 	}
 	a2, _ := testAssessor(t, 11, 1)
-	RebuildShards(tab.shards, a2)
+	tab.Rebuild(a2)
 	if got := mRebuilds.Value() - rebuilds0; got != 1 {
 		t.Errorf("rebuilds moved %d, want 1", got)
 	}
 
 	// The rows gauge tracks this table (last mutator wins process-wide).
-	if got := mRows.Value(); int64(got) != tab.total.Load() {
-		t.Errorf("rows gauge = %g, want %d", got, tab.total.Load())
+	if got := mRows.Value(); int(got) != tab.Len() {
+		t.Errorf("rows gauge = %g, want %d", got, tab.Len())
 	}
-	tab.shard(pop[0].Provider).Remove(pop[0].Provider)
-	if got := mRows.Value(); int64(got) != tab.total.Load() {
-		t.Errorf("rows gauge after remove = %g, want %d", got, tab.total.Load())
+	tab.Remove(pop[0].Provider)
+	if got := mRows.Value(); int(got) != tab.Len() {
+		t.Errorf("rows gauge after remove = %g, want %d", got, tab.Len())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/population"
 	"repro/internal/privacy"
 )
@@ -20,7 +19,7 @@ func TestConcurrentLedger(t *testing.T) {
 	_, gen2 := testAssessor(t, 77, 2)
 	edits := population.PrefsOf(gen2.Generate(120))
 
-	l, err := NewSharded(a1, 1, 4)
+	l, err := New(a1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +80,13 @@ func TestConcurrentLedger(t *testing.T) {
 
 	// Quiesced: one final rebuild pins every row to a1, and the table must
 	// match assessing whatever preferences survived (white-box: read them
-	// straight out of the shards, in global key order).
+	// straight out of the table, in key order).
 	l.Rebuild(a1, 100)
 	snap := l.Snapshot()
-	keys := make([][]string, len(l.shards))
-	rows := make([][]*Row, len(l.shards))
-	for i, s := range l.shards {
-		keys[i], rows[i] = s.Rows()
-	}
 	survivors := make([]*privacy.Prefs, 0, len(pop))
-	core.MergeSorted(keys, func(r, i int) { survivors = append(survivors, rows[r][i].Prefs) })
+	for _, r := range l.table.Rows() {
+		survivors = append(survivors, r.Prefs)
+	}
 	want := a1.AssessPopulation(survivors)
 	if !reflect.DeepEqual(snap, want) {
 		t.Errorf("post-stress snapshot inconsistent: N=%d PW=%g total=%g vs recompute PW=%g total=%g",

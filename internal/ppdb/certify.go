@@ -43,8 +43,8 @@ type Certification struct {
 }
 
 // CertificationSummary is the aggregate-only certification: the population
-// quantities without per-provider rows, answered from the shards' running
-// aggregates in O(P). TotalViolations is the running float total (last-ulp
+// quantities without per-provider rows, answered from the table's running
+// aggregate in O(1). TotalViolations is the running float total (last-ulp
 // approximate — see internal/ledger); every other field is exact.
 type CertificationSummary struct {
 	At              time.Time
@@ -73,17 +73,17 @@ func (d *DB) Certify(alpha float64) (*Certification, error) {
 	d.mu.RLock()
 	policy := d.policy
 	now := d.now
-	keys, rows := d.snapshotShared()
+	rows := d.table.Rows()
 	d.mu.RUnlock()
-	return certification(now, policy.Name, alpha, ledger.Assemble(keys, rows)), nil
+	return certification(now, policy.Name, alpha, ledger.Assemble(rows)), nil
 }
 
 // CertifyFull recomputes the certification from scratch over the whole
 // population — the O(N) cold path, kept as the oracle the equivalence tests
 // compare Certify against. It runs the columnar kernel (DESIGN.md §13) over
-// each shard's compiled tuple columns, one worker and one scratch arena per
-// shard, then merges the per-shard sorted rows into global sorted provider
-// order before assembling — the same enumeration and float-sum order as a
+// the rows' compiled tuple columns across the fan-out, one scratch arena
+// per key range, into slots aligned with the sorted rows, then assembles
+// them in that order — the same enumeration and float-sum order as a
 // serial per-provider recompute, so the result is bit-identical to it.
 //
 //lint:deterministic certification bytes are the paper's auditable artifact (Eq. 12-16)
@@ -96,27 +96,23 @@ func (d *DB) CertifyFull(alpha float64) (*Certification, error) {
 	policy := d.policy
 	assessor := d.assessor
 	now := d.now
-	keys, rows := d.snapshotShared()
+	rows := d.table.Rows()
 	d.mu.RUnlock()
 
-	// Assess shard-by-shard: the rows are immutable, so no lock is needed;
-	// each worker reuses one scratch arena across its whole run.
-	reps := make([][]core.ProviderReport, len(rows))
-	core.FanOut(len(rows), len(rows), func(i int) {
-		out := make([]core.ProviderReport, len(rows[i]))
+	// The rows are immutable, so no lock is needed; each worker reuses one
+	// scratch arena across its whole range.
+	reps := make([]core.ProviderReport, len(rows))
+	core.FanOut(len(rows), func(lo, hi int) {
 		var sc core.Scratch
-		for j, r := range rows[i] {
-			out[j] = assessor.AssessRow(r.Prefs, r.Compiled, &sc)
+		for i := lo; i < hi; i++ {
+			reps[i] = assessor.AssessRow(rows[i].Prefs, rows[i].Compiled, &sc)
 		}
-		reps[i] = out
 	})
-	merged := make([]core.ProviderReport, 0, d.NumProviders())
-	core.MergeSorted(keys, func(r, i int) { merged = append(merged, reps[r][i]) })
-	return certification(now, policy.Name, alpha, core.AssemblePopulation(merged)), nil
+	return certification(now, policy.Name, alpha, core.AssemblePopulation(reps)), nil
 }
 
 // CertifySummary answers the population-level certification without
-// materializing per-provider rows, in O(P).
+// materializing per-provider rows, in O(1).
 func (d *DB) CertifySummary(alpha float64) (*CertificationSummary, error) {
 	if err := checkAlpha(alpha); err != nil {
 		return nil, err
@@ -126,7 +122,7 @@ func (d *DB) CertifySummary(alpha float64) (*CertificationSummary, error) {
 	policy := d.policy
 	now := d.now
 	version := d.policyVersion
-	sum := d.summaryShared()
+	sum := d.table.Partial()
 	d.mu.RUnlock()
 	return &CertificationSummary{
 		At:              now,

@@ -14,12 +14,13 @@ import (
 // TestColumnarKernelMatchesReferenceAcrossShards is the randomized-
 // population property test for the columnar certify core (DESIGN.md §13):
 // after a full mutation history (bulk build, point registrations,
-// self-service edits, removals, a policy swap that recompiles every shard)
+// self-service edits, removals, a policy swap that recompiles every row)
 // the stored compiled tuple columns must still agree with a fresh compile
 // — per provider (identical ProviderReports: conf, dimensions, defaults),
 // per certification (byte-identical to a serial AssessProvider recompute),
-// and per snapshot (byte-identical artifacts) — at 1, 2 and 8 shards. The
-// kernel itself is pinned to the paper's row walks in internal/core.
+// and per snapshot (byte-identical artifacts) — at fan-out widths 1, 2
+// and 8 (procSweep). The kernel itself is pinned to the paper's row walks
+// in internal/core.
 func TestColumnarKernelMatchesReferenceAcrossShards(t *testing.T) {
 	readDir := func(t *testing.T, dir string) map[string][]byte {
 		t.Helper()
@@ -46,37 +47,36 @@ func TestColumnarKernelMatchesReferenceAcrossShards(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			var baseCert []byte
 			var baseSnap map[string][]byte
-			for _, shards := range shardSweepCounts {
-				db := buildShardedDB(t, seed, shards)
+			for _, procs := range procSweep {
+				setProcs(t, procs)
+				db := buildSweepDB(t, seed)
 
 				// (a) Row equivalence: every stored provider must carry
 				// current compiled columns, and the kernel's report for them
 				// must equal a fresh compile's field-for-field.
 				db.mu.RLock()
 				assessor := db.assessor
-				keys, rows := db.snapshotShared()
+				keys, rows := db.table.Keys(), db.table.Rows()
 				db.mu.RUnlock()
 				var sc core.Scratch
 				checked := 0
-				for i := range rows {
-					for j, r := range rows[i] {
-						if !r.Compiled.CurrentFor(assessor) {
-							t.Fatalf("shards=%d: provider %s has stale or missing compiled columns", shards, keys[i][j])
-						}
-						want := assessor.AssessProvider(r.Prefs)
-						got := assessor.AssessCompiled(r.Compiled, &sc)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("shards=%d: kernel report for %s differs\n got: %+v\nwant: %+v",
-								shards, keys[i][j], got, want)
-						}
-						checked++
+				for i, r := range rows {
+					if !r.Compiled.CurrentFor(assessor) {
+						t.Fatalf("procs=%d: provider %s has stale or missing compiled columns", procs, keys[i])
 					}
+					want := assessor.AssessProvider(r.Prefs)
+					got := assessor.AssessCompiled(r.Compiled, &sc)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("procs=%d: kernel report for %s differs\n got: %+v\nwant: %+v",
+							procs, keys[i], got, want)
+					}
+					checked++
 				}
 				if checked == 0 {
 					t.Fatal("mutation history left an empty population")
 				}
 
-				// (b) Certification equivalence: the sharded CertifyFull
+				// (b) Certification equivalence: the fanned-out CertifyFull
 				// must be byte-identical to a serial recompute
 				// (AssessPopulation over the sorted population), and the
 				// incremental ledger path must match the full recompute.
@@ -86,16 +86,16 @@ func TestColumnarKernelMatchesReferenceAcrossShards(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(mustJSON(t, cert.Report), mustJSON(t, ref)) {
-					t.Errorf("shards=%d: columnar certification diverges from the serial reference", shards)
+					t.Errorf("procs=%d: columnar certification diverges from the serial reference", procs)
 				}
-				requireCertEquiv(t, db, 0.25, fmt.Sprintf("columnar shards=%d", shards))
+				requireCertEquiv(t, db, 0.25, fmt.Sprintf("columnar procs=%d", procs))
 
-				// (c) Shard-count independence: certification bytes and
-				// every snapshot artifact identical at 1, 2 and 8 shards.
+				// (c) Width independence: certification bytes and every
+				// snapshot artifact identical at every sweep width.
 				out := mustJSON(t, cert)
 				dir := filepath.Join(t.TempDir(), "snap")
 				if err := db.Save(dir); err != nil {
-					t.Fatalf("shards=%d: Save: %v", shards, err)
+					t.Fatalf("procs=%d: Save: %v", procs, err)
 				}
 				files := readDir(t, dir)
 				if baseCert == nil {
@@ -103,14 +103,14 @@ func TestColumnarKernelMatchesReferenceAcrossShards(t *testing.T) {
 					continue
 				}
 				if !bytes.Equal(out, baseCert) {
-					t.Errorf("shards=%d: certification bytes differ from shards=%d", shards, shardSweepCounts[0])
+					t.Errorf("procs=%d: certification bytes differ from procs=%d", procs, procSweep[0])
 				}
 				if len(files) != len(baseSnap) {
-					t.Errorf("shards=%d: %d snapshot artifacts, want %d", shards, len(files), len(baseSnap))
+					t.Errorf("procs=%d: %d snapshot artifacts, want %d", procs, len(files), len(baseSnap))
 				}
 				for name, want := range baseSnap {
 					if got, ok := files[name]; !ok || !bytes.Equal(got, want) {
-						t.Errorf("shards=%d: snapshot artifact %s differs from shards=%d", shards, name, shardSweepCounts[0])
+						t.Errorf("procs=%d: snapshot artifact %s differs from procs=%d", procs, name, procSweep[0])
 					}
 				}
 			}

@@ -150,7 +150,7 @@ func TestLedgerCertifyEquivalence(t *testing.T) {
 }
 
 // TestPolicyDeltaMatchesCertifyFull pins SetPolicy's what-if deltas, read
-// from the shards' running aggregates around the rebuild, to full
+// from the table's running aggregate around the rebuild, to full
 // recomputes before and after the swap.
 func TestPolicyDeltaMatchesCertifyFull(t *testing.T) {
 	gen := equivGenerator(t, 99)

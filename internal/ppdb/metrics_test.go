@@ -52,13 +52,14 @@ func TestCertifyPathCounters(t *testing.T) {
 }
 
 // TestLedgerSeriesCountTheStore pins the ledger_* series to the served
-// DB's provider table: one SetPolicy is exactly one rebuild however many
-// shards there are, and ledger_rows follows NumProviders through a
+// DB's provider table: one SetPolicy is exactly one rebuild however wide
+// its fan-out, and ledger_rows follows NumProviders through a
 // registration, a batch and a removal.
 func TestLedgerSeriesCountTheStore(t *testing.T) {
 	rebuilds := metrics.Default.Counter("ledger_rebuilds_total", "")
 	rows := metrics.Default.Gauge("ledger_rows", "")
-	db, err := New(Config{Policy: clinicDB(t).Policy(), Shards: 4})
+	setProcs(t, 4)
+	db, err := New(Config{Policy: clinicDB(t).Policy()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ var provenanceColumns = []string{"row", "provider", "inserted", "expired"}
 // state, keeping the displaced generation at <dir>.prev. On error the
 // snapshot at dir (if any) is untouched.
 //
-//lint:deterministic snapshot bytes must be identical across runs and shard counts
+//lint:deterministic snapshot bytes must be identical across runs and fan-out widths
 func (d *DB) Save(dir string) error {
 	_, err := d.save(dir)
 	return err
@@ -141,8 +141,8 @@ func (d *DB) save(dir string) (uint64, error) {
 	start := time.Now()
 	d.mu.RLock()
 	var lsn uint64
-	if d.wal != nil {
-		lsn = d.wal.LastLSN()
+	if w := d.wal.Load(); w != nil {
+		lsn = w.LastLSN()
 	}
 	artifacts, savedAt, err := d.renderLocked()
 	d.mu.RUnlock()
@@ -160,9 +160,9 @@ func (d *DB) save(dir string) (uint64, error) {
 // renderLocked serializes the full state into artifact bytes keyed by
 // snapshot-relative path. Pure rendering — no IO — so the read lock is
 // held only as long as the state is being walked. Providers render in
-// global sorted key order and each table renders independently (one
-// goroutine per table, capped at the shard fan-out width), so the bytes
-// are deterministic run to run and identical for every shard count.
+// sorted key order and the tables render independently across the fan-out,
+// each into its own slot, so the bytes are deterministic run to run and
+// identical for every fan-out width.
 func (d *DB) renderLocked() (map[string][]byte, time.Time, error) {
 	artifacts := map[string][]byte{}
 
@@ -172,7 +172,7 @@ func (d *DB) renderLocked() (map[string][]byte, time.Time, error) {
 		AttrSens: d.attrSens,
 		Scales:   d.scales,
 	}
-	_, doc.Providers = d.sortedProvidersShared()
+	doc.Providers = d.providersLocked()
 	artifacts["corpus.dsl"] = []byte(policydsl.Render(doc))
 
 	state := stateJSON{Now: d.now, Tables: map[string]tableJSON{}}
@@ -180,8 +180,10 @@ func (d *DB) renderLocked() (map[string][]byte, time.Time, error) {
 	// run to run (map iteration order is not).
 	tableNames := d.tableNamesLocked()
 	data, meta := make([][]byte, len(tableNames)), make([][]byte, len(tableNames))
-	core.FanOut(len(tableNames), len(d.shards), func(i int) {
-		data[i], meta[i] = renderTable(d.tables[tableNames[i]])
+	core.FanOut(len(tableNames), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			data[i], meta[i] = renderTable(d.tables[tableNames[i]])
+		}
 	})
 	for i, name := range tableNames {
 		t := d.tables[name]

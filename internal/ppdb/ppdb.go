@@ -13,19 +13,16 @@
 // stated preferences and the practiced disclosure therefore coincide (the
 // transparency requirement of Sec. 1).
 //
-// Concurrency (DESIGN.md §11): providers are sharded by FNV-1a hash of the
-// canonical provider key (core.ShardIndex) into Config.Shards shards. Each
-// shard is one lock around one partition of the provider table
-// (ledger.Shard: prefs, compiled columns and memoized report per provider,
-// plus the shard's running aggregate), so point operations on different
-// providers never contend, and the population-scale paths — CertifyFull,
-// bulk registration, policy rebuilds, sweeps, saves — fan out one goroutine
-// per shard. The top-level d.mu guards the cross-shard state (policy,
-// tables, clock, logs): readers of any shard hold it shared, structural
-// changes hold it exclusively. Each registered table is one rowTable, the
-// only copy of its rows, with every row's provenance inline; it has no
-// lock of its own, so d.mu guards it too. Lock order is always d.mu →
-// dbShard.mu → wal.Log.
+// Concurrency (DESIGN.md §11): one lock, d.mu, guards everything — the
+// provider table (ledger.Table: prefs, compiled columns and memoized report
+// per provider in sorted key order, plus the running aggregate), the
+// policy, the registered tables, the clock and the logs. Readers hold it
+// shared and every mutation holds it exclusively. The population-scale
+// paths — CertifyFull, bulk registration, policy rebuilds, what-ifs,
+// sweeps, saves — fan out over contiguous ranges of their input
+// (core.FanOut) and reduce serially in order. Each registered table is one
+// rowTable, the only copy of its rows, with every row's provenance inline.
+// Lock order is always d.mu → wal.Log.
 package ppdb
 
 import (
@@ -59,43 +56,27 @@ var (
 		"current P(Default), the fraction of providers whose severity exceeds their threshold (Def. 5)")
 )
 
-// publishGaugesShared refreshes the population gauges from the shards'
-// running aggregates (O(P)). The caller holds d.mu at least shared.
-func (d *DB) publishGaugesShared() {
-	sum := d.summaryShared()
+// publishGaugesLocked refreshes the population gauges from the table's
+// running aggregate (O(1)). The caller holds d.mu.
+func (d *DB) publishGaugesLocked() {
+	sum := d.table.Partial()
 	mProviders.Set(float64(sum.N))
 	mPW.Set(sum.PW())
 	mPDefault.Set(sum.PDefault())
-}
-
-// dbShard owns the providers whose canonical key hashes to its index: one
-// partition of the provider table (rows sorted by key, the running
-// aggregate) and its monotonic registration counter. mu guards both for
-// holders of d.mu shared; a holder of d.mu exclusive owns every shard
-// outright and takes no shard lock.
-type dbShard struct {
-	mu sync.RWMutex
-	ledger.Shard
-	// prefsVersion counts registrations on this shard; stamped onto each
-	// provider's row. Per-shard counters stay monotone per provider because
-	// a provider never changes shards.
-	prefsVersion uint64
 }
 
 // DB is the privacy-preserving database.
 //
 // The whole-program lock order (enforced by ppdblint's lockorder checker
 // over the static call graph) is declared below. The WAL's mutex is
-// innermost — mutations append while holding their serializing lock
-// (shard lock or d.mu), and the log acquires nothing:
+// innermost — mutations append while holding d.mu, and the log acquires
+// nothing:
 //
-//lint:lockorder ppdb.DB < ppdb.dbShard < wal.Log
+//lint:lockorder ppdb.DB < wal.Log
 type DB struct {
-	// mu guards the cross-shard state below (policy, tables, clock,
-	// logs, assessor, policyVersion). Shard-local provider operations hold
-	// it shared plus the owning shard's lock; structural operations (policy
-	// swap, provider removal, table mutation, batch registration) hold it
-	// exclusively. Lock order: mu before any dbShard.mu.
+	// mu guards the state below (provider table, policy, tables, clock,
+	// logs, assessor, policyVersion): readers hold it shared, every
+	// mutation exclusively.
 	mu sync.RWMutex
 
 	scales privacy.Scales
@@ -104,11 +85,8 @@ type DB struct {
 	attrSens privacy.AttributeSensitivities
 	opts     core.Options
 
-	// shards is the provider table, fixed at construction.
-	shards []*dbShard
-	// nProviders counts registered providers across shards (the shards
-	// maintain it), so NumProviders needs no shard sweep.
-	nProviders atomic.Int64
+	// table is the provider table.
+	table *ledger.Table
 
 	// tables holds every registered table's rows; the query engine reads
 	// them in place through enforceSource.Table.
@@ -127,16 +105,18 @@ type DB struct {
 	policyLog []PolicyChange
 
 	// assessor is the cached assessor for (policy, attrSens, opts); every
-	// row in the shards is assessed with it. Only SetPolicy replaces it.
+	// row in the table is assessed with it. Only SetPolicy replaces it.
 	assessor *core.Assessor
 	// policyVersion counts SetPolicy transitions (reported by
 	// CertifySummary and the what-if engine).
 	policyVersion uint64
 
 	// wal is the attached write-ahead log (nil until AttachWAL, and for
-	// DBs that never attach one). Guarded by mu; the Log itself is
-	// self-locking and innermost in the lock order.
-	wal *wal.Log
+	// DBs that never attach one), stored under mu held exclusively. It is
+	// atomic so that a mutation's commit wait, which runs after mu is
+	// released, loads it without queueing on mu behind other writers. The
+	// Log itself is self-locking and innermost in the lock order.
+	wal atomic.Pointer[wal.Log]
 	// loadedLSN is the WAL checkpoint LSN recorded in the snapshot this DB
 	// was loaded from (0 for a fresh DB): replay starts past it.
 	loadedLSN uint64
@@ -180,10 +160,8 @@ type Config struct {
 	Retention RetentionSchedule
 	// Start is the initial simulated time; zero means a fixed epoch.
 	Start time.Time
-	// Shards is the number of provider-table shards (and the width of
-	// every population fan-out); 0 means one per schedulable CPU
-	// (core.DefaultShards). 1 reproduces the serial pre-sharding behavior
-	// exactly. Certification results are byte-identical for every value.
+	// Deprecated: the provider table is one table, and population work
+	// fans out over GOMAXPROCS key ranges; Shards is ignored.
 	Shards int
 }
 
@@ -219,13 +197,6 @@ func New(cfg Config) (*DB, error) {
 	if start.IsZero() {
 		start = time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("ppdb: shard count %d must be >= 0", cfg.Shards)
-	}
-	nShards := cfg.Shards
-	if nShards == 0 {
-		nShards = core.DefaultShards()
-	}
 	hier := make(map[string]generalize.Hierarchy, len(cfg.Hierarchies))
 	for a, h := range cfg.Hierarchies {
 		hier[strings.ToLower(a)] = h
@@ -239,7 +210,7 @@ func New(cfg Config) (*DB, error) {
 		policy:        cfg.Policy,
 		attrSens:      cfg.AttrSens,
 		opts:          cfg.Options,
-		shards:        make([]*dbShard, nShards),
+		table:         ledger.NewTable(),
 		tables:        make(map[string]*rowTable),
 		hierarchies:   hier,
 		retention:     ret,
@@ -248,29 +219,25 @@ func New(cfg Config) (*DB, error) {
 		assessor:      assessor,
 		policyVersion: 1,
 	}
-	for i := range d.shards {
-		d.shards[i] = &dbShard{Shard: ledger.NewShard(&d.nProviders)}
-	}
 	d.generalizers = make(map[string]*generalizer, len(hier))
 	for a, h := range hier {
 		d.generalizers[a] = d.newGeneralizer(h)
 	}
 	d.suppressGen = d.newGeneralizer(suppressOnly{})
-	d.publishGaugesShared()
+	d.publishGaugesLocked()
 	return d, nil
 }
 
-// ShardCount returns the number of provider-table shards (also the width
-// of population fan-outs).
-func (d *DB) ShardCount() int { return len(d.shards) }
+// ShardCount returns 1.
+//
+// Deprecated: the provider table is not sharded.
+func (d *DB) ShardCount() int { return 1 }
 
-// NumProviders returns the number of registered providers, O(1) from the
-// cross-shard counter.
-func (d *DB) NumProviders() int { return int(d.nProviders.Load()) }
-
-// shardOf routes a canonical (lowercased) provider key to its shard.
-func (d *DB) shardOf(key string) *dbShard {
-	return d.shards[core.ShardIndex(key, len(d.shards))]
+// NumProviders returns the number of registered providers.
+func (d *DB) NumProviders() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.table.Len()
 }
 
 // Now returns the simulated clock.
@@ -370,9 +337,8 @@ func (d *DB) tableNamesLocked() []string {
 
 // RegisterProvider records a provider's preferences. Re-registering replaces
 // the previous preferences (providers may revise them). Each registration
-// bumps the owning shard's prefs version and re-assesses that one row (an
-// O(1) delta to the shard's aggregate), holding only d.mu shared plus that
-// shard's lock — so registrations on different shards proceed in parallel.
+// bumps the table's prefs version and re-assesses that one row (an O(1)
+// delta to the running aggregate) under d.mu exclusive.
 func (d *DB) RegisterProvider(p *privacy.Prefs) error {
 	if p == nil {
 		return fmt.Errorf("ppdb: nil preferences")
@@ -380,38 +346,29 @@ func (d *DB) RegisterProvider(p *privacy.Prefs) error {
 	if err := p.Validate(d.scales); err != nil {
 		return err
 	}
-	d.mu.RLock()
-	lsn, err := d.registerShared(p)
-	if err == nil {
-		d.publishGaugesShared()
-	}
-	d.mu.RUnlock()
+	d.mu.Lock()
+	lsn, err := d.registerLocked(p)
+	d.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	return d.walWait(lsn)
 }
 
-// registerShared stores validated preferences under the owning shard's
-// lock with a fresh prefs version, assessing the row with the columnar
-// kernel. The preferences are compiled once, outside the shard lock. The
-// caller holds d.mu at least shared (so the policy cannot swap
-// mid-write). The WAL record is appended inside the shard critical section
-// — WAL order equals apply order — and the returned LSN is handed back so
-// the caller can commit-wait after the locks release.
-func (d *DB) registerShared(p *privacy.Prefs) (uint64, error) {
-	key := strings.ToLower(p.Provider)
-	c := d.assessor.Compile(p)
-	rec := policydsl.ProviderToJSON(p)
-	s := d.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lsn, err := d.walAppendLocked(walRecUpsert, rec)
+// registerLocked stores validated preferences with a fresh prefs version,
+// compiling them and assessing the row with the columnar kernel. The
+// caller holds d.mu exclusively, so the policy cannot swap mid-write. The
+// WAL record is appended in the same critical section — WAL order equals
+// apply order — and the returned LSN is handed back so the caller can
+// commit-wait after the lock is released.
+func (d *DB) registerLocked(p *privacy.Prefs) (uint64, error) {
+	lsn, err := d.walAppendLocked(walRecUpsert, policydsl.ProviderToJSON(p))
 	if err != nil {
 		return 0, err
 	}
-	s.prefsVersion++
-	s.Upsert(d.assessor, ledger.Item{Key: key, Prefs: p, Compiled: c, Version: s.prefsVersion})
+	d.table.Upsert(d.assessor, ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p,
+		Compiled: d.assessor.Compile(p), Version: d.table.NextVersion()})
+	d.publishGaugesLocked()
 	d.mutSeq.Add(1)
 	return lsn, nil
 }
@@ -419,8 +376,8 @@ func (d *DB) registerShared(p *privacy.Prefs) (uint64, error) {
 // RegisterProviders records a batch of providers atomically: every
 // preference set is validated before any is stored, the batch holds d.mu
 // exclusively (no interleaved reads observe a half-applied batch), and the
-// rows are built one goroutine per shard — the cold-build path Load and
-// the HTTP bulk upload use.
+// rows are compiled and assessed across the fan-out — the cold-build path
+// Load and the HTTP bulk upload use.
 func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 	for i, p := range ps {
 		if p == nil {
@@ -440,25 +397,17 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 		d.mu.Unlock()
 		return err
 	}
-	buckets := make([][]*privacy.Prefs, len(d.shards))
-	for _, p := range ps {
-		i := core.ShardIndex(strings.ToLower(p.Provider), len(d.shards))
-		buckets[i] = append(buckets[i], p)
-	}
-	core.FanOut(len(d.shards), len(d.shards), func(i int) {
-		if len(buckets[i]) == 0 {
-			return
+	items := make([]ledger.Item, len(ps))
+	core.FanOut(len(ps), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			items[i] = ledger.Item{Key: strings.ToLower(ps[i].Provider), Prefs: ps[i], Compiled: d.assessor.Compile(ps[i])}
 		}
-		s := d.shards[i]
-		items := make([]ledger.Item, len(buckets[i]))
-		for j, p := range buckets[i] {
-			s.prefsVersion++
-			items[j] = ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p,
-				Compiled: d.assessor.Compile(p), Version: s.prefsVersion}
-		}
-		s.UpsertBatch(d.assessor, items)
 	})
-	d.publishGaugesShared()
+	for i := range items {
+		items[i].Version = d.table.NextVersion()
+	}
+	d.table.UpsertBatch(d.assessor, items)
+	d.publishGaugesLocked()
 	d.mu.Unlock()
 	d.mutSeq.Add(1)
 	return d.walWait(lsn)
@@ -468,29 +417,31 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 func (d *DB) Provider(name string) (*privacy.Prefs, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	r, ok := d.rowShared(strings.ToLower(name))
+	r, ok := d.table.Get(strings.ToLower(name))
 	if !ok {
 		return nil, false
 	}
 	return r.Prefs, true
 }
 
-// rowShared reads one provider's row under its shard lock; the caller holds
-// d.mu at least shared. The returned row is immutable.
-func (d *DB) rowShared(key string) (*ledger.Row, bool) {
-	s := d.shardOf(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.Get(key)
-}
-
 // Providers returns all registered preferences, sorted by provider key so
-// reports and persisted artifacts derived from it are stable across runs
-// and across shard counts.
+// reports and persisted artifacts derived from it are stable across runs.
 func (d *DB) Providers() []*privacy.Prefs {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	_, prefs := d.sortedProvidersShared()
+	return d.providersLocked()
+}
+
+// providersLocked returns the registered preferences in sorted key order —
+// the one iteration order every assessment and persistence path shares,
+// so float sums and artifacts are reproducible run to run. The caller
+// holds d.mu at least shared.
+func (d *DB) providersLocked() []*privacy.Prefs {
+	rows := d.table.Rows()
+	prefs := make([]*privacy.Prefs, len(rows))
+	for i, r := range rows {
+		prefs[i] = r.Prefs
+	}
 	return prefs
 }
 
@@ -501,7 +452,7 @@ func (d *DB) Providers() []*privacy.Prefs {
 func (d *DB) ProvidersPage(prefix string, offset, limit int) (int, []string) {
 	prefix = strings.ToLower(prefix)
 	d.mu.RLock()
-	keys, _ := d.sortedProvidersShared()
+	keys := d.table.Keys()
 	d.mu.RUnlock()
 	if prefix != "" {
 		filtered := keys[:0]
@@ -529,49 +480,6 @@ func (d *DB) ProvidersPage(prefix string, offset, limit int) (int, []string) {
 	return total, append([]string(nil), keys[offset:end]...)
 }
 
-// sortedProvidersShared returns the providers in global sorted key order —
-// the one iteration order every assessment and persistence path shares, so
-// float sums and artifacts are reproducible run to run and identical for
-// every shard count. The caller holds d.mu at least shared.
-func (d *DB) sortedProvidersShared() ([]string, []*privacy.Prefs) {
-	keys, rows := d.snapshotShared()
-	outKeys := make([]string, 0, d.NumProviders())
-	prefs := make([]*privacy.Prefs, 0, d.NumProviders())
-	core.MergeSorted(keys, func(r, i int) {
-		outKeys = append(outKeys, keys[r][i])
-		prefs = append(prefs, rows[r][i].Prefs)
-	})
-	return outKeys, prefs
-}
-
-// snapshotShared copies every shard's sorted keys and row pointers under
-// that shard's read lock — the consistent per-shard runs the
-// population-scale paths (certification, what-if, persistence, listings)
-// read after releasing the locks; rows are immutable. The caller holds d.mu
-// at least shared.
-func (d *DB) snapshotShared() ([][]string, [][]*ledger.Row) {
-	keys := make([][]string, len(d.shards))
-	rows := make([][]*ledger.Row, len(d.shards))
-	for i, s := range d.shards {
-		s.mu.RLock()
-		keys[i], rows[i] = s.Rows()
-		s.mu.RUnlock()
-	}
-	return keys, rows
-}
-
-// summaryShared merges the shards' running aggregates in fixed shard-index
-// order — O(P), no row is touched. The caller holds d.mu at least shared.
-func (d *DB) summaryShared() core.Partial {
-	parts := make([]core.Partial, len(d.shards))
-	for i, s := range d.shards {
-		s.mu.RLock()
-		parts[i] = s.Partial()
-		s.mu.RUnlock()
-	}
-	return core.MergePartials(parts)
-}
-
 // RemoveProvider deletes a provider's preferences and all of their rows —
 // the mechanics of a default (Def. 4): the provider leaves and contributes
 // zero information. Returns the number of rows deleted: every id on the
@@ -585,12 +493,12 @@ func (d *DB) RemoveProvider(name string) (int, error) {
 		d.mu.Unlock()
 		return 0, err
 	}
-	d.shardOf(key).Remove(key)
+	d.table.Remove(key)
 	removed := 0
 	for _, t := range d.tables {
 		removed += t.removeProvider(key)
 	}
-	d.publishGaugesShared()
+	d.publishGaugesLocked()
 	d.mu.Unlock()
 	d.mutSeq.Add(1)
 	return removed, d.walWait(lsn)
@@ -620,7 +528,7 @@ func (d *DB) Insert(table, provider string, row relational.Row) (relational.RowI
 // auditable: its provider is registered and named in its provider column.
 // The caller holds d.mu exclusively.
 func (d *DB) addLocked(t *rowTable, id relational.RowID, s rowSlot) error {
-	if _, ok := d.rowShared(s.provider); !ok {
+	if _, ok := d.table.Get(s.provider); !ok {
 		return fmt.Errorf("ppdb: provider %q is not registered", s.provider)
 	}
 	if err := ownsRow(t, s.row, s.provider); err != nil {
@@ -653,8 +561,8 @@ func (d *DB) TableLen(table string) int {
 // SetPolicy swaps the house policy, measuring the before/after population
 // impact and appending to the policy log. The returned what-if deltas let
 // callers decide whether to notify providers. Both sides are read from the
-// shards' running aggregates in O(P); between them every row is recompiled
-// and re-assessed, one goroutine per shard.
+// table's running aggregate in O(1); between them every row is recompiled
+// and re-assessed across the fan-out.
 func (d *DB) SetPolicy(next *privacy.HousePolicy) (PolicyChange, error) {
 	change, lsn, err := d.setPolicyExclusive(next)
 	if err != nil {
@@ -688,20 +596,16 @@ func (d *DB) setPolicyExclusive(next *privacy.HousePolicy) (PolicyChange, uint64
 		From: d.policy.Name,
 		To:   next.Name,
 	}
-	before := d.summaryShared()
+	before := d.table.Partial()
 	d.policyVersion++
-	tables := make([]*ledger.Shard, len(d.shards))
-	for i, s := range d.shards {
-		tables[i] = &s.Shard
-	}
-	ledger.RebuildShards(tables, after)
-	afterSum := d.summaryShared()
+	d.table.Rebuild(after)
+	afterSum := d.table.Partial()
 	change.DeltaPW = afterSum.PW() - before.PW()
 	change.DeltaPDefault = afterSum.PDefault() - before.PDefault()
 	d.assessor = after
 	d.policy = next
 	d.policyLog = append(d.policyLog, change)
 	d.mutSeq.Add(1)
-	d.publishGaugesShared()
+	d.publishGaugesLocked()
 	return change, lsn, nil
 }

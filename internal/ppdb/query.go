@@ -46,9 +46,8 @@ type EnforcedQuery struct {
 
 // enforceSource adapts the DB to query.Source. Every method is called by
 // the engine while QueryEnforced holds d.mu shared, so the tables, the
-// clock and the retention schedule are stable for the whole query;
-// provider reads take the owning shard's lock (mu → dbShard.mu, the
-// declared order).
+// provider rows, the clock and the retention schedule are stable for the
+// whole query.
 type enforceSource struct {
 	d *DB
 }
@@ -64,7 +63,7 @@ func (s enforceSource) Table(name string) (query.Rows, bool) {
 
 // Provider implements query.Source.
 func (s enforceSource) Provider(key string) (*privacy.Prefs, *core.CompiledPrefs, bool) {
-	r, ok := s.d.rowShared(key)
+	r, ok := s.d.table.Get(key)
 	if !ok {
 		return nil, nil, false
 	}

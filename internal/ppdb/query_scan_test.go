@@ -19,7 +19,7 @@ import (
 // Each provider's preferences are drawn from rng: levels below the policy
 // suppress the row, coarsen a cell or expire it. age generalizes through a
 // numeric hierarchy; weight and city have none and degrade to "*".
-func scanDB(t testing.TB, shards, n int, seed int64) *DB {
+func scanDB(t testing.TB, n int, seed int64) *DB {
 	t.Helper()
 	ageH, err := generalize.NewNumericHierarchy(10, 2, 2)
 	if err != nil {
@@ -30,7 +30,7 @@ func scanDB(t testing.TB, shards, n int, seed int64) *DB {
 		hp.Add(attr, privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
 		hp.Add(attr, privacy.Tuple{Purpose: "research", Visibility: 3, Granularity: 2, Retention: 3})
 	}
-	db, err := New(Config{Policy: hp, Shards: shards, Hierarchies: map[string]generalize.Hierarchy{"age": ageH}})
+	db, err := New(Config{Policy: hp, Hierarchies: map[string]generalize.Hierarchy{"age": ageH}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,11 @@ func scanQueries(rng *rand.Rand, n int) []EnforcedQuery {
 	return qs
 }
 
-// TestEnforcedScanEquivalence runs one generated query set at 1, 2 and 8
-// shards, with EXPLAIN on and off: every run must answer the same columns,
-// rows, stats and scan kind as the single-shard run without EXPLAIN, and
-// the EXPLAIN traces must agree across shard counts. EXPLAIN off skips the
+// TestEnforcedScanEquivalence runs one generated query set over stores
+// built at every fan-out width (procSweep), with EXPLAIN on and off: every
+// run must answer the same columns, rows, stats and scan kind as the
+// serial run without EXPLAIN, and the EXPLAIN traces must agree across
+// widths. EXPLAIN off skips the
 // trace work and stops at a row's first visibility violation, so this pins
 // that the fast path decides exactly what the traced one does.
 func TestEnforcedScanEquivalence(t *testing.T) {
@@ -151,8 +152,9 @@ func TestEnforcedScanEquivalence(t *testing.T) {
 	var traces []string
 	var matched, probes int
 	var total query.Stats
-	for _, shards := range []int{1, 2, 8} {
-		db := scanDB(t, shards, providers, 2026)
+	for _, procs := range procSweep {
+		setProcs(t, procs)
+		db := scanDB(t, providers, 2026)
 		for _, explain := range []bool{false, true} {
 			for i, q := range qs {
 				q.Explain = explain
@@ -173,14 +175,14 @@ func TestEnforcedScanEquivalence(t *testing.T) {
 					base = append(base, got)
 					continue
 				case got.err != base[i].err || !reflect.DeepEqual(got.res, base[i].res):
-					t.Fatalf("shards=%d explain=%v query %q:\n got %+v %q\nwant %+v %q",
-						shards, explain, q.SQL, got.res, got.err, base[i].res, base[i].err)
+					t.Fatalf("procs=%d explain=%v query %q:\n got %+v %q\nwant %+v %q",
+						procs, explain, q.SQL, got.res, got.err, base[i].res, base[i].err)
 				}
 				if explain {
 					if len(traces) <= i {
 						traces = append(traces, got.trace)
 					} else if got.trace != traces[i] {
-						t.Fatalf("shards=%d query %q: EXPLAIN differs from one shard:\n%s\nwant:\n%s", shards, q.SQL, got.trace, traces[i])
+						t.Fatalf("procs=%d query %q: EXPLAIN differs from the serial run:\n%s\nwant:\n%s", procs, q.SQL, got.trace, traces[i])
 					}
 				}
 			}
@@ -198,7 +200,7 @@ func TestEnforcedScanEquivalence(t *testing.T) {
 // the same at 1k and 10k rows — the per-row path allocates nothing.
 func TestEnforcedScanAllocsFlat(t *testing.T) {
 	scanAllocs := func(n int) float64 {
-		db := scanDB(t, 2, n, 11)
+		db := scanDB(t, n, 11)
 		q := EnforcedQuery{Requester: "analyst", Purpose: "research", Visibility: 3,
 			SQL: "SELECT patient, weight, city FROM people WHERE weight >= 1000 AND weight < 1010 OR city = 'nowhere'"}
 		res, _, err := db.queryShared(q)

@@ -615,15 +615,17 @@ func TestQueryEnforcedCellConformance(t *testing.T) {
 }
 
 // TestShardedEnforcedQueryUnderMutation races enforced queries against
-// provider registration, row inserts, preference edits and policy swaps on
-// a sharded store. Run under -race by the CI shard sweep.
+// provider registration, row inserts, preference edits and policy swaps,
+// with every population fan-out four ranges wide. Run under -race by the
+// CI race sweep.
 func TestShardedEnforcedQueryUnderMutation(t *testing.T) {
 	mkPolicy := func(v privacy.Level) *privacy.HousePolicy {
 		return privacy.NewHousePolicy("race").
 			Add("provider", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 5}).
 			Add("weight", privacy.Tuple{Purpose: "care", Visibility: v, Granularity: 3, Retention: 5})
 	}
-	db, err := New(Config{Policy: mkPolicy(2), Shards: 4})
+	setProcs(t, 4)
+	db, err := New(Config{Policy: mkPolicy(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,9 +94,9 @@ type rowDecision struct {
 // with their row.
 //
 // The sweep runs in two phases (DESIGN.md §11): a read-only decision phase
-// that classifies every row in parallel (one fan-out per table, width =
-// shard count — decisions depend only on provenance, policy and the clock,
-// so rows are independent), then a serial apply phase that mutates rows in
+// that classifies every row in parallel (one fan-out over each table's
+// row ids — decisions depend only on provenance, policy and the clock, so
+// rows are independent), then a serial apply phase that mutates rows in
 // ascending row-ID order, keeping the mutation sequence deterministic.
 // Tables are visited in sorted name order so the full mutation sequence —
 // not just the per-table one — is identical on every run.
@@ -156,30 +156,32 @@ func (d *DB) sweepTable(t *rowTable, rep *SweepReport) error {
 		return d.retention.Expired(d.scales.Retention, cols[i].level, inserted, d.now)
 	}
 
-	// Decision phase: classify every slot, fanned out across the
-	// shard-count worker pool. Reads only; tombstones decide nothing.
+	// Decision phase: classify every slot across the fan-out, one row-id
+	// range per worker. Reads only; tombstones decide nothing.
 	decisions := make([]rowDecision, len(t.slots))
-	core.FanOut(len(t.slots), len(d.shards), func(id int) {
-		s := &t.slots[id]
-		if s.row == nil {
-			return
-		}
-		dec := &decisions[id]
-		liveCovered := 0
-		for i, cp := range cols {
-			// Identity expires with the row, not cell-wise.
-			if !cp.covered || i == t.provIdx || s.expired != nil && s.expired[i] {
+	core.FanOut(len(t.slots), func(lo, hi int) {
+		for id := lo; id < hi; id++ {
+			s := &t.slots[id]
+			if s.row == nil {
 				continue
 			}
-			if expired(i, s.inserted) {
-				dec.expire = append(dec.expire, i)
-			} else {
-				liveCovered++
+			dec := &decisions[id]
+			liveCovered := 0
+			for i, cp := range cols {
+				// Identity expires with the row, not cell-wise.
+				if !cp.covered || i == t.provIdx || s.expired != nil && s.expired[i] {
+					continue
+				}
+				if expired(i, s.inserted) {
+					dec.expire = append(dec.expire, i)
+				} else {
+					liveCovered++
+				}
 			}
+			// The provider column's own retention decides row deletion.
+			rowExpired := !cols[t.provIdx].covered || expired(t.provIdx, s.inserted)
+			dec.del = anyCovered && liveCovered == 0 && rowExpired
 		}
-		// The provider column's own retention decides row deletion.
-		rowExpired := !cols[t.provIdx].covered || expired(t.provIdx, s.inserted)
-		dec.del = anyCovered && liveCovered == 0 && rowExpired
 	})
 
 	// Apply phase: serial, in ascending row-ID order.

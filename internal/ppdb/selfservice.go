@@ -35,7 +35,7 @@ func (d *DB) ProviderView(provider string) ([]OwnRow, error) {
 	key := strings.ToLower(provider)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if _, ok := d.rowShared(key); !ok {
+	if _, ok := d.table.Get(key); !ok {
 		return nil, fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
 	var out []OwnRow
@@ -86,7 +86,7 @@ func (d *DB) UpdateOwnRow(provider, table string, id relational.RowID, row relat
 // The memoized row is returned in O(1).
 func (d *DB) SelfAudit(provider string) (core.ProviderReport, error) {
 	d.mu.RLock()
-	r, ok := d.rowShared(strings.ToLower(provider))
+	r, ok := d.table.Get(strings.ToLower(provider))
 	d.mu.RUnlock()
 	if !ok {
 		return core.ProviderReport{}, fmt.Errorf("ppdb: provider %q is not registered", provider)
@@ -97,7 +97,9 @@ func (d *DB) SelfAudit(provider string) (core.ProviderReport, error) {
 // UpdatePreferences lets a provider revise their preference tuples (and
 // thereby their violation state) — registration is idempotent, this is the
 // explicit self-service spelling. The new preferences must carry the same
-// provider identity.
+// provider identity. The registration check and the write share one d.mu
+// critical section, so an update never re-registers a provider that a
+// concurrent RemoveProvider deleted.
 func (d *DB) UpdatePreferences(provider string, prefs *privacy.Prefs) error {
 	if prefs == nil {
 		return fmt.Errorf("ppdb: nil preferences")
@@ -105,12 +107,18 @@ func (d *DB) UpdatePreferences(provider string, prefs *privacy.Prefs) error {
 	if !strings.EqualFold(provider, prefs.Provider) {
 		return fmt.Errorf("ppdb: preferences are for %q, not %q", prefs.Provider, provider)
 	}
-	key := strings.ToLower(provider)
-	d.mu.RLock()
-	_, registered := d.rowShared(key)
-	d.mu.RUnlock()
-	if !registered {
+	if err := prefs.Validate(d.scales); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	if _, ok := d.table.Get(strings.ToLower(provider)); !ok {
+		d.mu.Unlock()
 		return fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
-	return d.RegisterProvider(prefs)
+	lsn, err := d.registerLocked(prefs)
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return d.walWait(lsn)
 }

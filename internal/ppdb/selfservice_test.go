@@ -1,7 +1,9 @@
 package ppdb
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/privacy"
 	"repro/internal/relational"
@@ -113,5 +115,50 @@ func TestUpdatePreferences(t *testing.T) {
 	}
 	if err := db.UpdatePreferences("bob", nil); err == nil {
 		t.Error("nil prefs must fail")
+	}
+}
+
+// TestUpdatePreferencesNeverResurrects races a self-service update against
+// the removal of the same provider, round after round from a common start.
+// Either order must leave the provider absent: an update that returned nil
+// landed before the remove, and one that came after must fail as
+// unregistered. Checking registration and writing in separate critical
+// sections let the update re-register a provider the remove had deleted.
+func TestUpdatePreferencesNeverResurrects(t *testing.T) {
+	db := clinicDB(t)
+	bob, ok := db.Provider("bob")
+	if !ok {
+		t.Fatal("clinic corpus has no bob")
+	}
+	rounds, deadline := 100000, time.Now().Add(3*time.Second)
+	if testing.Short() {
+		rounds = 2000
+	}
+	for round := 0; round < rounds && time.Now().Before(deadline); round++ {
+		if err := db.RegisterProvider(bob); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		var updateErr, removeErr error
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			updateErr = db.UpdatePreferences("bob", bob)
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			_, removeErr = db.RemoveProvider("bob")
+		}()
+		close(start)
+		wg.Wait()
+		if removeErr != nil {
+			t.Fatal(removeErr)
+		}
+		if _, ok := db.Provider("bob"); ok {
+			t.Fatalf("round %d: update (err = %v) re-registered bob after a completed remove", round, updateErr)
+		}
 	}
 }

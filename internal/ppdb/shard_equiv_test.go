@@ -5,24 +5,33 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/population"
+	"repro/internal/whatif"
 )
 
-// shardSweepCounts are the shard configurations the equivalence sweep
-// runs: serial, a small power of two, and more shards than providers per
-// shard is comfortable with — exercising empty and skewed shards.
-var shardSweepCounts = []int{1, 2, 8}
+// procSweep are the fan-out widths the equivalence sweeps run at. Every
+// population fan-out (core.FanOut) cuts its sorted input into GOMAXPROCS
+// contiguous key ranges — the "shards" the sweep tests are named after:
+// serial, a small power of two, and more ranges than this box has CPUs.
+var procSweep = []int{1, 2, 8}
 
-// buildShardedDB drives one full mutation history — bulk build, serial
-// adds, self-service edits, removals, a policy swap — against a DB with
-// the given shard count and returns it.
-func buildShardedDB(t *testing.T, seed uint64, shards int) *DB {
+// setProcs sets GOMAXPROCS, and with it the fan-out width, for the rest of
+// the test.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// buildSweepDB drives one full mutation history — bulk build, serial
+// adds, self-service edits, removals, a policy swap — and returns the DB.
+func buildSweepDB(t *testing.T, seed uint64) *DB {
 	t.Helper()
 	gen := equivGenerator(t, seed)
 	pop := population.PrefsOf(gen.Generate(200))
-	db, err := New(Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities(), Shards: shards})
+	db, err := New(Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,34 +64,44 @@ func buildShardedDB(t *testing.T, seed uint64, shards int) *DB {
 	return db
 }
 
-// TestShardCountCertifyEquivalence is the shard-count sweep of the ledger
-// equivalence suite: the same mutation history at 1, 2 and 8 shards must
-// produce byte-identical Certify and CertifyFull output — sharding is a
-// storage layout, not an observable behavior. Within each count the
-// incremental ledger must also still match the full recompute.
+// TestShardCountCertifyEquivalence is the fan-out-width sweep of the
+// ledger equivalence suite: the same mutation history at GOMAXPROCS 1, 2
+// and 8 must produce byte-identical Certify, CertifyFull and what-if
+// output — the width decides only how work is split, never an answer.
+// Within each width the incremental ledger must also still match the full
+// recompute.
 func TestShardCountCertifyEquivalence(t *testing.T) {
+	req := &whatif.Request{U: 10, T: 1, Detail: true, Diff: whatif.Diff{
+		Retarget:    []whatif.TupleSpec{{Attribute: "weight", Purpose: "service", Visibility: 1, Granularity: 1, Retention: 1}},
+		Sensitivity: []whatif.SensitivityChange{{Attribute: "income", Value: 7}},
+	}}
 	for _, seed := range []uint64{1, 2011} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			var baseline []byte
-			for _, shards := range shardSweepCounts {
-				db := buildShardedDB(t, seed, shards)
-				if got := db.ShardCount(); got != shards {
-					t.Fatalf("ShardCount() = %d, want %d", got, shards)
+			for _, procs := range procSweep {
+				setProcs(t, procs)
+				db := buildSweepDB(t, seed)
+				if got := db.ShardCount(); got != 1 {
+					t.Fatalf("ShardCount() = %d, want 1", got)
 				}
-				requireCertEquiv(t, db, 0.25, fmt.Sprintf("shards=%d", shards))
+				requireCertEquiv(t, db, 0.25, fmt.Sprintf("procs=%d", procs))
 				cert, err := db.Certify(0.25)
 				if err != nil {
 					t.Fatal(err)
 				}
-				out := mustJSON(t, cert)
+				resp, err := db.WhatIf(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := append(mustJSON(t, cert), mustJSON(t, resp)...)
 				if baseline == nil {
-					baseline = out // shards=1: the serial oracle
+					baseline = out // procs=1: the serial oracle
 					continue
 				}
 				if !bytes.Equal(out, baseline) {
-					t.Errorf("shards=%d certification diverges from serial\nserial:  %.300s\nsharded: %.300s",
-						shards, baseline, out)
+					t.Errorf("procs=%d certification or what-if diverges from serial\nserial: %.300s\nwide:   %.300s",
+						procs, baseline, out)
 				}
 			}
 		})
@@ -90,10 +109,9 @@ func TestShardCountCertifyEquivalence(t *testing.T) {
 }
 
 // TestShardSnapshotByteCompat saves the same database state at every
-// sweep shard count and requires every artifact — providers, policy,
-// tables, MANIFEST.json — to be byte-identical: the snapshot format has
-// no notion of shards, and a snapshot written by a
-// sharded server must load anywhere.
+// sweep width and requires every artifact — providers, policy, tables,
+// MANIFEST.json — to be byte-identical: the snapshot render fans out
+// over the tables, and its bytes must not depend on how wide.
 func TestShardSnapshotByteCompat(t *testing.T) {
 	read := func(t *testing.T, dir string) map[string][]byte {
 		t.Helper()
@@ -116,11 +134,12 @@ func TestShardSnapshotByteCompat(t *testing.T) {
 	}
 
 	var baseline map[string][]byte
-	for _, shards := range shardSweepCounts {
-		db := buildShardedDB(t, 42, shards)
+	for _, procs := range procSweep {
+		setProcs(t, procs)
+		db := buildSweepDB(t, 42)
 		dir := filepath.Join(t.TempDir(), "snap")
 		if err := db.Save(dir); err != nil {
-			t.Fatalf("shards=%d: Save: %v", shards, err)
+			t.Fatalf("procs=%d: Save: %v", procs, err)
 		}
 		files := read(t, dir)
 		if baseline == nil {
@@ -131,26 +150,27 @@ func TestShardSnapshotByteCompat(t *testing.T) {
 			continue
 		}
 		if len(files) != len(baseline) {
-			t.Errorf("shards=%d: %d artifacts, serial wrote %d", shards, len(files), len(baseline))
+			t.Errorf("procs=%d: %d artifacts, serial wrote %d", procs, len(files), len(baseline))
 		}
 		for name, want := range baseline {
 			got, ok := files[name]
 			if !ok {
-				t.Errorf("shards=%d: artifact %s missing", shards, name)
+				t.Errorf("procs=%d: artifact %s missing", procs, name)
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("shards=%d: artifact %s differs from the serial snapshot", shards, name)
+				t.Errorf("procs=%d: artifact %s differs from the serial snapshot", procs, name)
 			}
 		}
 	}
 }
 
-// TestShardSnapshotRoundTrip loads a snapshot written by a sharded DB into
-// DBs of different shard counts and requires certification to survive the
-// trip unchanged.
+// TestShardSnapshotRoundTrip loads a snapshot written at the widest sweep
+// width at every width, the deprecated Config.Shards set to match, and
+// requires certification to survive the trip unchanged.
 func TestShardSnapshotRoundTrip(t *testing.T) {
-	src := buildShardedDB(t, 7, 8)
+	setProcs(t, procSweep[len(procSweep)-1])
+	src := buildSweepDB(t, 7)
 	want, err := src.Certify(0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -159,34 +179,35 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	if err := src.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range shardSweepCounts {
-		db, err := Load(dir, Config{Shards: shards})
+	for _, procs := range procSweep {
+		setProcs(t, procs)
+		db, err := Load(dir, Config{Shards: procs})
 		if err != nil {
-			t.Fatalf("shards=%d: Load: %v", shards, err)
+			t.Fatalf("procs=%d: Load: %v", procs, err)
 		}
 		got, err := db.Certify(0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
-			t.Errorf("shards=%d: certification changed across save/load", shards)
+			t.Errorf("procs=%d: certification changed across save/load", procs)
 		}
-		requireCertEquiv(t, db, 0.25, fmt.Sprintf("loaded shards=%d", shards))
+		requireCertEquiv(t, db, 0.25, fmt.Sprintf("loaded procs=%d", procs))
 	}
 }
 
-// TestShardConfigValidation pins the Config.Shards contract: 0 defaults to
-// one shard per CPU, negatives are rejected.
+// TestShardConfigValidation pins the deprecated Config.Shards shim: every
+// value, negative included, builds the one provider table, and ShardCount
+// reports 1.
 func TestShardConfigValidation(t *testing.T) {
 	gen := equivGenerator(t, 1)
-	if _, err := New(Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities(), Shards: -1}); err == nil {
-		t.Error("negative shard count must be rejected")
-	}
-	db, err := New(Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.ShardCount() < 1 {
-		t.Errorf("default ShardCount() = %d", db.ShardCount())
+	for _, shards := range []int{-1, 0, 1, 8} {
+		db, err := New(Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities(), Shards: shards})
+		if err != nil {
+			t.Fatalf("Shards: %d: %v", shards, err)
+		}
+		if got := db.ShardCount(); got != 1 {
+			t.Errorf("Shards: %d: ShardCount() = %d, want 1", shards, got)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func fuzzTableDB(t testing.TB) *DB {
 	hp.Add("provider", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
 	hp.Add("note", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 4})
 	hp.Add("weight", privacy.Tuple{Purpose: "care", Visibility: 2, Granularity: 3, Retention: 1})
-	db, err := New(Config{Policy: hp, Shards: 1})
+	db, err := New(Config{Policy: hp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func FuzzSnapshotRows(f *testing.F) {
 
 	man := manifestJSON{FormatVersion: FormatVersion}
 	for _, seed := range []map[string][]byte{base, swept} {
-		if _, err := restore(seed, man, Config{Shards: 1}); err != nil {
+		if _, err := restore(seed, man, Config{}); err != nil {
 			f.Fatalf("seed snapshot does not load: %v", err)
 		}
 	}
@@ -120,7 +120,7 @@ func FuzzSnapshotRows(f *testing.F) {
 			arts[rel] = b
 		}
 		arts[dataRel], arts[metaRel] = data, meta
-		got, err := restore(arts, man, Config{Shards: 1})
+		got, err := restore(arts, man, Config{})
 		if err != nil {
 			return
 		}

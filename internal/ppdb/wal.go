@@ -64,14 +64,15 @@ type walSweepJSON struct {
 // On error the caller must abort without applying: a mutation the log
 // rejected would vanish on recovery.
 func (d *DB) walAppendLocked(typ byte, v any) (uint64, error) {
-	if d.wal == nil {
+	w := d.wal.Load()
+	if w == nil {
 		return 0, nil
 	}
 	body, err := json.Marshal(v)
 	if err != nil {
 		return 0, fmt.Errorf("ppdb: wal encode record type %d: %w", typ, err)
 	}
-	lsn, err := d.wal.AppendAsync(wal.Record{Type: typ, Data: body})
+	lsn, err := w.AppendAsync(wal.Record{Type: typ, Data: body})
 	if err != nil {
 		return 0, fmt.Errorf("ppdb: wal append: %w", err)
 	}
@@ -85,9 +86,7 @@ func (d *DB) walWait(lsn uint64) error {
 	if lsn == 0 {
 		return nil
 	}
-	d.mu.RLock()
-	w := d.wal
-	d.mu.RUnlock()
+	w := d.wal.Load()
 	if w == nil {
 		return nil
 	}
@@ -102,7 +101,7 @@ func (d *DB) walWait(lsn uint64) error {
 func (d *DB) AttachWAL(opts wal.Options) (int, error) {
 	start := time.Now()
 	d.mu.RLock()
-	attached := d.wal != nil
+	attached := d.wal.Load() != nil
 	from := d.loadedLSN
 	d.mu.RUnlock()
 	if attached {
@@ -132,7 +131,7 @@ func (d *DB) AttachWAL(opts wal.Options) (int, error) {
 		return n, fmt.Errorf("ppdb: wal replay: %w", err)
 	}
 	d.mu.Lock()
-	d.wal = l
+	d.wal.Store(l)
 	d.mu.Unlock()
 	d.ckptMu.Lock()
 	d.lastCkptLSN = from
@@ -222,8 +221,7 @@ func (d *DB) applyWALRecord(rec wal.Record) error {
 // after the last mutation.
 func (d *DB) CloseWAL() error {
 	d.mu.Lock()
-	w := d.wal
-	d.wal = nil
+	w := d.wal.Swap(nil)
 	d.mu.Unlock()
 	if w == nil {
 		return nil
@@ -233,18 +231,14 @@ func (d *DB) CloseWAL() error {
 
 // WALAttached reports whether a write-ahead log is armed.
 func (d *DB) WALAttached() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.wal != nil
+	return d.wal.Load() != nil
 }
 
 // WALLastLSN returns the highest LSN the attached log has assigned (the
 // snapshot checkpoint LSN when nothing has been appended yet; 0 with no
 // WAL).
 func (d *DB) WALLastLSN() uint64 {
-	d.mu.RLock()
-	w := d.wal
-	d.mu.RUnlock()
+	w := d.wal.Load()
 	if w == nil {
 		return 0
 	}
@@ -268,9 +262,7 @@ func (d *DB) Checkpoint(dir string) (bool, error) {
 		return false, err
 	}
 	d.savedSeq.Store(seq)
-	d.mu.RLock()
-	w := d.wal
-	d.mu.RUnlock()
+	w := d.wal.Load()
 	if w == nil {
 		return true, nil
 	}

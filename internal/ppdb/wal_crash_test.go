@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -59,10 +60,10 @@ func walCrashSteps(t testing.TB) []walStep {
 }
 
 // walCrashConfig is the DB config every incarnation in the matrix shares.
-func walCrashConfig(t testing.TB, shards int) Config {
+func walCrashConfig(t testing.TB) Config {
 	t.Helper()
 	gen := equivGenerator(t, 4242)
-	return Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities(), Shards: shards}
+	return Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities()}
 }
 
 // walCrashOpts forces a group commit per step (exact step↔LSN accounting)
@@ -79,7 +80,7 @@ func walCrashOpts(dir string) wal.Options {
 func walMutationSites(t *testing.T) []string {
 	t.Helper()
 	defer fault.Reset()
-	db, err := New(walCrashConfig(t, 2))
+	db, err := New(walCrashConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,8 @@ func requireDBEquiv(t *testing.T, got, want *DB, label string) {
 // recovered state is exactly a prefix of the mutation history: the
 // recovered LSN k' is within [acked, acked+1] of the last acknowledged
 // step, and certifications and snapshot bytes are identical to a serial
-// (shards=1) oracle that applied the first k' steps with no WAL at all.
+// (GOMAXPROCS 1) oracle that applied the first k' steps with no WAL at
+// all — at every fan-out width in procSweep.
 func TestWALCrashMatrix(t *testing.T) {
 	sites := walMutationSites(t)
 	if len(sites) < 3 {
@@ -172,13 +174,14 @@ func TestWALCrashMatrix(t *testing.T) {
 		site := site
 		t.Run(site, func(t *testing.T) {
 			crashes := 0
-			for _, shards := range shardSweepCounts {
+			for _, procs := range procSweep {
+				setProcs(t, procs)
 				for _, armAt := range armPoints {
-					label := fmt.Sprintf("shards=%d armAt=%d", shards, armAt)
+					label := fmt.Sprintf("procs=%d armAt=%d", procs, armAt)
 					func() {
 						defer fault.Reset()
 						walDir := filepath.Join(t.TempDir(), "wal")
-						db, err := New(walCrashConfig(t, shards))
+						db, err := New(walCrashConfig(t))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -210,7 +213,7 @@ func TestWALCrashMatrix(t *testing.T) {
 						crashes++
 
 						// Kill-and-recover: a fresh DB replays the log.
-						rec, err := New(walCrashConfig(t, shards))
+						rec, err := New(walCrashConfig(t))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -223,8 +226,9 @@ func TestWALCrashMatrix(t *testing.T) {
 							t.Fatalf("%s: recovered LSN %d, want within [%d, %d]", label, kPrime, acked, acked+1)
 						}
 
-						// Serial oracle: shards=1, no WAL, first k' steps.
-						oracle, err := New(walCrashConfig(t, 1))
+						// Serial oracle: GOMAXPROCS 1, no WAL, first k' steps.
+						prev := runtime.GOMAXPROCS(1)
+						oracle, err := New(walCrashConfig(t))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -233,6 +237,7 @@ func TestWALCrashMatrix(t *testing.T) {
 								t.Fatalf("%s: oracle step %d (%s): %v", label, i, steps[i].name, err)
 							}
 						}
+						runtime.GOMAXPROCS(prev)
 						requireDBEquiv(t, rec, oracle, label)
 					}()
 				}
@@ -251,7 +256,7 @@ func TestWALCrashDuringCheckpointTruncate(t *testing.T) {
 	defer fault.Reset()
 	walDir := filepath.Join(t.TempDir(), "wal")
 	snapDir := filepath.Join(t.TempDir(), "snap")
-	db, err := New(walCrashConfig(t, 2))
+	db, err := New(walCrashConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +286,7 @@ func TestWALCrashDuringCheckpointTruncate(t *testing.T) {
 	//lint:ignore errflow the log is wedged; closing is best-effort teardown
 	db.CloseWAL()
 
-	rec, err := Load(snapDir, walCrashConfig(t, 2))
+	rec, err := Load(snapDir, walCrashConfig(t))
 	if err != nil {
 		t.Fatalf("Load after truncate crash: %v", err)
 	}
@@ -299,13 +304,13 @@ func TestWALCrashDuringCheckpointTruncate(t *testing.T) {
 func TestWALCrashDuringReplay(t *testing.T) {
 	defer fault.Reset()
 	walDir := filepath.Join(t.TempDir(), "wal")
-	db := buildWALDB(t, walDir, 2)
+	db := buildWALDB(t, walDir)
 	want := mustJSON(t, mustCertify(t, db, 0.25))
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
 
-	rec, err := New(walEquivConfig(t, 2))
+	rec, err := New(walEquivConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +343,7 @@ func TestWALTornTailRecoveredAtLoad(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			defer fault.Reset()
 			walDir := filepath.Join(t.TempDir(), "wal")
-			db, err := New(walCrashConfig(t, 1))
+			db, err := New(walCrashConfig(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,7 +372,7 @@ func TestWALTornTailRecoveredAtLoad(t *testing.T) {
 			//lint:ignore errflow teardown of a log whose tail is garbage
 			db.CloseWAL()
 
-			rec, err := New(walCrashConfig(t, 1))
+			rec, err := New(walCrashConfig(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,7 +383,7 @@ func TestWALTornTailRecoveredAtLoad(t *testing.T) {
 			if got := int(rec.WALLastLSN()); got != good {
 				t.Errorf("recovered LSN %d, want the %d good records", got, good)
 			}
-			oracle, err := New(walCrashConfig(t, 1))
+			oracle, err := New(walCrashConfig(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -398,7 +403,7 @@ func TestWALTornTailRecoveredAtLoad(t *testing.T) {
 func TestWALDirSurvivesSnapshotOnlyRestart(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 	snapDir := filepath.Join(t.TempDir(), "snap")
-	db := buildWALDB(t, walDir, 1)
+	db := buildWALDB(t, walDir)
 	if ran, err := db.Checkpoint(snapDir); err != nil || !ran {
 		t.Fatalf("checkpoint ran=%v err=%v", ran, err)
 	}
@@ -411,7 +416,7 @@ func TestWALDirSurvivesSnapshotOnlyRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := Load(snapDir, walEquivConfig(t, 1))
+	rec, err := Load(snapDir, walEquivConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,18 +20,18 @@ func walTestOpts(dir string) wal.Options {
 // walEquivConfig is the DB configuration shared by the WAL recovery tests;
 // every incarnation of a database must be built from the same config for
 // replay to reconstruct the same state.
-func walEquivConfig(t *testing.T, shards int) Config {
+func walEquivConfig(t *testing.T) Config {
 	t.Helper()
 	gen := equivGenerator(t, 99)
-	return Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities(), Shards: shards}
+	return Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities()}
 }
 
 // buildWALDB drives a full mutation history — batch build, serial adds,
 // removals, a policy swap, clock advances and a sweep — against a DB with
 // the WAL attached from the start, so every mutation is logged.
-func buildWALDB(t *testing.T, walDir string, shards int) *DB {
+func buildWALDB(t *testing.T, walDir string) *DB {
 	t.Helper()
-	db, err := New(walEquivConfig(t, shards))
+	db, err := New(walEquivConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,20 +68,22 @@ func buildWALDB(t *testing.T, walDir string, shards int) *DB {
 
 // TestWALRecoveryFromEmptySnapshot rebuilds a database from nothing but its
 // WAL: a fresh DB with the same config attached to the same log must replay
-// the full history and certify byte-identically, at every shard count.
+// the full history and certify byte-identically, at every fan-out width
+// (the subtests keep the shards-N names procSweep documents).
 func TestWALRecoveryFromEmptySnapshot(t *testing.T) {
-	for _, shards := range shardSweepCounts {
-		shards := shards
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+	for _, procs := range procSweep {
+		procs := procs
+		t.Run(fmt.Sprintf("shards-%d", procs), func(t *testing.T) {
+			setProcs(t, procs)
 			walDir := filepath.Join(t.TempDir(), "wal")
-			db := buildWALDB(t, walDir, shards)
+			db := buildWALDB(t, walDir)
 			want := mustJSON(t, mustCertify(t, db, 0.25))
 			wantLSN := db.WALLastLSN()
 			if err := db.CloseWAL(); err != nil {
 				t.Fatal(err)
 			}
 
-			db2, err := New(walEquivConfig(t, shards))
+			db2, err := New(walEquivConfig(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +114,7 @@ func TestWALRecoveryFromEmptySnapshot(t *testing.T) {
 func TestWALRecoveryAfterCheckpoint(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 	snapDir := filepath.Join(t.TempDir(), "snap")
-	db := buildWALDB(t, walDir, 2)
+	db := buildWALDB(t, walDir)
 	ran, err := db.Checkpoint(snapDir)
 	if err != nil || !ran {
 		t.Fatalf("checkpoint ran=%v err=%v", ran, err)
@@ -133,7 +135,7 @@ func TestWALRecoveryAfterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Load(snapDir, walEquivConfig(t, 2))
+	db2, err := Load(snapDir, walEquivConfig(t))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -159,7 +161,7 @@ func TestWALRecoveryAfterCheckpoint(t *testing.T) {
 func TestWALCheckpointSkipsUnchanged(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 	snapDir := filepath.Join(t.TempDir(), "snap")
-	db := buildWALDB(t, walDir, 1)
+	db := buildWALDB(t, walDir)
 	defer db.CloseWAL()
 	ran, err := db.Checkpoint(snapDir)
 	if err != nil || !ran {
@@ -189,7 +191,7 @@ func TestWALCheckpointSkipsUnchanged(t *testing.T) {
 func TestWALCheckpointTruncatesSegments(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 	snapDir := filepath.Join(t.TempDir(), "snap")
-	db, err := New(walEquivConfig(t, 1))
+	db, err := New(walEquivConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestWALCheckpointTruncatesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Load(snapDir, walEquivConfig(t, 1))
+	db2, err := Load(snapDir, walEquivConfig(t))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -251,7 +253,7 @@ func TestWALCheckpointTruncatesSegments(t *testing.T) {
 // TestWALAttachTwiceFails pins the attach-once contract.
 func TestWALAttachTwiceFails(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
-	db, err := New(walEquivConfig(t, 1))
+	db, err := New(walEquivConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package ppdb
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/privacy"
 	"repro/internal/whatif"
 )
 
@@ -31,16 +29,17 @@ var (
 
 // WhatIf evaluates a candidate policy diff against the live population
 // without mutating anything: no store write, no WAL record, no policy-log
-// entry. It captures an immutable snapshot of the rows under shared locks
-// (d.mu plus each shard's read lock — the certification read path),
-// releases them, and evaluates the shadow policy against the snapshot;
-// concurrent registrations and policy swaps proceed untouched and simply
-// miss this evaluation's cut.
+// entry. It captures the sorted rows under d.mu shared (the certification
+// read path), releases it, and evaluates the shadow policy against those
+// immutable rows in place; concurrent registrations and policy swaps
+// proceed untouched and simply miss this evaluation's cut.
 //
-// Every row in the snapshot carries its report under the live policy (a
-// policy swap re-assesses every row under d.mu exclusive), so providers the
-// diff cannot affect reuse that report without any assessment, and a
-// narrow diff costs O(affected), not O(N).
+// Every row carries its report under the live policy (a policy swap
+// re-assesses every row under d.mu exclusive), so providers the diff
+// cannot affect reuse that report without any assessment. Under the Sec. 5
+// implicit zero — every served store — a diff that moves a tuple with a
+// non-zero level or a Σ takes the global fallback and re-assesses everyone
+// (DESIGN.md §16).
 func (d *DB) WhatIf(req *whatif.Request) (*whatif.Response, error) {
 	start := time.Now()
 	d.mu.RLock()
@@ -48,7 +47,7 @@ func (d *DB) WhatIf(req *whatif.Request) (*whatif.Response, error) {
 	attrSens := d.attrSens
 	opts := d.opts
 	policyVersion := d.policyVersion
-	keys, rows := d.snapshotShared()
+	rows := d.table.Rows()
 	d.mu.RUnlock()
 
 	// d.scales is immutable after New, like the RegisterProvider validation
@@ -59,19 +58,7 @@ func (d *DB) WhatIf(req *whatif.Request) (*whatif.Response, error) {
 		return nil, err
 	}
 
-	shards := make([]whatif.ShardSource, len(rows))
-	for i := range rows {
-		src := whatif.ShardSource{
-			Keys:    keys[i],
-			Prefs:   make([]*privacy.Prefs, len(rows[i])),
-			Reports: make([]core.ProviderReport, len(rows[i])),
-		}
-		for j, r := range rows[i] {
-			src.Prefs[j], src.Reports[j] = r.Prefs, r.Report
-		}
-		shards[i] = src
-	}
-	resp := eng.Evaluate(shards)
+	resp := eng.Evaluate(rows)
 
 	switch resp.Verdict {
 	case whatif.VerdictFree:

@@ -44,7 +44,6 @@ func whatifDB(t *testing.T, opts core.Options, n int) (*DB, []*privacy.Prefs) {
 		Policy:   whatifPolicy(),
 		AttrSens: privacy.AttributeSensitivities{"common": 2, "rare": 6},
 		Options:  opts,
-		Shards:   4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +55,9 @@ func whatifDB(t *testing.T, opts core.Options, n int) (*DB, []*privacy.Prefs) {
 	return db, pop
 }
 
-// TestWhatIfMatchesOracle checks the wired-up DB path (snapshot capture,
-// ledger memo, shard merge) against a from-scratch oracle: apply the diff
-// to clones and assess both populations in global sorted order.
+// TestWhatIfMatchesOracle checks the wired-up DB path (row capture,
+// ledger memo, in-place evaluation) against a from-scratch oracle: apply
+// the diff to clones and assess both populations in global sorted order.
 func TestWhatIfMatchesOracle(t *testing.T) {
 	for _, opts := range []core.Options{{}, {DisableImplicitZero: true}} {
 		name := "paper-model"
@@ -291,7 +290,7 @@ func TestWhatIfStormLeavesLiveStateUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.mu.RLock()
-		sum := db.summaryShared()
+		sum := db.table.Partial()
 		db.mu.RUnlock()
 		return dirBytes(t, dir), cert, sum, db.WALLastLSN()
 	}

@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/economics"
+	"repro/internal/ledger"
 	"repro/internal/privacy"
 )
 
@@ -134,92 +136,41 @@ func (e *Engine) AffectedAttributes() []string { return e.affectedAttrs }
 // GlobalFallback reports whether the engine must re-assess every provider.
 func (e *Engine) GlobalFallback() bool { return e.allAffected }
 
-// ShardSource is one shard's immutable provider snapshot: parallel slices
-// in ascending key order, each provider with its live report under the
-// engine's live assessor. Evaluate reads only a report's w_i, Violation_i
-// and default_i, so a report without Pairs serves as well.
-type ShardSource struct {
-	Keys    []string
-	Prefs   []*privacy.Prefs
-	Reports []core.ProviderReport
-}
-
-// shardEval is one shard's evaluation output, merged after the fan-out.
-type shardEval struct {
-	shd      []core.ProviderReport
-	affected int
-	reused   int
-	// per affected-attribute segment tallies, indexed like affectedAttrs
-	segProviders []int
-	segDefCur    []int
-	segDefShd    []int
-}
-
-// Evaluate assesses the candidate against the provider population in
-// shards, reusing each live report for providers the diff cannot affect and
-// re-assessing under the shadow policy only those it can. It reads the
-// snapshots and writes nothing anywhere.
-func (e *Engine) Evaluate(shards []ShardSource) *Response {
-	evals := make([]shardEval, len(shards))
-	core.FanOut(len(shards), len(shards), func(si int) {
-		src := shards[si]
-		ev := &evals[si]
-		ev.shd = make([]core.ProviderReport, len(src.Keys))
-		ev.segProviders = make([]int, len(e.affectedAttrs))
-		ev.segDefCur = make([]int, len(e.affectedAttrs))
-		ev.segDefShd = make([]int, len(e.affectedAttrs))
+// Evaluate assesses the candidate against a provider population: rows in
+// ascending key order, each carrying its live report under the engine's
+// live assessor. Providers the diff cannot affect reuse that report; the
+// rest are re-assessed under the shadow policy across the fan-out, into
+// slots aligned with rows. Both populations are then summed serially in
+// row order, so the current summary is bit-identical to a full
+// certification. Evaluate reads only a report's w_i, Violation_i and
+// default_i, and writes nothing the rows reach.
+func (e *Engine) Evaluate(rows []*ledger.Row) *Response {
+	shd := make([]core.ProviderReport, len(rows))
+	var affected atomic.Int64
+	core.FanOut(len(rows), func(lo, hi int) {
 		var sc core.Scratch
-		for i, p := range src.Prefs {
-			cur := src.Reports[i]
-			shd := cur
-			if e.allAffected || e.touches(p) {
+		n := 0
+		for i := lo; i < hi; i++ {
+			r := rows[i]
+			if e.allAffected || e.touches(r.Prefs) {
 				// The stored columns were compiled against the live policy,
 				// so the kernel compiles the provider against the shadow
-				// policy into the worker's scratch. The evaluation reads
-				// only w_i, Violation_i and default_i of a shadow report,
-				// so no pair is materialized.
-				shd = e.shadow.AssessTotals(p, &sc)
-				ev.affected++
+				// policy into the worker's scratch, and materializes no
+				// pair.
+				shd[i] = e.shadow.AssessTotals(r.Prefs, &sc)
+				n++
 			} else {
-				ev.reused++
-			}
-			ev.shd[i] = shd
-
-			if e.req.Detail {
-				for k, a := range e.affectedAttrs {
-					if !p.TouchesAttribute(a) {
-						continue
-					}
-					ev.segProviders[k]++
-					if cur.Defaults {
-						ev.segDefCur[k]++
-					}
-					if shd.Defaults {
-						ev.segDefShd[k]++
-					}
-				}
+				shd[i] = r.Report
 			}
 		}
+		affected.Add(int64(n))
 	})
 
-	// Merge into the global ascending key order, so both population totals
-	// are float-summed in the canonical certification order and the current
-	// summary is bit-identical to a full certification.
-	keys := make([][]string, len(shards))
-	total := 0
-	for si := range shards {
-		keys[si] = shards[si].Keys
-		total += len(keys[si])
+	var cur, prop core.Partial
+	for i, r := range rows {
+		cur.Add(&r.Report)
+		prop.Add(&shd[i])
 	}
-	curRows := make([]core.ProviderReport, 0, total)
-	shdRows := make([]core.ProviderReport, 0, total)
-	core.MergeSorted(keys, func(si, i int) {
-		curRows = append(curRows, shards[si].Reports[i])
-		shdRows = append(shdRows, evals[si].shd[i])
-	})
-
-	cur := core.AssemblePopulation(curRows)
-	shd := core.AssemblePopulation(shdRows)
 
 	resp := &Response{
 		PolicyName:         e.policyName,
@@ -227,20 +178,18 @@ func (e *Engine) Evaluate(shards []ShardSource) *Response {
 		ProposedName:       e.proposedName,
 		ShadowVersion:      e.shadowVersion,
 		Current:            summaryOf(cur),
-		Proposed:           summaryOf(shd),
-		DeltaPW:            shd.PW - cur.PW,
-		DeltaPDefault:      shd.PDefault - cur.PDefault,
+		Proposed:           summaryOf(prop),
+		DeltaPW:            prop.PW() - cur.PW(),
+		DeltaPDefault:      prop.PDefault() - cur.PDefault(),
 		NCurrent:           cur.N - cur.DefaultCount,
-		NFuture:            shd.N - shd.DefaultCount,
+		NFuture:            prop.N - prop.DefaultCount,
 		U:                  e.req.U,
 		T:                  e.req.T,
 		AffectedAttributes: e.affectedAttrs,
 		GlobalFallback:     e.allAffected,
+		Affected:           int(affected.Load()),
 	}
-	for _, ev := range evals {
-		resp.Affected += ev.affected
-		resp.MemoReused += ev.reused
-	}
+	resp.MemoReused = len(rows) - resp.Affected
 
 	if be := economics.BreakEvenT(e.req.U, resp.NCurrent, resp.NFuture); !math.IsInf(be, 1) {
 		resp.BreakEvenT = &be
@@ -258,26 +207,33 @@ func (e *Engine) Evaluate(shards []ShardSource) *Response {
 	if e.req.Detail {
 		resp.Segments = make([]Segment, len(e.affectedAttrs))
 		for k, a := range e.affectedAttrs {
-			seg := Segment{Attribute: a}
-			for _, ev := range evals {
-				seg.Providers += ev.segProviders[k]
-				seg.DefaultsCurrent += ev.segDefCur[k]
-				seg.DefaultsProposed += ev.segDefShd[k]
+			seg := &resp.Segments[k]
+			seg.Attribute = a
+			for i, r := range rows {
+				if !r.Prefs.TouchesAttribute(a) {
+					continue
+				}
+				seg.Providers++
+				if r.Report.Defaults {
+					seg.DefaultsCurrent++
+				}
+				if shd[i].Defaults {
+					seg.DefaultsProposed++
+				}
 			}
-			resp.Segments[k] = seg
 		}
 	}
 	return resp
 }
 
-func summaryOf(rep core.PopulationReport) Summary {
+func summaryOf(p core.Partial) Summary {
 	return Summary{
-		N:               rep.N,
-		ViolatedCount:   rep.ViolatedCount,
-		DefaultCount:    rep.DefaultCount,
-		TotalViolations: rep.TotalViolations,
-		PW:              rep.PW,
-		PDefault:        rep.PDefault,
+		N:               p.N,
+		ViolatedCount:   p.ViolatedCount,
+		DefaultCount:    p.DefaultCount,
+		TotalViolations: p.TotalViolations,
+		PW:              p.PW(),
+		PDefault:        p.PDefault(),
 	}
 }
 
@@ -302,15 +258,12 @@ func EvaluateOffline(policy *privacy.HousePolicy, attrSens privacy.AttributeSens
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return strings.ToLower(sorted[i].Provider) < strings.ToLower(sorted[j].Provider)
 	})
-	src := ShardSource{
-		Keys:    make([]string, len(sorted)),
-		Prefs:   sorted,
-		Reports: make([]core.ProviderReport, len(sorted)),
-	}
+	backing := make([]ledger.Row, len(sorted))
+	rows := make([]*ledger.Row, len(sorted))
 	var sc core.Scratch
 	for i, p := range sorted {
-		src.Keys[i] = strings.ToLower(p.Provider)
-		src.Reports[i] = live.AssessTotals(p, &sc)
+		backing[i] = ledger.Row{Prefs: p, Report: live.AssessTotals(p, &sc)}
+		rows[i] = &backing[i]
 	}
-	return e.Evaluate([]ShardSource{src}), nil
+	return e.Evaluate(rows), nil
 }

@@ -15,10 +15,10 @@
 //     version (live version with the high bit set — a namespace disjoint
 //     from live versions, so a shadow answer can never be mistaken for a
 //     live one);
-//   - Evaluate fans out over immutable per-shard snapshots that carry each
-//     provider's live report, re-assessing only providers the diff can
-//     affect and reusing the live report for everyone else (see engine.go
-//     for the exactness rule).
+//   - Evaluate fans out over key ranges of one immutable, sorted row
+//     snapshot that carries each provider's live report, re-assessing only
+//     providers the diff can affect and reusing the live report for
+//     everyone else (see engine.go for the exactness rule).
 //
 // The engine is read-only by construction: it consumes snapshots and
 // produces a Response. It never writes to a store or a WAL.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ledger"
 	"repro/internal/population"
 	"repro/internal/privacy"
 	"repro/internal/whatif"
@@ -515,24 +516,17 @@ func TestEvaluateMemoPathEquivalence(t *testing.T) {
 	if eng.ShadowVersion() != 17|whatif.ShadowVersionBit {
 		t.Errorf("shadow version = %#x", eng.ShadowVersion())
 	}
-	// Two shards with interleaved keys exercise the P-way merge. The same
-	// snapshot is built twice: live reports from columns compiled up front
-	// (what the store memoizes) and from AssessProvider, which compiles
-	// afresh per call.
-	var kernel, ref [2]whatif.ShardSource
+	// The same population is built twice: live reports from columns
+	// compiled up front (what the store memoizes) and from
+	// AssessProvider, which compiles afresh per call.
+	var kernel, ref []*ledger.Row
 	var sc core.Scratch
-	for i, p := range pop {
-		key := strings.ToLower(p.Provider)
-		for _, src := range []*whatif.ShardSource{&kernel[i%2], &ref[i%2]} {
-			src.Keys = append(src.Keys, key)
-			src.Prefs = append(src.Prefs, p)
-		}
-		kernel[i%2].Reports = append(kernel[i%2].Reports, live.AssessCompiled(live.Compile(p), &sc))
-		ref[i%2].Reports = append(ref[i%2].Reports, live.AssessProvider(p))
+	for _, p := range pop {
+		kernel = append(kernel, &ledger.Row{Prefs: p, Report: live.AssessCompiled(live.Compile(p), &sc)})
+		ref = append(ref, &ledger.Row{Prefs: p, Report: live.AssessProvider(p)})
 	}
-	shards := kernel[:]
-	base := eng.Evaluate(shards)
-	walked := eng.Evaluate(ref[:])
+	base := eng.Evaluate(kernel)
+	walked := eng.Evaluate(ref)
 	if base.Current != walked.Current || base.Proposed != walked.Proposed {
 		t.Errorf("kernel and reference live reports changed the answer:\nkernel %+v %+v\nref    %+v %+v",
 			base.Current, base.Proposed, walked.Current, walked.Proposed)
@@ -553,7 +547,7 @@ func TestEvaluateMemoPathEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := eng2.Evaluate(shards); len(resp.Segments) != 0 {
+	if resp := eng2.Evaluate(kernel); len(resp.Segments) != 0 {
 		t.Errorf("segments leaked without detail: %+v", resp.Segments)
 	}
 }

@@ -1,9 +1,8 @@
 #!/bin/sh
 # Certification benchmark harness: runs the certification benches
 # (BenchmarkCertifyCold / BenchmarkCertifyIncremental /
-# BenchmarkCertifySummary), the sharding benches
-# (BenchmarkCertifyColdShards / BenchmarkBulkIngestShards, one sub-bench
-# per shard count — see bench_test.go) and the durable-ingest benches
+# BenchmarkCertifySummary), the bulk-ingest bench (BenchmarkBulkIngest,
+# 100k providers into an empty store), the durable-ingest benches
 # (BenchmarkIngestDurable, one sub-bench per WAL group-commit mode), the
 # enforced-query benches (BenchmarkQueryEnforced, clean vs violating
 # populations at 10k/100k rows), the what-if storm benches
@@ -17,8 +16,8 @@
 # BENCH_certify.json at the repo root. Wired as `make bench`; not part of
 # `make check`.
 #
-# BENCH_PATTERN restricts the run to a subset (e.g. `make bench-shards`
-# sets '^Benchmark(CertifyColdShards|BulkIngestShards)'); entries already
+# BENCH_PATTERN restricts the run to a subset (e.g.
+# '^Benchmark(BulkIngest|SetPolicy)$'); entries already
 # in BENCH_certify.json whose benchmarks were not re-run are carried over,
 # so a partial run never loses the rest of the baseline.
 #
@@ -27,7 +26,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)}"
 out=$(go test -run '^$' -bench "$pattern" \
 	-benchtime "${BENCHTIME:-1s}" -benchmem -timeout 30m .)
 printf '%s\n' "$out"

@@ -18,16 +18,16 @@ if [ ! -f "$baseline" ]; then
 	exit 1
 fi
 
-# The pattern names every gated bench explicitly, including the sharding
-# benches (CertifyColdShards/BulkIngestShards run one sub-bench per shard
-# count), the durable-ingest benches (IngestDurable runs one sub-bench
-# per WAL group-commit mode), the enforced-query benches (QueryEnforced
+# The pattern names every gated bench explicitly, including the bulk
+# ingest (BulkIngest, 100k providers), the durable-ingest benches
+# (IngestDurable runs one sub-bench per WAL group-commit mode), the
+# enforced-query benches (QueryEnforced
 # runs clean and violating populations at 10k/100k rows), the what-if
 # benches (WhatIfStorm and WhatIfShipped, narrow and full diffs), the
 # HTTP certify benches (CertifyHTTP, GET /v1/certify through the handler),
 # the per-provider compile bench (Compile) and the policy-swap bench
 # (SetPolicy); each sub-bench is compared against its own baseline entry.
-out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|ColdShards|Incremental|Summary|HTTP)|BulkIngestShards|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)' \
+out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)' \
 	-benchtime "${BENCHTIME:-1s}" -timeout 30m .)
 printf '%s\n' "$out"
 echo

@@ -42,10 +42,23 @@ fi
 # shellcheck disable=SC2086 # the list is newline-separated package paths
 go test -race $race_pkgs
 
-# Shard-sweep race pass: the shard-count equivalence suite exercises every
-# cross-shard fan-out/merge path (bulk ingest, rebuild, snapshot render) at
-# 1/2/8 shards, and the sharded enforced-query test races concurrent
-# QueryEnforced snapshots against registration, inserts and policy swaps.
-# GOMAXPROCS=4 gives the race detector real interleavings of the per-shard
-# goroutines even on single-core runners.
-GOMAXPROCS=4 go test -race -run 'Shard|LedgerCertifyEquivalence' ./internal/ppdb ./internal/ledger
+# Fan-out race pass: the width-sweep suite runs every population fan-out
+# (bulk ingest, rebuild, what-if, CertifyFull, snapshot render) at
+# GOMAXPROCS 1/2/8 — the "shards" its tests are named after — the ledger
+# tests drive the batch and rebuild fan-outs, the enforced-query test races
+# concurrent QueryEnforced against registration, inserts and policy swaps,
+# and the update/remove stress test races self-service edits against
+# removals. GOMAXPROCS=4 gives the race detector real interleavings even on
+# single-core runners. The pass names its tests and checks that every one
+# still exists, so a rename fails here instead of leaving a pattern that
+# matches nothing and passes.
+fanout_tests='TestShardCountCertifyEquivalence TestShardSnapshotByteCompat TestShardSnapshotRoundTrip TestColumnarKernelMatchesReferenceAcrossShards TestShardedEnforcedQueryUnderMutation TestLedgerCertifyEquivalence TestUpdatePreferencesNeverResurrects TestConcurrentLedger TestUpsertBatchMatchesSequential TestRebuildSwapsPolicy'
+fanout_re="^($(echo "$fanout_tests" | tr ' ' '|'))\$"
+want=$(echo "$fanout_tests" | wc -w | tr -d ' ')
+listed=$(go test -list "$fanout_re" ./internal/ppdb ./internal/ledger | grep -c '^Test' || true)
+if [ "$listed" -ne "$want" ]; then
+	echo "ci.sh: fan-out race pass lists $listed of its $want tests — one was renamed or deleted:" >&2
+	go test -list "$fanout_re" ./internal/ppdb ./internal/ledger >&2
+	exit 1
+fi
+GOMAXPROCS=4 go test -race -run "$fanout_re" ./internal/ppdb ./internal/ledger
