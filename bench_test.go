@@ -400,16 +400,18 @@ func (w *discardResponse) Write(p []byte) (int, error) {
 
 // BenchmarkCertifyHTTP measures GET /v1/certify through the whole handler
 // (routing, instrumentation, Certify and the body encoding) into a
-// discarding ResponseWriter: the route's cost without the network.
+// discarding ResponseWriter: the route's cost without the network. The
+// 1k/100k stores hold the two-attribute certification population (~1.5 KB
+// of body a provider); shipped-20k holds perfbench's: its 20k providers
+// under policy A, ~5.5 KB a provider.
 func BenchmarkCertifyHTTP(b *testing.B) {
-	for _, n := range certifyBenchSizes {
-		db := benchCertifyDB(b, n)
+	run := func(name string, db *ppdb.DB) {
 		srv, err := httpapi.New(db)
 		if err != nil {
 			b.Fatal(err)
 		}
 		req := httptest.NewRequest(http.MethodGet, "/v1/certify?alpha=0.1", nil)
-		b.Run(sizeName(n), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				w := discardResponse{header: http.Header{}}
@@ -420,6 +422,11 @@ func BenchmarkCertifyHTTP(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range certifyBenchSizes {
+		run(sizeName(n), benchCertifyDB(b, n))
+	}
+	const shipped = 20000
+	run("shipped-"+sizeName(shipped), benchShippedDB(b, benchPolicies(b)[0], shipped))
 }
 
 // BenchmarkEstimatePW measures the trial-based Def. 2 estimator.
@@ -834,6 +841,20 @@ func benchWestin(b *testing.B, n int) []*privacy.Prefs {
 	return doc.Providers
 }
 
+// benchShippedDB serves n providers of perfbench's population under pol,
+// as the benchmark's server holds them.
+func benchShippedDB(b *testing.B, pol *policydsl.Document, n int) *ppdb.DB {
+	b.Helper()
+	db, err := ppdb.New(ppdb.Config{Policy: pol.Policy, AttrSens: pol.AttrSens})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := db.RegisterProviders(benchWestin(b, n)); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
 // BenchmarkCompile measures compiling one provider of the perfbench
 // population against policy A — the per-provider cost a registration pays
 // once and a policy swap pays for every provider.
@@ -861,13 +882,7 @@ var benchCompiled *core.CompiledPrefs
 func BenchmarkSetPolicy(b *testing.B) {
 	const n = 100000
 	pols := benchPolicies(b)
-	db, err := ppdb.New(ppdb.Config{Policy: pols[0].Policy, AttrSens: pols[0].AttrSens})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := db.RegisterProviders(benchWestin(b, n)); err != nil {
-		b.Fatal(err)
-	}
+	db := benchShippedDB(b, pols[0], n)
 	next := 1 // the live policy is A; every swap goes to the other one
 	b.Run("shipped-"+sizeName(n), func(b *testing.B) {
 		b.ReportAllocs()

@@ -22,15 +22,19 @@ type Partial struct {
 }
 
 // Add folds one provider's report into the partial.
-func (p *Partial) Add(rep *ProviderReport) {
+func (p *Partial) Add(rep *ProviderReport) { p.AddTotals(rep.Violated, rep.Defaults, rep.Violation) }
+
+// AddTotals folds in one provider given only the fields Add reads: w_i,
+// default_i and Violation_i.
+func (p *Partial) AddTotals(violated, defaults bool, violation float64) {
 	p.N++
-	if rep.Violated {
+	if violated {
 		p.ViolatedCount++
 	}
-	if rep.Defaults {
+	if defaults {
 		p.DefaultCount++
 	}
-	p.TotalViolations += rep.Violation
+	p.TotalViolations += violation
 }
 
 // Sub removes one provider's contribution. The integer fields stay exact;

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"log"
@@ -109,8 +110,18 @@ func TestMetricsEndToEnd(t *testing.T) {
 		len(body), body[:len(body)/2]); err != nil {
 		t.Fatal(err)
 	}
+	// Wait until the parked request holds the only slot: a poll sent
+	// before that could take the slot first and get the parked request
+	// shed instead.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.inflight) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("parked request never reached ServeHTTP")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	shed := false
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+	for time.Now().Before(deadline) {
 		resp, err := http.Get(ts.URL + "/certify?alpha=0.5")
 		if err != nil {
 			t.Fatal(err)
@@ -125,10 +136,20 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if !shed {
 		t.Fatal("server never shed load")
 	}
-	// Release the parked request and wait for service to resume so every
-	// in-flight request has finished before the final scrape.
+	// Release the parked request and read its answer: net/http sends this
+	// small body only once ServeHTTP, which frees the slot before it
+	// counts the request, has returned. Then wait for service to resume
+	// so every in-flight request has finished before the final scrape.
 	if _, err := io.WriteString(conn, body[len(body)/2:]); err != nil {
 		t.Fatal(err)
+	}
+	parked, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked.Body.Close()
+	if parked.StatusCode != http.StatusOK {
+		t.Fatalf("released parked request = %d, want 200", parked.StatusCode)
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		resp, err := http.Get(ts.URL + "/certify?alpha=0.5")

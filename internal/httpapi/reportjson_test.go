@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,6 +14,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/policydsl"
 	"repro/internal/population"
 	"repro/internal/ppdb"
@@ -285,6 +287,117 @@ func TestSensitivityCapKeepsReportsEncodable(t *testing.T) {
 		rec := do(t, srv, http.MethodGet, path, "")
 		if !json.Valid(rec.Body.Bytes()) || rec.Code != http.StatusOK {
 			t.Errorf("%s = %d %s", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// benchShapedDB registers n generated providers of the perfbench shape
+// under its policy A, as the benchmark's server holds them.
+func benchShapedDB(tb testing.TB, n int) *ppdb.DB {
+	tb.Helper()
+	doc, err := policydsl.Parse(population.BenchPolicyDSL("A", "third-party"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db, err := ppdb.New(ppdb.Config{Policy: doc.Policy, AttrSens: doc.AttrSens})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen, err := population.NewGenerator(population.BenchConfig(), 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.RegisterProviders(population.PrefsOf(gen.Generate(n))); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// renderWorkers counts the goroutines inside a render-ahead worker.
+func renderWorkers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("(*renderAhead).work("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// withProcs runs f at GOMAXPROCS procs.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestCertificationParallelMatchesEncodingJSON pins the render-ahead
+// writer to encoding/json around its block boundaries: Providers arrays of
+// 0, 1, B−1, B, B+1, 2B−1, 2B and 3B+1 elements (B = certBlock; the
+// pipeline starts at 2B) and a 2k perfbench-shaped store, whose 167
+// blocks reuse every slot of the window, rendered at GOMAXPROCS 1, 2 and
+// 8. An encoding error in a middle block fails the response as
+// encoding/json fails it, and neither that error nor a hang-up leaves a
+// worker running.
+func TestCertificationParallelMatchesEncodingJSON(t *testing.T) {
+	gen, err := generatedDB(t, 3*certBlock, 2).Certify(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shaped, err := benchShapedDB(t, 2000).Certify(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gen.Report.Providers) <= 3*certBlock {
+		t.Fatalf("generated %d providers; want more than 3B", len(gen.Report.Providers))
+	}
+	certs := map[string]*ppdb.Certification{"perfbench-2k": shaped}
+	for _, n := range []int{0, 1, certBlock - 1, certBlock, certBlock + 1, 2*certBlock - 1, 2 * certBlock, 3*certBlock + 1} {
+		c := *gen
+		c.Report.Providers = gen.Report.Providers[:n]
+		certs["n="+strconv.Itoa(n)] = &c
+	}
+	for name, c := range certs {
+		want := indentedJSON(t, c)
+		for _, procs := range []int{1, 2, 8} {
+			rec := httptest.NewRecorder()
+			withProcs(procs, func() { err = writeCertification(rec, c) })
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("%s at GOMAXPROCS %d: differs from encoding/json at byte %d (%d vs %d bytes)",
+					name, procs, firstDiff(got, want), len(got), len(want))
+			}
+		}
+	}
+
+	// A NaN violation in the last provider of block 1 of 167.
+	nan := *shaped
+	nan.Report.Providers = append([]core.ProviderReport(nil), shaped.Report.Providers...)
+	nan.Report.Providers[2*certBlock-1].Violation = math.NaN()
+	if _, err := encodingJSON(&nan); err == nil {
+		t.Fatal("encoding/json accepted a NaN violation")
+	}
+	full := len(indentedJSON(t, shaped))
+	for _, procs := range []int{2, 8} {
+		withProcs(procs, func() { err = writeCertification(httptest.NewRecorder(), &nan) })
+		if err == nil {
+			t.Errorf("GOMAXPROCS %d: a NaN violation wrote a certification", procs)
+		}
+		if n := renderWorkers(); n != 0 {
+			t.Errorf("GOMAXPROCS %d: %d render workers left after the encoding error", procs, n)
+		}
+		for _, limit := range []int{0, reportChunk, full / 2} {
+			w := &failingWriter{header: http.Header{}, limit: limit}
+			withProcs(procs, func() { err = writeCertification(w, shaped) })
+			if !errors.Is(err, errHungUp) || w.failed != 0 || w.offered > limit+2*reportChunk {
+				t.Errorf("GOMAXPROCS %d, hang-up at %d: err %v, %d Writes after the failure, %d bytes offered",
+					procs, limit, err, w.failed, w.offered)
+			}
+			if n := renderWorkers(); n != 0 {
+				t.Errorf("GOMAXPROCS %d, hang-up at %d: %d render workers left", procs, limit, n)
+			}
 		}
 	}
 }

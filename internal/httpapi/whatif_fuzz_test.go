@@ -7,9 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/policydsl"
-	"repro/internal/population"
-	"repro/internal/ppdb"
 	"repro/internal/whatif"
 )
 
@@ -23,21 +20,7 @@ import (
 // API.md example, perfbench's one-tuple retarget, an empty diff, a NaN u,
 // a Σ of 1e7 and duplicate ops.
 func FuzzWhatIfRequest(f *testing.F) {
-	doc, err := policydsl.Parse(population.BenchPolicyDSL("A", "third-party"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	db, err := ppdb.New(ppdb.Config{Policy: doc.Policy, AttrSens: doc.AttrSens})
-	if err != nil {
-		f.Fatal(err)
-	}
-	gen, err := population.NewGenerator(population.BenchConfig(), 5)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := db.RegisterProviders(population.PrefsOf(gen.Generate(40))); err != nil {
-		f.Fatal(err)
-	}
+	db := benchShapedDB(f, 40)
 	srv, err := NewWith(db, Options{OperatorToken: operatorToken})
 	if err != nil {
 		f.Fatal(err)

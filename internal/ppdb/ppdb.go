@@ -257,7 +257,7 @@ func (d *DB) Advance(by time.Duration) (time.Time, error) {
 	}
 	d.mu.Lock()
 	next := d.now.Add(by)
-	lsn, err := d.walAppendLocked(walRecClock, walClockJSON{Now: next})
+	lsn, err := d.walAppendLocked(walRecord{typ: walRecClock, v: walClockJSON{Now: next}})
 	if err != nil {
 		d.mu.Unlock()
 		return time.Time{}, err
@@ -346,8 +346,12 @@ func (d *DB) RegisterProvider(p *privacy.Prefs) error {
 	if err := p.Validate(d.scales); err != nil {
 		return err
 	}
+	rec, err := d.walEncode(walRecUpsert, policydsl.ProviderToJSON(p))
+	if err != nil {
+		return err
+	}
 	d.mu.Lock()
-	lsn, err := d.registerLocked(p)
+	lsn, err := d.registerLocked(p, rec)
 	d.mu.Unlock()
 	if err != nil {
 		return err
@@ -358,11 +362,12 @@ func (d *DB) RegisterProvider(p *privacy.Prefs) error {
 // registerLocked stores validated preferences with a fresh prefs version,
 // compiling them and assessing the row with the columnar kernel. The
 // caller holds d.mu exclusively, so the policy cannot swap mid-write. The
-// WAL record is appended in the same critical section — WAL order equals
-// apply order — and the returned LSN is handed back so the caller can
-// commit-wait after the lock is released.
-func (d *DB) registerLocked(p *privacy.Prefs) (uint64, error) {
-	lsn, err := d.walAppendLocked(walRecUpsert, policydsl.ProviderToJSON(p))
+// caller encodes p's upsert record before taking the lock; it is appended
+// in the same critical section — WAL order equals apply order — and the
+// returned LSN is handed back so the caller can commit-wait after the
+// lock is released.
+func (d *DB) registerLocked(p *privacy.Prefs, rec walRecord) (uint64, error) {
+	lsn, err := d.walAppendLocked(rec)
 	if err != nil {
 		return 0, err
 	}
@@ -391,8 +396,12 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 	for i, p := range ps {
 		recs[i] = policydsl.ProviderToJSON(p)
 	}
+	rec, err := d.walEncode(walRecBatch, recs)
+	if err != nil {
+		return err
+	}
 	d.mu.Lock()
-	lsn, err := d.walAppendLocked(walRecBatch, recs)
+	lsn, err := d.walAppendLocked(rec)
 	if err != nil {
 		d.mu.Unlock()
 		return err
@@ -487,8 +496,12 @@ func (d *DB) ProvidersPage(prefix string, offset, limit int) (int, []string) {
 // of a delete lands on exactly the same rows.
 func (d *DB) RemoveProvider(name string) (int, error) {
 	key := strings.ToLower(name)
+	rec, err := d.walEncode(walRecDelete, walDeleteJSON{Provider: key})
+	if err != nil {
+		return 0, err
+	}
 	d.mu.Lock()
-	lsn, err := d.walAppendLocked(walRecDelete, walDeleteJSON{Provider: key})
+	lsn, err := d.walAppendLocked(rec)
 	if err != nil {
 		d.mu.Unlock()
 		return 0, err
@@ -580,14 +593,17 @@ func (d *DB) setPolicyExclusive(next *privacy.HousePolicy) (PolicyChange, uint64
 	if err := next.Validate(d.scales); err != nil {
 		return PolicyChange{}, 0, err
 	}
-	rec := policydsl.PolicyToJSON(next, nil)
+	rec, err := d.walEncode(walRecPolicy, policydsl.PolicyToJSON(next, nil))
+	if err != nil {
+		return PolicyChange{}, 0, err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	after, err := core.NewAssessor(next, d.attrSens, d.opts)
 	if err != nil {
 		return PolicyChange{}, 0, err
 	}
-	lsn, err := d.walAppendLocked(walRecPolicy, rec)
+	lsn, err := d.walAppendLocked(rec)
 	if err != nil {
 		return PolicyChange{}, 0, err
 	}

@@ -107,7 +107,7 @@ func (d *DB) Sweep() (SweepReport, error) {
 	// The WAL record carries the sweep's clock reading; replay pins the
 	// clock to it before re-sweeping, so the expiry decisions are the
 	// logged ones even if clock records were checkpointed away.
-	lsn, err := d.walAppendLocked(walRecSweep, walSweepJSON{At: d.now})
+	lsn, err := d.walAppendLocked(walRecord{typ: walRecSweep, v: walSweepJSON{At: d.now}})
 	if err != nil {
 		d.mu.Unlock()
 		return SweepReport{}, err

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/policydsl"
 	"repro/internal/privacy"
 	"repro/internal/relational"
 )
@@ -110,12 +111,16 @@ func (d *DB) UpdatePreferences(provider string, prefs *privacy.Prefs) error {
 	if err := prefs.Validate(d.scales); err != nil {
 		return err
 	}
+	rec, err := d.walEncode(walRecUpsert, policydsl.ProviderToJSON(prefs))
+	if err != nil {
+		return err
+	}
 	d.mu.Lock()
 	if _, ok := d.table.Get(strings.ToLower(provider)); !ok {
 		d.mu.Unlock()
 		return fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
-	lsn, err := d.registerLocked(prefs)
+	lsn, err := d.registerLocked(prefs, rec)
 	d.mu.Unlock()
 	if err != nil {
 		return err

@@ -57,22 +57,55 @@ type walSweepJSON struct {
 	At time.Time `json:"at"`
 }
 
-// walAppendLocked encodes v and appends it as a WAL record. The caller
-// holds the lock that serializes the mutation being logged — the returned
-// LSN's position in the log therefore matches the mutation's position in
-// the apply order. Returns LSN 0 (and no error) when no WAL is attached.
-// On error the caller must abort without applying: a mutation the log
-// rejected would vanish on recovery.
-func (d *DB) walAppendLocked(typ byte, v any) (uint64, error) {
+// walRecord is one WAL record: its type, its value and, once encoded,
+// the value's JSON.
+type walRecord struct {
+	typ  byte
+	v    any
+	body []byte
+}
+
+func (r *walRecord) encode() error {
+	if r.body != nil {
+		return nil
+	}
+	body, err := json.Marshal(r.v)
+	if err != nil {
+		return fmt.Errorf("ppdb: wal encode record type %d: %w", r.typ, err)
+	}
+	r.body = body
+	return nil
+}
+
+// walEncode encodes a record whose value the request fixes (an upsert, a
+// batch, a delete, a policy) before the caller takes the lock it is
+// appended under, so the exclusive section only appends. With no WAL
+// attached it encodes nothing. On error the caller must not apply.
+func (d *DB) walEncode(typ byte, v any) (walRecord, error) {
+	rec := walRecord{typ: typ, v: v}
+	if d.wal.Load() == nil {
+		return rec, nil
+	}
+	return rec, rec.encode()
+}
+
+// walAppendLocked appends rec to the WAL, encoding it first unless
+// walEncode already did (a clock or sweep record reads state under the
+// lock; a record encoded while no WAL was attached has no body). The
+// caller holds the lock that serializes the mutation being logged — the
+// returned LSN's position in the log therefore matches the mutation's
+// position in the apply order. Returns LSN 0 (and no error) when no WAL
+// is attached. On error the caller must abort without applying: a
+// mutation the log rejected would vanish on recovery.
+func (d *DB) walAppendLocked(rec walRecord) (uint64, error) {
 	w := d.wal.Load()
 	if w == nil {
 		return 0, nil
 	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("ppdb: wal encode record type %d: %w", typ, err)
+	if err := rec.encode(); err != nil {
+		return 0, err
 	}
-	lsn, err := w.AppendAsync(wal.Record{Type: typ, Data: body})
+	lsn, err := w.AppendAsync(wal.Record{Type: rec.typ, Data: rec.body})
 	if err != nil {
 		return 0, fmt.Errorf("ppdb: wal append: %w", err)
 	}

@@ -139,13 +139,13 @@ func (e *Engine) GlobalFallback() bool { return e.allAffected }
 // Evaluate assesses the candidate against a provider population: rows in
 // ascending key order, each carrying its live report under the engine's
 // live assessor. Providers the diff cannot affect reuse that report; the
-// rest are re-assessed under the shadow policy across the fan-out, into
-// slots aligned with rows. Both populations are then summed serially in
-// row order, so the current summary is bit-identical to a full
-// certification. Evaluate reads only a report's w_i, Violation_i and
-// default_i, and writes nothing the rows reach.
+// rest are re-assessed under the shadow policy across the fan-out. Either
+// way only w_i, Violation_i and default_i are kept, in slots aligned with
+// rows. Both populations are then summed serially in row order, so the
+// current summary is bit-identical to a full certification. Evaluate
+// writes nothing the rows reach.
 func (e *Engine) Evaluate(rows []*ledger.Row) *Response {
-	shd := make([]core.ProviderReport, len(rows))
+	shd := make([]shadowTotals, len(rows))
 	var affected atomic.Int64
 	core.FanOut(len(rows), func(lo, hi int) {
 		var sc core.Scratch
@@ -157,10 +157,11 @@ func (e *Engine) Evaluate(rows []*ledger.Row) *Response {
 				// so the kernel compiles the provider against the shadow
 				// policy into the worker's scratch, and materializes no
 				// pair.
-				shd[i] = e.shadow.AssessTotals(r.Prefs, &sc)
+				rep := e.shadow.AssessTotals(r.Prefs, &sc)
+				shd[i] = totalsOf(&rep)
 				n++
 			} else {
-				shd[i] = r.Report
+				shd[i] = totalsOf(&r.Report)
 			}
 		}
 		affected.Add(int64(n))
@@ -169,7 +170,7 @@ func (e *Engine) Evaluate(rows []*ledger.Row) *Response {
 	var cur, prop core.Partial
 	for i, r := range rows {
 		cur.Add(&r.Report)
-		prop.Add(&shd[i])
+		prop.AddTotals(shd[i].violated, shd[i].defaults, shd[i].violation)
 	}
 
 	resp := &Response{
@@ -217,13 +218,24 @@ func (e *Engine) Evaluate(rows []*ledger.Row) *Response {
 				if r.Report.Defaults {
 					seg.DefaultsCurrent++
 				}
-				if shd[i].Defaults {
+				if shd[i].defaults {
 					seg.DefaultsProposed++
 				}
 			}
 		}
 	}
 	return resp
+}
+
+// shadowTotals is the part of a provider's shadow report Evaluate reads:
+// w_i, default_i and Violation_i, a quarter of a core.ProviderReport.
+type shadowTotals struct {
+	violation          float64
+	violated, defaults bool
+}
+
+func totalsOf(r *core.ProviderReport) shadowTotals {
+	return shadowTotals{violation: r.Violation, violated: r.Violated, defaults: r.Defaults}
 }
 
 func summaryOf(p core.Partial) Summary {

@@ -9,7 +9,8 @@
 # (BenchmarkWhatIfStorm with implicit zeros off and BenchmarkWhatIfShipped
 # in the server's configuration, narrow vs full diff over 100k providers), the
 # HTTP certify benches (BenchmarkCertifyHTTP, GET /v1/certify through the
-# handler at 1k/100k providers), the compile bench (BenchmarkCompile, one
+# handler at 1k/100k providers, and shipped-20k: perfbench's 20k providers
+# under its policy A), the compile bench (BenchmarkCompile, one
 # perfbench-shaped provider) and the policy-swap bench (BenchmarkSetPolicy,
 # 100k providers, implicit zeros on) and records ns/op, B/op and allocs/op
 # plus the cold→incremental speedup per population size into

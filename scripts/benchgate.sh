@@ -24,7 +24,8 @@ fi
 # enforced-query benches (QueryEnforced
 # runs clean and violating populations at 10k/100k rows), the what-if
 # benches (WhatIfStorm and WhatIfShipped, narrow and full diffs), the
-# HTTP certify benches (CertifyHTTP, GET /v1/certify through the handler),
+# HTTP certify benches (CertifyHTTP, GET /v1/certify through the handler
+# at 1k/100k providers and on perfbench's shape, shipped-20k),
 # the per-provider compile bench (Compile) and the policy-swap bench
 # (SetPolicy); each sub-bench is compared against its own baseline entry.
 out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)' \

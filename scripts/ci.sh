@@ -47,18 +47,24 @@ go test -race $race_pkgs
 # GOMAXPROCS 1/2/8 — the "shards" its tests are named after — the ledger
 # tests drive the batch and rebuild fan-outs, the enforced-query test races
 # concurrent QueryEnforced against registration, inserts and policy swaps,
-# and the update/remove stress test races self-service edits against
-# removals. GOMAXPROCS=4 gives the race detector real interleavings even on
-# single-core runners. The pass names its tests and checks that every one
-# still exists, so a rename fails here instead of leaving a pattern that
-# matches nothing and passes.
-fanout_tests='TestShardCountCertifyEquivalence TestShardSnapshotByteCompat TestShardSnapshotRoundTrip TestColumnarKernelMatchesReferenceAcrossShards TestShardedEnforcedQueryUnderMutation TestLedgerCertifyEquivalence TestUpdatePreferencesNeverResurrects TestConcurrentLedger TestUpsertBatchMatchesSequential TestRebuildSwapsPolicy'
+# the update/remove stress test races self-service edits against
+# removals, and the report-writer tests drive the certification's
+# render-ahead workers through whole bodies, block boundaries, encoding
+# errors and hang-ups. GOMAXPROCS=4 gives the race detector real
+# interleavings even on single-core runners. The pass names its tests and
+# checks that every one still exists, so a rename fails here instead of
+# leaving a pattern that matches nothing and passes.
+fanout_tests='TestShardCountCertifyEquivalence TestShardSnapshotByteCompat TestShardSnapshotRoundTrip TestColumnarKernelMatchesReferenceAcrossShards TestShardedEnforcedQueryUnderMutation TestLedgerCertifyEquivalence TestUpdatePreferencesNeverResurrects TestConcurrentLedger TestUpsertBatchMatchesSequential TestRebuildSwapsPolicy TestReportRoutesMatchEncodingJSON TestReportWriterStopsOnHangUp TestCertificationParallelMatchesEncodingJSON'
+fanout_pkgs='./internal/ppdb ./internal/ledger ./internal/httpapi'
 fanout_re="^($(echo "$fanout_tests" | tr ' ' '|'))\$"
 want=$(echo "$fanout_tests" | wc -w | tr -d ' ')
-listed=$(go test -list "$fanout_re" ./internal/ppdb ./internal/ledger | grep -c '^Test' || true)
+# shellcheck disable=SC2086 # the package list is space-separated
+listed=$(go test -list "$fanout_re" $fanout_pkgs | grep -c '^Test' || true)
 if [ "$listed" -ne "$want" ]; then
 	echo "ci.sh: fan-out race pass lists $listed of its $want tests — one was renamed or deleted:" >&2
-	go test -list "$fanout_re" ./internal/ppdb ./internal/ledger >&2
+	# shellcheck disable=SC2086
+	go test -list "$fanout_re" $fanout_pkgs >&2
 	exit 1
 fi
-GOMAXPROCS=4 go test -race -run "$fanout_re" ./internal/ppdb ./internal/ledger
+# shellcheck disable=SC2086
+GOMAXPROCS=4 go test -race -run "$fanout_re" $fanout_pkgs
