@@ -64,17 +64,13 @@ func runAudit(w io.Writer, in string, alpha float64, top int, asJSON bool) error
 	// report from its rows (sorted by provider key, so the
 	// output is stable across runs). Duplicate provider blocks collapse,
 	// last one wins — the same semantics as registering against a PPDB.
-	led, err := ledger.New(assessor, 1)
-	if err != nil {
-		return err
-	}
 	items := make([]ledger.Item, len(doc.Providers))
 	for i, p := range doc.Providers {
-		items[i] = ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p,
-			Compiled: assessor.Compile(p), Version: uint64(i + 1)}
+		items[i] = ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p}
 	}
-	led.UpsertBatch(items)
-	rep := led.Snapshot()
+	table := ledger.NewTable()
+	table.Upsert(assessor, items)
+	rep := ledger.Assemble(table.Rows())
 
 	if asJSON {
 		enc := json.NewEncoder(w)

@@ -310,10 +310,8 @@ func build(corpusPath, table, key, cols string) (*ppdb.DB, error) {
 	if err := db.RegisterTable(table, schema, key); err != nil {
 		return nil, err
 	}
-	for _, p := range doc.Providers {
-		if err := db.RegisterProvider(p); err != nil {
-			return nil, err
-		}
+	if err := db.RegisterProviders(doc.Providers); err != nil {
+		return nil, err
 	}
 	return db, nil
 }

@@ -74,46 +74,20 @@ func TestCheckersGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Select(%s): %v", tc.checker, err)
 			}
-			findings := Analyze(pkgs, checkers)
-
-			var wants []*wantAnn
 			ignores := 0
 			for _, pkg := range pkgs {
 				for _, f := range pkg.Files {
-					path := loader.fset.Position(f.Pos()).Filename
-					wants = append(wants, parseWants(t, path)...)
-					src, err := os.ReadFile(path)
+					src, err := os.ReadFile(loader.fset.Position(f.Pos()).Filename)
 					if err != nil {
 						t.Fatalf("reading fixture: %v", err)
 					}
 					ignores += strings.Count(string(src), "//lint:ignore "+tc.checker)
 				}
 			}
-			if len(wants) == 0 {
-				t.Fatalf("fixture %s has no want annotations", tc.fixture)
-			}
 			if ignores == 0 {
 				t.Errorf("fixture %s demonstrates no //lint:ignore %s suppression", tc.fixture, tc.checker)
 			}
-
-			for _, f := range findings {
-				matched := false
-				for _, w := range wants {
-					if !w.matched && w.file == filepath.Base(f.File) && w.line == f.Line && strings.Contains(f.Message, w.substr) {
-						w.matched = true
-						matched = true
-						break
-					}
-				}
-				if !matched {
-					t.Errorf("unexpected finding: %s", f)
-				}
-			}
-			for _, w := range wants {
-				if !w.matched {
-					t.Errorf("%s:%d: missing finding containing %q", w.file, w.line, w.substr)
-				}
-			}
+			matchWants(t, loader, pkgs, Analyze(pkgs, checkers))
 		})
 	}
 
@@ -128,6 +102,63 @@ func TestCheckersGolden(t *testing.T) {
 			}
 		}
 	})
+}
+
+// matchWants requires exactly one finding per want annotation in the
+// loaded fixture files, at its file and line and containing its
+// substring, and no other finding.
+func matchWants(t *testing.T, loader *Loader, pkgs []*Package, findings []Finding) {
+	t.Helper()
+	var wants []*wantAnn
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			wants = append(wants, parseWants(t, loader.fset.Position(f.Pos()).Filename)...)
+		}
+	}
+	if len(wants) == 0 {
+		t.Fatal("fixture has no want annotations")
+	}
+	for _, f := range findings {
+		matched := false
+		for _, w := range wants {
+			if !w.matched && w.file == filepath.Base(f.File) && w.line == f.Line && strings.Contains(f.Message, w.substr) {
+				w.matched = true
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: missing finding containing %q", w.file, w.line, w.substr)
+		}
+	}
+}
+
+// TestCrossPackageFindings runs the whole-program checkers over a
+// two-package fixture whose lock-order inversion and order-dependent map
+// range are each reached only through a direct call from one package into
+// the other: the call graph must resolve calls across package boundaries.
+func TestCrossPackageFindings(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := loader.Load([]string{filepath.Join("testdata", "src", "crosspkgdata") + "/..."})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages, want the fixture and its store", len(pkgs))
+	}
+	checkers, err := Select("lockorder,determinism")
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	matchWants(t, loader, pkgs, Analyze(pkgs, checkers))
 }
 
 // TestAnalyzeDeterministic verifies that finding order is stable across

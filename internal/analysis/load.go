@@ -34,13 +34,20 @@ type Package struct {
 // imports against the module root and everything else against GOROOT —
 // a zero-dependency substitute for golang.org/x/tools/go/packages that is
 // exact for this repo (the module itself has no external imports).
+//
+// Each module package is type-checked once, with full syntax and info,
+// and that one *types.Package is what its importers see, so an object
+// named across packages (a called function, an implemented interface) is
+// the same object the defining package declares — the whole-program call
+// graph resolves cross-package calls through it.
 type Loader struct {
 	fset   *token.FileSet
 	ctx    build.Context
 	root   string // module root (directory containing go.mod)
 	module string // module path from go.mod
 
-	deps    map[string]*types.Package // import path → checked dependency
+	pkgs    map[string]*Package       // module import path → checked package
+	deps    map[string]*types.Package // GOROOT import path → checked dependency
 	loading map[string]bool           // cycle guard
 }
 
@@ -73,6 +80,7 @@ func NewLoader(dir string) (*Loader, error) {
 		ctx:     ctx,
 		root:    root,
 		module:  mod,
+		pkgs:    make(map[string]*Package),
 		deps:    make(map[string]*types.Package),
 		loading: make(map[string]bool),
 	}, nil
@@ -191,9 +199,20 @@ func (l *Loader) hasGoFiles(dir string) bool {
 	return err == nil && len(bp.GoFiles) > 0
 }
 
-// check parses and type-checks the package in dir with full syntax and
-// type info, for analysis.
+// check parses and type-checks the module package in dir with full syntax
+// and type info, memoized: the package a Load returns is the one its
+// importers were checked against.
 func (l *Loader) check(dir string) (*Package, error) {
+	path := l.importPathFor(dir)
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	if l.loading[path] {
+		return nil, fmt.Errorf("analysis: import cycle through %q", path)
+	}
+	l.loading[path] = true
+	defer delete(l.loading, path)
+
 	bp, err := l.ctx.ImportDir(dir, 0)
 	if err != nil {
 		if _, none := err.(*build.NoGoError); none {
@@ -205,7 +224,6 @@ func (l *Loader) check(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := l.importPathFor(dir)
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -226,14 +244,16 @@ func (l *Loader) check(dir string) (*Package, error) {
 		}
 		return nil, fmt.Errorf("analysis: %s does not type-check:\n  %s", path, strings.Join(msgs, "\n  "))
 	}
-	return &Package{
+	pkg := &Package{
 		Path:  path,
 		Dir:   dir,
 		Fset:  l.fset,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
-	}, nil
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
 }
 
 // importPathFor maps a repo directory to its import path.
@@ -250,9 +270,10 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// importDep type-checks a dependency package (repo-local or GOROOT) from
-// source, memoized. Dependencies are checked without syntax retention or
-// extra info — only their exported type surface is needed.
+// importDep resolves an import. A module package is checked by check, the
+// same package Load hands to the analysis; a GOROOT package is checked
+// from source, memoized, without syntax retention or extra info — only
+// its exported type surface is needed.
 func (l *Loader) importDep(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
@@ -260,16 +281,26 @@ func (l *Loader) importDep(path string) (*types.Package, error) {
 	if p, ok := l.deps[path]; ok {
 		return p, nil
 	}
+	dir, err := l.dirFor(path)
+	if err != nil {
+		return nil, err
+	}
+	if path == l.module || strings.HasPrefix(path, l.module+"/") {
+		pkg, err := l.check(dir)
+		if err != nil {
+			return nil, err
+		}
+		if pkg == nil {
+			return nil, fmt.Errorf("analysis: import %q: no buildable Go files in %s", path, dir)
+		}
+		return pkg.Types, nil
+	}
 	if l.loading[path] {
 		return nil, fmt.Errorf("analysis: import cycle through %q", path)
 	}
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	dir, err := l.dirFor(path)
-	if err != nil {
-		return nil, err
-	}
 	bp, err := l.ctx.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: import %q: %w", path, err)

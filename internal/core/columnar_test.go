@@ -385,8 +385,7 @@ func compiledColumns(c *CompiledPrefs) []namedColumn {
 // length or values differ from want's, or returns ""; nil and empty
 // columns are the same column.
 func diffColumns(got, want *CompiledPrefs) string {
-	if got.Provider != want.Provider || got.Threshold != want.Threshold ||
-		got.PrefsVersion != want.PrefsVersion || got.policy != want.policy {
+	if got.Provider != want.Provider || got.Threshold != want.Threshold || got.policy != want.policy {
 		return "scalar fields"
 	}
 	gc, wc := compiledColumns(got), compiledColumns(want)

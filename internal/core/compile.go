@@ -115,9 +115,8 @@ func (cp *CompiledPolicy) RetentionCeiling(attr string) (privacy.Level, bool) {
 type CompiledPrefs struct {
 	Provider  string
 	Threshold float64
-	// PrefsVersion is the registration counter the columns were compiled
-	// from, stamped by the ledger table that stores them (internal/ledger);
-	// with the policy identity below it versions the compiled row.
+	// Deprecated: compiled columns carry no version, and nothing reads
+	// PrefsVersion.
 	PrefsVersion uint64
 
 	policy *CompiledPolicy // compile-time policy identity
@@ -197,10 +196,9 @@ func (a *Assessor) Compile(p *privacy.Prefs) *CompiledPrefs {
 // every column a capped sub-slice of its array.
 func (c *CompiledPrefs) clone() *CompiledPrefs {
 	out := &CompiledPrefs{
-		Provider:     c.Provider,
-		Threshold:    c.Threshold,
-		PrefsVersion: c.PrefsVersion,
-		policy:       c.policy,
+		Provider:  c.Provider,
+		Threshold: c.Threshold,
+		policy:    c.policy,
 	}
 	u32 := make([]uint32, len(c.attrID)+len(c.covStart)+len(c.covers))
 	out.attrID = carve(&u32, c.attrID)

@@ -158,10 +158,8 @@ func (a *Assessor) AssessProvider(p *privacy.Prefs) ProviderReport {
 	return a.AssessRow(p, nil, nil)
 }
 
-// AssessOne is the stable per-provider entry point for incremental
-// maintainers (internal/ledger): one provider in, one immutable report out.
-// The report must not be mutated by callers — memoizing layers hand the
-// same row to many readers. Semantically identical to AssessProvider.
+// AssessOne is AssessProvider, kept for the benchmark's traced twin, its
+// one caller.
 func (a *Assessor) AssessOne(p *privacy.Prefs) ProviderReport {
 	return a.AssessProvider(p)
 }

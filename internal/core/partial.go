@@ -73,8 +73,14 @@ func (p Partial) PDefault() float64 {
 // every range is done. With one CPU or n <= 1 it is the plain call f(0, n)
 // on the caller's goroutine. Workers write results to index-aligned slots
 // and the caller reduces them serially in index order, so a result never
-// depends on the width.
+// depends on the width. n <= 1 returns before reading GOMAXPROCS, which
+// takes the scheduler's lock: a one-item upsert calls FanOut under the
+// store's exclusive lock.
 func FanOut(n int, f func(lo, hi int)) {
+	if n <= 1 {
+		f(0, n)
+		return
+	}
 	w := runtime.GOMAXPROCS(0)
 	if w > n {
 		w = n

@@ -1,24 +1,24 @@
 // Package ledger is the provider table certification reads: one immutable
 // row per provider — its preferences, their compiled columns (DESIGN.md
-// §13), a prefs version and the memoized core.ProviderReport — plus one
-// running core.Partial (N, Σ w_i, Σ default_i, Σ Violation_i). The paper's
-// population quantities — P(W) = Σ w_i / N (Def. 2), P(Default) (Def. 5)
-// and the house total Violations (Eq. 16) — are sums of independent
-// per-provider terms, so a preference edit costs one re-assessment and one
-// delta to the partial, and the population answer is read from the partial
-// in O(1) instead of recomputed over N.
+// §13) and its core.ProviderReport — plus one running core.Partial (N,
+// Σ w_i, Σ default_i, Σ Violation_i). The paper's population quantities —
+// P(W) = Σ w_i / N (Def. 2), P(Default) (Def. 5) and the house total
+// Violations (Eq. 16) — are sums of independent per-provider terms, so a
+// row enters the table one way: Upsert assesses it and moves the partial
+// by its delta, and the population answer is read from the partial in
+// O(1) instead of recomputed over N.
 //
 // A Table has no lock of its own; its owner serializes access.
 // internal/ppdb holds one Table under its own lock, so the store and the
-// table are the same thing. Ledger wraps a Table behind one lock for
-// callers that have no store (cmd/ppdbaudit and the benchmark's twin).
-// Population work — batch assessment and the policy rebuild — fans out
-// over contiguous ranges of the sorted key list (core.FanOut, DESIGN.md
-// §11) and installs its results serially in key order.
+// table are the same thing; cmd/ppdbaudit builds one directly. Ledger
+// wraps a Table behind one lock for the benchmark's traced twin.
+// Population work — upserts and the policy rebuild — fans out over
+// contiguous ranges of its input (core.FanOut, DESIGN.md §11) and installs
+// its results serially in order.
 //
-// Rows are current by construction. An upsert assesses the row it
+// Rows are current by construction. An upsert assesses every row it
 // installs, and a policy swap (Rebuild) re-assesses every row while the
-// owner excludes all readers, so no row carries a policy version. A row is
+// owner excludes all readers, so no row carries a version. A row is
 // immutable once installed: readers may keep the pointers Rows returns
 // after the owner's lock is released.
 //
@@ -45,10 +45,8 @@ import (
 // (one server process holds one live table). Hoisted once so the hot paths
 // pay a single atomic op, not a registry lookup.
 var (
-	mMemoHits = metrics.Default.Counter("ledger_memo_hits_total",
-		"upserts answered by a row already at the requested prefs version (no re-assessment)")
 	mMemoMisses = metrics.Default.Counter("ledger_memo_misses_total",
-		"upserts that had to re-assess the provider")
+		"provider assessments by upsert")
 	mDeltaApplies = metrics.Default.Counter("ledger_delta_applies_total",
 		"row installs with O(1) aggregate maintenance")
 	mRebuilds = metrics.Default.Counter("ledger_rebuilds_total",
@@ -63,33 +61,30 @@ type Row struct {
 	// Compiled is Prefs flattened against the policy the row was assessed
 	// under.
 	Compiled *core.CompiledPrefs
-	// Version is the owner's registration counter at this row's latest
-	// upsert.
-	Version uint64
-	Report  core.ProviderReport
+	Report   core.ProviderReport
 }
 
-// Item is one upsert: a provider's canonical key, preferences, their
-// columns compiled against the ledger's assessor (core.Assessor.Compile)
-// and prefs version.
+// Item is one upsert: a provider's canonical key, its preferences and,
+// optionally, their columns compiled against the upserting assessor
+// (core.Assessor.Compile); Upsert compiles an item without current ones.
 type Item struct {
 	Key      string
 	Prefs    *privacy.Prefs
 	Compiled *core.CompiledPrefs
-	Version  uint64
+	// Deprecated: rows carry no version; Version is ignored.
+	Version uint64
 }
 
-// Table is the provider table: the sorted keys, the rows by key, the
-// running aggregate and the prefs-version counter. It is not safe for
-// concurrent use: readers need the owner's lock shared, and every mutation
-// needs it exclusively.
+// Table is the provider table: the sorted keys, the rows by key and the
+// running aggregate. It is not safe for concurrent use: readers need the
+// owner's lock shared, and every mutation needs it exclusively.
 type Table struct {
-	byKey   map[string]*Row
-	keys    []string // sorted; kept in lockstep with byKey
-	agg     core.Partial
-	version uint64
-	// scratch is the columnar-kernel arena of single upserts, which hold
-	// the owner's lock exclusively, so re-assessments never allocate it.
+	byKey map[string]*Row
+	keys  []string // sorted; kept in lockstep with byKey
+	agg   core.Partial
+	// scratch is the columnar-kernel arena of the upsert range that starts
+	// at 0, which runs on the caller's goroutine when the fan-out is one
+	// wide, so a one-item upsert starts with a warm arena.
 	scratch core.Scratch
 }
 
@@ -110,13 +105,6 @@ func (t *Table) Get(key string) (*Row, bool) {
 // Partial returns the running aggregate.
 func (t *Table) Partial() core.Partial { return t.agg }
 
-// NextVersion bumps and returns the prefs-version counter, the Version of
-// the owner's next upsert.
-func (t *Table) NextVersion() uint64 {
-	t.version++
-	return t.version
-}
-
 // Keys copies the sorted key list.
 func (t *Table) Keys() []string { return slices.Clone(t.keys) }
 
@@ -130,67 +118,57 @@ func (t *Table) Rows() []*Row {
 	return rows
 }
 
-// Upsert installs one registration or preference edit and returns the
-// provider's report. A row already at it.Version is returned untouched (a
-// memo hit); otherwise the provider is assessed with a's columnar kernel
-// and the partial moves by the delta.
-func (t *Table) Upsert(a *core.Assessor, it Item) core.ProviderReport {
-	if r, ok := t.byKey[it.Key]; ok && r.Version == it.Version {
-		mMemoHits.Inc()
-		return r.Report
-	}
-	mMemoMisses.Inc()
-	r := newRow(a, it, &t.scratch)
-	if t.install(it.Key, r) {
-		i, _ := slices.BinarySearch(t.keys, it.Key)
-		t.keys = slices.Insert(t.keys, i, it.Key)
-	}
-	return r.Report
-}
-
-// UpsertBatch installs many items at once, the cold-load path. Every item
-// is assessed (a batch carries fresh versions), across the fan-out; the
-// rows are then installed serially in item order, so a key listed twice
-// keeps its last item. New keys are sorted once and merged into the key
-// list, not shifted in one at a time.
-func (t *Table) UpsertBatch(a *core.Assessor, items []Item) {
+// Upsert installs items — registrations and preference edits — and
+// returns their rows in item order. One fan-out pass compiles each item
+// that carries no current columns and assesses it; the rows then install
+// serially in item order, each moving the partial by its delta, so a key
+// listed twice keeps its last item. New keys are merged from the back into
+// the grown key list: one new key moves the keys after it, as
+// slices.Insert does, and the list allocates only when it grows.
+func (t *Table) Upsert(a *core.Assessor, items []Item) []*Row {
 	mMemoMisses.Add(uint64(len(items)))
 	rows := make([]*Row, len(items))
 	core.FanOut(len(items), func(lo, hi int) {
-		var sc core.Scratch
+		sc := &t.scratch
+		if lo > 0 {
+			sc = new(core.Scratch)
+		}
 		for i := lo; i < hi; i++ {
-			rows[i] = newRow(a, items[i], &sc)
+			rows[i] = newRow(a, items[i], sc)
 		}
 	})
-	var fresh []string
+	var one [1]string // a one-item upsert collects its new key without allocating
+	fresh := one[:0]
 	for i, it := range items {
 		if t.install(it.Key, rows[i]) {
 			fresh = append(fresh, it.Key)
 		}
 	}
-	if len(fresh) == 0 {
-		return
-	}
 	slices.Sort(fresh)
-	merged := make([]string, 0, len(t.keys)+len(fresh))
-	old := t.keys
-	for len(old) > 0 && len(fresh) > 0 {
-		if fresh[0] < old[0] {
-			merged, fresh = append(merged, fresh[0]), fresh[1:]
+	// i walks the old keys and j the new ones from the back, and each step
+	// places the larger at i+j+1; once j is spent the rest are in place.
+	old := len(t.keys)
+	t.keys = slices.Grow(t.keys, len(fresh))[:old+len(fresh)]
+	for i, j := old-1, len(fresh)-1; j >= 0; {
+		if i >= 0 && t.keys[i] > fresh[j] {
+			t.keys[i+j+1] = t.keys[i]
+			i--
 		} else {
-			merged, old = append(merged, old[0]), old[1:]
+			t.keys[i+j+1] = fresh[j]
+			j--
 		}
 	}
-	t.keys = append(append(merged, old...), fresh...)
+	return rows
 }
 
-// newRow assesses it into a row with a's columnar kernel.
+// newRow assesses it into a row with a's columnar kernel, compiling its
+// preferences first unless it carries columns current for a.
 func newRow(a *core.Assessor, it Item, sc *core.Scratch) *Row {
-	if it.Compiled != nil {
-		it.Compiled.PrefsVersion = it.Version
+	c := it.Compiled
+	if !c.CurrentFor(a) {
+		c = a.Compile(it.Prefs)
 	}
-	return &Row{Prefs: it.Prefs, Compiled: it.Compiled, Version: it.Version,
-		Report: a.AssessRow(it.Prefs, it.Compiled, sc)}
+	return &Row{Prefs: it.Prefs, Compiled: c, Report: a.AssessRow(it.Prefs, c, sc)}
 }
 
 // install puts r under key, moving the partial by the delta (subtract the
@@ -235,8 +213,7 @@ func (t *Table) Rebuild(a *core.Assessor) {
 	core.FanOut(len(rows), func(lo, hi int) {
 		var sc core.Scratch
 		for i := lo; i < hi; i++ {
-			old := t.byKey[t.keys[i]]
-			rows[i] = newRow(a, Item{Prefs: old.Prefs, Compiled: a.Compile(old.Prefs), Version: old.Version}, &sc)
+			rows[i] = newRow(a, Item{Prefs: t.byKey[t.keys[i]].Prefs}, &sc)
 		}
 	})
 	t.agg = core.Partial{}
@@ -260,9 +237,9 @@ func Assemble(rows []*Row) core.PopulationReport {
 	return core.AssemblePopulation(reps)
 }
 
-// Ledger is a provider table behind one lock, for callers without a store
-// of their own: writers hold the lock exclusively, and Snapshot holds it
-// shared.
+// Ledger is a provider table behind one lock, kept for the benchmark's
+// traced twin, its one caller: writers hold the lock exclusively, and
+// Snapshot holds it shared.
 type Ledger struct {
 	mu       sync.RWMutex
 	assessor *core.Assessor
@@ -288,18 +265,19 @@ func NewSharded(a *core.Assessor, policyVersion uint64, _ int) (*Ledger, error) 
 }
 
 // UpsertCompiled applies one registration or preference edit with the
-// provider's compiled columns; see Table.Upsert.
-func (l *Ledger) UpsertCompiled(key string, prefs *privacy.Prefs, compiled *core.CompiledPrefs, prefsVersion uint64) core.ProviderReport {
+// provider's compiled columns and returns its report; see Table.Upsert.
+// The prefs version is ignored.
+func (l *Ledger) UpsertCompiled(key string, prefs *privacy.Prefs, compiled *core.CompiledPrefs, _ uint64) core.ProviderReport {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.table.Upsert(l.assessor, Item{Key: key, Prefs: prefs, Compiled: compiled, Version: prefsVersion})
+	return l.table.Upsert(l.assessor, []Item{{Key: key, Prefs: prefs, Compiled: compiled}})[0].Report
 }
 
-// UpsertBatch applies many registrations at once; see Table.UpsertBatch.
+// UpsertBatch applies many registrations at once; see Table.Upsert.
 func (l *Ledger) UpsertBatch(items []Item) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.table.UpsertBatch(l.assessor, items)
+	l.table.Upsert(l.assessor, items)
 }
 
 // Rebuild swaps in a new assessor and re-assesses every row (see

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -46,8 +47,8 @@ type table struct {
 
 func newTable(a *core.Assessor) *table { return &table{a: a, Table: NewTable()} }
 
-func (t *table) upsert(p *privacy.Prefs, version uint64) core.ProviderReport {
-	return t.Upsert(t.a, Item{Key: p.Provider, Prefs: p, Compiled: t.a.Compile(p), Version: version})
+func (t *table) upsert(p *privacy.Prefs) core.ProviderReport {
+	return t.Upsert(t.a, []Item{{Key: p.Provider, Prefs: p, Compiled: t.a.Compile(p)}})[0].Report
 }
 
 func (t *table) snapshot() core.PopulationReport { return Assemble(t.Rows()) }
@@ -88,8 +89,8 @@ func TestSnapshotMatchesFullAssessment(t *testing.T) {
 	pop := population.PrefsOf(gen.Generate(137))
 	want := a.AssessPopulation(sortedPop(pop))
 	tab := newTable(a)
-	for i, p := range pop {
-		tab.upsert(p, uint64(i+1))
+	for _, p := range pop {
+		tab.upsert(p)
 	}
 	if got := tab.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot diverges from full assessment:\ngot  %+v\nwant %+v", got, want)
@@ -115,10 +116,8 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 	a, gen := testAssessor(t, 11, 2)
 	pop := population.PrefsOf(gen.Generate(60))
 	tab := newTable(a)
-	version := uint64(0)
 	for _, p := range pop {
-		version++
-		tab.upsert(p, version)
+		tab.upsert(p)
 	}
 
 	// Edit a third of the population with fresh tuples (new generator seed,
@@ -131,8 +130,7 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 	}
 	for i, p := range edited {
 		if i%3 == 0 {
-			version++
-			tab.upsert(p, version)
+			tab.upsert(p)
 			live[p.Provider] = p
 		}
 	}
@@ -170,40 +168,6 @@ func TestUpsertRemoveMaintainsAggregates(t *testing.T) {
 	}
 }
 
-// TestUpsertMemoizes proves a row already at the requested prefs version
-// short-circuits re-assessment: re-upserting different preferences under an
-// unchanged version returns the cached row.
-func TestUpsertMemoizes(t *testing.T) {
-	a, _ := testAssessor(t, 3, 2)
-	s := NewTable()
-	loud := privacy.NewPrefs("ada", 0.5)
-	loud.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
-	loud.Add("income", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
-	quiet := privacy.NewPrefs("ada", 0.5)
-	quiet.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 4, Granularity: 4, Retention: 4})
-	quiet.Add("income", privacy.Tuple{Purpose: "service", Visibility: 4, Granularity: 4, Retention: 4})
-
-	first := s.Upsert(a, Item{Key: "ada", Prefs: loud, Version: 1})
-	if !first.Violated {
-		t.Fatal("zero-tuple prefs under a level-2 policy must be violated")
-	}
-	cached := s.Upsert(a, Item{Key: "ada", Prefs: quiet, Version: 1}) // same version: must NOT re-assess
-	if !reflect.DeepEqual(cached, first) {
-		t.Error("matching versions should return the memoized report")
-	}
-	fresh := s.Upsert(a, Item{Key: "ada", Prefs: quiet, Compiled: a.Compile(quiet), Version: 2}) // bumped version: must re-assess
-	if fresh.Violated {
-		t.Error("version bump should have recomputed against the new prefs")
-	}
-	r, ok := s.Get("ada")
-	if !ok || r.Prefs != quiet || r.Version != 2 || r.Compiled.PrefsVersion != 2 {
-		t.Errorf("row after re-assessment = %+v", r)
-	}
-	if s.Len() != 1 {
-		t.Errorf("row count = %d, want 1", s.Len())
-	}
-}
-
 // TestRebuildSwapsPolicy rebuilds against a wider policy at every fan-out
 // width and checks the rows, their compiled columns and the aggregates all
 // moved to the new assessment, the partial re-summed in key order.
@@ -215,8 +179,8 @@ func TestRebuildSwapsPolicy(t *testing.T) {
 	for _, procs := range fanOutWidths {
 		setProcs(t, procs)
 		tab := newTable(a1)
-		for i, p := range pop {
-			tab.upsert(p, uint64(i+1))
+		for _, p := range pop {
+			tab.upsert(p)
 		}
 		tab.Rebuild(a2)
 		got := tab.snapshot()
@@ -228,8 +192,8 @@ func TestRebuildSwapsPolicy(t *testing.T) {
 		if !ok || !reflect.DeepEqual(r.Report, want.Providers[indexOf(want, pop[0].Provider)]) {
 			t.Errorf("procs=%d: per-provider row not rebuilt", procs)
 		}
-		if !r.Compiled.CurrentFor(a2) || r.Version != 1 || r.Compiled.PrefsVersion != 1 {
-			t.Errorf("procs=%d: rebuilt row: compiled current=%v version=%d", procs, r.Compiled.CurrentFor(a2), r.Version)
+		if !r.Compiled.CurrentFor(a2) {
+			t.Errorf("procs=%d: rebuilt row's columns are not compiled against the new policy", procs)
 		}
 		sum := tab.Partial()
 		// Re-summed in key order, exactly as AssessPopulation sums.
@@ -248,37 +212,132 @@ func indexOf(rep core.PopulationReport, provider string) int {
 	return -1
 }
 
-// TestUpsertBatchMatchesSequential pins the batch path (assessment across
-// the fan-out, sorted merge of new keys, last item wins for a repeated
-// key) to the serial path at every fan-out width.
+// TestUpsertBatchMatchesSequential pins a batch upsert (assessment across
+// the fan-out, the merge of new keys from the back, last item wins for a
+// repeated key) to one-item upserts at every fan-out width. Each case
+// seeds the table one item at a time, then upserts one batch whose new
+// keys sort after, before or among the seeded ones.
 func TestUpsertBatchMatchesSequential(t *testing.T) {
 	a, gen := testAssessor(t, 23, 2)
-	pop := population.PrefsOf(gen.Generate(150))
+	pop := population.PrefsOf(gen.Generate(150)) // keys ascend with the index
 	n := len(pop)
-	// The batch repeats its last key, which must win as in serial order.
-	pop = append(pop, privacy.NewPrefs(pop[n-1].Provider, 0.5))
-	serial := newTable(a)
+	var evens, odds []*privacy.Prefs
 	for i, p := range pop {
-		serial.upsert(p, uint64(i+1))
+		if i%2 == 0 {
+			evens = append(evens, p)
+		} else {
+			odds = append(odds, p)
+		}
 	}
-	for _, procs := range fanOutWidths {
-		setProcs(t, procs)
-		batch := newTable(a)
-		var items []Item
-		for i, p := range pop {
-			if i < 20 { // seeded one by one, so the batch merges into a non-empty key list
-				batch.upsert(p, uint64(i+1))
-			} else {
-				items = append(items, Item{Key: p.Provider, Prefs: p, Compiled: a.Compile(p), Version: uint64(i + 1)})
+	descending := slices.Clone(pop[:n-20])
+	slices.Reverse(descending)
+	// A new key (listed three times) and a seeded key repeat inside the
+	// batch; the last item of each must win, as in serial order.
+	repeated := append(slices.Clone(pop[20:]), privacy.NewPrefs(pop[n-1].Provider, 0.5),
+		privacy.NewPrefs(pop[0].Provider, 0.5), privacy.NewPrefs(pop[n-1].Provider, 0.25))
+	cases := []struct {
+		name        string
+		seed, batch []*privacy.Prefs
+	}{
+		{"all-after", pop[:20], pop[20:]},
+		{"all-before", pop[n-20:], descending},
+		{"one-at-0", pop[1:], pop[:1]},
+		{"interleaved", evens, odds},
+		{"repeated", pop[:20], repeated},
+	}
+	for _, tc := range cases {
+		serial := newTable(a)
+		distinct := map[string]bool{}
+		for _, p := range append(slices.Clone(tc.seed), tc.batch...) {
+			serial.upsert(p)
+			distinct[p.Provider] = true
+		}
+		for _, procs := range fanOutWidths {
+			setProcs(t, procs)
+			batch := newTable(a)
+			for _, p := range tc.seed {
+				batch.upsert(p)
+			}
+			items := make([]Item, len(tc.batch))
+			for i, p := range tc.batch {
+				items[i] = Item{Key: p.Provider, Prefs: p}
+			}
+			batch.Upsert(a, items)
+			if !reflect.DeepEqual(batch.snapshot(), serial.snapshot()) || batch.Partial() != serial.Partial() {
+				t.Errorf("%s, procs=%d: batch and serial upserts disagree", tc.name, procs)
+			}
+			keys := batch.Keys()
+			ascending := slices.IsSortedFunc(keys, func(x, y string) int {
+				if x < y {
+					return -1
+				}
+				return 1 // equal neighbours are a duplicated key
+			})
+			if !ascending || len(keys) != len(distinct) || batch.Len() != len(distinct) {
+				t.Errorf("%s, procs=%d: batch key list: strictly ascending=%v len=%d count=%d, want %d",
+					tc.name, procs, ascending, len(keys), batch.Len(), len(distinct))
 			}
 		}
-		batch.UpsertBatch(a, items)
-		if !reflect.DeepEqual(batch.snapshot(), serial.snapshot()) || batch.Partial() != serial.Partial() {
-			t.Errorf("procs=%d: batch and serial upserts disagree", procs)
+	}
+}
+
+// raceEnabled is set under the race detector (racedetector_test.go),
+// whose sync.Pool drops items at random, so pooled-buffer allocation
+// counts do not hold there.
+var raceEnabled bool
+
+// TestUpsertAllocsFlat pins the one-item upsert of a new key to a cost
+// that does not grow with the table: the same number of allocations into
+// 1k rows as into 20k, and, with the key list's room reserved, the same
+// bytes up to a margin far below one copy of the list — the merge moves
+// keys in place. Every key sorts before the table's, so each insert moves
+// the whole list.
+func TestUpsertAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random; Compile's scratch is pooled")
+	}
+	a, gen := testAssessor(t, 41, 2)
+	const runs = 50
+	cost := func(n int) (allocs, bytes float64) {
+		tab := newTable(a)
+		items := make([]Item, n)
+		for i, p := range population.PrefsOf(gen.Generate(n)) {
+			items[i] = Item{Key: p.Provider, Prefs: p}
 		}
-		if keys := batch.Keys(); !sort.StringsAreSorted(keys) || len(keys) != n || batch.Len() != n {
-			t.Errorf("procs=%d: batch key list: sorted=%v len=%d count=%d, want %d", procs, sort.StringsAreSorted(keys), len(keys), batch.Len(), n)
+		tab.Upsert(a, items)
+		fresh := make([][]Item, 2*runs+1) // AllocsPerRun adds one warm-up run
+		for i := range fresh {
+			p := gen.Provider(fmt.Sprintf("a-%04d", i)).Prefs
+			fresh[i] = []Item{{Key: p.Provider, Prefs: p}}
 		}
+		tab.keys = slices.Grow(tab.keys, len(fresh))
+		next := 0
+		upsert := func() {
+			tab.Upsert(a, fresh[next])
+			next++
+		}
+		allocs = testing.AllocsPerRun(runs, upsert)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			upsert()
+		}
+		runtime.ReadMemStats(&after)
+		if tab.Len() != n+len(fresh) {
+			t.Fatalf("n=%d: %d rows after the upserts, want %d", n, tab.Len(), n+len(fresh))
+		}
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := cost(1000)
+	largeAllocs, largeBytes := cost(20000)
+	t.Logf("one-item upsert: %.0f allocs and %.0f B at 1k rows, %.0f allocs and %.0f B at 20k", smallAllocs, smallBytes, largeAllocs, largeBytes)
+	if largeAllocs != smallAllocs {
+		t.Errorf("a one-item upsert allocates %.0f times into 1k rows and %.0f into 20k; want the same", smallAllocs, largeAllocs)
+	}
+	// One copy of a 20k-key list is 320 KB; the margin absorbs the map's
+	// occasional table split.
+	if largeBytes > smallBytes+16<<10 {
+		t.Errorf("a one-item upsert allocates %.0f B into 1k rows and %.0f B into 20k; want the same within 16 KiB", smallBytes, largeBytes)
 	}
 }
 
@@ -290,7 +349,7 @@ func TestWouldDefaultSorted(t *testing.T) {
 	for _, name := range []string{"zoe", "ada", "mel"} {
 		p := privacy.NewPrefs(name, 0) // any positive violation defaults
 		p.Add("weight", privacy.Tuple{Purpose: "service", Visibility: 0, Granularity: 0, Retention: 0})
-		tab.upsert(p, 1)
+		tab.upsert(p)
 	}
 	var got []string
 	for _, r := range tab.snapshot().Providers {

@@ -25,20 +25,20 @@ func TestConcurrentLedger(t *testing.T) {
 	}
 	items := make([]Item, len(pop))
 	for i, p := range pop {
-		items[i] = Item{Key: p.Provider, Prefs: p, Version: uint64(i + 1)}
+		items[i] = Item{Key: p.Provider, Prefs: p}
 	}
 	l.UpsertBatch(items)
 
 	var wg sync.WaitGroup
 	const rounds = 40
-	// Editors: re-upsert providers with fresh versions.
+	// Editors: re-upsert providers with edited preferences.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				p := edits[(w*rounds+i)%len(edits)]
-				l.UpsertCompiled(p.Provider, p, nil, uint64(1000+w*rounds+i))
+				l.UpsertCompiled(p.Provider, p, nil, 0)
 			}
 		}(w)
 	}
@@ -48,7 +48,7 @@ func TestConcurrentLedger(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			p := pop[i%7]
-			l.UpsertBatch([]Item{{Key: p.Provider, Prefs: p, Version: uint64(5000 + i)}})
+			l.UpsertBatch([]Item{{Key: p.Provider, Prefs: p}})
 		}
 	}()
 	// Rebuilder: swap policy back and forth.

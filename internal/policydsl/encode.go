@@ -202,24 +202,32 @@ func PolicyToJSON(hp *privacy.HousePolicy, sens privacy.AttributeSensitivities) 
 // form, validated against sc.
 func PolicyFromJSON(pj *PolicyJSON, sc privacy.Scales) (*privacy.HousePolicy, privacy.AttributeSensitivities, error) {
 	hp := privacy.NewHousePolicy(pj.Name)
-	attrs := make([]string, 0, len(pj.Tuples))
-	for a := range pj.Tuples {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, a := range attrs {
+	for _, a := range sortedKeys(pj.Tuples) {
 		for _, tj := range pj.Tuples[a] {
 			hp.Add(a, tupleFromJSON(tj))
 		}
 	}
+	// Set canonicalizes the attribute, so two keys that differ only in
+	// case resolve in sorted key order, not map order.
 	sens := privacy.AttributeSensitivities{}
-	for a, v := range pj.Sens {
-		sens.Set(a, v)
+	for _, a := range sortedKeys(pj.Sens) {
+		sens.Set(a, pj.Sens[a])
 	}
 	if err := hp.Validate(sc); err != nil {
 		return nil, nil, err
 	}
 	return hp, sens, nil
+}
+
+// sortedKeys returns m's keys in ascending order, the order every decoder
+// walks an interchange map in.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // ProviderToJSON converts one provider's preferences to interchange form.
@@ -275,18 +283,15 @@ func ProviderToJSON(prov *privacy.Prefs) ProviderJSON {
 // form, validated against sc.
 func ProviderFromJSON(pj ProviderJSON, sc privacy.Scales) (*privacy.Prefs, error) {
 	prov := privacy.NewPrefs(pj.Name, pj.Threshold)
-	attrs := make([]string, 0, len(pj.Tuples))
-	for a := range pj.Tuples {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, a := range attrs {
+	for _, a := range sortedKeys(pj.Tuples) {
 		for _, tj := range pj.Tuples[a] {
 			prov.Add(a, tupleFromJSON(tj))
 		}
 	}
-	for a, sl := range pj.Sens {
-		for _, sj := range sl {
+	// The setters canonicalize the attribute, so two keys that differ only
+	// in case resolve in sorted key order, not map order.
+	for _, a := range sortedKeys(pj.Sens) {
+		for _, sj := range pj.Sens[a] {
 			s := privacy.Sensitivity{
 				Value: sj.Value, Visibility: sj.Visibility,
 				Granularity: sj.Granularity, Retention: sj.Retention,

@@ -14,8 +14,8 @@
 // transparency requirement of Sec. 1).
 //
 // Concurrency (DESIGN.md §11): one lock, d.mu, guards everything — the
-// provider table (ledger.Table: prefs, compiled columns and memoized report
-// per provider in sorted key order, plus the running aggregate), the
+// provider table (ledger.Table: prefs, compiled columns and report per
+// provider in sorted key order, plus the running aggregate), the
 // policy, the registered tables, the clock and the logs. Readers hold it
 // shared and every mutation holds it exclusively. The population-scale
 // paths — CertifyFull, bulk registration, policy rebuilds, what-ifs,
@@ -336,9 +336,9 @@ func (d *DB) tableNamesLocked() []string {
 }
 
 // RegisterProvider records a provider's preferences. Re-registering replaces
-// the previous preferences (providers may revise them). Each registration
-// bumps the table's prefs version and re-assesses that one row (an O(1)
-// delta to the running aggregate) under d.mu exclusive.
+// the previous preferences (providers may revise them). The registration
+// re-assesses that one row (an O(1) delta to the running aggregate) under
+// d.mu exclusive.
 func (d *DB) RegisterProvider(p *privacy.Prefs) error {
 	if p == nil {
 		return fmt.Errorf("ppdb: nil preferences")
@@ -351,7 +351,7 @@ func (d *DB) RegisterProvider(p *privacy.Prefs) error {
 		return err
 	}
 	d.mu.Lock()
-	lsn, err := d.registerLocked(p, rec)
+	lsn, err := d.registerLocked([]*privacy.Prefs{p}, rec)
 	d.mu.Unlock()
 	if err != nil {
 		return err
@@ -359,30 +359,34 @@ func (d *DB) RegisterProvider(p *privacy.Prefs) error {
 	return d.walWait(lsn)
 }
 
-// registerLocked stores validated preferences with a fresh prefs version,
-// compiling them and assessing the row with the columnar kernel. The
-// caller holds d.mu exclusively, so the policy cannot swap mid-write. The
-// caller encodes p's upsert record before taking the lock; it is appended
-// in the same critical section — WAL order equals apply order — and the
-// returned LSN is handed back so the caller can commit-wait after the
-// lock is released.
-func (d *DB) registerLocked(p *privacy.Prefs, rec walRecord) (uint64, error) {
+// registerLocked stores validated preferences, appending rec first: the
+// one write path of RegisterProvider, UpdatePreferences and
+// RegisterProviders. The table's upsert compiles and assesses the rows
+// with the columnar kernel, across the fan-out for a batch. The caller
+// holds d.mu exclusively, so the policy cannot swap mid-write. The caller
+// encodes rec before taking the lock; it is appended in the same critical
+// section — WAL order equals apply order — and the returned LSN is handed
+// back so the caller can commit-wait after the lock is released.
+func (d *DB) registerLocked(ps []*privacy.Prefs, rec walRecord) (uint64, error) {
 	lsn, err := d.walAppendLocked(rec)
 	if err != nil {
 		return 0, err
 	}
-	d.table.Upsert(d.assessor, ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p,
-		Compiled: d.assessor.Compile(p), Version: d.table.NextVersion()})
+	items := make([]ledger.Item, len(ps))
+	for i, p := range ps {
+		items[i] = ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p}
+	}
+	d.table.Upsert(d.assessor, items)
 	d.publishGaugesLocked()
 	d.mutSeq.Add(1)
 	return lsn, nil
 }
 
 // RegisterProviders records a batch of providers atomically: every
-// preference set is validated before any is stored, the batch holds d.mu
-// exclusively (no interleaved reads observe a half-applied batch), and the
-// rows are compiled and assessed across the fan-out — the cold-build path
-// Load and the HTTP bulk upload use.
+// preference set is validated before any is stored, and the batch holds
+// d.mu exclusively (no interleaved reads observe a half-applied batch) —
+// the cold-build path Load, ppdbserver's corpus boot and the HTTP bulk
+// upload use.
 func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 	for i, p := range ps {
 		if p == nil {
@@ -401,24 +405,11 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 		return err
 	}
 	d.mu.Lock()
-	lsn, err := d.walAppendLocked(rec)
+	lsn, err := d.registerLocked(ps, rec)
+	d.mu.Unlock()
 	if err != nil {
-		d.mu.Unlock()
 		return err
 	}
-	items := make([]ledger.Item, len(ps))
-	core.FanOut(len(ps), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			items[i] = ledger.Item{Key: strings.ToLower(ps[i].Provider), Prefs: ps[i], Compiled: d.assessor.Compile(ps[i])}
-		}
-	})
-	for i := range items {
-		items[i].Version = d.table.NextVersion()
-	}
-	d.table.UpsertBatch(d.assessor, items)
-	d.publishGaugesLocked()
-	d.mu.Unlock()
-	d.mutSeq.Add(1)
 	return d.walWait(lsn)
 }
 

@@ -183,12 +183,11 @@ func (d *DB) levelIn(h hierarchy, g privacy.Level) int {
 // providers would be violated on visibility are suppressed, cells are
 // generalized to the minimum of policy grant and provider preference, and
 // data held past either retention window is refused. The whole execution
-// runs under one shared acquisition of d.mu, so policy, tables, clock and
-// retention schedule are one snapshot. Preferences are not: RegisterProvider
-// holds d.mu only shared, so each row is enforced against its provider's
-// preferences as they stand when the scan visits it — still sound per
-// datum, since every disclosed cell conforms to its provider's preferences
-// at the moment it was read. A requester class outside the visibility
+// runs under one shared acquisition of d.mu, and every registration and
+// preference edit holds d.mu exclusively, so policy, tables, clock,
+// retention schedule and every provider's preferences are one snapshot:
+// one query enforces each row against the preferences its provider had
+// when the query took the lock. A requester class outside the visibility
 // scale is refused as invalid before planning: the plan and row gates
 // compare classes against levels, and an off-scale class would pass both.
 // Every attempt — allowed or refused — lands in the audit log.

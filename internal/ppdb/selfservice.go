@@ -120,7 +120,7 @@ func (d *DB) UpdatePreferences(provider string, prefs *privacy.Prefs) error {
 		d.mu.Unlock()
 		return fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
-	lsn, err := d.registerLocked(prefs, rec)
+	lsn, err := d.registerLocked([]*privacy.Prefs{prefs}, rec)
 	d.mu.Unlock()
 	if err != nil {
 		return err

@@ -267,12 +267,25 @@ func (p *Prefs) Validate(sc Scales) error {
 			return fmt.Errorf("privacy: provider %q attribute %q: %w", p.Provider, e.Attribute, err)
 		}
 	}
+	// An invalid sensitivity is reported in sorted key order, so the error
+	// names the same element on every run. Registration validates every
+	// provider, so the common all-valid case is settled by a count over
+	// the map and sorts nothing.
+	invalid := 0
 	for k, s := range p.sens {
-		if err := checkNames(k.attr, string(k.purpose)); err != nil {
+		if checkNames(k.attr, string(k.purpose)) != nil || s.Validate() != nil {
+			invalid++
+		}
+	}
+	if invalid == 0 {
+		return nil
+	}
+	for _, k := range p.SensitivityKeys() {
+		if err := checkNames(k.Attribute, string(k.Purpose)); err != nil {
 			return fmt.Errorf("privacy: provider %q: %w", p.Provider, err)
 		}
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("privacy: provider %q attribute %q: %w", p.Provider, k.attr, err)
+		if err := p.sens[sensKey{k.Attribute, k.Purpose}].Validate(); err != nil {
+			return fmt.Errorf("privacy: provider %q attribute %q: %w", p.Provider, k.Attribute, err)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Sensitivity is the per-datum sensitivity element σ_i^j of Eq. 11:
@@ -113,11 +114,17 @@ func (as AttributeSensitivities) Set(attr string, v float64) {
 	as[canonAttr(attr)] = v
 }
 
-// Validate rejects attribute sensitivities outside [0, MaxSensitivity].
+// Validate rejects attribute sensitivities outside [0, MaxSensitivity],
+// naming the first offender in sorted attribute order.
 func (as AttributeSensitivities) Validate() error {
-	for a, v := range as {
-		if err := checkWeight(v); err != nil {
-			return fmt.Errorf("privacy: attribute sensitivity Σ^%s = %g %w", a, v, err)
+	attrs := make([]string, 0, len(as))
+	for a := range as {
+		attrs = append(attrs, a)
+	}
+	sort.Strings(attrs)
+	for _, a := range attrs {
+		if err := checkWeight(as[a]); err != nil {
+			return fmt.Errorf("privacy: attribute sensitivity Σ^%s = %g %w", a, as[a], err)
 		}
 	}
 	return nil

@@ -23,9 +23,23 @@
 # so a partial run never loses the rest of the baseline.
 #
 # BENCHTIME overrides -benchtime (e.g. BENCHTIME=10x for a quick smoke run).
+#
+# Each entry this run writes is stamped with the commit it measured (short
+# hash, "-dirty" when tracked files other than BENCH_certify.json differ
+# from it), the Go version, the GOMAXPROCS it ran at (the -N suffix of its
+# name; none means 1), the host's CPU count and the UTC date. Carried-over
+# entries keep their own stamps.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+commit=$(git rev-parse --short=7 HEAD 2>/dev/null || echo unknown)
+if ! git diff --quiet HEAD -- . ':(exclude)BENCH_certify.json' 2>/dev/null; then
+	commit="$commit-dirty"
+fi
+gover=$(go env GOVERSION)
+ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
+day=$(date -u +%Y-%m-%d)
 
 pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)}"
 out=$(go test -run '^$' -bench "$pattern" \
@@ -39,12 +53,12 @@ printf '%s\n' "$out"
 prev=$(mktemp)
 { cat BENCH_certify.json 2>/dev/null || true; echo; } > "$prev"
 
-printf '%s\n' "$out" | awk '
+printf '%s\n' "$out" | awk -v commit="$commit" -v gover="$gover" -v ncpu="$ncpu" -v day="$day" '
 NR == FNR {
 	# Baseline lines look like
-	# {"name": "BenchmarkCertifyCold/1k", "ns_per_op": 2778438, "bytes_per_op": 960, "allocs_per_op": 12},
-	# (bytes_per_op and allocs_per_op are absent in older baselines and
-	# carried as such).
+	# {"name": "BenchmarkCertifyCold/1k", "ns_per_op": 2778438, "bytes_per_op": 960, "allocs_per_op": 12, "commit": "bc795a3", "go": "go1.24.0", "gomaxprocs": 2, "nproc": 2, "date": "2026-10-19"},
+	# (bytes_per_op, allocs_per_op and the stamp are absent in older
+	# baselines and carried as such).
 	if (match($0, /"name": "[^"]+"/)) {
 		name = substr($0, RSTART + 9, RLENGTH - 10)
 		if (match($0, /"ns_per_op": [0-9.]+/)) {
@@ -54,18 +68,26 @@ NR == FNR {
 				bytes[name] = substr($0, RSTART + 16, RLENGTH - 16) + 0
 			if (match($0, /"allocs_per_op": [0-9.]+/))
 				allocs[name] = substr($0, RSTART + 17, RLENGTH - 17) + 0
+			if (match($0, /"commit": .*"date": "[^"]*"/))
+				stamp[name] = substr($0, RSTART, RLENGTH)
 		}
 	}
 	next
 }
 /^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy)/ {
 	# -benchmem lines: name iters ns/op-value "ns/op" B-value "B/op"
-	# allocs-value "allocs/op".
-	name = $1; sub(/-[0-9]+$/, "", name)
+	# allocs-value "allocs/op". The name ends in -GOMAXPROCS unless that
+	# is 1.
+	name = $1; procs = 1
+	if (match(name, /-[0-9]+$/)) {
+		procs = substr(name, RSTART + 1)
+		name = substr(name, 1, RSTART - 1)
+	}
 	if (!(name in vals)) names[++n] = name
 	vals[name] = $3
 	if (NF >= 6 && $6 == "B/op") bytes[name] = $5
 	if (NF >= 8 && $8 == "allocs/op") allocs[name] = $7
+	stamp[name] = sprintf("\"commit\": \"%s\", \"go\": \"%s\", \"gomaxprocs\": %s, \"nproc\": %s, \"date\": \"%s\"", commit, gover, procs, ncpu, day)
 }
 END {
 	printf "{\n  \"benchmarks\": [\n"
@@ -75,6 +97,8 @@ END {
 			printf ", \"bytes_per_op\": %s", bytes[names[i]]
 		if (names[i] in allocs)
 			printf ", \"allocs_per_op\": %s", allocs[names[i]]
+		if (names[i] in stamp)
+			printf ", %s", stamp[names[i]]
 		printf "}%s\n", (i < n ? "," : "")
 	}
 	printf "  ],\n  \"speedup_cold_over_incremental\": {"
