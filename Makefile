@@ -74,7 +74,11 @@ faults-wal:
 # and every page must equal filtering and slicing the full trail) and
 # internal/httpapi's FuzzWhatIfRequest (arbitrary POST /v1/whatif bodies
 # through ServeHTTP must never answer 500, a 200 must cover the whole
-# population and anything else must carry the error envelope).
+# population and anything else must carry the error envelope) and
+# internal/wal's FuzzWALSegment (arbitrary bytes as the only segment must
+# never panic Open or Replay; past a valid header the replayed records must
+# re-encode to a prefix of the input, the file must be truncated to it, and
+# a record appended after the reopen must replay next).
 # Crashers land in the package's
 # testdata/fuzz/<target>; commit them as seeds once fixed — `make test`
 # replays every seed there.
@@ -85,6 +89,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzReportJSON$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/httpapi
 	go test -run '^$$' -fuzz '^FuzzAuditTrail$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/ppdb
 	go test -run '^$$' -fuzz '^FuzzWhatIfRequest$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/httpapi
+	go test -run '^$$' -fuzz '^FuzzWALSegment$$' -fuzztime "$${FUZZTIME:-30s}" ./internal/wal
 
 # bench runs the certification benches and records BENCH_certify.json
 # (cold vs incremental ledger certification, bulk ingest, and the

@@ -367,6 +367,59 @@ func BenchmarkIngestDurable(b *testing.B) {
 	}
 }
 
+// BenchmarkWALReplay measures recovery from the write-ahead log alone:
+// AttachWAL into a fresh store over perfbench's 20k providers under its
+// policy A, logged as batch registrations of about 1 MiB of DSL each. Each
+// iteration decodes every record, then compiles and assesses every
+// provider.
+func BenchmarkWALReplay(b *testing.B) {
+	const n = 20000
+	pol := benchPolicies(b)[0]
+	pop := benchWestin(b, n)
+	dir := b.TempDir()
+	db, err := ppdb.New(ppdb.Config{Policy: pol.Policy, AttrSens: pol.AttrSens})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.AttachWAL(wal.Options{Dir: dir}); err != nil {
+		b.Fatal(err)
+	}
+	records := 0
+	for lo := 0; lo < n; records++ {
+		hi, size := lo, 0
+		for hi < n && size < 1<<20 {
+			size += len(policydsl.Render(&policydsl.Document{Providers: pop[hi : hi+1]}))
+			hi++
+		}
+		if err := db.RegisterProviders(pop[lo:hi]); err != nil {
+			b.Fatal(err)
+		}
+		lo = hi
+	}
+	if err := db.CloseWAL(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("shipped-"+sizeName(n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			db, err := ppdb.New(ppdb.Config{Policy: pol.Policy, AttrSens: pol.AttrSens})
+			if err != nil {
+				b.Fatal(err)
+			}
+			got, err := db.AttachWAL(wal.Options{Dir: dir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got != records || db.NumProviders() != n {
+				b.Fatalf("replayed %d records into %d providers, want %d into %d", got, db.NumProviders(), records, n)
+			}
+			if err := db.CloseWAL(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkCertifySummary measures the O(1) aggregate-only certification.
 func BenchmarkCertifySummary(b *testing.B) {
 	db := benchCertifyDB(b, 100000)

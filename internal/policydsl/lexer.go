@@ -1,7 +1,8 @@
 // Package policydsl parses and renders a small text language for declaring
 // house policies, attribute sensitivities and provider preferences — the
 // concrete syntax that makes the model's inputs auditable artifacts rather
-// than code. A JSON binding is also provided for interchange.
+// than code. It is the one serialized form of them: HTTP bodies, corpus
+// files, snapshots and the write-ahead log all carry this text.
 //
 // Example document:
 //
@@ -28,7 +29,6 @@ package policydsl
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -43,8 +43,11 @@ const (
 	tLBrace
 	tRBrace
 	tEquals
+	tErr // the lexer failed here; lexer.err says why
 )
 
+// tok is one token. text is a substring of the source (a quoted string's
+// bytes between its quotes), so the parser copies whatever it keeps.
 type tok struct {
 	kind tokKind
 	text string
@@ -66,56 +69,69 @@ func (t tok) String() string {
 	}
 }
 
-func lex(src string) ([]tok, error) {
-	var toks []tok
-	line := 1
-	i := 0
-	for i < len(src) {
+// lexer hands out src's tokens one at a time, as the parser asks for them.
+// After an error every call returns tErr.
+type lexer struct {
+	src  string
+	i    int
+	line int
+	err  error
+}
+
+func (lx *lexer) next() tok {
+	if lx.err != nil {
+		return tok{kind: tErr, line: lx.line}
+	}
+	src := lx.src
+	for lx.i < len(src) {
+		i := lx.i
 		c := src[i]
 		switch {
 		case c == '\n':
-			line++
-			i++
+			lx.line++
+			lx.i++
 		case c == ' ' || c == '\t' || c == '\r':
-			i++
+			lx.i++
 		case c == '#':
-			for i < len(src) && src[i] != '\n' {
-				i++
+			for lx.i < len(src) && src[lx.i] != '\n' {
+				lx.i++
 			}
 		case c == '{':
-			toks = append(toks, tok{tLBrace, "{", line})
-			i++
+			lx.i++
+			return tok{tLBrace, "{", lx.line}
 		case c == '}':
-			toks = append(toks, tok{tRBrace, "}", line})
-			i++
+			lx.i++
+			return tok{tRBrace, "}", lx.line}
 		case c == '=':
-			toks = append(toks, tok{tEquals, "=", line})
-			i++
+			lx.i++
+			return tok{tEquals, "=", lx.line}
 		case c == '"':
 			j := i + 1
-			var b strings.Builder
-			for j < len(src) && src[j] != '"' {
-				if src[j] == '\n' {
-					return nil, fmt.Errorf("policydsl: line %d: unterminated string", line)
-				}
-				b.WriteByte(src[j])
+			for j < len(src) && src[j] != '"' && src[j] != '\n' {
 				j++
 			}
-			if j >= len(src) {
-				return nil, fmt.Errorf("policydsl: line %d: unterminated string", line)
+			if j >= len(src) || src[j] == '\n' {
+				return lx.fail("unterminated string")
 			}
-			toks = append(toks, tok{tString, b.String(), line})
-			i = j + 1
+			lx.i = j + 1
+			return tok{tString, src[i+1 : j], lx.line}
 		case isNumStart(c):
 			j := i
 			for j < len(src) && (isDigit(src[j]) || src[j] == '.' || src[j] == '-' || src[j] == '+' || src[j] == 'e' || src[j] == 'E') {
 				j++
 			}
-			toks = append(toks, tok{tNumber, src[i:j], line})
-			i = j
+			lx.i = j
+			return tok{tNumber, src[i:j], lx.line}
 		default:
 			j := i
 			for j < len(src) {
+				if c := src[j]; c < utf8.RuneSelf {
+					if !isIdentByte(c) {
+						break
+					}
+					j++
+					continue
+				}
 				r, size := utf8.DecodeRuneInString(src[j:])
 				if !isIdentRune(r) { // utf8.RuneError included
 					break
@@ -125,16 +141,20 @@ func lex(src string) ([]tok, error) {
 			if j == i {
 				r, size := utf8.DecodeRuneInString(src[i:])
 				if r == utf8.RuneError && size == 1 {
-					return nil, fmt.Errorf("policydsl: line %d: invalid UTF-8 byte %#x", line, src[i])
+					return lx.fail("invalid UTF-8 byte %#x", src[i])
 				}
-				return nil, fmt.Errorf("policydsl: line %d: unexpected character %q", line, r)
+				return lx.fail("unexpected character %q", r)
 			}
-			toks = append(toks, tok{tIdent, src[i:j], line})
-			i = j
+			lx.i = j
+			return tok{tIdent, src[i:j], lx.line}
 		}
 	}
-	toks = append(toks, tok{kind: tEOF, line: line})
-	return toks, nil
+	return tok{kind: tEOF, line: lx.line}
+}
+
+func (lx *lexer) fail(format string, args ...any) tok {
+	lx.err = fmt.Errorf("policydsl: line %d: %s", lx.line, fmt.Sprintf(format, args...))
+	return tok{kind: tErr, line: lx.line}
 }
 
 func isDigit(c byte) bool    { return c >= '0' && c <= '9' }
@@ -144,6 +164,11 @@ func isNumStart(c byte) bool { return isDigit(c) || c == '-' || c == '+' }
 // like "third-party" and "email-marketing" are single identifiers).
 func isIdentRune(r rune) bool {
 	return r == '_' || r == '-' || unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// isIdentByte is isIdentRune for an ASCII byte.
+func isIdentByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || isDigit(c) || c == '_' || c == '-'
 }
 
 // isIdent reports whether s lexes back as exactly one identifier token.

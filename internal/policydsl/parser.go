@@ -28,11 +28,8 @@ func ParseWithScales(src string, scales privacy.Scales) (*Document, error) {
 	if err := scales.Validate(); err != nil {
 		return nil, err
 	}
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &dslParser{toks: toks, scales: scales}
+	p := &dslParser{lx: lexer{src: src, line: 1}, scales: scales, kept: map[string]string{}}
+	p.cur = p.lx.next()
 	doc := &Document{Scales: scales, AttrSens: privacy.AttributeSensitivities{}}
 	for !p.at(tEOF) {
 		switch {
@@ -68,31 +65,47 @@ func ParseWithScales(src string, scales privacy.Scales) (*Document, error) {
 	return doc, nil
 }
 
+// dslParser reads one token ahead of the lexer. The strings a parsed
+// document holds are copies, never substrings of the source, so a
+// document does not keep its request body alive.
 type dslParser struct {
-	toks   []tok
-	i      int
+	lx     lexer
+	cur    tok
 	scales privacy.Scales
+	// kept holds the one copy of each attribute name and purpose the
+	// document stores, keyed by itself.
+	kept map[string]string
 }
 
-func (p *dslParser) peek() tok { return p.toks[p.i] }
+func (p *dslParser) peek() tok { return p.cur }
 
 func (p *dslParser) next() tok {
-	t := p.toks[p.i]
-	if t.kind != tEOF {
-		p.i++
+	t := p.cur
+	if t.kind != tEOF && t.kind != tErr {
+		p.cur = p.lx.next()
 	}
 	return t
 }
 
-func (p *dslParser) at(k tokKind) bool { return p.peek().kind == k }
+func (p *dslParser) at(k tokKind) bool { return p.cur.kind == k }
 
 func (p *dslParser) atIdent(name string) bool {
-	t := p.peek()
-	return t.kind == tIdent && strings.EqualFold(t.text, name)
+	return p.cur.kind == tIdent && strings.EqualFold(p.cur.text, name)
 }
 
+// errf reports an error at the current token. A token the lexer could not
+// read is the error, whatever the parser expected there.
 func (p *dslParser) errf(format string, args ...any) error {
-	return fmt.Errorf("policydsl: line %d: %s", p.peek().line, fmt.Sprintf(format, args...))
+	if p.cur.kind == tErr {
+		return p.lx.err
+	}
+	return p.valueErrf(format, args...)
+}
+
+// valueErrf reports an error in a token already consumed, which comes
+// before anything the lexer has failed on.
+func (p *dslParser) valueErrf(format string, args ...any) error {
+	return fmt.Errorf("policydsl: line %d: %s", p.cur.line, fmt.Sprintf(format, args...))
 }
 
 func (p *dslParser) expect(k tokKind, what string) (tok, error) {
@@ -110,7 +123,8 @@ func (p *dslParser) expectIdent(name string) error {
 	return p.errf("expected %q, found %s", name, p.peek())
 }
 
-// name accepts a string or identifier token as a name.
+// name accepts a string or identifier token as a name. The name is a
+// substring of the source, so a caller stores a copy of it.
 func (p *dslParser) name(what string) (string, error) {
 	t := p.peek()
 	if t.kind == tString || t.kind == tIdent {
@@ -120,6 +134,32 @@ func (p *dslParser) name(what string) (string, error) {
 	return "", p.errf("expected %s, found %s", what, t)
 }
 
+// attr accepts an attribute name and returns its canonical form, one copy
+// per distinct attribute in the document.
+func (p *dslParser) attr() (string, error) {
+	a, err := p.name("attribute name")
+	if err != nil {
+		return "", err
+	}
+	return p.keep(privacy.CanonAttr(a)), nil
+}
+
+// purpose returns text's normalized purpose, one copy per distinct purpose
+// in the document.
+func (p *dslParser) purpose(text string) privacy.Purpose {
+	return privacy.Purpose(p.keep(string(privacy.Purpose(text).Normalize())))
+}
+
+// keep returns the document's one copy of s.
+func (p *dslParser) keep(s string) string {
+	if k, ok := p.kept[s]; ok {
+		return k
+	}
+	k := strings.Clone(s)
+	p.kept[k] = k
+	return k
+}
+
 func (p *dslParser) number(what string) (float64, error) {
 	t, err := p.expect(tNumber, what)
 	if err != nil {
@@ -127,7 +167,7 @@ func (p *dslParser) number(what string) (float64, error) {
 	}
 	f, err := strconv.ParseFloat(t.text, 64)
 	if err != nil {
-		return 0, p.errf("bad number %q for %s", t.text, what)
+		return 0, p.valueErrf("bad number %q for %s", t.text, what)
 	}
 	return f, nil
 }
@@ -139,7 +179,7 @@ func (p *dslParser) parsePolicy(doc *Document) (*privacy.HousePolicy, error) {
 	if err != nil {
 		return nil, err
 	}
-	hp := privacy.NewHousePolicy(name)
+	hp := privacy.NewHousePolicy(strings.Clone(name))
 	if _, err := p.expect(tLBrace, "{"); err != nil {
 		return nil, err
 	}
@@ -147,7 +187,7 @@ func (p *dslParser) parsePolicy(doc *Document) (*privacy.HousePolicy, error) {
 		switch {
 		case p.atIdent("attr"):
 			p.next()
-			attr, err := p.name("attribute name")
+			attr, err := p.attr()
 			if err != nil {
 				return nil, err
 			}
@@ -167,7 +207,7 @@ func (p *dslParser) parsePolicy(doc *Document) (*privacy.HousePolicy, error) {
 			p.next() // }
 		case p.atIdent("sensitivity"):
 			p.next()
-			attr, err := p.name("attribute name")
+			attr, err := p.attr()
 			if err != nil {
 				return nil, err
 			}
@@ -199,7 +239,7 @@ func (p *dslParser) parseProvider() (*privacy.Prefs, error) {
 	if err != nil {
 		return nil, err
 	}
-	prefs := privacy.NewPrefs(name, thresh)
+	prefs := privacy.NewPrefs(strings.Clone(name), thresh)
 	if _, err := p.expect(tLBrace, "{"); err != nil {
 		return nil, err
 	}
@@ -207,7 +247,7 @@ func (p *dslParser) parseProvider() (*privacy.Prefs, error) {
 		if err := p.expectIdent("attr"); err != nil {
 			return nil, err
 		}
-		attr, err := p.name("attribute name")
+		attr, err := p.attr()
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +301,7 @@ func (p *dslParser) parseTuple() (privacy.Tuple, error) {
 		p.next()
 		switch key {
 		case "purpose", "pr":
-			t.Purpose = privacy.Purpose(val.text).Normalize()
+			t.Purpose = p.purpose(val.text)
 		case "visibility", "v":
 			lv, err := p.level(privacy.DimVisibility, val.text)
 			if err != nil {
@@ -281,7 +321,7 @@ func (p *dslParser) parseTuple() (privacy.Tuple, error) {
 			}
 			t.Retention = lv
 		default:
-			return t, p.errf("unknown tuple key %q", key)
+			return t, p.valueErrf("unknown tuple key %q", key)
 		}
 		seen[keyCanon(key)] = true
 	}
@@ -310,17 +350,21 @@ func keyCanon(k string) string {
 
 // level resolves a level token: a scale name or a bare integer.
 func (p *dslParser) level(dim privacy.Dimension, text string) (privacy.Level, error) {
-	if n, err := strconv.Atoi(text); err == nil {
-		if n < 0 {
-			return 0, p.errf("%s level %d is negative", dim, n)
+	// Atoi refuses (and allocates its error for) anything that does not
+	// start like a number, so a level name skips it.
+	if text != "" && isNumStart(text[0]) {
+		if n, err := strconv.Atoi(text); err == nil {
+			if n < 0 {
+				return 0, p.valueErrf("%s level %d is negative", dim, n)
+			}
+			return privacy.Level(n), nil
 		}
-		return privacy.Level(n), nil
 	}
 	scale := p.scales.For(dim)
 	if lv, ok := scale.Level(text); ok {
 		return lv, nil
 	}
-	return 0, p.errf("unknown %s level %q (scale: %s)", dim, text, strings.Join(scale.Names(), " < "))
+	return 0, p.valueErrf("unknown %s level %q (scale: %s)", dim, text, strings.Join(scale.Names(), " < "))
 }
 
 // parseSens parses: [purpose=P] value=N v=N g=N r=N (value and the three
@@ -340,7 +384,7 @@ func (p *dslParser) parseSens() (privacy.Sensitivity, privacy.Purpose, error) {
 				return s, pr, p.errf("expected a purpose name, found %s", valTok)
 			}
 			p.next()
-			pr = privacy.Purpose(valTok.text).Normalize()
+			pr = p.purpose(valTok.text)
 			continue
 		}
 		f, err := p.number(key)
@@ -357,7 +401,7 @@ func (p *dslParser) parseSens() (privacy.Sensitivity, privacy.Purpose, error) {
 		case "r", "retention":
 			s.Retention = f
 		default:
-			return s, pr, p.errf("unknown sens key %q", key)
+			return s, pr, p.valueErrf("unknown sens key %q", key)
 		}
 		seen[keyCanon(key)] = true
 	}

@@ -123,6 +123,7 @@ func TestParseErrors(t *testing.T) {
 		`policy "unterminated string`,
 		"policy \"p\" { attr x { tuple purpose=q visibility=99 granularity=0 retention=0 } }",   // off scale
 		"policy \"p\" { attr \xc1 { tuple purpose=q visibility=0 granularity=0 retention=0 } }", // invalid UTF-8 identifier
+		`provider "" threshold 1 {}`, // empty provider name fails validation
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -177,52 +178,6 @@ func TestRenderRoundTrip(t *testing.T) {
 	}
 	if doc2.AttrSens.Get("weight") != 4 {
 		t.Error("Σ lost in round-trip")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	doc, err := Parse(sampleDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := MarshalJSON(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "table1") {
-		t.Errorf("JSON missing policy name: %s", data)
-	}
-	doc2, err := UnmarshalJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !doc.Policy.Equal(doc2.Policy) {
-		t.Error("policy JSON round-trip mismatch")
-	}
-	if len(doc2.Providers) != 2 {
-		t.Fatalf("providers = %d", len(doc2.Providers))
-	}
-	ted := doc2.Providers[1]
-	if ted.Provider != "ted" || ted.Threshold != 50 {
-		t.Errorf("ted = %v", ted)
-	}
-	if ted.Sensitivity("weight", "research").Granularity != 5 {
-		t.Error("ted sens lost in JSON round-trip")
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalJSON([]byte("{")); err == nil {
-		t.Error("bad JSON should fail")
-	}
-	// Off-scale level fails validation.
-	bad := `{"policy":{"name":"p","tuples":{"x":[{"purpose":"q","visibility":99,"granularity":0,"retention":0}]}}}`
-	if _, err := UnmarshalJSON([]byte(bad)); err == nil {
-		t.Error("off-scale JSON should fail")
-	}
-	badProv := `{"providers":[{"name":"","threshold":1,"tuples":{}}]}`
-	if _, err := UnmarshalJSON([]byte(badProv)); err == nil {
-		t.Error("empty provider name should fail")
 	}
 }
 

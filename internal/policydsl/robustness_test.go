@@ -51,20 +51,3 @@ func TestParseNeverPanicsOnDSLishInput(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestUnmarshalJSONNeverPanics feeds arbitrary bytes to the JSON decoder.
-func TestUnmarshalJSONNeverPanics(t *testing.T) {
-	f := func(data []byte) (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Logf("panic on %q: %v", data, r)
-				ok = false
-			}
-		}()
-		_, _ = UnmarshalJSON(data)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}

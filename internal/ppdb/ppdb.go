@@ -37,7 +37,6 @@ import (
 	"repro/internal/generalize"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
-	"repro/internal/policydsl"
 	"repro/internal/privacy"
 	"repro/internal/relational"
 	"repro/internal/wal"
@@ -79,6 +78,8 @@ type DB struct {
 	// mutation exclusively.
 	mu sync.RWMutex
 
+	// scales are privacy.DefaultScales(), the scales the policy DSL of
+	// HTTP bodies, snapshots and WAL records names levels on.
 	scales privacy.Scales
 
 	policy   *privacy.HousePolicy
@@ -147,8 +148,6 @@ type Config struct {
 	Policy *privacy.HousePolicy
 	// AttrSens is the house Σ vector; nil means all 1.
 	AttrSens privacy.AttributeSensitivities
-	// Scales for level validation and rendering; zero fields default.
-	Scales privacy.Scales
 	// Options for the violation assessor.
 	Options core.Options
 	// Hierarchies supply granularity degradation per attribute; attributes
@@ -170,16 +169,7 @@ func New(cfg Config) (*DB, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("ppdb: config needs a policy")
 	}
-	scales := cfg.Scales
-	if scales.Visibility == nil {
-		scales.Visibility = privacy.DefaultVisibility
-	}
-	if scales.Granularity == nil {
-		scales.Granularity = privacy.DefaultGranularity
-	}
-	if scales.Retention == nil {
-		scales.Retention = privacy.DefaultRetention
-	}
+	scales := privacy.DefaultScales()
 	if err := cfg.Policy.Validate(scales); err != nil {
 		return nil, err
 	}
@@ -336,27 +326,11 @@ func (d *DB) tableNamesLocked() []string {
 }
 
 // RegisterProvider records a provider's preferences. Re-registering replaces
-// the previous preferences (providers may revise them). The registration
-// re-assesses that one row (an O(1) delta to the running aggregate) under
-// d.mu exclusive.
+// the previous preferences (providers may revise them). It is a batch of
+// one: the registration re-assesses that one row (an O(1) delta to the
+// running aggregate) under d.mu exclusive.
 func (d *DB) RegisterProvider(p *privacy.Prefs) error {
-	if p == nil {
-		return fmt.Errorf("ppdb: nil preferences")
-	}
-	if err := p.Validate(d.scales); err != nil {
-		return err
-	}
-	rec, err := d.walEncode(walRecUpsert, policydsl.ProviderToJSON(p))
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	lsn, err := d.registerLocked([]*privacy.Prefs{p}, rec)
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return d.walWait(lsn)
+	return d.RegisterProviders([]*privacy.Prefs{p})
 }
 
 // registerLocked stores validated preferences, appending rec first: the
@@ -396,11 +370,7 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 			return err
 		}
 	}
-	recs := make([]policydsl.ProviderJSON, len(ps))
-	for i, p := range ps {
-		recs[i] = policydsl.ProviderToJSON(p)
-	}
-	rec, err := d.walEncode(walRecBatch, recs)
+	rec, err := d.walEncode(walRecProviders, ps)
 	if err != nil {
 		return err
 	}
@@ -584,7 +554,7 @@ func (d *DB) setPolicyExclusive(next *privacy.HousePolicy) (PolicyChange, uint64
 	if err := next.Validate(d.scales); err != nil {
 		return PolicyChange{}, 0, err
 	}
-	rec, err := d.walEncode(walRecPolicy, policydsl.PolicyToJSON(next, nil))
+	rec, err := d.walEncode(walRecPolicy, next)
 	if err != nil {
 		return PolicyChange{}, 0, err
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/policydsl"
 	"repro/internal/privacy"
 	"repro/internal/relational"
 )
@@ -111,7 +110,8 @@ func (d *DB) UpdatePreferences(provider string, prefs *privacy.Prefs) error {
 	if err := prefs.Validate(d.scales); err != nil {
 		return err
 	}
-	rec, err := d.walEncode(walRecUpsert, policydsl.ProviderToJSON(prefs))
+	ps := []*privacy.Prefs{prefs}
+	rec, err := d.walEncode(walRecProviders, ps)
 	if err != nil {
 		return err
 	}
@@ -120,7 +120,7 @@ func (d *DB) UpdatePreferences(provider string, prefs *privacy.Prefs) error {
 		d.mu.Unlock()
 		return fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
-	lsn, err := d.registerLocked([]*privacy.Prefs{prefs}, rec)
+	lsn, err := d.registerLocked(ps, rec)
 	d.mu.Unlock()
 	if err != nil {
 		return err

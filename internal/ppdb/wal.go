@@ -12,7 +12,7 @@ import (
 )
 
 // Write-ahead logging (DESIGN.md §14). Every certification-bearing
-// mutation — provider upsert/delete, batch ingest, policy swap, clock
+// mutation — provider registration or delete, policy swap, clock
 // advance, retention sweep — appends one record to the WAL *before* it is
 // applied, under the same lock that serializes the apply, so WAL order
 // equals apply order exactly. The durability wait (group commit) happens
@@ -30,13 +30,19 @@ import (
 // checkpoint are lost on crash. The WAL covers the state certifications
 // are computed from. Row paths still bump mutSeq so checkpoints notice
 // them.
+//
+// Preferences and policies are logged as policy DSL, the text HTTP
+// bodies, corpus files and snapshots carry: a provider record is Render of
+// its provider blocks, a policy record Render of the policy block, and
+// replay parses them back. Types 1, 2 and 4 held the JSON encoding of
+// older builds; they are retired, so such a record stops replay as an
+// unknown type (DESIGN.md §14 gives the upgrade rule).
 const (
-	walRecUpsert byte = 1 // one provider registration (policydsl.ProviderJSON)
-	walRecBatch  byte = 2 // atomic batch registration ([]policydsl.ProviderJSON)
-	walRecDelete byte = 3 // provider removal (walDeleteJSON)
-	walRecPolicy byte = 4 // policy swap (policydsl.PolicyJSON)
-	walRecClock  byte = 5 // clock advance, absolute (walClockJSON)
-	walRecSweep  byte = 6 // retention sweep at its clock reading (walSweepJSON)
+	walRecDelete    byte = 3 // provider removal (walDeleteJSON)
+	walRecClock     byte = 5 // clock advance, absolute (walClockJSON)
+	walRecSweep     byte = 6 // retention sweep at its clock reading (walSweepJSON)
+	walRecProviders byte = 7 // provider registrations, one atomic batch (DSL provider blocks)
+	walRecPolicy    byte = 8 // policy swap (DSL policy block)
 )
 
 var mRecoverySeconds = metrics.Default.Histogram("ppdb_recovery_seconds",
@@ -58,7 +64,7 @@ type walSweepJSON struct {
 }
 
 // walRecord is one WAL record: its type, its value and, once encoded,
-// the value's JSON.
+// the body — DSL for preferences and policies, JSON for the rest.
 type walRecord struct {
 	typ  byte
 	v    any
@@ -69,16 +75,23 @@ func (r *walRecord) encode() error {
 	if r.body != nil {
 		return nil
 	}
-	body, err := json.Marshal(r.v)
-	if err != nil {
-		return fmt.Errorf("ppdb: wal encode record type %d: %w", r.typ, err)
+	switch v := r.v.(type) {
+	case []*privacy.Prefs:
+		r.body = []byte(policydsl.Render(&policydsl.Document{Providers: v}))
+	case *privacy.HousePolicy:
+		r.body = []byte(policydsl.Render(&policydsl.Document{Policy: v}))
+	default:
+		body, err := json.Marshal(v)
+		if err != nil {
+			return fmt.Errorf("ppdb: wal encode record type %d: %w", r.typ, err)
+		}
+		r.body = body
 	}
-	r.body = body
 	return nil
 }
 
-// walEncode encodes a record whose value the request fixes (an upsert, a
-// batch, a delete, a policy) before the caller takes the lock it is
+// walEncode encodes a record whose value the request fixes (a
+// registration, a delete, a policy) before the caller takes the lock it is
 // appended under, so the exclusive section only appends. With no WAL
 // attached it encodes nothing. On error the caller must not apply.
 func (d *DB) walEncode(typ byte, v any) (walRecord, error) {
@@ -180,30 +193,12 @@ func (d *DB) AttachWAL(opts wal.Options) (int, error) {
 //lint:deterministic replaying the same records must rebuild identical state on every run
 func (d *DB) applyWALRecord(rec wal.Record) error {
 	switch rec.Type {
-	case walRecUpsert:
-		var pj policydsl.ProviderJSON
-		if err := json.Unmarshal(rec.Data, &pj); err != nil {
-			return fmt.Errorf("ppdb: wal upsert record: %w", err)
-		}
-		p, err := policydsl.ProviderFromJSON(pj, d.scales)
+	case walRecProviders:
+		doc, err := policydsl.Parse(string(rec.Data))
 		if err != nil {
-			return fmt.Errorf("ppdb: wal upsert record: %w", err)
+			return fmt.Errorf("ppdb: wal providers record: %w", err)
 		}
-		return d.RegisterProvider(p)
-	case walRecBatch:
-		var pjs []policydsl.ProviderJSON
-		if err := json.Unmarshal(rec.Data, &pjs); err != nil {
-			return fmt.Errorf("ppdb: wal batch record: %w", err)
-		}
-		ps := make([]*privacy.Prefs, 0, len(pjs))
-		for _, pj := range pjs {
-			p, err := policydsl.ProviderFromJSON(pj, d.scales)
-			if err != nil {
-				return fmt.Errorf("ppdb: wal batch record: %w", err)
-			}
-			ps = append(ps, p)
-		}
-		return d.RegisterProviders(ps)
+		return d.RegisterProviders(doc.Providers)
 	case walRecDelete:
 		var dj walDeleteJSON
 		if err := json.Unmarshal(rec.Data, &dj); err != nil {
@@ -212,15 +207,11 @@ func (d *DB) applyWALRecord(rec wal.Record) error {
 		_, err := d.RemoveProvider(dj.Provider)
 		return err
 	case walRecPolicy:
-		var pj policydsl.PolicyJSON
-		if err := json.Unmarshal(rec.Data, &pj); err != nil {
-			return fmt.Errorf("ppdb: wal policy record: %w", err)
-		}
-		hp, _, err := policydsl.PolicyFromJSON(&pj, d.scales)
+		doc, err := policydsl.Parse(string(rec.Data))
 		if err != nil {
 			return fmt.Errorf("ppdb: wal policy record: %w", err)
 		}
-		_, err = d.SetPolicy(hp)
+		_, err = d.SetPolicy(doc.Policy)
 		return err
 	case walRecClock:
 		var cj walClockJSON

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/policydsl"
 	"repro/internal/population"
+	"repro/internal/privacy"
 	"repro/internal/wal"
 )
 
@@ -26,9 +29,31 @@ func walEquivConfig(t *testing.T) Config {
 	return Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities()}
 }
 
+// walSigmaShapes are providers whose σ the DSL records must carry
+// exactly: σ on an attribute with no tuples (it still weighs the policy's
+// implicit-zero conflicts), a per-purpose override equal to the attribute
+// default, a provider that never defaults, and a quoted attribute name
+// holding a space.
+func walSigmaShapes() []*privacy.Prefs {
+	svc := privacy.Tuple{Purpose: "service", Visibility: 1, Granularity: 2, Retention: 1}
+	s := privacy.Sensitivity{Value: 2.5, Visibility: 1, Granularity: 3, Retention: 0.5}
+	noTuples := privacy.NewPrefs("sigma-no-tuples", 6).Add("weight", svc)
+	noTuples.SetSensitivity("income", privacy.Sensitivity{Value: 0.5, Visibility: 2, Granularity: 1, Retention: 4})
+	noTuples.SetPurposeSensitivity("income", "service", privacy.Sensitivity{Value: 3, Visibility: 1, Granularity: 1, Retention: 1})
+	sameOverride := privacy.NewPrefs("sigma-same-override", 9).Add("weight", svc)
+	sameOverride.SetSensitivity("weight", s)
+	sameOverride.SetPurposeSensitivity("weight", "service", s)
+	never := privacy.NewPrefs("sigma-never-defaults", privacy.NoDefaultThreshold).Add("income", svc)
+	quoted := privacy.NewPrefs("sigma-quoted-attr", 4).Add("blood type", svc).Add("weight", svc)
+	quoted.SetSensitivity("blood type", s)
+	quoted.SetPurposeSensitivity("blood type", "research", privacy.Sensitivity{Value: 1, Visibility: 2, Granularity: 2, Retention: 2})
+	return []*privacy.Prefs{noTuples, sameOverride, never, quoted}
+}
+
 // buildWALDB drives a full mutation history — batch build, serial adds,
 // removals, a policy swap, clock advances and a sweep — against a DB with
-// the WAL attached from the start, so every mutation is logged.
+// the WAL attached from the start, so every mutation is logged. The
+// providers include walSigmaShapes.
 func buildWALDB(t *testing.T, walDir string) *DB {
 	t.Helper()
 	db, err := New(walEquivConfig(t))
@@ -41,6 +66,11 @@ func buildWALDB(t *testing.T, walDir string) *DB {
 	pop := population.PrefsOf(equivGenerator(t, 99).Generate(120))
 	if err := db.RegisterProviders(pop[:80]); err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range walSigmaShapes() {
+		if err := db.RegisterProvider(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, p := range pop[80:] {
 		if err := db.RegisterProvider(p); err != nil {
@@ -106,6 +136,101 @@ func TestWALRecoveryFromEmptySnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestWALReplayKeepsNameBytes: a provider and a policy whose names hold a
+// byte that is not UTF-8, parsed from DSL as the HTTP routes parse them,
+// come back from the WAL byte for byte, σ shapes included: a store that
+// replayed the log saves exactly the snapshot the store that wrote it
+// saves.
+func TestWALReplayKeepsNameBytes(t *testing.T) {
+	doc, err := policydsl.Parse("policy \"clinic \xff v2\" {\n  attr weight {\n" +
+		"    tuple purpose=service visibility=house granularity=specific retention=year\n  }\n}\n" +
+		"provider \"bo\xffb\" threshold 5 {\n  attr weight {\n" +
+		"    tuple purpose=service visibility=owner granularity=existential retention=transient\n  }\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walDir := filepath.Join(t.TempDir(), "wal")
+	db, err := New(walEquivConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AttachWAL(walTestOpts(walDir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterProviders(append(doc.Providers, walSigmaShapes()...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.SetPolicy(doc.Policy); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	wantDir := filepath.Join(t.TempDir(), "want")
+	if err := db.Save(wantDir); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := New(walEquivConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db2.AttachWAL(walTestOpts(walDir)); err != nil || n != 2 {
+		t.Fatalf("replayed %d records, err %v; want 2", n, err)
+	}
+	if err := db2.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	gotDir := filepath.Join(t.TempDir(), "got")
+	if err := db2.Save(gotDir); err != nil {
+		t.Fatal(err)
+	}
+	want, got := readTree(t, wantDir), readTree(t, gotDir)
+	if !sameTree(got, want) {
+		t.Errorf("replayed snapshot differs:\nwant corpus %q\ngot  corpus %q", want["corpus.dsl"], got["corpus.dsl"])
+	}
+	if p, ok := db2.Provider("bo\xffb"); !ok || p.Provider != "bo\xffb" || db2.Policy().Name != "clinic \xff v2" {
+		t.Errorf("replayed names: provider %v, policy %q", p, db2.Policy().Name)
+	}
+}
+
+// TestWALRetiredRecordTypesStopReplay: record types 1, 2 and 4 carried
+// preferences and policies as JSON in older builds. No such record is ever
+// read as DSL: AttachWAL fails at it as an unknown type and applies
+// nothing.
+func TestWALRetiredRecordTypesStopReplay(t *testing.T) {
+	bodies := map[byte]string{
+		1: `{"name":"ann","threshold":5,"tuples":{"weight":[{"purpose":"service","visibility":1,"granularity":1,"retention":1}]}}`,
+		2: `[{"name":"ann","threshold":5,"tuples":{"weight":[{"purpose":"service","visibility":1,"granularity":1,"retention":1}]}}]`,
+		4: `{"name":"v9","tuples":{"weight":[{"purpose":"service","visibility":4,"granularity":4,"retention":4}]}}`,
+	}
+	for _, typ := range []byte{1, 2, 4} {
+		walDir := filepath.Join(t.TempDir(), "wal")
+		l, err := wal.Open(walTestOpts(walDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(wal.Record{Type: typ, Data: []byte(bodies[typ])}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db, err := New(walEquivConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = db.AttachWAL(walTestOpts(walDir))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown WAL record type %d", typ)) {
+			t.Errorf("type %d: AttachWAL error %v, want an unknown record type", typ, err)
+		}
+		if db.NumProviders() != 0 || db.Policy().Name != "v1" || db.WALAttached() {
+			t.Errorf("type %d: replay applied something: %d providers, policy %q, WAL attached %v",
+				typ, db.NumProviders(), db.Policy().Name, db.WALAttached())
+		}
 	}
 }
 

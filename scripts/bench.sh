@@ -11,8 +11,10 @@
 # HTTP certify benches (BenchmarkCertifyHTTP, GET /v1/certify through the
 # handler at 1k/100k providers, and shipped-20k: perfbench's 20k providers
 # under its policy A), the compile bench (BenchmarkCompile, one
-# perfbench-shaped provider) and the policy-swap bench (BenchmarkSetPolicy,
-# 100k providers, implicit zeros on) and records ns/op, B/op and allocs/op
+# perfbench-shaped provider), the policy-swap bench (BenchmarkSetPolicy,
+# 100k providers, implicit zeros on) and the WAL recovery bench
+# (BenchmarkWALReplay, AttachWAL replaying perfbench's 20k providers from
+# ~1 MiB batch records into a fresh store) and records ns/op, B/op and allocs/op
 # plus the cold→incremental speedup per population size into
 # BENCH_certify.json at the repo root. Wired as `make bench`; not part of
 # `make check`.
@@ -41,7 +43,7 @@ gover=$(go env GOVERSION)
 ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
 day=$(date -u +%Y-%m-%d)
 
-pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy|WALReplay)}"
 out=$(go test -run '^$' -bench "$pattern" \
 	-benchtime "${BENCHTIME:-1s}" -benchmem -timeout 30m .)
 printf '%s\n' "$out"
@@ -74,7 +76,7 @@ NR == FNR {
 	}
 	next
 }
-/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy)/ {
+/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy|WALReplay)/ {
 	# -benchmem lines: name iters ns/op-value "ns/op" B-value "B/op"
 	# allocs-value "allocs/op". The name ends in -GOMAXPROCS unless that
 	# is 1.

@@ -26,9 +26,11 @@ fi
 # benches (WhatIfStorm and WhatIfShipped, narrow and full diffs), the
 # HTTP certify benches (CertifyHTTP, GET /v1/certify through the handler
 # at 1k/100k providers and on perfbench's shape, shipped-20k),
-# the per-provider compile bench (Compile) and the policy-swap bench
-# (SetPolicy); each sub-bench is compared against its own baseline entry.
-out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy)' \
+# the per-provider compile bench (Compile), the policy-swap bench
+# (SetPolicy) and the WAL recovery bench (WALReplay, perfbench's 20k
+# providers replayed from batch records); each sub-bench is compared
+# against its own baseline entry.
+out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy|WALReplay)' \
 	-benchtime "${BENCHTIME:-1s}" -timeout 30m .)
 printf '%s\n' "$out"
 echo
@@ -45,7 +47,7 @@ NR == FNR {
 	}
 	next
 }
-/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy)/ {
+/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy|WALReplay)/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	cur[name] = $3 + 0
 	seen[++n] = name

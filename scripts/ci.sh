@@ -2,8 +2,9 @@
 # CI gate: the full `make check` chain (gofmt, go vet, ppdblint, build,
 # tests), the fault-injection/crash-matrix suite, the WAL durability suite,
 # short fuzz passes over the enforced query path, the policy DSL round
-# trip, the snapshot row decoder, the certification report writer and the
-# audit trail's block store, a
+# trip, the snapshot row decoder, the certification report writer, the
+# audit trail's block store, the what-if request body and the WAL segment
+# decoder, a
 # build-and-test of the benchmark harness (perfbench/ is its own module,
 # so `go build ./...` never compiles it), and a race pass over the
 # concurrency-bearing packages — the PPDB prototype (whose row tables
