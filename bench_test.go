@@ -191,49 +191,15 @@ func benchCertifyDB(b *testing.B, n int) *ppdb.DB {
 // scripts/bench.sh records both in BENCH_certify.json.
 var certifyBenchSizes = []int{1000, 100000}
 
-// BenchmarkCertifyCold measures the seed full-recompute certification path
-// (CertifyFull): every provider is re-assessed on every call, O(N).
+// BenchmarkCertifyCold measures Certify, the one certification path: the
+// columnar kernel re-runs over every row's stored columns on every call,
+// O(N), and the reports are assembled in key order.
 func BenchmarkCertifyCold(b *testing.B) {
 	for _, n := range certifyBenchSizes {
 		db := benchCertifyDB(b, n)
 		b.Run(sizeName(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cert, err := db.CertifyFull(0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if cert.Report.N != n {
-					b.Fatal("wrong N")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCertifyIncremental measures the ledger path after a
-// single-provider preference edit: each iteration applies one self-service
-// edit (an O(1) delta to the ledger) and certifies from the materialized
-// rows — no population re-assessment.
-func BenchmarkCertifyIncremental(b *testing.B) {
-	for _, n := range certifyBenchSizes {
-		db := benchCertifyDB(b, n)
-		// Two preference variants for one provider, alternated so every
-		// iteration is a real state change, never a memoization hit.
-		variants := make([]*privacy.Prefs, 2)
-		for v := range variants {
-			p := privacy.NewPrefs("provider-0000", 5)
-			lv := privacy.Level(v) // 0 → violated, 1 → still violated, differently
-			p.Add("weight", privacy.Tuple{Purpose: "service", Visibility: lv, Granularity: lv, Retention: lv})
-			p.Add("income", privacy.Tuple{Purpose: "service", Visibility: lv, Granularity: lv, Retention: lv})
-			variants[v] = p
-		}
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := db.UpdatePreferences("provider-0000", variants[i%2]); err != nil {
-					b.Fatal(err)
-				}
 				cert, err := db.Certify(0.1)
 				if err != nil {
 					b.Fatal(err)
@@ -953,7 +919,7 @@ func BenchmarkSetPolicy(b *testing.B) {
 // The population splits 90/10: every provider states preferences on
 // "common", every tenth also on "rare". With implicit zeros disabled the
 // narrow diff (retarget rare) re-assesses only the 10% slice and serves
-// the rest from memoized live reports, while the full diff (retarget
+// the rest from the rows' live totals, while the full diff (retarget
 // common) re-assesses everyone; the gap between the two sub-benches is
 // the price the memo-reuse invariant saves.
 func BenchmarkWhatIfStorm(b *testing.B) {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -60,17 +59,13 @@ func runAudit(w io.Writer, in string, alpha float64, top int, asJSON bool) error
 	if err != nil {
 		return err
 	}
-	// Build the provider table across the worker pool and assemble the
-	// report from its rows (sorted by provider key, so the
-	// output is stable across runs). Duplicate provider blocks collapse,
-	// last one wins — the same semantics as registering against a PPDB.
-	items := make([]ledger.Item, len(doc.Providers))
-	for i, p := range doc.Providers {
-		items[i] = ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p}
-	}
+	// Build the provider table across the worker pool and certify its
+	// rows (sorted by provider key, so the output is stable across runs).
+	// Duplicate provider blocks collapse, last one wins — the same
+	// semantics as registering against a PPDB.
 	table := ledger.NewTable()
-	table.Upsert(assessor, items)
-	rep := ledger.Assemble(table.Rows())
+	table.Upsert(assessor, ledger.ItemsOf(doc.Providers))
+	rep := ledger.Assemble(assessor, table.Rows())
 
 	if asJSON {
 		enc := json.NewEncoder(w)

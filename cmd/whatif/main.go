@@ -108,7 +108,7 @@ func printTable(w *whatif.Response) {
 	if w.GlobalFallback {
 		fmt.Printf(" (implicit-zero conflicts moved: every provider re-assessed)")
 	}
-	fmt.Printf("\nre-assessed %d providers, reused %d live reports\n", w.Affected, w.MemoReused)
+	fmt.Printf("\nre-assessed %d providers, reused the live totals of %d\n", w.Affected, w.MemoReused)
 
 	if w.BreakEvenT != nil {
 		fmt.Printf("\nbreak-even extra utility per provider (Eq. 31): T > %g\n", *w.BreakEvenT)

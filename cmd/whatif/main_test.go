@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/policydsl"
+	"repro/internal/ppdb"
 	"repro/internal/whatif"
 )
 
@@ -113,5 +115,87 @@ func TestRunWhatIfErrors(t *testing.T) {
 	// Identical documents produce an empty diff — nothing to evaluate.
 	if err := run(cur, cur, 10, 0, false, false); err == nil {
 		t.Error("identical policies should fail with an empty diff")
+	}
+}
+
+// TestRunWhatIfMatchesStore pins the offline evaluation to the store's:
+// the corpus names one provider twice in different case, and cmd/whatif
+// must evaluate the table the store would hold — the key given twice
+// collapsed, its last block kept — so its current and proposed summaries
+// equal DB.WhatIf's on a store loaded from the same corpus.
+func TestRunWhatIfMatchesStore(t *testing.T) {
+	dir := t.TempDir()
+	curSrc := `policy "v1" {
+  attr weight {
+    tuple purpose=care visibility=house granularity=specific retention=year
+  }
+}
+provider "alice" threshold 1 {
+  attr weight {
+    tuple purpose=care visibility=owner granularity=existential retention=transient
+  }
+}
+provider "Alice" threshold 90 {
+  attr weight {
+    tuple purpose=care visibility=house granularity=specific retention=year
+  }
+}
+provider "bob" threshold 90 {
+  attr weight {
+    tuple purpose=care visibility=house granularity=specific retention=year
+  }
+}
+`
+	propSrc := `policy "v2" {
+  attr weight {
+    tuple purpose=care visibility=third-party granularity=specific retention=year
+  }
+}
+`
+	cur, prop := filepath.Join(dir, "cur.dsl"), filepath.Join(dir, "prop.dsl")
+	if err := os.WriteFile(cur, []byte(curSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(prop, []byte(propSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	read := captureStdout(t)
+	if err := run(cur, prop, 10, 0, false, true); err != nil {
+		t.Fatal(err)
+	}
+	var offline whatif.Response
+	if err := json.Unmarshal(read(), &offline); err != nil {
+		t.Fatal(err)
+	}
+
+	curDoc, err := policydsl.Parse(curSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	propDoc, err := policydsl.Parse(propSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := ppdb.New(ppdb.Config{Policy: curDoc.Policy, AttrSens: curDoc.AttrSens})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterProviders(curDoc.Providers); err != nil {
+		t.Fatal(err)
+	}
+	diff, err := whatif.DiffPolicies(curDoc.Policy, propDoc.Policy, curDoc.AttrSens, propDoc.AttrSens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online, err := db.WhatIf(&whatif.Request{Name: propDoc.Policy.Name, Diff: diff, U: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if online.Current.N != 2 {
+		t.Fatalf("the store holds %d providers, want 2", online.Current.N)
+	}
+	if offline.Current != online.Current || offline.Proposed != online.Proposed {
+		t.Errorf("cmd/whatif and DB.WhatIf disagree:\noffline current %+v proposed %+v\nonline  current %+v proposed %+v",
+			offline.Current, offline.Proposed, online.Current, online.Proposed)
 	}
 }

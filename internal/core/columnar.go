@@ -6,8 +6,8 @@
 // for providers with no violations. Conflicting providers allocate exactly
 // two slices (the pairs and one shared dims backing array), built from a
 // reusable scratch arena; AssessTotals skips them for callers that keep
-// only the totals. It is the only assessor: every report, stored or ad
-// hoc, comes from here.
+// only the totals. It is the only assessor: every report and every total
+// comes from here.
 package core
 
 import (
@@ -25,8 +25,8 @@ type Scratch struct {
 	dims    []DimensionViolation
 	pairs   []PairConflict
 	pairOff []int // start offset of each pair's dims within dims
-	// cols is the column buffer AssessRow compiles providers into when
-	// they come without current columns, and AssessTotals always.
+	// cols is the column buffer AssessRow and AssessTotals compile
+	// providers into when they come without current columns.
 	cols CompiledPrefs
 }
 
@@ -132,8 +132,8 @@ func (a *Assessor) kernel(c *CompiledPrefs, sc *Scratch) ProviderReport {
 }
 
 // materialize copies the pairs the last kernel pass recorded out of the
-// arena at exact size, so memoizing layers can retain them while the
-// scratch is reused: two allocations, the pairs and one dims backing array
+// arena at exact size, so a report outlives the next reuse of the
+// scratch: two allocations, the pairs and one dims backing array
 // they share. It returns nil (JSON null, like the reference) when nothing
 // conflicted.
 func (sc *Scratch) materialize() []PairConflict {
@@ -164,21 +164,26 @@ func (a *Assessor) AssessRow(p *privacy.Prefs, c *CompiledPrefs, sc *Scratch) Pr
 	if sc == nil {
 		sc = new(Scratch)
 	}
-	if !c.CurrentFor(a) {
-		c = &sc.cols
-		a.compileInto(c, p)
-	}
-	return a.AssessCompiled(c, sc)
+	return a.AssessCompiled(a.columns(p, c, sc), sc)
 }
 
 // AssessTotals is AssessRow for callers that keep only w_i, Violation_i and
-// default_i: it compiles p into sc's column buffer and runs the kernel but
-// skips materialize, so the conflicts stay in the arena and, once sc is
-// warm, nothing is allocated. The report's Pairs is nil; every other field
-// equals AssessRow's.
-func (a *Assessor) AssessTotals(p *privacy.Prefs, sc *Scratch) ProviderReport {
+// default_i: it takes the columns the same way but skips materialize, so
+// the conflicts stay in the arena and, once sc is warm, nothing is
+// allocated.
+func (a *Assessor) AssessTotals(p *privacy.Prefs, c *CompiledPrefs, sc *Scratch) Totals {
+	rep := a.kernel(a.columns(p, c, sc), sc)
+	return Totals{Violation: rep.Violation, Violated: rep.Violated, Defaults: rep.Defaults}
+}
+
+// columns returns c when it is current for a, and otherwise p compiled
+// into sc's column buffer.
+func (a *Assessor) columns(p *privacy.Prefs, c *CompiledPrefs, sc *Scratch) *CompiledPrefs {
+	if c.CurrentFor(a) {
+		return c
+	}
 	a.compileInto(&sc.cols, p)
-	return a.kernel(&sc.cols, sc)
+	return &sc.cols
 }
 
 // Compiled returns the assessor's flattened policy (built at construction).

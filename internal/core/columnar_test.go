@@ -235,7 +235,7 @@ func checkKernelReports(t *testing.T, a *Assessor, pop []*privacy.Prefs) {
 		if rep := a.AssessProvider(p); !reflect.DeepEqual(rep, want) {
 			t.Fatalf("provider %d: AssessProvider differs from reference", i)
 		}
-		if got, want := a.Violated(p), a.violatedReference(p); got != want {
+		if got, want := a.AssessTotals(p, nil, new(Scratch)).Violated, a.violatedReference(p); got != want {
 			t.Fatalf("provider %d: Violated = %v, Def. 1 walk says %v", i, got, want)
 		}
 		if got, want := len(c.covers), a.comparablePairs(p); got != want {
@@ -661,8 +661,9 @@ func TestCompileAllocs(t *testing.T) {
 	}
 }
 
-// TestAssessTotalsZeroAlloc pins the what-if shadow assessment: compiling a
-// provider into a warm scratch under the shadow policy and assessing it
+// TestAssessTotalsZeroAlloc pins the totals-only assessment the provider
+// table and the what-if shadow run: assessing a provider on its stored
+// columns, or compiling it into a warm scratch under the shadow policy,
 // without copying its pairs out allocates nothing, violated or not, and
 // agrees with AssessRow on every total.
 func TestAssessTotalsZeroAlloc(t *testing.T) {
@@ -674,16 +675,19 @@ func TestAssessTotalsZeroAlloc(t *testing.T) {
 	var sc Scratch
 	violated := 0
 	for i, p := range pop {
-		want := shadow.AssessRow(p, nil, &sc)
-		want.Pairs = nil
-		if got := shadow.AssessTotals(p, &sc); !reflect.DeepEqual(got, want) {
-			t.Fatalf("provider %d: AssessTotals = %+v, AssessRow totals %+v", i, got, want)
+		rep := shadow.AssessRow(p, nil, &sc)
+		want := Totals{Violation: rep.Violation, Violated: rep.Violated, Defaults: rep.Defaults}
+		stored := shadow.Compile(p)
+		for _, c := range []*CompiledPrefs{nil, stored} {
+			if got := shadow.AssessTotals(p, c, &sc); got != want {
+				t.Fatalf("provider %d (stored columns %v): AssessTotals = %+v, AssessRow totals %+v", i, c != nil, got, want)
+			}
+			if allocs := testing.AllocsPerRun(50, func() { _ = shadow.AssessTotals(p, c, &sc) }); allocs != 0 {
+				t.Errorf("provider %d (stored columns %v): AssessTotals allocates %.1f objects/op; want 0", i, c != nil, allocs)
+			}
 		}
 		if want.Violated {
 			violated++
-		}
-		if allocs := testing.AllocsPerRun(50, func() { _ = shadow.AssessTotals(p, &sc) }); allocs != 0 {
-			t.Errorf("provider %d: AssessTotals allocates %.1f objects/op; want 0", i, allocs)
 		}
 	}
 	if violated == 0 {

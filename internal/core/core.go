@@ -112,13 +112,6 @@ func NewAssessor(hp *privacy.HousePolicy, attrSens privacy.AttributeSensitivitie
 // Policy returns the policy being assessed.
 func (a *Assessor) Policy() *privacy.HousePolicy { return a.policy }
 
-// Violated computes w_i (Def. 1): whether some comparable
-// (preference, policy) tuple pair has the policy strictly exceeding the
-// preference along visibility, granularity or retention.
-func (a *Assessor) Violated(p *privacy.Prefs) bool {
-	return a.AssessTotals(p, new(Scratch)).Violated
-}
-
 // DimensionViolation records the overshoot along one dimension of one
 // comparable tuple pair.
 type DimensionViolation struct {
@@ -138,6 +131,16 @@ type PairConflict struct {
 	ImplicitZero bool // the preference was synthesized by the Sec. 5 rule
 	Dims         []DimensionViolation
 	Conf         float64 // Eq. 14 for this pair
+}
+
+// Totals is the part of a provider's assessment the population answers
+// are sums of (Assessor.AssessTotals): w_i (Def. 1: some comparable
+// tuple pair has the policy strictly exceeding the preference along
+// visibility, granularity or retention), Violation_i (Eq. 15) and
+// default_i (Def. 4).
+type Totals struct {
+	Violation          float64
+	Violated, Defaults bool
 }
 
 // ProviderReport is the per-provider assessment: w_i, Violation_i (Eq. 15),
@@ -162,16 +165,6 @@ func (a *Assessor) AssessProvider(p *privacy.Prefs) ProviderReport {
 // one caller.
 func (a *Assessor) AssessOne(p *privacy.Prefs) ProviderReport {
 	return a.AssessProvider(p)
-}
-
-// Severity computes Violation_i (Eq. 15) alone.
-func (a *Assessor) Severity(p *privacy.Prefs) float64 {
-	return a.AssessTotals(p, new(Scratch)).Violation
-}
-
-// Defaults computes default_i (Def. 4) alone.
-func (a *Assessor) Defaults(p *privacy.Prefs) bool {
-	return a.AssessTotals(p, new(Scratch)).Defaults
 }
 
 // PopulationReport aggregates a whole provider population: P(W) (Def. 2),
@@ -199,8 +192,8 @@ func (a *Assessor) AssessPopulation(pop []*privacy.Prefs) PopulationReport {
 }
 
 // AssemblePopulation aggregates precomputed per-provider rows into a
-// PopulationReport without re-assessing anyone — the report-assembly path
-// for materialized rows (internal/ledger). The float total is summed in
+// PopulationReport without re-assessing anyone — the step every
+// certification ends in (internal/ledger). The float total is summed in
 // slice order, so feeding it the same rows in the same order as a direct
 // AssessPopulation yields bit-identical results. The rows slice is
 // retained as Providers, not copied.

@@ -188,7 +188,7 @@ func TestImplicitZeroPurpose(t *testing.T) {
 	// Provider never mentioned marketing → implicit ⟨pr,0,0,0⟩ → violated.
 	p := privacy.NewPrefs("p", 100)
 	p.Add("x", privacy.Tuple{Purpose: "research", Visibility: 4, Granularity: 3, Retention: 5})
-	if !a.Violated(p) {
+	if !a.AssessTotals(p, nil, new(Scratch)).Violated {
 		t.Error("unanticipated purpose must violate under the Sec. 5 rule")
 	}
 	rep := a.AssessProvider(p)
@@ -202,7 +202,7 @@ func TestImplicitZeroPurpose(t *testing.T) {
 
 	// Ablation: disabling the rule removes the violation.
 	a2, _ := NewAssessor(hp, nil, Options{DisableImplicitZero: true})
-	if a2.Violated(p) {
+	if a2.AssessTotals(p, nil, new(Scratch)).Violated {
 		t.Error("ablated assessor should not flag the unanticipated purpose")
 	}
 }
@@ -220,13 +220,13 @@ func TestLatticeMatcherAssessment(t *testing.T) {
 
 	// Equality matching: email-marketing unanticipated → violation.
 	eq, _ := NewAssessor(hp, nil, Options{})
-	if !eq.Violated(p) {
+	if !eq.AssessTotals(p, nil, new(Scratch)).Violated {
 		t.Error("equality matcher should flag unanticipated specialization")
 	}
 	// Lattice matching: the general consent covers the specialization and
 	// bounds the policy → no violation.
 	lat, _ := NewAssessor(hp, nil, Options{Matcher: l})
-	if lat.Violated(p) {
+	if lat.AssessTotals(p, nil, new(Scratch)).Violated {
 		t.Error("lattice matcher should accept covered specialization")
 	}
 }
@@ -315,7 +315,7 @@ func TestSeverityMonotoneUnderWidening(t *testing.T) {
 
 		a1, _ := NewAssessor(hp, nil, Options{})
 		a2, _ := NewAssessor(wide, nil, Options{})
-		return a2.Severity(prov) >= a1.Severity(prov)
+		return a2.AssessTotals(prov, nil, new(Scratch)).Violation >= a1.AssessTotals(prov, nil, new(Scratch)).Violation
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -337,7 +337,7 @@ func TestViolatedIffPositiveSeverity(t *testing.T) {
 		prov.Add("x", pref)
 
 		a, _ := NewAssessor(hp, nil, Options{})
-		return a.violatedReference(prov) == (a.Severity(prov) > 0)
+		return a.violatedReference(prov) == (a.AssessTotals(prov, nil, new(Scratch)).Violation > 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

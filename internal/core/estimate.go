@@ -26,14 +26,14 @@ type Estimate struct {
 // non-positive trial count.
 func (a *Assessor) EstimatePW(pop []*privacy.Prefs, trials int, rng IntnSource) (Estimate, error) {
 	var sc Scratch
-	return a.estimate(pop, trials, rng, func(p *privacy.Prefs) bool { return a.AssessTotals(p, &sc).Violated })
+	return a.estimate(pop, trials, rng, func(p *privacy.Prefs) bool { return a.AssessTotals(p, nil, &sc).Violated })
 }
 
 // EstimatePDefault estimates P(Default) (Def. 5) by trials random selections
 // of a data provider with replacement.
 func (a *Assessor) EstimatePDefault(pop []*privacy.Prefs, trials int, rng IntnSource) (Estimate, error) {
 	var sc Scratch
-	return a.estimate(pop, trials, rng, func(p *privacy.Prefs) bool { return a.AssessTotals(p, &sc).Defaults })
+	return a.estimate(pop, trials, rng, func(p *privacy.Prefs) bool { return a.AssessTotals(p, nil, &sc).Defaults })
 }
 
 func (a *Assessor) estimate(pop []*privacy.Prefs, trials int, rng IntnSource, event func(*privacy.Prefs) bool) (Estimate, error) {

@@ -21,34 +21,30 @@ type Partial struct {
 	TotalViolations float64 // Σ_i Violation_i over the subset (order-sensitive)
 }
 
-// Add folds one provider's report into the partial.
-func (p *Partial) Add(rep *ProviderReport) { p.AddTotals(rep.Violated, rep.Defaults, rep.Violation) }
-
-// AddTotals folds in one provider given only the fields Add reads: w_i,
-// default_i and Violation_i.
-func (p *Partial) AddTotals(violated, defaults bool, violation float64) {
+// Add folds one provider's totals into the partial.
+func (p *Partial) Add(t Totals) {
 	p.N++
-	if violated {
+	if t.Violated {
 		p.ViolatedCount++
 	}
-	if defaults {
+	if t.Defaults {
 		p.DefaultCount++
 	}
-	p.TotalViolations += violation
+	p.TotalViolations += t.Violation
 }
 
 // Sub removes one provider's contribution. The integer fields stay exact;
 // the float total accumulates rounding in edit order, as documented on
 // Partial.
-func (p *Partial) Sub(rep *ProviderReport) {
+func (p *Partial) Sub(t Totals) {
 	p.N--
-	if rep.Violated {
+	if t.Violated {
 		p.ViolatedCount--
 	}
-	if rep.Defaults {
+	if t.Defaults {
 		p.DefaultCount--
 	}
-	p.TotalViolations -= rep.Violation
+	p.TotalViolations -= t.Violation
 }
 
 // PW is Def. 2 over the subset: Σ w_i / N (0 for an empty subset).

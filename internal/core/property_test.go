@@ -88,7 +88,7 @@ func TestDominatingPreferencesNeverViolated(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return !a.Violated(prov) && a.Severity(prov) == 0
+		return !a.AssessTotals(prov, nil, new(Scratch)).Violated && a.AssessTotals(prov, nil, new(Scratch)).Violation == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

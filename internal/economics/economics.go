@@ -295,7 +295,7 @@ func survivors(s *Scenario, policy *privacy.HousePolicy, pop []*privacy.Prefs) [
 	var out []*privacy.Prefs
 	var sc core.Scratch
 	for _, p := range pop {
-		if !assessor.AssessTotals(p, &sc).Defaults {
+		if !assessor.AssessTotals(p, nil, &sc).Defaults {
 			out = append(out, p)
 		}
 	}

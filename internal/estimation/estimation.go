@@ -145,7 +145,7 @@ func SeverityIndex(policy *privacy.HousePolicy, attrSens privacy.AttributeSensit
 	var total float64
 	var sc core.Scratch
 	for _, p := range sample {
-		total += assessor.AssessTotals(p, &sc).Violation
+		total += assessor.AssessTotals(p, nil, &sc).Violation
 	}
 	return total / float64(len(sample)), nil
 }

@@ -114,7 +114,7 @@ func (g *Game) Play(s HouseStrategy) (*Outcome, error) {
 	boost := g.cfg.ToleranceGain * s.Incentive
 	var sc core.Scratch
 	for _, p := range g.pop {
-		violation := assessor.AssessTotals(p, &sc).Violation
+		violation := assessor.AssessTotals(p, nil, &sc).Violation
 		eff := p.Threshold + boost
 		resp := ProviderResponse{
 			Provider:     p.Provider,
@@ -191,7 +191,7 @@ func (g *Game) OptimalIncentive(s HouseStrategy) (*Outcome, error) {
 	candidates := []float64{0}
 	var sc core.Scratch
 	for _, p := range g.pop {
-		gap := assessor.AssessTotals(p, &sc).Violation - p.Threshold
+		gap := assessor.AssessTotals(p, nil, &sc).Violation - p.Threshold
 		if gap > 0 {
 			candidates = append(candidates, gap/g.cfg.ToleranceGain)
 		}

@@ -569,3 +569,22 @@ func TestOversizeBodies413(t *testing.T) {
 	check(http.MethodPost, "/providers", over1M)
 	check(http.MethodPost, "/load?table=t", "provider,weight\n"+strings.Repeat("x", 8<<20))
 }
+
+// TestProvidersListKeepsInvalidBytes: providers whose names differ only in
+// a byte that is not UTF-8 are listed as two keys.
+func TestProvidersListKeepsInvalidBytes(t *testing.T) {
+	srv := testServer(t)
+	for _, body := range []string{"provider \"bo\xffb\" threshold 1 {}\n", "provider \"bo\xfeb\" threshold 7 {}\n"} {
+		if rec := do(t, srv, http.MethodPost, "/v1/providers", body); rec.Code != http.StatusOK {
+			t.Fatalf("POST %q: %d %s", body, rec.Code, rec.Body)
+		}
+	}
+	rec := do(t, srv, http.MethodGet, "/v1/providers?prefix=bo", "")
+	var page ProvidersPage
+	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+		t.Fatal(err)
+	}
+	if page.Total != 2 || page.Count != 2 {
+		t.Errorf("GET /v1/providers?prefix=bo lists %d of %d: %q; want two keys", page.Count, page.Total, page.Providers)
+	}
+}

@@ -1,20 +1,20 @@
 // Package ledger is the provider table certification reads: one immutable
 // row per provider — its preferences, their compiled columns (DESIGN.md
-// §13) and its core.ProviderReport — plus one running core.Partial (N,
-// Σ w_i, Σ default_i, Σ Violation_i). The paper's population quantities —
-// P(W) = Σ w_i / N (Def. 2), P(Default) (Def. 5) and the house total
-// Violations (Eq. 16) — are sums of independent per-provider terms, so a
-// row enters the table one way: Upsert assesses it and moves the partial
-// by its delta, and the population answer is read from the partial in
-// O(1) instead of recomputed over N.
+// §13) and its core.Totals — plus one running core.Partial (N, Σ w_i,
+// Σ default_i, Σ Violation_i). The paper's population quantities — P(W) =
+// Σ w_i / N (Def. 2), P(Default) (Def. 5) and the house total Violations
+// (Eq. 16) — are sums of independent per-provider terms, so a row enters
+// the table one way: Upsert assesses its totals and moves the partial by
+// its delta, and the population answer is read from the partial in O(1)
+// instead of recomputed over N. Assemble, the certification, re-runs the
+// kernel over the stored columns; no row holds a pair conflict.
 //
 // A Table has no lock of its own; its owner serializes access.
 // internal/ppdb holds one Table under its own lock, so the store and the
-// table are the same thing; cmd/ppdbaudit builds one directly. Ledger
-// wraps a Table behind one lock for the benchmark's traced twin.
-// Population work — upserts and the policy rebuild — fans out over
-// contiguous ranges of its input (core.FanOut, DESIGN.md §11) and installs
-// its results serially in order.
+// table are the same thing; cmd/ppdbaudit and the offline what-if build
+// one directly. Ledger wraps a Table behind one lock for the benchmark's
+// traced twin. Population work fans out over contiguous ranges of its
+// input (core.FanOut, DESIGN.md §11) and reduces serially in order.
 //
 // Rows are current by construction. An upsert assesses every row it
 // installs, and a policy swap (Rebuild) re-assesses every row while the
@@ -26,13 +26,15 @@
 // of integers) are exact. The running float total drifts from a fresh sum
 // by accumulated rounding (adds and subtracts in edit order), so a summary
 // built from the partial is last-ulp approximate in TotalViolations.
-// Assemble re-sums the rows in sorted key order, so a snapshot is
+// Assemble sums the rows in sorted key order, so a certification is
 // bit-identical to a full recompute over the same sorted population.
 package ledger
 
 import (
 	"fmt"
 	"slices"
+	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -55,13 +57,13 @@ var (
 		"provider rows held by the live provider table")
 )
 
-// Row is one provider's materialized state. Immutable once installed.
+// Row is one provider's state. Immutable once installed.
 type Row struct {
 	Prefs *privacy.Prefs
 	// Compiled is Prefs flattened against the policy the row was assessed
-	// under.
+	// under, and Totals its assessment under that policy.
 	Compiled *core.CompiledPrefs
-	Report   core.ProviderReport
+	Totals   core.Totals
 }
 
 // Item is one upsert: a provider's canonical key, its preferences and,
@@ -73,6 +75,16 @@ type Item struct {
 	Compiled *core.CompiledPrefs
 	// Deprecated: rows carry no version; Version is ignored.
 	Version uint64
+}
+
+// ItemsOf returns one item per preference set, keyed by
+// privacy.ProviderKey of its provider name.
+func ItemsOf(ps []*privacy.Prefs) []Item {
+	items := make([]Item, len(ps))
+	for i, p := range ps {
+		items[i] = Item{Key: privacy.ProviderKey(p.Provider), Prefs: p}
+	}
+	return items
 }
 
 // Table is the provider table: the sorted keys, the rows by key and the
@@ -105,8 +117,16 @@ func (t *Table) Get(key string) (*Row, bool) {
 // Partial returns the running aggregate.
 func (t *Table) Partial() core.Partial { return t.agg }
 
-// Keys copies the sorted key list.
-func (t *Table) Keys() []string { return slices.Clone(t.keys) }
+// Page counts the keys that start with prefix and copies at most limit of
+// them from offset on. Those keys are one run of the sorted list, found by
+// binary search.
+func (t *Table) Page(prefix string, offset, limit int) (int, []string) {
+	lo, _ := slices.BinarySearch(t.keys, prefix)
+	n := sort.Search(len(t.keys)-lo, func(i int) bool { return !strings.HasPrefix(t.keys[lo+i], prefix) })
+	offset = min(max(offset, 0), n)
+	end := offset + min(max(limit, 0), n-offset)
+	return n, append([]string(nil), t.keys[lo+offset:lo+end]...)
+}
 
 // Rows returns every row in sorted key order. The rows are immutable, so
 // the caller may read them after releasing the owner's lock.
@@ -118,14 +138,14 @@ func (t *Table) Rows() []*Row {
 	return rows
 }
 
-// Upsert installs items — registrations and preference edits — and
-// returns their rows in item order. One fan-out pass compiles each item
-// that carries no current columns and assesses it; the rows then install
+// Upsert installs items — registrations and preference edits. One
+// fan-out pass compiles each item that carries no current columns and
+// assesses its totals; the rows then install
 // serially in item order, each moving the partial by its delta, so a key
 // listed twice keeps its last item. New keys are merged from the back into
 // the grown key list: one new key moves the keys after it, as
 // slices.Insert does, and the list allocates only when it grows.
-func (t *Table) Upsert(a *core.Assessor, items []Item) []*Row {
+func (t *Table) Upsert(a *core.Assessor, items []Item) {
 	mMemoMisses.Add(uint64(len(items)))
 	rows := make([]*Row, len(items))
 	core.FanOut(len(items), func(lo, hi int) {
@@ -158,7 +178,6 @@ func (t *Table) Upsert(a *core.Assessor, items []Item) []*Row {
 			j--
 		}
 	}
-	return rows
 }
 
 // newRow assesses it into a row with a's columnar kernel, compiling its
@@ -168,7 +187,7 @@ func newRow(a *core.Assessor, it Item, sc *core.Scratch) *Row {
 	if !c.CurrentFor(a) {
 		c = a.Compile(it.Prefs)
 	}
-	return &Row{Prefs: it.Prefs, Compiled: c, Report: a.AssessRow(it.Prefs, c, sc)}
+	return &Row{Prefs: it.Prefs, Compiled: c, Totals: a.AssessTotals(it.Prefs, c, sc)}
 }
 
 // install puts r under key, moving the partial by the delta (subtract the
@@ -177,10 +196,10 @@ func newRow(a *core.Assessor, it Item, sc *core.Scratch) *Row {
 func (t *Table) install(key string, r *Row) bool {
 	old, existed := t.byKey[key]
 	if existed {
-		t.agg.Sub(&old.Report)
+		t.agg.Sub(old.Totals)
 	}
 	t.byKey[key] = r
-	t.agg.Add(&r.Report)
+	t.agg.Add(r.Totals)
 	mDeltaApplies.Inc()
 	mRows.Set(float64(len(t.byKey)))
 	return !existed
@@ -193,7 +212,7 @@ func (t *Table) Remove(key string) bool {
 	if !ok {
 		return false
 	}
-	t.agg.Sub(&r.Report)
+	t.agg.Sub(r.Totals)
 	delete(t.byKey, key)
 	i, _ := slices.BinarySearch(t.keys, key)
 	t.keys = slices.Delete(t.keys, i, i+1)
@@ -219,21 +238,24 @@ func (t *Table) Rebuild(a *core.Assessor) {
 	t.agg = core.Partial{}
 	for i, k := range t.keys {
 		t.byKey[k] = rows[i]
-		t.agg.Add(&rows[i].Report)
+		t.agg.Add(rows[i].Totals)
 	}
 }
 
-// Assemble assembles the population report from rows in sorted key order
-// — O(N) copying, zero re-assessment. The float total is summed in that
-// order, so the result is bit-identical to a full recompute over the same
-// sorted population.
+// Assemble is the certification of rows, whose columns are current for a:
+// the kernel runs over each row's columns across the fan-out into slots
+// aligned with the rows, which are summed in their (sorted key) order, so
+// the report is bit-identical to a serial recompute at any width.
 //
-//lint:deterministic snapshot reports feed certifications and must not depend on the fan-out width
-func Assemble(rows []*Row) core.PopulationReport {
+//lint:deterministic certification bytes are the paper's auditable artifact (Eq. 12-16)
+func Assemble(a *core.Assessor, rows []*Row) core.PopulationReport {
 	reps := make([]core.ProviderReport, len(rows))
-	for i, r := range rows {
-		reps[i] = r.Report
-	}
+	core.FanOut(len(rows), func(lo, hi int) {
+		var sc core.Scratch
+		for i := lo; i < hi; i++ {
+			reps[i] = a.AssessRow(rows[i].Prefs, rows[i].Compiled, &sc)
+		}
+	})
 	return core.AssemblePopulation(reps)
 }
 
@@ -265,12 +287,12 @@ func NewSharded(a *core.Assessor, policyVersion uint64, _ int) (*Ledger, error) 
 }
 
 // UpsertCompiled applies one registration or preference edit with the
-// provider's compiled columns and returns its report; see Table.Upsert.
-// The prefs version is ignored.
-func (l *Ledger) UpsertCompiled(key string, prefs *privacy.Prefs, compiled *core.CompiledPrefs, _ uint64) core.ProviderReport {
+// provider's compiled columns; see Table.Upsert. The prefs version is
+// ignored.
+func (l *Ledger) UpsertCompiled(key string, prefs *privacy.Prefs, compiled *core.CompiledPrefs, _ uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.table.Upsert(l.assessor, []Item{{Key: key, Prefs: prefs, Compiled: compiled}})[0].Report
+	l.table.Upsert(l.assessor, []Item{{Key: key, Prefs: prefs, Compiled: compiled}})
 }
 
 // UpsertBatch applies many registrations at once; see Table.Upsert.
@@ -293,7 +315,7 @@ func (l *Ledger) Rebuild(a *core.Assessor, _ uint64) {
 // provider order (see Assemble).
 func (l *Ledger) Snapshot() core.PopulationReport {
 	l.mu.RLock()
-	rows := l.table.Rows()
+	a, rows := l.assessor, l.table.Rows()
 	l.mu.RUnlock()
-	return Assemble(rows)
+	return Assemble(a, rows)
 }

@@ -47,11 +47,17 @@ type table struct {
 
 func newTable(a *core.Assessor) *table { return &table{a: a, Table: NewTable()} }
 
-func (t *table) upsert(p *privacy.Prefs) core.ProviderReport {
-	return t.Upsert(t.a, []Item{{Key: p.Provider, Prefs: p, Compiled: t.a.Compile(p)}})[0].Report
+func (t *table) upsert(p *privacy.Prefs) {
+	t.Upsert(t.a, []Item{{Key: p.Provider, Prefs: p, Compiled: t.a.Compile(p)}})
 }
 
-func (t *table) snapshot() core.PopulationReport { return Assemble(t.Rows()) }
+// rebuild swaps the table's assessor, as an owner's policy swap does.
+func (t *table) rebuild(a *core.Assessor) {
+	t.a = a
+	t.Rebuild(a)
+}
+
+func (t *table) snapshot() core.PopulationReport { return Assemble(t.a, t.Rows()) }
 
 // fanOutWidths are the GOMAXPROCS values the fan-out paths (batch upsert,
 // rebuild) are pinned at: serial, an uneven split and more ranges than
@@ -182,14 +188,15 @@ func TestRebuildSwapsPolicy(t *testing.T) {
 		for _, p := range pop {
 			tab.upsert(p)
 		}
-		tab.Rebuild(a2)
+		tab.rebuild(a2)
 		got := tab.snapshot()
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("procs=%d: rebuild diverges: got PW=%g total=%g, want PW=%g total=%g",
 				procs, got.PW, got.TotalViolations, want.PW, want.TotalViolations)
 		}
 		r, ok := tab.Get(pop[0].Provider)
-		if !ok || !reflect.DeepEqual(r.Report, want.Providers[indexOf(want, pop[0].Provider)]) {
+		if wr := want.Providers[indexOf(want, pop[0].Provider)]; !ok ||
+			r.Totals != (core.Totals{Violation: wr.Violation, Violated: wr.Violated, Defaults: wr.Defaults}) {
 			t.Errorf("procs=%d: per-provider row not rebuilt", procs)
 		}
 		if !r.Compiled.CurrentFor(a2) {
@@ -266,7 +273,7 @@ func TestUpsertBatchMatchesSequential(t *testing.T) {
 			if !reflect.DeepEqual(batch.snapshot(), serial.snapshot()) || batch.Partial() != serial.Partial() {
 				t.Errorf("%s, procs=%d: batch and serial upserts disagree", tc.name, procs)
 			}
-			keys := batch.Keys()
+			_, keys := batch.Page("", 0, batch.Len())
 			ascending := slices.IsSortedFunc(keys, func(x, y string) int {
 				if x < y {
 					return -1

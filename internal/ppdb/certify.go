@@ -10,12 +10,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// Certification call counters by answer path (DESIGN.md §10): incremental
-// (assembled from the memoized rows), full (the O(N) recompute of
-// CertifyFull), and summary (the O(P) aggregate read).
+// Certification call counters by answer path (DESIGN.md §10): full (the
+// kernel pass of Certify over every row) and summary (the O(1) aggregate
+// read).
 var (
-	mCertifyIncremental = metrics.Default.Counter("ppdb_certify_total",
-		"certifications by answer path", "path", "incremental")
 	mCertifyFull = metrics.Default.Counter("ppdb_certify_total",
 		"certifications by answer path", "path", "full")
 	mCertifySummary = metrics.Default.Counter("ppdb_certify_total",
@@ -62,53 +60,19 @@ type CertificationSummary struct {
 }
 
 // Certify assesses the current policy against every registered provider and
-// issues the α verdict. The report is assembled from the memoized
-// per-provider rows — O(N) copying, zero re-assessment — and is
-// byte-identical to CertifyFull.
+// issues the α verdict. The assessor and the rows are read under one read
+// lock, so the rows' columns are current for it; the columnar kernel then
+// runs over them across the fan-out with the lock released
+// (ledger.Assemble).
 func (d *DB) Certify(alpha float64) (*Certification, error) {
-	if err := checkAlpha(alpha); err != nil {
-		return nil, err
-	}
-	mCertifyIncremental.Inc()
-	d.mu.RLock()
-	policy := d.policy
-	now := d.now
-	rows := d.table.Rows()
-	d.mu.RUnlock()
-	return certification(now, policy.Name, alpha, ledger.Assemble(rows)), nil
-}
-
-// CertifyFull recomputes the certification from scratch over the whole
-// population — the O(N) cold path, kept as the oracle the equivalence tests
-// compare Certify against. It runs the columnar kernel (DESIGN.md §13) over
-// the rows' compiled tuple columns across the fan-out, one scratch arena
-// per key range, into slots aligned with the sorted rows, then assembles
-// them in that order — the same enumeration and float-sum order as a
-// serial per-provider recompute, so the result is bit-identical to it.
-//
-//lint:deterministic certification bytes are the paper's auditable artifact (Eq. 12-16)
-func (d *DB) CertifyFull(alpha float64) (*Certification, error) {
 	if err := checkAlpha(alpha); err != nil {
 		return nil, err
 	}
 	mCertifyFull.Inc()
 	d.mu.RLock()
-	policy := d.policy
-	assessor := d.assessor
-	now := d.now
-	rows := d.table.Rows()
+	policy, assessor, now, rows := d.policy, d.assessor, d.now, d.table.Rows()
 	d.mu.RUnlock()
-
-	// The rows are immutable, so no lock is needed; each worker reuses one
-	// scratch arena across its whole range.
-	reps := make([]core.ProviderReport, len(rows))
-	core.FanOut(len(rows), func(lo, hi int) {
-		var sc core.Scratch
-		for i := lo; i < hi; i++ {
-			reps[i] = assessor.AssessRow(rows[i].Prefs, rows[i].Compiled, &sc)
-		}
-	})
-	return certification(now, policy.Name, alpha, core.AssemblePopulation(reps)), nil
+	return certification(now, policy.Name, alpha, ledger.Assemble(assessor, rows)), nil
 }
 
 // CertifySummary answers the population-level certification without
@@ -170,19 +134,24 @@ func certification(at time.Time, policyName string, alpha float64, rep core.Popu
 
 // EnforceDefaults removes every provider whose violations exceed their
 // threshold (Def. 4), simulating the defaults actually happening. It
-// returns the removed provider names and the number of rows deleted.
+// returns the removed provider names, in key order, and the number of rows
+// deleted. The defaulting providers are read from the rows' totals.
 func (d *DB) EnforceDefaults() ([]string, int, error) {
-	cert, err := d.Certify(1)
-	if err != nil {
-		return nil, 0, err
+	var names []string
+	d.mu.RLock()
+	for _, r := range d.table.Rows() {
+		if r.Totals.Defaults {
+			names = append(names, r.Prefs.Provider)
+		}
 	}
+	d.mu.RUnlock()
 	rows := 0
-	for _, name := range cert.WouldDefault {
+	for _, name := range names {
 		n, err := d.RemoveProvider(name)
 		if err != nil {
-			return cert.WouldDefault, rows, err
+			return names, rows, err
 		}
 		rows += n
 	}
-	return cert.WouldDefault, rows, nil
+	return names, rows, nil
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/analysis/floatutil"
+	"repro/internal/core"
+	"repro/internal/policydsl"
 	"repro/internal/population"
 	"repro/internal/privacy"
 )
@@ -45,34 +48,50 @@ func mustJSON(t testing.TB, v any) []byte {
 	return b
 }
 
-// requireCertEquiv asserts the memoized-row Certify and the full-recompute
-// CertifyFull produce byte-identical output — PW, PDefault,
-// per-provider Violation_i rows and WouldDefault all included.
+// raceEnabled is set under the race detector (racedetector_test.go),
+// whose sync.Pool drops items at random, so pooled-buffer allocation
+// counts do not hold there.
+var raceEnabled bool
+
+// oracleCert is the certification recomputed with no stored state: a
+// fresh assessor for the live policy and Σ, AssessPopulation over the
+// registered preferences in key order, and the verdict around it. It
+// reads neither the rows' columns nor their totals.
+func oracleCert(t testing.TB, db *DB, alpha float64) *Certification {
+	t.Helper()
+	a, err := core.NewAssessor(db.Policy(), db.AttrSens(), db.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return certification(db.Now(), db.Policy().Name, alpha, a.AssessPopulation(db.Providers()))
+}
+
+// requireCertEquiv asserts Certify is byte-identical to the oracle —
+// PW, PDefault, per-provider reports and WouldDefault all included — and
+// that the O(1) summary, read from the rows' running totals, agrees with
+// it.
 func requireCertEquiv(t *testing.T, db *DB, alpha float64, stage string) {
 	t.Helper()
-	inc, err := db.Certify(alpha)
+	cert, err := db.Certify(alpha)
 	if err != nil {
 		t.Fatalf("%s: Certify: %v", stage, err)
 	}
-	full, err := db.CertifyFull(alpha)
-	if err != nil {
-		t.Fatalf("%s: CertifyFull: %v", stage, err)
-	}
-	a, b := mustJSON(t, inc), mustJSON(t, full)
+	oracle := oracleCert(t, db, alpha)
+	a, b := mustJSON(t, cert), mustJSON(t, oracle)
 	if !bytes.Equal(a, b) {
-		t.Errorf("%s: ledger certification diverges from full recompute\nledger: %.300s\nfull:   %.300s", stage, a, b)
+		t.Errorf("%s: certification diverges from the recompute\nCertify: %.300s\noracle:  %.300s", stage, a, b)
 	}
-	// The O(1) summary must agree with the report on every exact quantity;
-	// its running float total is allowed last-ulp drift.
+	// The summary must agree with the oracle on every exact quantity; its
+	// running float total is allowed last-ulp drift.
 	sum, err := db.CertifySummary(alpha)
 	if err != nil {
 		t.Fatalf("%s: CertifySummary: %v", stage, err)
 	}
-	rep := full.Report
+	rep := oracle.Report
 	if sum.N != rep.N || sum.ViolatedCount != rep.ViolatedCount || sum.DefaultCount != rep.DefaultCount ||
 		!floatutil.Eq(sum.PW, rep.PW) || !floatutil.Eq(sum.PDefault, rep.PDefault) ||
-		sum.IsAlphaPPDB != full.IsAlphaPPDB {
-		t.Errorf("%s: summary %+v disagrees with report N=%d violated=%d defaulted=%d PW=%g",
+		sum.IsAlphaPPDB != oracle.IsAlphaPPDB {
+		t.Errorf("%s: summary %+v disagrees with the recompute N=%d violated=%d defaulted=%d PW=%g",
 			stage, sum, rep.N, rep.ViolatedCount, rep.DefaultCount, rep.PW)
 	}
 	if !floatutil.Eq(sum.TotalViolations, rep.TotalViolations) {
@@ -83,8 +102,8 @@ func requireCertEquiv(t *testing.T, db *DB, alpha float64, stage string) {
 // TestLedgerCertifyEquivalence drives randomized populations through the
 // full mutation surface — bulk registration, single registrations,
 // self-service edits, removals, policy swaps, default enforcement — and
-// requires the incremental certification to stay byte-identical to the
-// full recompute at every step.
+// requires the certification to stay byte-identical to the stateless
+// recompute, and the summary to agree with it, at every step.
 func TestLedgerCertifyEquivalence(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 2011} {
 		seed := seed
@@ -149,10 +168,10 @@ func TestLedgerCertifyEquivalence(t *testing.T) {
 	}
 }
 
-// TestPolicyDeltaMatchesCertifyFull pins SetPolicy's what-if deltas, read
-// from the table's running aggregate around the rebuild, to full
+// TestPolicyDeltaMatchesRecompute pins SetPolicy's what-if deltas, read
+// from the table's running aggregate around the rebuild, to stateless
 // recomputes before and after the swap.
-func TestPolicyDeltaMatchesCertifyFull(t *testing.T) {
+func TestPolicyDeltaMatchesRecompute(t *testing.T) {
 	gen := equivGenerator(t, 99)
 	pop := population.PrefsOf(gen.Generate(120))
 	db, err := New(Config{Policy: equivPolicy("v1", 2), AttrSens: gen.AttributeSensitivities()})
@@ -162,26 +181,75 @@ func TestPolicyDeltaMatchesCertifyFull(t *testing.T) {
 	if err := db.RegisterProviders(pop); err != nil {
 		t.Fatal(err)
 	}
-	before, err := db.CertifyFull(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := oracleCert(t, db, 0.5)
 	change, err := db.SetPolicy(equivPolicy("v2", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := db.CertifyFull(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := oracleCert(t, db, 0.5)
 	wantPW := after.Report.PW - before.Report.PW
 	wantPDefault := after.Report.PDefault - before.Report.PDefault
 	if !floatutil.Eq(change.DeltaPW, wantPW) || !floatutil.Eq(change.DeltaPDefault, wantPDefault) {
-		t.Errorf("policy-change deltas (%g, %g) disagree with full recomputes (%g, %g)",
+		t.Errorf("policy-change deltas (%g, %g) disagree with recomputes (%g, %g)",
 			change.DeltaPW, change.DeltaPDefault, wantPW, wantPDefault)
 	}
 	if floatutil.Zero(wantPW) {
 		t.Error("fixture swap moved no provider; the delta check is vacuous")
 	}
 	requireCertEquiv(t, db, 0.5, "after policy swap")
+}
+
+// TestSetPolicySwapBytesPerProvider pins what a policy swap allocates on a
+// perfbench-shaped store: every row is recompiled and its totals assessed
+// under the new policy, and no pair conflict is built, so one swap stays
+// under 1.5 KB a provider.
+func TestSetPolicySwapBytesPerProvider(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random; Compile's scratch is pooled")
+	}
+	const n = 2000
+	var pols [2]*policydsl.Document
+	for i, vis := range []string{"third-party", "world"} {
+		doc, err := policydsl.Parse(population.BenchPolicyDSL(fmt.Sprintf("bench-%d", i), vis))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pols[i] = doc
+	}
+	gen, err := population.NewGenerator(population.BenchConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Round-trip through the DSL, so the preferences are shaped as a
+	// server that ingested them holds them.
+	corpus, err := policydsl.Parse(policydsl.Render(&policydsl.Document{Providers: population.PrefsOf(gen.Generate(n))}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := New(Config{Policy: pols[0].Policy, AttrSens: pols[0].AttrSens})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterProviders(corpus.Providers); err != nil {
+		t.Fatal(err)
+	}
+	swap := func(i int) {
+		if _, err := db.SetPolicy(pols[i].Policy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swap(1) // warm the compile scratch pool
+	swap(0)
+	const swaps = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= swaps; i++ {
+		swap(i % 2)
+	}
+	runtime.ReadMemStats(&after)
+	perProvider := float64(after.TotalAlloc-before.TotalAlloc) / swaps / n
+	t.Logf("a policy swap allocates %.0f B per provider", perProvider)
+	if perProvider > 1536 {
+		t.Errorf("a policy swap allocates %.0f B per provider; want under 1.5 KB", perProvider)
+	}
 }

@@ -11,12 +11,11 @@ import (
 )
 
 // TestCertifyPathCounters pins the per-path certification counters:
-// Certify answers from the memoized rows, CertifySummary from the
-// aggregates, and only the explicit CertifyFull oracle counts as full.
-// Shared default registry → delta assertions.
+// Certify counts as full (the kernel pass over every row) and
+// CertifySummary as summary. Shared default registry → delta assertions.
 func TestCertifyPathCounters(t *testing.T) {
 	db := clinicDB(t)
-	inc0, full0, sum0 := mCertifyIncremental.Value(), mCertifyFull.Value(), mCertifySummary.Value()
+	full0, sum0 := mCertifyFull.Value(), mCertifySummary.Value()
 
 	if _, err := db.Certify(0.5); err != nil {
 		t.Fatal(err)
@@ -24,30 +23,25 @@ func TestCertifyPathCounters(t *testing.T) {
 	if _, err := db.CertifySummary(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := mCertifyIncremental.Value() - inc0; got != 1 {
-		t.Errorf("incremental moved %d, want 1", got)
+	if got := mCertifyFull.Value() - full0; got != 1 {
+		t.Errorf("full moved %d, want 1", got)
 	}
 	if got := mCertifySummary.Value() - sum0; got != 1 {
 		t.Errorf("summary moved %d, want 1", got)
-	}
-	if got := mCertifyFull.Value() - full0; got != 0 {
-		t.Errorf("full moved %d, want 0 on the memoized paths", got)
 	}
 
 	// An invalid α is rejected before any path is counted.
 	if _, err := db.Certify(-1); err == nil {
 		t.Fatal("alpha -1 accepted")
 	}
-	if got := mCertifyIncremental.Value() - inc0; got != 1 {
+	if got := mCertifyFull.Value() - full0; got != 1 {
 		t.Errorf("rejected alpha still counted: %d", got)
 	}
-
-	// The explicit oracle counts as full.
-	if _, err := db.CertifyFull(0.5); err != nil {
-		t.Fatal(err)
+	if _, err := db.CertifySummary(2); err == nil {
+		t.Fatal("alpha 2 accepted")
 	}
-	if got := mCertifyFull.Value() - full0; got != 1 {
-		t.Errorf("full moved %d, want 1", got)
+	if got := mCertifySummary.Value() - sum0; got != 1 {
+		t.Errorf("rejected alpha still counted: %d", got)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/policydsl"
+	"repro/internal/privacy"
 	"repro/internal/relational"
 )
 
@@ -610,7 +611,7 @@ func (d *DB) restoreLegacyRows(t *rowTable, data, meta []byte, _ relational.RowI
 		if err != nil {
 			return fmt.Errorf("bad provenance time for row %d: %w", i+1, err)
 		}
-		if err := d.addLocked(t, relational.RowID(i), rowSlot{row: row, provider: strings.ToLower(parts[0]), inserted: inserted}); err != nil {
+		if err := d.addLocked(t, relational.RowID(i), rowSlot{row: row, provider: privacy.ProviderKey(parts[0]), inserted: inserted}); err != nil {
 			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}

@@ -14,11 +14,11 @@
 // transparency requirement of Sec. 1).
 //
 // Concurrency (DESIGN.md §11): one lock, d.mu, guards everything — the
-// provider table (ledger.Table: prefs, compiled columns and report per
+// provider table (ledger.Table: prefs, compiled columns and totals per
 // provider in sorted key order, plus the running aggregate), the
 // policy, the registered tables, the clock and the logs. Readers hold it
 // shared and every mutation holds it exclusively. The population-scale
-// paths — CertifyFull, bulk registration, policy rebuilds, what-ifs,
+// paths — Certify, bulk registration, policy rebuilds, what-ifs,
 // sweeps, saves — fan out over contiguous ranges of their input
 // (core.FanOut) and reduce serially in order. Each registered table is one
 // rowTable, the only copy of its rows, with every row's provenance inline.
@@ -346,11 +346,7 @@ func (d *DB) registerLocked(ps []*privacy.Prefs, rec walRecord) (uint64, error) 
 	if err != nil {
 		return 0, err
 	}
-	items := make([]ledger.Item, len(ps))
-	for i, p := range ps {
-		items[i] = ledger.Item{Key: strings.ToLower(p.Provider), Prefs: p}
-	}
-	d.table.Upsert(d.assessor, items)
+	d.table.Upsert(d.assessor, ledger.ItemsOf(ps))
 	d.publishGaugesLocked()
 	d.mutSeq.Add(1)
 	return lsn, nil
@@ -387,7 +383,7 @@ func (d *DB) RegisterProviders(ps []*privacy.Prefs) error {
 func (d *DB) Provider(name string) (*privacy.Prefs, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	r, ok := d.table.Get(strings.ToLower(name))
+	r, ok := d.table.Get(privacy.ProviderKey(name))
 	if !ok {
 		return nil, false
 	}
@@ -418,36 +414,13 @@ func (d *DB) providersLocked() []*privacy.Prefs {
 // ProvidersPage returns the number of providers whose canonical key starts
 // with prefix, plus one page of those keys in global sorted order — the
 // bounded listing the paginated HTTP API serves. offset past the end
-// yields an empty page; limit <= 0 yields no rows (count-only).
+// yields an empty page; limit <= 0 yields no rows (count-only). Only the
+// page is copied (ledger.Table.Page).
 func (d *DB) ProvidersPage(prefix string, offset, limit int) (int, []string) {
-	prefix = strings.ToLower(prefix)
+	prefix = privacy.ProviderKey(prefix)
 	d.mu.RLock()
-	keys := d.table.Keys()
-	d.mu.RUnlock()
-	if prefix != "" {
-		filtered := keys[:0]
-		for _, k := range keys {
-			if strings.HasPrefix(k, prefix) {
-				filtered = append(filtered, k)
-			}
-		}
-		keys = filtered
-	}
-	total := len(keys)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
-	if limit < 0 {
-		limit = 0
-	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	return total, append([]string(nil), keys[offset:end]...)
+	defer d.mu.RUnlock()
+	return d.table.Page(prefix, offset, limit)
 }
 
 // RemoveProvider deletes a provider's preferences and all of their rows —
@@ -456,8 +429,8 @@ func (d *DB) ProvidersPage(prefix string, offset, limit int) (int, []string) {
 // provider's posting list in each table becomes a tombstone, so WAL replay
 // of a delete lands on exactly the same rows.
 func (d *DB) RemoveProvider(name string) (int, error) {
-	key := strings.ToLower(name)
-	rec, err := d.walEncode(walRecDelete, walDeleteJSON{Provider: key})
+	key := privacy.ProviderKey(name)
+	rec, err := d.walEncode(walRecDelete, walDelete(key))
 	if err != nil {
 		return 0, err
 	}
@@ -489,7 +462,7 @@ func (d *DB) Insert(table, provider string, row relational.Row) (relational.RowI
 		return 0, fmt.Errorf("ppdb: table %q is not registered", table)
 	}
 	id := t.nextID()
-	if err := d.addLocked(t, id, rowSlot{row: row, provider: strings.ToLower(provider), inserted: d.now}); err != nil {
+	if err := d.addLocked(t, id, rowSlot{row: row, provider: privacy.ProviderKey(provider), inserted: d.now}); err != nil {
 		return 0, err
 	}
 	// Row mutations are not WAL-logged (rows ride snapshots only) but must
@@ -511,11 +484,12 @@ func (d *DB) addLocked(t *rowTable, id relational.RowID, s rowSlot) error {
 	return t.add(id, s)
 }
 
-// ownsRow checks that the row's provider column names the provider.
-func ownsRow(t *rowTable, row relational.Row, provider string) error {
+// ownsRow checks that the row's provider column names the provider with
+// canonical key key.
+func ownsRow(t *rowTable, row relational.Row, key string) error {
 	if t.provIdx < len(row) {
-		if s, ok := row[t.provIdx].AsText(); !ok || !strings.EqualFold(s, provider) {
-			return fmt.Errorf("ppdb: row provider column %s does not match provider %q", row[t.provIdx], provider)
+		if s, ok := row[t.provIdx].AsText(); !ok || privacy.ProviderKey(s) != key {
+			return fmt.Errorf("ppdb: row provider column %s does not match provider %q", row[t.provIdx], key)
 		}
 	}
 	return nil

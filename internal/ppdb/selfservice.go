@@ -32,7 +32,7 @@ type OwnRow struct {
 // come in (table name, row id) order, read off each table's posting list
 // for the provider.
 func (d *DB) ProviderView(provider string) ([]OwnRow, error) {
-	key := strings.ToLower(provider)
+	key := privacy.ProviderKey(provider)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if _, ok := d.table.Get(key); !ok {
@@ -56,7 +56,7 @@ func (d *DB) ProviderView(provider string) ([]OwnRow, error) {
 // UpdateOwnRow lets a provider correct one of their rows. The row must
 // belong to the provider; the provider-identity column cannot be changed.
 func (d *DB) UpdateOwnRow(provider, table string, id relational.RowID, row relational.Row) error {
-	key := strings.ToLower(provider)
+	key := privacy.ProviderKey(provider)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t, ok := d.tables[strings.ToLower(table)]
@@ -70,7 +70,7 @@ func (d *DB) UpdateOwnRow(provider, table string, id relational.RowID, row relat
 	if s.provider != key {
 		return fmt.Errorf("ppdb: row %d in %q does not belong to %q", id, table, provider)
 	}
-	if ownsRow(t, row, provider) != nil {
+	if ownsRow(t, row, key) != nil {
 		return fmt.Errorf("ppdb: cannot reassign row ownership")
 	}
 	if err := t.update(id, row); err != nil {
@@ -83,15 +83,17 @@ func (d *DB) UpdateOwnRow(provider, table string, id relational.RowID, row relat
 // SelfAudit returns the provider's personal violation report against the
 // current policy — w_i, Violation_i, default_i and every conflicting tuple
 // pair — the "continuously monitor the state of their privacy" capability.
-// The memoized row is returned in O(1).
+// The columnar kernel runs over the row's stored columns, read with the
+// assessor under one read lock.
 func (d *DB) SelfAudit(provider string) (core.ProviderReport, error) {
 	d.mu.RLock()
-	r, ok := d.table.Get(strings.ToLower(provider))
+	r, ok := d.table.Get(privacy.ProviderKey(provider))
+	assessor := d.assessor
 	d.mu.RUnlock()
 	if !ok {
 		return core.ProviderReport{}, fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}
-	return r.Report, nil
+	return assessor.AssessRow(r.Prefs, r.Compiled, nil), nil
 }
 
 // UpdatePreferences lets a provider revise their preference tuples (and
@@ -104,7 +106,8 @@ func (d *DB) UpdatePreferences(provider string, prefs *privacy.Prefs) error {
 	if prefs == nil {
 		return fmt.Errorf("ppdb: nil preferences")
 	}
-	if !strings.EqualFold(provider, prefs.Provider) {
+	key := privacy.ProviderKey(provider)
+	if privacy.ProviderKey(prefs.Provider) != key {
 		return fmt.Errorf("ppdb: preferences are for %q, not %q", prefs.Provider, provider)
 	}
 	if err := prefs.Validate(d.scales); err != nil {
@@ -116,7 +119,7 @@ func (d *DB) UpdatePreferences(provider string, prefs *privacy.Prefs) error {
 		return err
 	}
 	d.mu.Lock()
-	if _, ok := d.table.Get(strings.ToLower(provider)); !ok {
+	if _, ok := d.table.Get(key); !ok {
 		d.mu.Unlock()
 		return fmt.Errorf("ppdb: provider %q is not registered", provider)
 	}

@@ -66,10 +66,9 @@ func buildSweepDB(t *testing.T, seed uint64) *DB {
 
 // TestShardCountCertifyEquivalence is the fan-out-width sweep of the
 // ledger equivalence suite: the same mutation history at GOMAXPROCS 1, 2
-// and 8 must produce byte-identical Certify, CertifyFull and what-if
-// output — the width decides only how work is split, never an answer.
-// Within each width the incremental ledger must also still match the full
-// recompute.
+// and 8 must produce byte-identical Certify and what-if output — the
+// width decides only how work is split, never an answer. Within each
+// width Certify must also still match the stateless recompute.
 func TestShardCountCertifyEquivalence(t *testing.T) {
 	req := &whatif.Request{U: 10, T: 1, Detail: true, Diff: whatif.Diff{
 		Retarget:    []whatif.TupleSpec{{Attribute: "weight", Purpose: "service", Visibility: 1, Granularity: 1, Retention: 1}},

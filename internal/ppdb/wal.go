@@ -3,7 +3,9 @@ package ppdb
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/metrics"
 	"repro/internal/policydsl"
@@ -48,8 +50,20 @@ const (
 var mRecoverySeconds = metrics.Default.Histogram("ppdb_recovery_seconds",
 	"duration of store recovery: snapshot load plus WAL tail replay", metrics.DefBuckets)
 
+// walDeleteJSON names the removed provider by key. A JSON string carries
+// only valid UTF-8, so a key that is not valid UTF-8 is logged Go-quoted
+// in Quoted, with Provider empty; every other key is logged in Provider.
 type walDeleteJSON struct {
 	Provider string `json:"provider"`
+	Quoted   string `json:"quoted,omitempty"`
+}
+
+// walDelete is the delete record of key.
+func walDelete(key string) walDeleteJSON {
+	if utf8.ValidString(key) {
+		return walDeleteJSON{Provider: key}
+	}
+	return walDeleteJSON{Quoted: strconv.Quote(key)}
 }
 
 // walClockJSON carries the absolute post-advance clock, not the delta:
@@ -201,10 +215,15 @@ func (d *DB) applyWALRecord(rec wal.Record) error {
 		return d.RegisterProviders(doc.Providers)
 	case walRecDelete:
 		var dj walDeleteJSON
-		if err := json.Unmarshal(rec.Data, &dj); err != nil {
+		err := json.Unmarshal(rec.Data, &dj)
+		key := dj.Provider
+		if err == nil && dj.Quoted != "" {
+			key, err = strconv.Unquote(dj.Quoted)
+		}
+		if err != nil {
 			return fmt.Errorf("ppdb: wal delete record: %w", err)
 		}
-		_, err := d.RemoveProvider(dj.Provider)
+		_, err = d.RemoveProvider(key)
 		return err
 	case walRecPolicy:
 		doc, err := policydsl.Parse(string(rec.Data))

@@ -34,9 +34,9 @@ var (
 // immutable rows in place; concurrent registrations and policy swaps
 // proceed untouched and simply miss this evaluation's cut.
 //
-// Every row carries its report under the live policy (a policy swap
+// Every row carries its totals under the live policy (a policy swap
 // re-assesses every row under d.mu exclusive), so providers the diff
-// cannot affect reuse that report without any assessment. Under the Sec. 5
+// cannot affect reuse those totals without any assessment. Under the Sec. 5
 // implicit zero — every served store — a diff that moves a tuple with a
 // non-zero level or a Σ takes the global fallback and re-assesses everyone
 // (DESIGN.md §16).

@@ -1,6 +1,10 @@
 package privacy
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+	"unicode/utf8"
+)
 
 // CanonAttr returns the canonical (lower-cased, trimmed) form of an
 // attribute name — the attribute identity the whole model compares on
@@ -8,6 +12,29 @@ import "strings"
 // assessment plane (internal/core) can index compiled columns by the same
 // canonical form the row-oriented structures use internally.
 func CanonAttr(a string) string { return strings.ToLower(strings.TrimSpace(a)) }
+
+// ProviderKey returns the canonical key of a provider name — the identity
+// the store, its snapshots and the audit tools key providers by. Each
+// valid rune is lower-cased as strings.ToLower does, so a valid UTF-8 name
+// keeps the key strings.ToLower gives it, and each byte that is not valid
+// UTF-8 is copied unchanged: strings.ToLower would turn every such byte
+// into U+FFFD, giving "bo\xffb" and "bo\xfeb" one key.
+func ProviderKey(name string) string {
+	if utf8.ValidString(name) {
+		return strings.ToLower(name)
+	}
+	key := make([]byte, 0, len(name))
+	for i := 0; i < len(name); {
+		r, n := utf8.DecodeRuneInString(name[i:])
+		if r == utf8.RuneError && n == 1 {
+			key = append(key, name[i])
+		} else {
+			key = utf8.AppendRune(key, unicode.ToLower(r))
+		}
+		i += n
+	}
+	return string(key)
+}
 
 // Interner maps symbols (attribute names, purposes) to dense uint32 ids,
 // assigned in first-Intern order. Dense ids let the columnar assessment

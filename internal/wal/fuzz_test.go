@@ -29,6 +29,7 @@ func FuzzWALSegment(f *testing.F) {
 	f.Add(false, flipped)
 	f.Add(true, append(encodeHeader(1), two...)) // the header fuzzed too
 	f.Add(true, append(encodeHeader(2), one...)) // a base the file name contradicts
+	f.Add(false, tornLengthFrames())             // a length past the end of the file
 
 	f.Fuzz(func(t *testing.T, rawHeader bool, data []byte) {
 		const base = 1

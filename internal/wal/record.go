@@ -97,13 +97,14 @@ func (e *tornTailError) Error() string {
 }
 
 // scanFrames iterates the frames of a segment body (reader positioned just
-// past the header). For every decodable record it calls fn with the
-// record's positional LSN. It returns the number of records decoded and
-// the byte offset (from the start of the file) of the first byte past the
-// last good frame. A clean EOF returns a nil error; undecodable bytes
-// return a *tornTailError; an fn error aborts the scan and is returned
-// as-is.
-func scanFrames(r io.Reader, path string, base uint64, fn func(lsn uint64, rec Record) error) (count int, goodEnd int64, err error) {
+// past the header) of a segment file size bytes long. For every decodable
+// record it calls fn with the record's positional LSN. It returns the
+// number of records decoded and the byte offset (from the start of the
+// file) of the first byte past the last good frame. A clean EOF returns a
+// nil error; undecodable bytes return a *tornTailError — a length that
+// runs past the end of the file among them, caught before its payload is
+// allocated; an fn error aborts the scan and is returned as-is.
+func scanFrames(r io.Reader, size int64, path string, base uint64, fn func(lsn uint64, rec Record) error) (count int, goodEnd int64, err error) {
 	goodEnd = headerSize
 	var hdr [frameOverhead]byte
 	for {
@@ -117,6 +118,9 @@ func scanFrames(r io.Reader, path string, base uint64, fn func(lsn uint64, rec R
 		want := binary.LittleEndian.Uint32(hdr[4:8])
 		if n == 0 || n > MaxRecordBytes {
 			return count, goodEnd, &tornTailError{path, goodEnd, fmt.Sprintf("implausible payload length %d", n)}
+		}
+		if int64(n) > size-goodEnd-frameOverhead {
+			return count, goodEnd, &tornTailError{path, goodEnd, fmt.Sprintf("payload length %d runs past the end of the file", n)}
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {

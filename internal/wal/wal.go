@@ -213,7 +213,11 @@ func scanDir(opts Options) ([]segment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: opening %s: %w", s.path, err)
 		}
-		base, err := readHeader(f, s.path)
+		st, err := f.Stat()
+		var base uint64
+		if err == nil {
+			base, err = readHeader(f, s.path)
+		}
 		if err == nil && base != s.base {
 			err = fmt.Errorf("wal: %s: header base LSN %d contradicts the file name", s.path, base)
 		}
@@ -222,7 +226,7 @@ func scanDir(opts Options) ([]segment, error) {
 			f.Close()
 			return nil, err
 		}
-		count, goodEnd, scanErr := scanFrames(f, s.path, s.base, nil)
+		count, goodEnd, scanErr := scanFrames(f, st.Size(), s.path, s.base, nil)
 		//lint:ignore errflow the segment was only read; scanErr carries any failure
 		f.Close()
 		s.count = count
@@ -597,12 +601,16 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, rec Record) error) (int, e
 		if err != nil {
 			return n, fmt.Errorf("wal: replay opening %s: %w", s.path, err)
 		}
-		if _, err := readHeader(f, s.path); err != nil {
+		st, err := f.Stat()
+		if err == nil {
+			_, err = readHeader(f, s.path)
+		}
+		if err != nil {
 			//lint:ignore errflow the header error is the diagnosis; close is cleanup
 			f.Close()
 			return n, err
 		}
-		_, _, scanErr := scanFrames(f, s.path, s.base, func(lsn uint64, rec Record) error {
+		_, _, scanErr := scanFrames(f, st.Size(), s.path, s.base, func(lsn uint64, rec Record) error {
 			if lsn <= from {
 				return nil
 			}

@@ -2,11 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -223,6 +225,52 @@ func TestWALTornTailShortWrite(t *testing.T) {
 	defer l3.Close()
 	if got := replayAll(t, l3, 0); len(got) != 3 || got[2].data != "after" {
 		t.Errorf("second recovery = %+v", got)
+	}
+}
+
+// tornLengthFrames is one good frame, then a frame header whose length
+// claims 60 MiB with 3 payload bytes behind it: with the 16-byte header, a
+// 38-byte segment.
+func tornLengthFrames() []byte {
+	frames := appendFrame(nil, Record{Type: 1, Data: []byte("ok")})
+	frames = binary.LittleEndian.AppendUint32(frames, 60<<20)
+	frames = binary.LittleEndian.AppendUint32(frames, 0) // CRC
+	return append(frames, 1, 2, 3)
+}
+
+// TestWALTornLengthAllocatesNothing opens a segment whose last frame claims
+// a length that runs past the end of the file. Open must report that torn
+// tail before allocating the payload, truncate the segment to the good
+// frame and replay it.
+func TestWALTornLengthAllocatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := segmentPath(dir, 1)
+	file := append(encodeHeader(1), tornLengthFrames()...)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := fastOpts(dir)
+	opts.Logger = log.New(io.Discard, "", 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err := Open(opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Open over a torn tail must succeed, got %v", err)
+	}
+	defer l.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("Open of a %d-byte segment allocated %d bytes; want under 1 MiB", len(file), got)
+	}
+	if got := replayAll(t, l, 0); len(got) != 1 || got[0].data != "ok" {
+		t.Errorf("recovered records = %+v, want the one good frame", got)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(file) - 11); st.Size() != want {
+		t.Errorf("segment truncated to %d bytes, want %d", st.Size(), want)
 	}
 }
 

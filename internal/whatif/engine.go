@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -44,7 +42,7 @@ type Engine struct {
 
 // NewEngine validates the request, compiles the candidate diff into a
 // shadow assessor, and decides the reuse strategy. live must be the
-// assessor the snapshot's live reports were computed with (internal/ppdb's
+// assessor the rows' live totals were computed with (internal/ppdb's
 // cached one). policyVersion is the live policy version the shadow version
 // derives from.
 func NewEngine(live *core.Assessor, attrSens privacy.AttributeSensitivities, opts core.Options,
@@ -137,15 +135,14 @@ func (e *Engine) AffectedAttributes() []string { return e.affectedAttrs }
 func (e *Engine) GlobalFallback() bool { return e.allAffected }
 
 // Evaluate assesses the candidate against a provider population: rows in
-// ascending key order, each carrying its live report under the engine's
-// live assessor. Providers the diff cannot affect reuse that report; the
-// rest are re-assessed under the shadow policy across the fan-out. Either
-// way only w_i, Violation_i and default_i are kept, in slots aligned with
-// rows. Both populations are then summed serially in row order, so the
-// current summary is bit-identical to a full certification. Evaluate
-// writes nothing the rows reach.
+// ascending key order, each carrying its live totals under the engine's
+// live assessor. Providers the diff cannot affect reuse those totals; the
+// rest are re-assessed under the shadow policy across the fan-out, into
+// slots aligned with rows. Both populations are then summed serially in
+// row order, so the current summary is bit-identical to a full
+// certification. Evaluate writes nothing the rows reach.
 func (e *Engine) Evaluate(rows []*ledger.Row) *Response {
-	shd := make([]shadowTotals, len(rows))
+	shd := make([]core.Totals, len(rows))
 	var affected atomic.Int64
 	core.FanOut(len(rows), func(lo, hi int) {
 		var sc core.Scratch
@@ -155,13 +152,11 @@ func (e *Engine) Evaluate(rows []*ledger.Row) *Response {
 			if e.allAffected || e.touches(r.Prefs) {
 				// The stored columns were compiled against the live policy,
 				// so the kernel compiles the provider against the shadow
-				// policy into the worker's scratch, and materializes no
-				// pair.
-				rep := e.shadow.AssessTotals(r.Prefs, &sc)
-				shd[i] = totalsOf(&rep)
+				// policy into the worker's scratch.
+				shd[i] = e.shadow.AssessTotals(r.Prefs, nil, &sc)
 				n++
 			} else {
-				shd[i] = totalsOf(&r.Report)
+				shd[i] = r.Totals
 			}
 		}
 		affected.Add(int64(n))
@@ -169,8 +164,8 @@ func (e *Engine) Evaluate(rows []*ledger.Row) *Response {
 
 	var cur, prop core.Partial
 	for i, r := range rows {
-		cur.Add(&r.Report)
-		prop.AddTotals(shd[i].violated, shd[i].defaults, shd[i].violation)
+		cur.Add(r.Totals)
+		prop.Add(shd[i])
 	}
 
 	resp := &Response{
@@ -215,27 +210,16 @@ func (e *Engine) Evaluate(rows []*ledger.Row) *Response {
 					continue
 				}
 				seg.Providers++
-				if r.Report.Defaults {
+				if r.Totals.Defaults {
 					seg.DefaultsCurrent++
 				}
-				if shd[i].defaults {
+				if shd[i].Defaults {
 					seg.DefaultsProposed++
 				}
 			}
 		}
 	}
 	return resp
-}
-
-// shadowTotals is the part of a provider's shadow report Evaluate reads:
-// w_i, default_i and Violation_i, a quarter of a core.ProviderReport.
-type shadowTotals struct {
-	violation          float64
-	violated, defaults bool
-}
-
-func totalsOf(r *core.ProviderReport) shadowTotals {
-	return shadowTotals{violation: r.Violation, violated: r.Violated, defaults: r.Defaults}
 }
 
 func summaryOf(p core.Partial) Summary {
@@ -250,11 +234,11 @@ func summaryOf(p core.Partial) Summary {
 }
 
 // EvaluateOffline runs a what-if against an in-memory population with no
-// store — the cmd/whatif path. It assesses every provider's live totals
-// itself (the columnar kernel, as the store does) and evaluates the
-// population in ascending case-folded provider order, the same canonical
-// order internal/ppdb certifies in, so offline and online responses for the
-// same state are identical.
+// store — the cmd/whatif path. It upserts pop into a provider table under
+// the live assessor, as the store registers it — keyed by
+// privacy.ProviderKey, a key given twice keeping its last block — and
+// evaluates the table's rows in key order, so offline and online responses
+// for the same corpus are identical.
 func EvaluateOffline(policy *privacy.HousePolicy, attrSens privacy.AttributeSensitivities,
 	opts core.Options, pop []*privacy.Prefs, req *Request) (*Response, error) {
 	live, err := core.NewAssessor(policy, attrSens, opts)
@@ -265,17 +249,7 @@ func EvaluateOffline(policy *privacy.HousePolicy, attrSens privacy.AttributeSens
 	if err != nil {
 		return nil, err
 	}
-	sorted := make([]*privacy.Prefs, len(pop))
-	copy(sorted, pop)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return strings.ToLower(sorted[i].Provider) < strings.ToLower(sorted[j].Provider)
-	})
-	backing := make([]ledger.Row, len(sorted))
-	rows := make([]*ledger.Row, len(sorted))
-	var sc core.Scratch
-	for i, p := range sorted {
-		backing[i] = ledger.Row{Prefs: p, Report: live.AssessTotals(p, &sc)}
-		rows[i] = &backing[i]
-	}
-	return e.Evaluate(rows), nil
+	table := ledger.NewTable()
+	table.Upsert(live, ledger.ItemsOf(pop))
+	return e.Evaluate(table.Rows()), nil
 }

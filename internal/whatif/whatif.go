@@ -16,8 +16,8 @@
 //     from live versions, so a shadow answer can never be mistaken for a
 //     live one);
 //   - Evaluate fans out over key ranges of one immutable, sorted row
-//     snapshot that carries each provider's live report, re-assessing only
-//     providers the diff can affect and reusing the live report for
+//     snapshot that carries each provider's live totals, re-assessing only
+//     providers the diff can affect and reusing the live totals for
 //     everyone else (see engine.go for the exactness rule).
 //
 // The engine is read-only by construction: it consumes snapshots and
@@ -184,7 +184,7 @@ type Response struct {
 	AffectedAttributes []string `json:"affectedAttributes"`
 	GlobalFallback     bool     `json:"globalFallback"`
 	// Affected counts providers re-assessed under the shadow policy;
-	// MemoReused counts providers whose live report was reused unchanged.
+	// MemoReused counts providers whose live totals were reused unchanged.
 	// Affected + MemoReused = N.
 	Affected   int `json:"affected"`
 	MemoReused int `json:"memoReused"`

@@ -516,29 +516,30 @@ func TestEvaluateMemoPathEquivalence(t *testing.T) {
 	if eng.ShadowVersion() != 17|whatif.ShadowVersionBit {
 		t.Errorf("shadow version = %#x", eng.ShadowVersion())
 	}
-	// The same population is built twice: live reports from columns
-	// compiled up front (what the store memoizes) and from
-	// AssessProvider, which compiles afresh per call.
+	// The same population is built twice: live totals from columns
+	// compiled up front (what the store keeps) and from the report
+	// AssessProvider compiles afresh per call.
 	var kernel, ref []*ledger.Row
 	var sc core.Scratch
 	for _, p := range pop {
-		kernel = append(kernel, &ledger.Row{Prefs: p, Report: live.AssessCompiled(live.Compile(p), &sc)})
-		ref = append(ref, &ledger.Row{Prefs: p, Report: live.AssessProvider(p)})
+		kernel = append(kernel, &ledger.Row{Prefs: p, Totals: live.AssessTotals(p, live.Compile(p), &sc)})
+		rep := live.AssessProvider(p)
+		ref = append(ref, &ledger.Row{Prefs: p, Totals: core.Totals{Violation: rep.Violation, Violated: rep.Violated, Defaults: rep.Defaults}})
 	}
 	base := eng.Evaluate(kernel)
 	walked := eng.Evaluate(ref)
 	if base.Current != walked.Current || base.Proposed != walked.Proposed {
-		t.Errorf("kernel and reference live reports changed the answer:\nkernel %+v %+v\nref    %+v %+v",
+		t.Errorf("kernel and reference live totals changed the answer:\nkernel %+v %+v\nref    %+v %+v",
 			base.Current, base.Proposed, walked.Current, walked.Proposed)
 	}
 	if base.Verdict != walked.Verdict || base.Affected != walked.Affected || base.MemoReused != walked.MemoReused {
-		t.Errorf("kernel and reference live reports changed verdict/counters")
+		t.Errorf("kernel and reference live totals changed verdict/counters")
 	}
 	if len(base.Segments) != 1 || base.Segments[0].Attribute != "contact" {
 		t.Fatalf("segments = %+v", base.Segments)
 	}
 	if len(walked.Segments) != 1 || walked.Segments[0] != base.Segments[0] {
-		t.Errorf("kernel and reference live reports changed segments: %+v vs %+v", walked.Segments, base.Segments)
+		t.Errorf("kernel and reference live totals changed segments: %+v vs %+v", walked.Segments, base.Segments)
 	}
 
 	// Without Detail, segments are withheld.

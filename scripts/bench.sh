@@ -1,6 +1,6 @@
 #!/bin/sh
 # Certification benchmark harness: runs the certification benches
-# (BenchmarkCertifyCold / BenchmarkCertifyIncremental /
+# (BenchmarkCertifyCold, Certify's kernel pass over every row, and
 # BenchmarkCertifySummary), the bulk-ingest bench (BenchmarkBulkIngest,
 # 100k providers into an empty store), the durable-ingest benches
 # (BenchmarkIngestDurable, one sub-bench per WAL group-commit mode), the
@@ -15,8 +15,7 @@
 # 100k providers, implicit zeros on) and the WAL recovery bench
 # (BenchmarkWALReplay, AttachWAL replaying perfbench's 20k providers from
 # ~1 MiB batch records into a fresh store) and records ns/op, B/op and allocs/op
-# plus the cold→incremental speedup per population size into
-# BENCH_certify.json at the repo root. Wired as `make bench`; not part of
+# into BENCH_certify.json at the repo root. Wired as `make bench`; not part of
 # `make check`.
 #
 # BENCH_PATTERN restricts the run to a subset (e.g.
@@ -43,7 +42,7 @@ gover=$(go env GOVERSION)
 ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
 day=$(date -u +%Y-%m-%d)
 
-pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy|WALReplay)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Certify(Cold|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy|WALReplay)}"
 out=$(go test -run '^$' -bench "$pattern" \
 	-benchtime "${BENCHTIME:-1s}" -benchmem -timeout 30m .)
 printf '%s\n' "$out"
@@ -76,7 +75,7 @@ NR == FNR {
 	}
 	next
 }
-/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy|WALReplay)/ {
+/^Benchmark(Certify(Cold|Summary|HTTP)|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy|WALReplay)/ {
 	# -benchmem lines: name iters ns/op-value "ns/op" B-value "B/op"
 	# allocs-value "allocs/op". The name ends in -GOMAXPROCS unless that
 	# is 1.
@@ -103,19 +102,7 @@ END {
 			printf ", %s", stamp[names[i]]
 		printf "}%s\n", (i < n ? "," : "")
 	}
-	printf "  ],\n  \"speedup_cold_over_incremental\": {"
-	sep = ""
-	for (i = 1; i <= n; i++) {
-		if (names[i] ~ /Cold\//) {
-			size = names[i]; sub(/.*\//, "", size)
-			inc = "BenchmarkCertifyIncremental/" size
-			if (inc in vals && vals[inc] + 0 > 0) {
-				printf "%s\"%s\": %.2f", sep, size, vals[names[i]] / vals[inc]
-				sep = ", "
-			}
-		}
-	}
-	printf "}\n}\n"
+	printf "  ]\n}\n"
 }' "$prev" - > BENCH_certify.json
 rm -f "$prev"
 

@@ -30,7 +30,7 @@ fi
 # (SetPolicy) and the WAL recovery bench (WALReplay, perfbench's 20k
 # providers replayed from batch records); each sub-bench is compared
 # against its own baseline entry.
-out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|Incremental|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy|WALReplay)' \
+out=$(go test -run '^$' -bench '^Benchmark(Certify(Cold|Summary|HTTP)|BulkIngest|IngestDurable|QueryEnforced|WhatIf(Storm|Shipped)|Compile|SetPolicy|WALReplay)' \
 	-benchtime "${BENCHTIME:-1s}" -timeout 30m .)
 printf '%s\n' "$out"
 echo
@@ -47,7 +47,7 @@ NR == FNR {
 	}
 	next
 }
-/^Benchmark(Certify|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy|WALReplay)/ {
+/^Benchmark(Certify(Cold|Summary|HTTP)|BulkIngest|Ingest|Query|WhatIf|Compile|SetPolicy|WALReplay)/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	cur[name] = $3 + 0
 	seen[++n] = name

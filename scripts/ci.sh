@@ -44,7 +44,7 @@ fi
 go test -race $race_pkgs
 
 # Fan-out race pass: the width-sweep suite runs every population fan-out
-# (bulk ingest, rebuild, what-if, CertifyFull, snapshot render) at
+# (bulk ingest, rebuild, what-if, Certify, snapshot render) at
 # GOMAXPROCS 1/2/8 — the "shards" its tests are named after — the ledger
 # tests drive the batch and rebuild fan-outs, the enforced-query test races
 # concurrent QueryEnforced against registration, inserts and policy swaps,
